@@ -238,6 +238,10 @@ void print_ops_table() {
        time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); })},
       {"paillier encrypt (fixed-base)",
        time_op([&] { benchmark::DoNotOptimize(pub_fb.encrypt(BigUint{1}, rng)); })},
+      // Same ciphertext as "paillier encrypt": r^n mod p^2 and mod q^2 on
+      // two pool workers, for the parties that hold p and q.
+      {"paillier encrypt (key-holder CRT)",
+       time_op([&] { benchmark::DoNotOptimize(kp.prv.encrypt(BigUint{1}, rng)); })},
       {"paillier decrypt (CRT)",
        time_op([&] { benchmark::DoNotOptimize(kp.prv.decrypt(ct_a)); })},
       {"homomorphic add",
@@ -247,7 +251,8 @@ void print_ops_table() {
   };
 
   std::printf("cpu: %s\n", core::cpu::feature_string().c_str());
-  std::printf("== crypto substrate ops/sec (key_bits = %zu) ==\n", kKeyBits);
+  std::printf("== crypto substrate ops/sec (key_bits = %zu, runtime workers: %zu) ==\n",
+              kKeyBits, core::ParallelRuntime::instance().worker_count());
   std::printf("%-36s %12s %12s\n", "operation", "ms/op", "ops/sec");
   for (const Row& row : rows) {
     std::printf("%-36s %12.3f %12.1f\n", row.op, row.sec * 1e3, 1.0 / row.sec);
@@ -371,6 +376,11 @@ void print_packed_table() {
   report("packed encrypt", time_op([&] {
            benchmark::DoNotOptimize(
                he::PackedEncryptedVector::encrypt(kp.pub, codec, values, rng));
+         }),
+         packed_bytes);
+  report("packed encrypt (key-holder)", time_op([&] {
+           benchmark::DoNotOptimize(
+               he::PackedEncryptedVector::encrypt(kp.prv, codec, values, rng));
          }),
          packed_bytes);
   report("per-slot decrypt",

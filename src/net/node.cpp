@@ -40,24 +40,26 @@ using detail::SparseUpdatePlan;
 
 /// Client-side encryption of one upload (registry one-hot or quantized
 /// distribution) under the session's packing mode, seeded from the server's
-/// request — the same stream derivation the in-process session uses.
-Frame encrypt_upload(MsgType type, const he::PublicKey& pk, const SessionParams& p,
+/// request — the same stream derivation the in-process session uses. The
+/// client holds the private key (§5.1), so it takes the key-holder CRT path:
+/// byte-identical ciphertexts to the session's public-key reference path.
+Frame encrypt_upload(MsgType type, const he::PrivateKey& prv, const SessionParams& p,
                      std::span<const std::uint64_t> values, std::uint64_t seed) {
   bigint::Xoshiro256ss rng(seed);
   if (p.secure.use_packing) {
     const he::PackedCodec packed(p.secure.key_bits - 1, p.secure.packing_slot_bits);
     return make_encrypted_vector(type,
-                                 he::PackedEncryptedVector::encrypt(pk, packed, values, rng));
+                                 he::PackedEncryptedVector::encrypt(prv, packed, values, rng));
   }
-  return make_encrypted_vector(type, he::EncryptedVector::encrypt(pk, values, rng));
+  return make_encrypted_vector(type, he::EncryptedVector::encrypt(prv, values, rng));
 }
 
 /// Client half: split a quantized update along the plan's mask, encrypt
-/// the top-k portion under the round's derived stream, frame the rest as
-/// plaintext behind the bitmap.
+/// the top-k portion (key-holder path) under the round's derived stream,
+/// frame the rest as plaintext behind the bitmap.
 Frame make_sparse_update(std::uint64_t client_id, const SparseUpdatePlan& plan,
                          std::span<const std::uint64_t> quantized,
-                         const he::PublicKey& pk, std::uint8_t quant_bits,
+                         const he::PrivateKey& prv, std::uint8_t quant_bits,
                          std::uint64_t seed) {
   std::vector<std::uint64_t> enc_vals(plan.k);
   for (std::size_t j = 0; j < plan.k; ++j) enc_vals[j] = quantized[plan.mask[j]];
@@ -71,7 +73,7 @@ Frame make_sparse_update(std::uint64_t client_id, const SparseUpdatePlan& plan,
     m.plain_values[j] = quantized[plan.plain_idx[j]];
   }
   bigint::Xoshiro256ss rng(seed);
-  m.encrypted = he::PackedEncryptedVector::encrypt(pk, plan.codec, enc_vals, rng);
+  m.encrypted = he::PackedEncryptedVector::encrypt(prv, plan.codec, enc_vals, rng);
   return make_model_update_sparse(m);
 }
 
@@ -738,7 +740,7 @@ void serve_client(Transport& link, std::size_t client_id,
       case MsgType::kRegistrationRequest: {
         if (!have_key) throw TransportError("serve_client: registration before keys");
         const SeedRequest req = parse_seed_request(*frame, MsgType::kRegistrationRequest);
-        send(encrypt_upload(MsgType::kRegistryUpload, keys.pub, params,
+        send(encrypt_upload(MsgType::kRegistryUpload, keys.prv, params,
                             core::to_onehot(codec, reg), req.seed));
         break;
       }
@@ -783,7 +785,7 @@ void serve_client(Transport& link, std::size_t client_id,
         if (!have_key) throw TransportError("serve_client: distribution before keys");
         const SeedRequest req = parse_seed_request(*frame, MsgType::kDistributionRequest);
         send(encrypt_upload(
-            MsgType::kDistributionUpload, keys.pub, params,
+            MsgType::kDistributionUpload, keys.prv, params,
             core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
         break;
       }
@@ -805,7 +807,7 @@ void serve_client(Transport& link, std::size_t client_id,
               core::quantize_update(down.weights, trained, params.secure.update_quant_bits,
                                     params.secure.update_quant_scale);
           send(make_sparse_update(
-              static_cast<std::uint64_t>(client_id), plan, q, keys.pub,
+              static_cast<std::uint64_t>(client_id), plan, q, keys.prv,
               static_cast<std::uint8_t>(params.secure.update_quant_bits),
               core::update_encryption_seed(session_seed, round, client_id)));
         } else {

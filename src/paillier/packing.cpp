@@ -69,21 +69,34 @@ PackedEncryptedVector::PackedEncryptedVector(PublicKey pk, PackedCodec codec,
   }
 }
 
+namespace {
+
+/// Packs `values` and encrypts each plaintext under `key` (a PublicKey or a
+/// PrivateKey), one full 256-bit stream state per ciphertext.
+template <class Key>
+std::vector<Ciphertext> encrypt_packed(const Key& key, const PackedCodec& codec,
+                                       std::span<const std::uint64_t> values,
+                                       bigint::EntropySource& rng, const BatchOptions& opt) {
+  const std::vector<BigUint> pts = codec.encode(values);
+  return key.encrypt_batch(pts, detail::draw_stream_states(rng, pts.size()), opt);
+}
+
+}  // namespace
+
 PackedEncryptedVector PackedEncryptedVector::encrypt(
     const PublicKey& pk, const PackedCodec& codec,
     std::span<const std::uint64_t> values, bigint::EntropySource& rng,
     const BatchOptions& opt) {
-  PackedEncryptedVector v;
-  v.pk_ = pk;
-  v.codec_ = codec;
-  v.count_ = values.size();
-  const std::vector<BigUint> pts = codec.encode(values);
-  std::vector<PublicKey::StreamState> states(pts.size());
-  for (auto& s : states) {  // a full 256-bit stream state per ciphertext
-    s = {rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
-  }
-  v.cts_ = pk.encrypt_batch(pts, states, opt);
-  return v;
+  return PackedEncryptedVector(pk, codec, values.size(),
+                               encrypt_packed(pk, codec, values, rng, opt));
+}
+
+PackedEncryptedVector PackedEncryptedVector::encrypt(
+    const PrivateKey& prv, const PackedCodec& codec,
+    std::span<const std::uint64_t> values, bigint::EntropySource& rng,
+    const BatchOptions& opt) {
+  return PackedEncryptedVector(prv.public_key(), codec, values.size(),
+                               encrypt_packed(prv, codec, values, rng, opt));
 }
 
 PackedEncryptedVector PackedEncryptedVector::encrypt_direct(

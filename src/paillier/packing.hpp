@@ -61,6 +61,14 @@ class PackedEncryptedVector {
                                        std::span<const std::uint64_t> values,
                                        bigint::EntropySource& rng,
                                        const BatchOptions& opt = {});
+  /// Key-holder variant (PrivateKey::encrypt_batch, CRT noise): the same
+  /// stream-state draw, so the vector serializes byte-equal to the
+  /// PublicKey overload's for the same `rng` state — only faster. For the
+  /// parties that hold p and q (clients, agent), never the aggregator.
+  static PackedEncryptedVector encrypt(const PrivateKey& prv, const PackedCodec& codec,
+                                       std::span<const std::uint64_t> values,
+                                       bigint::EntropySource& rng,
+                                       const BatchOptions& opt = {});
   /// Serial full-entropy variant mirroring EncryptedVector::encrypt_direct:
   /// each packed ciphertext draws its randomization directly from `rng`.
   static PackedEncryptedVector encrypt_direct(const PublicKey& pk,

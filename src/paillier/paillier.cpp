@@ -28,6 +28,43 @@ telemetry::Counter& encrypt_count(bool fixed_base) {
   return fixed_base ? fb : plain;
 }
 
+/// The one r draw behind both encryption paths: r uniform in Z*_n by
+/// rejection. PublicKey::rerandomize and PrivateKey::encrypt both call it,
+/// so for the same stream they consume the same words and get the same r.
+BigUint draw_unit(bigint::EntropySource& rng, const BigUint& n) {
+  BigUint r;
+  do {
+    r = bigint::random_below(rng, n);
+  } while (r.is_zero() || !BigUint::gcd(r, n).is_one());
+  return r;
+}
+
+/// Garner recombination: the x in [0, m1*m2) with x = a (mod m1) and
+/// x = b (mod m2), for a < m1, b < m2 and m2_inv = m2^{-1} mod m1.
+BigUint crt_combine(const BigUint& a, const BigUint& b, const BigUint& m1,
+                    const BigUint& m2, const BigUint& m2_inv) {
+  const BigUint b1 = b % m1;
+  const BigUint diff = a >= b1 ? a - b1 : m1 - (b1 - a);
+  return b + m2 * diff.mul_mod(m2_inv, m1);
+}
+
+/// The batch loop shared by PublicKey and PrivateKey: item i encrypts under
+/// its own stream seeded with states[i].
+template <class Key>
+std::vector<Ciphertext> encrypt_each(const Key& key, std::span<const BigUint> ms,
+                                     std::span<const PublicKey::StreamState> states,
+                                     const BatchOptions& opt) {
+  if (states.size() != ms.size()) {
+    throw std::invalid_argument("encrypt_batch: one stream state per message required");
+  }
+  std::vector<Ciphertext> out(ms.size());
+  core::parallel_for(ms.size(), opt.threads, [&](std::size_t i) {
+    bigint::Xoshiro256ss stream(states[i]);
+    out[i] = key.encrypt(ms[i], stream);
+  });
+  return out;
+}
+
 }  // namespace
 
 PublicKey::PublicKey(BigUint n)
@@ -65,11 +102,7 @@ Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rn
     } while (x.is_zero());
     rn = noise_table_->pow(x);
   } else {
-    BigUint r;
-    do {
-      r = bigint::random_below(rng, n_);
-    } while (r.is_zero() || !BigUint::gcd(r, n_).is_one());
-    rn = mont_n2_->pow(r, n_);
+    rn = mont_n2_->pow(draw_unit(rng, n_), n_);
   }
   return Ciphertext{a.c.mul_mod(rn, n_sq_)};
 }
@@ -89,15 +122,7 @@ void PublicKey::precompute_noise(bigint::EntropySource& rng, std::size_t noise_b
 std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
                                                  std::span<const StreamState> states,
                                                  const BatchOptions& opt) const {
-  if (states.size() != ms.size()) {
-    throw std::invalid_argument("encrypt_batch: one stream state per message required");
-  }
-  std::vector<Ciphertext> out(ms.size());
-  core::parallel_for(ms.size(), opt.threads, [&](std::size_t i) {
-    bigint::Xoshiro256ss stream(states[i]);
-    out[i] = encrypt(ms[i], stream);
-  });
-  return out;
+  return encrypt_each(*this, ms, states, opt);
 }
 
 std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
@@ -145,18 +170,36 @@ BigUint PrivateKey::l_function(const BigUint& x, const BigUint& d) {
 }
 
 PrivateKey::PrivateKey(const BigUint& p, const BigUint& q) : p_(p), q_(q) {
-  if (p == q) throw std::invalid_argument("Paillier: p and q must differ");
+  // Reject every degenerate input up front as std::invalid_argument, so no
+  // malformed key escapes as the underflow of l_function(0, 1) (p = 1) or a
+  // mod_inverse domain_error (shared factors) — the net layer maps exactly
+  // invalid_argument to a typed bad-payload error.
+  if (p < BigUint{3} || q < BigUint{3}) {
+    throw std::invalid_argument("Paillier: p and q must be at least 3");
+  }
   if (!p.is_odd() || !q.is_odd()) {
     throw std::invalid_argument("Paillier: p and q must be odd primes");
   }
+  if (!BigUint::gcd(p, q).is_one()) {
+    throw std::invalid_argument("Paillier: p and q must be coprime");
+  }
+  const BigUint p1 = p - BigUint{1}, q1 = q - BigUint{1};
   const BigUint n = p * q;
+  lambda_ = BigUint::lcm(p1, q1);
+  if (!BigUint::gcd(n, lambda_).is_one()) {
+    throw std::invalid_argument("Paillier: gcd(n, lambda) must be 1");
+  }
   pub_ = PublicKey(n);
   p_sq_ = p * p;
   q_sq_ = q * q;
   mont_p2_ = std::make_shared<bigint::Montgomery>(p_sq_);
   mont_q2_ = std::make_shared<bigint::Montgomery>(q_sq_);
+  mont_p_ = std::make_shared<bigint::Montgomery>(p);
+  mont_q_ = std::make_shared<bigint::Montgomery>(q);
+  n_mod_p1_ = n % p1;
+  n_mod_q1_ = n % q1;
+  qsq_inv_p2_ = BigUint::mod_inverse(q_sq_ % p_sq_, p_sq_);
 
-  const BigUint p1 = p - BigUint{1}, q1 = q - BigUint{1};
   // CRT helpers: hp = L_p(g^{p-1} mod p^2)^{-1} mod p, likewise hq.
   // With g = n+1: g^{p-1} mod p^2 = 1 + (p-1)*n mod p^2.
   const BigUint gp = (BigUint{1} + p1 * n) % p_sq_;
@@ -166,9 +209,43 @@ PrivateKey::PrivateKey(const BigUint& p, const BigUint& q) : p_(p), q_(q) {
   q_inv_p_ = BigUint::mod_inverse(q % p, p);
 
   // Textbook route: lambda = lcm(p-1, q-1), mu = L(g^lambda mod n^2)^{-1} mod n.
-  lambda_ = BigUint::lcm(p1, q1);
   const BigUint gl = (BigUint{1} + lambda_ * n) % pub_.n_squared();
   mu_ = BigUint::mod_inverse(l_function(gl, n) % n, n);
+}
+
+Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
+  encrypt_count(false).inc();
+  telemetry::ScopedTimer timer(encrypt_hist(false));
+  const Ciphertext gm = pub_.encrypt_deterministic(m);
+  const BigUint& n = pub_.n();
+  const BigUint r = draw_unit(rng, n);
+  // r^n mod n^2 from its residues mod p^2 and q^2, one per core. For a
+  // prime d in {p, q}, r^n lies in the order-(d-1) subgroup of Z*_{d^2}
+  // (it is (r^d)^(n/d), and (r^d)^(d-1) = 1), and the only element of that
+  // subgroup congruent to b mod d is b^d mod d^2. So r^n mod d^2 is
+  // b^d mod d^2 for b = r^(n mod (d-1)) mod d (Fermat): a half-width
+  // exponentiation mod d, then a half-length one mod d^2 — ~1.6x cheaper
+  // than raising r to the full n mod d^2.
+  const auto residue = [&r](const bigint::Montgomery& mod_d, const bigint::Montgomery& mod_d2,
+                            const BigUint& n_mod_d1, const BigUint& d) {
+    return mod_d2.pow(mod_d.pow(r, n_mod_d1), d);
+  };
+  BigUint rn_p, rn_q;
+  core::parallel_for(2, 2, [&](std::size_t half) {
+    if (half == 0) {
+      rn_p = residue(*mont_p_, *mont_p2_, n_mod_p1_, p_);
+    } else {
+      rn_q = residue(*mont_q_, *mont_q2_, n_mod_q1_, q_);
+    }
+  });
+  const BigUint rn = crt_combine(rn_p, rn_q, p_sq_, q_sq_, qsq_inv_p2_);
+  return Ciphertext{gm.c.mul_mod(rn, pub_.n_squared())};
+}
+
+std::vector<Ciphertext> PrivateKey::encrypt_batch(
+    std::span<const BigUint> ms, std::span<const PublicKey::StreamState> states,
+    const BatchOptions& opt) const {
+  return encrypt_each(*this, ms, states, opt);
 }
 
 BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
@@ -181,20 +258,21 @@ BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
   if (ct.c >= pub_.n_squared()) {
     throw std::out_of_range("Paillier: ciphertext out of range");
   }
-  const BigUint p1 = p_ - BigUint{1}, q1 = q_ - BigUint{1};
-  const BigUint mp = (l_function(mont_p2_->pow(ct.c % p_sq_, p1), p_) % p_)
-                         .mul_mod(hp_, p_);
-  const BigUint mq = (l_function(mont_q2_->pow(ct.c % q_sq_, q1), q_) % q_)
-                         .mul_mod(hq_, q_);
+  // One CRT half: m mod d = L_d(c^{d-1} mod d^2) * h_d mod d, for d = p, q.
+  const auto residue = [&ct](const bigint::Montgomery& mont, const BigUint& d,
+                             const BigUint& d_sq, const BigUint& h) {
+    return (l_function(mont.pow(ct.c % d_sq, d - BigUint{1}), d) % d).mul_mod(h, d);
+  };
+  BigUint mp, mq;
+  core::parallel_for(2, 2, [&](std::size_t half) {
+    if (half == 0) {
+      mp = residue(*mont_p2_, p_, p_sq_, hp_);
+    } else {
+      mq = residue(*mont_q2_, q_, q_sq_, hq_);
+    }
+  });
   // CRT recombination: m = mq + q * ((mp - mq) * q^{-1} mod p).
-  BigUint diff;
-  if (mp >= mq % p_) {
-    diff = mp - (mq % p_);
-  } else {
-    diff = p_ - ((mq % p_) - mp);
-  }
-  const BigUint t = diff.mul_mod(q_inv_p_, p_);
-  return mq + q_ * t;
+  return crt_combine(mp, mq, p_, q_, q_inv_p_);
 }
 
 std::vector<BigUint> PrivateKey::decrypt_batch(std::span<const Ciphertext> cts,

@@ -51,7 +51,9 @@ class PublicKey {
   [[nodiscard]] std::size_t plaintext_bytes() const;
 
   /// Encrypts m in [0, n). Throws std::out_of_range otherwise.
-  /// c = (1 + m*n) * r^n mod n^2 with r uniform in Z*_n.
+  /// c = (1 + m*n) * r^n mod n^2 with r uniform in Z*_n. This is the
+  /// outsider's path (one exponentiation mod n^2); a holder of p and q gets
+  /// the byte-identical ciphertext faster from PrivateKey::encrypt.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
   /// Deterministic "encryption" with r = 1 — NOT semantically secure; used
   /// only in tests and to build homomorphic constants cheaply.
@@ -122,18 +124,48 @@ class PublicKey {
 /// Paillier private key. Decryption uses the CRT over p^2 and q^2, which is
 /// ~4x faster than the textbook lambda/mu route; the textbook route is kept
 /// as decrypt_textbook() and cross-checked in tests.
+///
+/// The key also offers key-holder encryption: whoever holds p and q — in
+/// Dubhe the agent and every client, which receive the whole keypair
+/// (paper §5.1), never the aggregator or the shards — can compute r^n
+/// modulo p^2 and q^2 separately instead of modulo n^2. The two halves run
+/// on two cores of the shared pool. Decryption splits its two CRT halves the
+/// same way. The noise model does not change.
 class PrivateKey {
  public:
   PrivateKey() = default;
   /// Builds the key from the two primes. Throws std::invalid_argument if
-  /// p == q or either is not odd.
+  /// p or q is below 3 or even, if gcd(p, q) != 1 (p == q included), or if
+  /// gcd(n, lambda) != 1 — every degenerate input is rejected here, before
+  /// any modular inverse is attempted.
   PrivateKey(const BigUint& p, const BigUint& q);
 
   [[nodiscard]] const PublicKey& public_key() const { return pub_; }
   [[nodiscard]] const BigUint& p() const { return p_; }
   [[nodiscard]] const BigUint& q() const { return q_; }
 
-  /// CRT decryption.
+  /// Key-holder encryption: draws r exactly as PublicKey::encrypt does
+  /// (same helper, same stream consumption), computes r^n mod p^2 and
+  /// r^n mod q^2 as two parallel_for halves, recombines them mod n^2 and
+  /// multiplies by 1 + m*n. Each half starts with a half-width
+  /// exponentiation mod p (resp. q) and lifts the result to p^2 (see
+  /// paillier.cpp), which relies on p and q being prime, as
+  /// Keypair::generate makes them. The result is the same integer as the
+  /// public path's, so ciphertexts are byte-identical for the same stream —
+  /// but no exponentiation runs modulo n^2. Fixed-base (DJN) noise stays a
+  /// public-key option: this path ignores any noise table on public_key().
+  /// Counted under the dubhe_paillier_encrypt_*{mode="plain"} series.
+  /// Throws std::out_of_range unless m < n.
+  [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
+  /// Batch key-holder encryption with PublicKey::encrypt_batch's per-item
+  /// stream contract: item i is byte-identical to
+  /// public_key().encrypt_batch(ms, states)[i] for any opt.threads.
+  [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
+      std::span<const BigUint> ms, std::span<const PublicKey::StreamState> states,
+      const BatchOptions& opt = {}) const;
+
+  /// CRT decryption; the p and q halves run as two parallel_for shards
+  /// (inline when already inside a parallel region).
   [[nodiscard]] BigUint decrypt(const Ciphertext& ct) const;
   /// Batch CRT decryption over the shared runtime. Deterministic for any
   /// thread count (decryption consumes no randomness).
@@ -150,8 +182,13 @@ class PrivateKey {
   BigUint p_sq_, q_sq_;
   BigUint hp_, hq_;      // CRT decryption helpers
   BigUint q_inv_p_;      // q^{-1} mod p, for CRT recombination
+  // Key-holder encryption: n mod (p-1) and n mod (q-1) (the Fermat-reduced
+  // exponents of the half-width step), and (q^2)^{-1} mod p^2 to recombine.
+  BigUint n_mod_p1_, n_mod_q1_;
+  BigUint qsq_inv_p2_;
   BigUint lambda_, mu_;  // textbook route
   std::shared_ptr<const bigint::Montgomery> mont_p2_, mont_q2_;
+  std::shared_ptr<const bigint::Montgomery> mont_p_, mont_q_;
 };
 
 /// Key pair generation parameters and result.

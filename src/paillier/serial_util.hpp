@@ -5,7 +5,20 @@
 #include <stdexcept>
 #include <vector>
 
+#include "paillier/paillier.hpp"
+
 namespace dubhe::he::detail {
+
+/// One full 256-bit stream state per item, drawn serially in item order —
+/// the per-ciphertext seeding both vector forms use on the public-key and
+/// the key-holder path alike, so the two paths consume identical words and
+/// produce byte-identical ciphertexts.
+inline std::vector<PublicKey::StreamState> draw_stream_states(bigint::EntropySource& rng,
+                                                              std::size_t count) {
+  std::vector<PublicKey::StreamState> states(count);
+  for (auto& s : states) s = {rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
+  return states;
+}
 
 /// Big-endian u32 field helpers shared by the paillier wire forms
 /// (encrypted_vector.cpp, packing.cpp). The net layer keeps its own

@@ -332,6 +332,34 @@ TEST_F(EncryptedPayloads, KeyMaterialRoundTrip) {
   EXPECT_EQ(code_of([&] { (void)net::parse_key_material(evil); }), WireErrc::kBadPayload);
 }
 
+/// A kKeyMaterial frame carrying n = p*q and the private (p, q) verbatim,
+/// built field by field because PrivateKey refuses degenerate primes.
+Frame raw_key_material(const bigint::BigUint& p, const bigint::BigUint& q) {
+  std::vector<std::uint8_t> payload = he::serialize(he::PublicKey(p * q));
+  payload.push_back('S');
+  for (const bigint::BigUint* v : {&p, &q}) {
+    const std::vector<std::uint8_t> mag = v->to_bytes_be();
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      payload.push_back(static_cast<std::uint8_t>(mag.size() >> shift));
+    }
+    payload.insert(payload.end(), mag.begin(), mag.end());
+  }
+  return Frame{MsgType::kKeyMaterial, payload};
+}
+
+TEST(KeyMaterial, DegeneratePrimesAreTypedBadPayload) {
+  // p = 1 used to escape as std::underflow_error and p = 15, q = 21 (shared
+  // factor 3) as std::domain_error; both must be typed wire errors.
+  using bigint::BigUint;
+  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(raw_key_material(BigUint{1}, BigUint{7})); }),
+            WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(raw_key_material(BigUint{15}, BigUint{21})); }),
+            WireErrc::kBadPayload);
+  // The hand-built form itself is sound: valid primes parse.
+  EXPECT_EQ(net::parse_key_material(raw_key_material(BigUint{11}, BigUint{13})).prv.p(),
+            BigUint{11});
+}
+
 TEST_F(EncryptedPayloads, EncryptedVectorRoundTrip) {
   bigint::Xoshiro256ss rng(3);
   const std::vector<std::uint64_t> values{0, 1, 7, 42, 0, 13};

@@ -122,6 +122,17 @@ TEST(Paillier, PrivateKeyRejectsBadPrimes) {
   EXPECT_THROW(PrivateKey(BigUint{8}, BigUint{7}), std::invalid_argument);
 }
 
+TEST(Paillier, PrivateKeyRejectsDegenerateInputsAsInvalidArgument) {
+  // Each of these used to escape as another exception type (underflow in
+  // l_function, domain_error from mod_inverse) instead of invalid_argument.
+  EXPECT_THROW(PrivateKey(BigUint{1}, BigUint{7}), std::invalid_argument);
+  EXPECT_THROW(PrivateKey(BigUint{7}, BigUint{1}), std::invalid_argument);
+  EXPECT_THROW(PrivateKey(BigUint{}, BigUint{7}), std::invalid_argument);
+  EXPECT_THROW(PrivateKey(BigUint{15}, BigUint{21}), std::invalid_argument);  // gcd 3
+  EXPECT_THROW(PrivateKey(BigUint{3}, BigUint{7}), std::invalid_argument);    // 3 | q-1
+  EXPECT_NO_THROW(PrivateKey(BigUint{3}, BigUint{5}));
+}
+
 TEST(Paillier, KeygenRejectsTinyKeys) {
   bigint::Xoshiro256ss rng(1);
   EXPECT_THROW(Keypair::generate(rng, 8), std::invalid_argument);

@@ -1,6 +1,8 @@
 // The shared crypto runtime: core::ParallelRuntime determinism, the batch
 // Paillier APIs' thread-count invariance (byte-identical ciphertexts for any
-// shard count), and FixedBaseTable agreement with plain Montgomery::pow.
+// shard count), FixedBaseTable agreement with plain Montgomery::pow, and the
+// key-holder CRT encryption path (byte-identical to the public-key path,
+// its two halves on the shared pool, nested and concurrent use).
 // tools/ci.sh runs this suite under Release, ASan/UBSan (lifetime and UB
 // bugs), and a dedicated ThreadSanitizer pass (data races in the pool —
 // ASan cannot see those).
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bigint/montgomery.hpp"
@@ -246,6 +249,129 @@ TEST(BatchPaillier, FixedBaseEncryptionRoundTripsAndStaysInvariant) {
   const he::Ciphertext re = kp.pub.rerandomize(ct, rng);
   EXPECT_NE(re, ct);
   EXPECT_EQ(kp.prv.decrypt(re), BigUint{424242});
+}
+
+// --- key-holder CRT encryption -----------------------------------------------
+
+/// Encrypts m on both paths from identically seeded streams and checks the
+/// ciphertexts are equal and both streams consumed the same words.
+void expect_same_ciphertext(const he::Keypair& kp, const BigUint& m, std::uint64_t seed) {
+  bigint::Xoshiro256ss pub_stream(seed), prv_stream(seed);
+  const he::Ciphertext via_pub = kp.pub.encrypt(m, pub_stream);
+  const he::Ciphertext via_prv = kp.prv.encrypt(m, prv_stream);
+  EXPECT_EQ(via_prv, via_pub) << "key_bits=" << kp.pub.key_bits();
+  EXPECT_EQ(prv_stream.next_u64(), pub_stream.next_u64()) << "stream drift";
+  EXPECT_EQ(kp.prv.decrypt(via_prv), m);
+}
+
+TEST(KeyHolderEncrypt, MatchesPublicKeyPathAtBothEnds) {
+  bigint::Xoshiro256ss rng(4242);
+  // A limb-multiple key, an odd-width key (p and q of different widths),
+  // and the paper's 2048-bit deployment size.
+  for (const std::size_t bits : {std::size_t{128}, std::size_t{129}, std::size_t{2048}}) {
+    const he::Keypair kp = he::Keypair::generate(rng, bits);
+    ASSERT_EQ(kp.pub.key_bits(), bits);
+    const BigUint n_minus_1 = kp.pub.n() - BigUint{1};
+    for (std::uint64_t seed = 1; seed <= (bits > 256 ? 1u : 8u); ++seed) {
+      expect_same_ciphertext(kp, BigUint{}, seed);
+      expect_same_ciphertext(kp, n_minus_1, seed);
+    }
+    bigint::Xoshiro256ss s(1);
+    EXPECT_THROW((void)kp.prv.encrypt(kp.pub.n(), s), std::out_of_range);
+  }
+}
+
+TEST(KeyHolderEncrypt, IgnoresTheFixedBaseTable) {
+  // Fixed-base noise is a public-key option: the key-holder path always
+  // draws uniform r^n, so it keeps matching the plain public-key path.
+  he::Keypair kp = test_keypair();
+  he::PublicKey plain = kp.pub;
+  bigint::Xoshiro256ss table_rng(11);
+  kp.pub.precompute_noise(table_rng);
+  bigint::Xoshiro256ss a(12), b(12);
+  EXPECT_EQ(kp.prv.encrypt(BigUint{99}, a), plain.encrypt(BigUint{99}, b));
+}
+
+TEST(KeyHolderEncrypt, VectorsSerializeByteEqualToPublicKeyOverloads) {
+  const he::Keypair& kp = test_keypair();
+  const auto values = test_values();
+  const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    bigint::Xoshiro256ss r1(57), r2(57);
+    const auto via_pub = he::EncryptedVector::encrypt(kp.pub, values, r1, {.threads = threads});
+    const auto via_prv = he::EncryptedVector::encrypt(kp.prv, values, r2, {.threads = threads});
+    EXPECT_EQ(he::serialize(via_prv), he::serialize(via_pub)) << "threads=" << threads;
+    EXPECT_EQ(r1.next_u64(), r2.next_u64());
+
+    bigint::Xoshiro256ss r3(58), r4(58);
+    const auto packed_pub =
+        he::PackedEncryptedVector::encrypt(kp.pub, codec, values, r3, {.threads = threads});
+    const auto packed_prv =
+        he::PackedEncryptedVector::encrypt(kp.prv, codec, values, r4, {.threads = threads});
+    EXPECT_EQ(he::serialize(packed_prv), he::serialize(packed_pub)) << "threads=" << threads;
+    EXPECT_EQ(r3.next_u64(), r4.next_u64());
+    EXPECT_EQ(packed_prv.decrypt(kp.prv), values);
+  }
+}
+
+TEST(KeyHolderEncrypt, BatchIsThreadCountInvariant) {
+  const he::Keypair& kp = test_keypair();
+  std::vector<BigUint> ms;
+  for (const auto v : test_values()) ms.emplace_back(v);
+  std::vector<he::PublicKey::StreamState> states(ms.size());
+  for (std::size_t i = 0; i < states.size(); ++i) states[i] = {i, 2 * i + 1, 3, 4};
+
+  const auto reference = kp.pub.encrypt_batch(ms, states, {.threads = 1});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    EXPECT_EQ(kp.prv.encrypt_batch(ms, states, {.threads = threads}), reference)
+        << "threads=" << threads;
+  }
+  EXPECT_THROW((void)kp.prv.encrypt_batch(ms, std::span(states).first(3)),
+               std::invalid_argument);
+}
+
+TEST(KeyHolderEncrypt, HalvesRoundTripInsideAnOuterParallelFor) {
+  // Nested under an outer parallel_for the 2-way halves run inline; the
+  // answers must not depend on where they ran.
+  const he::Keypair& kp = test_keypair();
+  const auto values = test_values();
+  std::vector<he::Ciphertext> cts(values.size());
+  std::vector<BigUint> plain(values.size());
+  core::parallel_for(values.size(), 4, [&](std::size_t i) {
+    bigint::Xoshiro256ss stream(bigint::derive_seed(9, i));
+    cts[i] = kp.prv.encrypt(BigUint{values[i]}, stream);
+    plain[i] = kp.prv.decrypt(cts[i]);
+  });
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    bigint::Xoshiro256ss stream(bigint::derive_seed(9, i));
+    EXPECT_EQ(cts[i], kp.pub.encrypt(BigUint{values[i]}, stream));
+    EXPECT_EQ(plain[i], BigUint{values[i]});
+  }
+}
+
+TEST(KeyHolderEncrypt, ConcurrentCallersShareThePool) {
+  // Session shape: several client threads each drive their own 2-way
+  // halves through the one shared pool at the same time.
+  const he::Keypair& kp = test_keypair();
+  constexpr std::size_t kCallers = 4, kOps = 6;
+  std::vector<std::vector<he::Ciphertext>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      bigint::Xoshiro256ss stream(100 + c);
+      for (std::size_t k = 0; k < kOps; ++k) {
+        got[c].push_back(kp.prv.encrypt(BigUint{c * kOps + k}, stream));
+        EXPECT_EQ(kp.prv.decrypt(got[c].back()), BigUint{c * kOps + k});
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    bigint::Xoshiro256ss stream(100 + c);
+    for (std::size_t k = 0; k < kOps; ++k) {
+      EXPECT_EQ(got[c][k], kp.pub.encrypt(BigUint{c * kOps + k}, stream));
+    }
+  }
 }
 
 // --- secure session over the shared runtime ----------------------------------

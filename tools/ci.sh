@@ -12,9 +12,11 @@
 # are a separate tool's job: a final ThreadSanitizer pass builds the
 # thread-invariance and transport suites (test_parallel_crypto +
 # test_tensor_simd + test_net_wire + test_net_round + test_net_faults +
-# test_telemetry) under the `tsan` preset and runs them, so a racy edit to
-# the pool, the compute kernels, the TCP event loop, the quarantine/deadline
-# machinery, or the sharded telemetry counters fails loudly.
+# test_net_shard + test_telemetry) under the `tsan` preset and runs them, so
+# a racy edit to the pool, the compute kernels, the TCP event loop, the
+# quarantine/deadline machinery, the aggregation tree (client and shard
+# threads driving the shared pool at once), or the sharded telemetry
+# counters fails loudly.
 # Usage: tools/ci.sh [--quick] [extra cmake args...]
 #   --quick: run only the fast suites (ctest label `tier1`) in each preset.
 set -eu
@@ -71,9 +73,9 @@ cmake --preset tsan "$@"
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" \
   --target test_parallel_crypto --target test_tensor_simd \
   --target test_net_wire --target test_net_round --target test_net_faults \
-  --target test_telemetry
+  --target test_net_shard --target test_telemetry
 ctest --preset tsan \
-  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_telemetry" \
+  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_telemetry" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 echo "CI OK"
