@@ -67,6 +67,27 @@ void BM_MontgomeryPow(benchmark::State& state) {
 }
 BENCHMARK(BM_MontgomeryPow)->Arg(1024)->Arg(2048)->Arg(4096)->Unit(benchmark::kMillisecond);
 
+void BM_MontgomeryPowSessionShape(benchmark::State& state) {
+  // Modulus bits x exponent bits as a 2048-bit-key session runs them:
+  // 1024/1024 is the key-holder encrypt half (r^n mod p) and a Miller-Rabin
+  // round at keygen; 2048/1024 is a CRT decrypt half (mod p^2) and the
+  // encrypt lift.
+  const auto mod_bits = static_cast<std::size_t>(state.range(0));
+  const auto exp_bits = static_cast<std::size_t>(state.range(1));
+  bigint::Xoshiro256ss rng(mod_bits * 3 + exp_bits);
+  const BigUint m = odd_random(rng, mod_bits);
+  const bigint::Montgomery ctx(m);
+  const BigUint base = bigint::random_below(rng, m);
+  const BigUint exp = bigint::random_exact_bits(rng, exp_bits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.pow(base, exp));
+  }
+}
+BENCHMARK(BM_MontgomeryPowSessionShape)
+    ->Args({1024, 1024})
+    ->Args({2048, 1024})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FixedBasePow(benchmark::State& state) {
   // Same shape as BM_MontgomeryPow but through a precomputed comb table:
   // no squarings, one multiplication per non-zero 4-bit exponent window.

@@ -1,7 +1,6 @@
 #include "bigint/montgomery.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +16,11 @@ std::uint64_t inv64(std::uint64_t x) {
   for (int i = 0; i < 5; ++i) y *= 2u - x * y;
   return y;
 }
+
+/// Sliding-window width of `Montgomery::pow`. The 16-entry odd-power table
+/// costs 15 multiplies and one squaring, the same table cost as a fixed
+/// 4-bit window, and each window then covers up to 5 exponent bits.
+constexpr unsigned kPowWindowBits = 5;
 
 }  // namespace
 
@@ -93,7 +97,13 @@ void Montgomery::cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const {
     t[s] = t[s + 1] + c2;  // t fits s+1 limbs: the running value stays < 2N
     t[s + 1] = 0;
   }
-  // Conditional final subtraction: result < 2N, reduce to < N.
+  reduce_final(t, out);
+}
+
+void Montgomery::reduce_final(const Limb* t, Limb* out) const {
+  // Conditional final subtraction: t < 2N, reduce to < N.
+  const std::size_t s = s_;
+  const Limb* n = n_limbs_.data();
   bool ge = t[s] != 0;
   if (!ge) {
     ge = true;
@@ -111,10 +121,58 @@ void Montgomery::cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const {
   }
 }
 
+void Montgomery::sqr(const Limb* a, Limb* out, Limb* t) const {
+  const std::size_t s = s_;
+  const Limb* n = n_limbs_.data();
+  // Off-diagonal products a[i] * a[j] for i < j, each formed once. Row i
+  // accumulates into t[2i+1 .. i+s-1] and sets t[i+s], which no earlier
+  // row reaches; row 0 accumulates into the zeroed low half.
+  for (std::size_t i = 0; i < s; ++i) t[i] = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const Limb ai = a[i];
+    Limb carry = 0;
+    for (std::size_t j = i + 1; j < s; ++j) {
+      t[i + j] = mac(t[i + j], ai, a[j], carry);
+    }
+    t[i + s] = carry;
+  }
+  // Double the off-diagonal sum and add the diagonal squares a[i]^2 at
+  // limb 2i in one pass. a^2 < R^2, so nothing carries out of limb 2s-1.
+  Limb shifted = 0;  // top bit of the previous limb, shifted in
+  Limb carry = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const LimbPair d = mul_wide(a[i], a[i]);
+    const Limb lo = t[2 * i], hi = t[2 * i + 1];
+    t[2 * i] = addc((lo << 1) | shifted, d.lo, carry);
+    t[2 * i + 1] = addc((hi << 1) | (lo >> 63), d.hi, carry);
+    shifted = hi >> 63;
+  }
+  // Word-by-word REDC: each step clears limb i by adding m * N << 64i.
+  // `top` carries the bit out of limb i+s into limb i+s+1 of the next step.
+  Limb top = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const Limb m = t[i] * n0inv_;
+    carry = 0;
+    for (std::size_t j = 0; j < s; ++j) {
+      t[i + j] = mac(t[i + j], m, n[j], carry);
+    }
+    t[i + s] = addc(t[i + s], carry, top);
+  }
+  t[2 * s] = top;  // t[s .. 2s] = (a^2 + m N) / R < 2N
+  reduce_final(t + s, out);
+}
+
 BigUint Montgomery::mul(const BigUint& a, const BigUint& b) const {
   const std::vector<Limb> pa = padded(a), pb = padded(b);
   std::vector<Limb> out(s_), t(s_ + 2);
   cios(pa.data(), pb.data(), out.data(), t.data());
+  return from_limbs(std::move(out));
+}
+
+BigUint Montgomery::sqr(const BigUint& a) const {
+  const std::vector<Limb> pa = padded(a);
+  std::vector<Limb> out(s_), t(scratch_limbs());
+  sqr(pa.data(), out.data(), t.data());
   return from_limbs(std::move(out));
 }
 
@@ -154,31 +212,51 @@ BigUint Montgomery::pow(const BigUint& base, const BigUint& exp) const {
 
   // All intermediates live in fixed-size limb buffers; the window table,
   // accumulator, and scratch are allocated once up front.
-  std::vector<Limb> t(s_ + 2), tmp(s_);
+  std::vector<Limb> t(scratch_limbs()), tmp(s_);
   std::vector<Limb> bm(s_);
   to_mont_limbs(base % n_, bm.data(), t.data());
 
-  // Precompute bm^0 .. bm^15 for a fixed 4-bit window.
-  std::array<std::vector<Limb>, 16> table;
-  table[0] = padded(one_mont_);
-  for (std::size_t i = 1; i < 16; ++i) {
-    table[i].resize(s_);
-    cios(table[i - 1].data(), bm.data(), table[i].data(), t.data());
+  // Odd powers bm^1, bm^3, ..., bm^31: entry k holds bm^(2k+1).
+  constexpr std::size_t entries = std::size_t{1} << (kPowWindowBits - 1);
+  std::vector<Limb> table(entries * s_);
+  std::copy(bm.begin(), bm.end(), table.begin());
+  sqr(bm.data(), tmp.data(), t.data());  // bm^2
+  for (std::size_t k = 1; k < entries; ++k) {
+    cios(table.data() + (k - 1) * s_, tmp.data(), table.data() + k * s_,
+         t.data());
   }
 
-  const std::size_t nbits = exp.bit_length();
-  const std::size_t nwindows = (nbits + 3) / 4;
-  std::vector<Limb> acc = padded(one_mont_);
-  for (std::size_t w = nwindows; w-- > 0;) {
-    for (int sq = 0; sq < 4; ++sq) {
-      cios(acc.data(), acc.data(), tmp.data(), t.data());
+  // Left to right: a zero bit costs one squaring; a one bit opens a window
+  // of up to kPowWindowBits bits ending in a one, costing one squaring per
+  // bit and one multiply by its odd-power entry. The top bit is set, so the
+  // first window loads its entry instead of squaring the Montgomery one.
+  std::vector<Limb> acc(s_);
+  bool started = false;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    if (!exp.bit(i)) {
+      sqr(acc.data(), tmp.data(), t.data());
       acc.swap(tmp);
+      continue;
     }
-    const unsigned idx = window4(exp, w);
-    if (idx != 0) {
-      cios(acc.data(), table[idx].data(), tmp.data(), t.data());
+    std::size_t low = i + 1 >= kPowWindowBits ? i + 1 - kPowWindowBits : 0;
+    while (!exp.bit(low)) ++low;
+    std::size_t digit = 0;
+    for (std::size_t b = i + 1; b-- > low;) {
+      digit = (digit << 1) | (exp.bit(b) ? 1u : 0u);
+      if (started) {
+        sqr(acc.data(), tmp.data(), t.data());
+        acc.swap(tmp);
+      }
+    }
+    const Limb* entry = table.data() + (digit >> 1) * s_;
+    if (started) {
+      cios(acc.data(), entry, tmp.data(), t.data());
       acc.swap(tmp);
+    } else {
+      std::copy(entry, entry + s_, acc.begin());
+      started = true;
     }
+    i = low;  // the loop's decrement moves on to bit low - 1
   }
   return from_mont_limbs(acc, tmp, t);
 }
@@ -194,7 +272,7 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const Montgomery> ctx,
   const std::size_t windows = (max_exp_bits + kWindowBits - 1) / kWindowBits;
   entries_.resize(windows * 15 * s_);
 
-  std::vector<Limb> t(s_ + 2), tmp(s_);
+  std::vector<Limb> t(ctx_->scratch_limbs()), tmp(s_);
   // bw = base^(16^w) in Montgomery form, starting from w = 0.
   std::vector<Limb> bw(s_);
   ctx_->to_mont_limbs(base % ctx_->n_, bw.data(), t.data());
@@ -206,7 +284,7 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const Montgomery> ctx,
     }
     if (w + 1 < windows) {
       for (int sq = 0; sq < 4; ++sq) {  // bw <- bw^16
-        ctx_->cios(bw.data(), bw.data(), tmp.data(), t.data());
+        ctx_->sqr(bw.data(), tmp.data(), t.data());
         bw.swap(tmp);
       }
     }

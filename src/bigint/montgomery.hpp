@@ -17,10 +17,12 @@ class FixedBaseTable;
 /// `-N^{-1} mod 2^64` once, after which modular multiplications cost one
 /// pass over the operand limbs with no long division. DUBHE_SIMD builds
 /// run the kernel's inner loops 2-way unrolled (bit-identical limbs — the
-/// carry chain is sequential, only loop overhead goes away). `pow` uses a
-/// fixed 4-bit window over preallocated limb buffers — the hot loop
-/// performs no heap allocation — which is the sweet spot for the
-/// 2048/4096-bit exponents Paillier needs.
+/// carry chain is sequential, only loop overhead goes away). Squarings use
+/// a dedicated kernel that forms each off-diagonal product once (~3/4 of
+/// the CIOS limb multiplies). `pow` slides a 5-bit window over the
+/// exponent against a table of odd powers, squaring through that kernel,
+/// with every buffer allocated before the hot loop — the loop performs no
+/// heap allocation.
 class Montgomery {
  public:
   /// Throws std::invalid_argument if `modulus` is even or zero.
@@ -34,6 +36,9 @@ class Montgomery {
   [[nodiscard]] BigUint from_mont(const BigUint& x) const;
   /// Montgomery product: a * b * R^{-1} mod N, operands in Montgomery form.
   [[nodiscard]] BigUint mul(const BigUint& a, const BigUint& b) const;
+  /// Montgomery square: a * a * R^{-1} mod N, operand in Montgomery form.
+  /// Same value as mul(a, a), through the squaring kernel.
+  [[nodiscard]] BigUint sqr(const BigUint& a) const;
   /// base^exp mod N for plain (non-Montgomery) base, result plain.
   [[nodiscard]] BigUint pow(const BigUint& base, const BigUint& exp) const;
 
@@ -41,10 +46,21 @@ class Montgomery {
   friend class FixedBaseTable;
   using Limb = BigUint::Limb;
 
-  /// Raw CIOS kernel over limb vectors of length s_ (inputs zero-padded).
-  /// `out` (length s_) must not alias `a` or `b`; `t` is caller-provided
-  /// scratch of length s_ + 2 so the pow loop can reuse one buffer.
+  /// Raw CIOS kernel over limb vectors of length s_ (inputs zero-padded,
+  /// < N). `out` (length s_) must not alias `a` or `b`; `t` is
+  /// caller-provided scratch of at least s_ + 2 limbs so the pow loop can
+  /// reuse one buffer.
   void cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const;
+  /// Raw squaring kernel: out = a * a * R^{-1} mod N, limb-identical to
+  /// cios(a, a, out, t). `a` (length s_, < N) must not alias `out`; `t` is
+  /// scratch of at least scratch_limbs() limbs (the 2 s_-limb square plus
+  /// the carry limb of the reduction).
+  void sqr(const Limb* a, Limb* out, Limb* t) const;
+  /// Scratch length that serves both cios and sqr.
+  [[nodiscard]] std::size_t scratch_limbs() const { return 2 * s_ + 1; }
+  /// Final step shared by both kernels: the s_ + 1 limbs at `t` hold a
+  /// value < 2N; write it reduced below N to `out` (length s_).
+  void reduce_final(const Limb* t, Limb* out) const;
   [[nodiscard]] std::vector<Limb> padded(const BigUint& x) const;
   [[nodiscard]] static BigUint from_limbs(std::vector<Limb> v);
   /// x into Montgomery form, written to `out` (length s_); `t` is cios

@@ -50,14 +50,17 @@ bool is_probable_prime(const BigUint& n, EntropySource& rng, int rounds) {
   }
   const Montgomery ctx(n);
   const BigUint n_minus_3 = n - BigUint{3};
+  // The follow-up squarings stay in Montgomery form, where -1 is N - (R mod N).
+  const BigUint minus_one_mont = ctx.to_mont(n_minus_1);
   for (int round = 0; round < rounds; ++round) {
     const BigUint a = random_below(rng, n_minus_3) + BigUint{2};  // [2, n-2]
-    BigUint x = ctx.pow(a, d);
+    const BigUint x = ctx.pow(a, d);
     if (x.is_one() || x == n_minus_1) continue;
     bool witness = true;
+    BigUint xm = ctx.to_mont(x);
     for (std::size_t i = 0; i + 1 < r; ++i) {
-      x = x.mul_mod(x, n);
-      if (x == n_minus_1) {
+      xm = ctx.sqr(xm);
+      if (xm == minus_one_mont) {
         witness = false;
         break;
       }

@@ -83,6 +83,27 @@ TEST_P(BigUintGmpDifferential, PowModAgreesWithGmp) {
   }
 }
 
+TEST_P(BigUintGmpDifferential, PowModWideExponentsAgreeWithGmp) {
+  // Exponents at the full and half modulus width (the half-width one is
+  // the Paillier CRT shape), 2^k and 2^k - 1 (one lone bit, all-ones
+  // windows), and a 300-bit run of zeros between two dense blocks.
+  const std::size_t bits = GetParam();
+  Xoshiro256ss rng(bits * 37 + 5);
+  BigUint mod = random_exact_bits(rng, bits);
+  if (!mod.is_odd()) mod += BigUint{1};
+  const BigUint zero_run =
+      (random_exact_bits(rng, 64) << (64 + 300)) + random_exact_bits(rng, 64);
+  const std::size_t half = bits / 2 > 0 ? bits / 2 : 1;
+  for (const BigUint& exp :
+       {random_exact_bits(rng, bits), random_exact_bits(rng, half), BigUint::pow2(bits),
+        BigUint::pow2(bits) - BigUint{1}, zero_run}) {
+    const BigUint base = random_bits(rng, bits);
+    Mpz gb(base), ge(exp), gm(mod), gr;
+    mpz_powm(gr.raw(), gb.raw(), ge.raw(), gm.raw());
+    EXPECT_EQ(base.pow_mod(exp, mod).to_hex(), gr.hex()) << exp.bit_length();
+  }
+}
+
 TEST_P(BigUintGmpDifferential, GcdAndInverseAgreeWithGmp) {
   const std::size_t bits = GetParam();
   Xoshiro256ss rng(bits * 101 + 9);

@@ -1,11 +1,31 @@
+// Montgomery context, squaring kernel, sliding-window pow and fixed-base
+// table, each checked against plain long-division arithmetic.
+//
+// This file is also compiled a second time with DUBHE_NO_INT128 (target
+// test_montgomery_portable) so the kernels' synthesized 64x64->128 path
+// gets the same coverage as the native __int128 path.
+
 #include "bigint/montgomery.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "bigint/random.hpp"
+#include "pow_reference.hpp"
 
 namespace dubhe::bigint {
 namespace {
+
+/// Odd `limbs`-limb modulus whose top limb is all ones: the squaring
+/// reduction's carry into its top scratch limb is largest there.
+BigUint all_ones_top_modulus(EntropySource& rng, std::size_t limbs) {
+  BigUint m = (BigUint::pow2(kLimbBits) - BigUint{1}) << (kLimbBits * (limbs - 1));
+  if (limbs > 1) m += random_bits(rng, kLimbBits * (limbs - 1));
+  if (!m.is_odd()) m += BigUint{1};
+  return m;
+}
 
 TEST(Montgomery, RejectsEvenOrZeroModulus) {
   EXPECT_THROW(Montgomery{BigUint{100}}, std::invalid_argument);
@@ -39,23 +59,62 @@ TEST(Montgomery, MulMatchesPlainModularMultiply) {
 
 TEST(Montgomery, PowMatchesSquareAndMultiply) {
   Xoshiro256ss rng(7);
-  // Direct, windowless reference implementation over plain arithmetic.
-  const auto ref_pow = [](const BigUint& base, const BigUint& exp, const BigUint& m) {
-    BigUint result{1};
-    BigUint b = base % m;
-    for (std::size_t i = 0; i < exp.bit_length(); ++i) {
-      if (exp.bit(i)) result = result.mul_mod(b, m);
-      b = b.mul_mod(b, m);
-    }
-    return result % m;
-  };
   for (int trial = 0; trial < 8; ++trial) {
     BigUint m = random_bits(rng, 160) + BigUint{3};
     if (!m.is_odd()) m += BigUint{1};
     const Montgomery ctx(m);
     const BigUint base = random_below(rng, m);
     const BigUint exp = random_bits(rng, 96);
-    EXPECT_EQ(ctx.pow(base, exp), ref_pow(base, exp, m));
+    EXPECT_EQ(ctx.pow(base, exp), windowless_pow(base, exp, m));
+  }
+}
+
+TEST(Montgomery, SqrMatchesMul) {
+  Xoshiro256ss rng(8);
+  for (const std::size_t limbs : {1u, 2u, 3u, 16u, 17u, 32u, 64u}) {
+    for (const BigUint& m : {all_ones_top_modulus(rng, limbs),
+                             BigUint::pow2(kLimbBits * limbs) - BigUint{1},
+                             random_exact_bits(rng, kLimbBits * limbs - 7)}) {
+      if (!m.is_odd()) continue;  // the partially filled top limb, when odd
+      const Montgomery ctx(m);
+      std::vector<BigUint> operands{BigUint{}, BigUint{1}, m - BigUint{1}};
+      for (int i = 0; i < 4; ++i) operands.push_back(random_below(rng, m));
+      for (const BigUint& a : operands) {
+        EXPECT_EQ(ctx.sqr(a), ctx.mul(a, a)) << limbs << " limbs";
+        EXPECT_EQ(ctx.from_mont(ctx.sqr(ctx.to_mont(a))), a.mul_mod(a, m))
+            << limbs << " limbs";
+      }
+    }
+  }
+}
+
+TEST(Montgomery, AllOnesTopLimbPowMatchesWindowless) {
+  // Bases 0, 1, N-1 and R mod N (the Montgomery one) at a 1024-bit
+  // exponent, the width of every Paillier and Miller-Rabin exponent.
+  Xoshiro256ss rng(9);
+  for (const std::size_t limbs : {1u, 2u, 3u, 16u, 17u, 32u, 64u}) {
+    const BigUint m = all_ones_top_modulus(rng, limbs);
+    const Montgomery ctx(m);
+    const BigUint r_mod_n = BigUint::pow2(kLimbBits * limbs) % m;
+    const BigUint e = random_exact_bits(rng, 1024);
+    for (const BigUint& base : {BigUint{}, BigUint{1}, m - BigUint{1}, r_mod_n}) {
+      EXPECT_EQ(ctx.pow(base, e), windowless_pow(base, e, m)) << limbs << " limbs";
+    }
+  }
+}
+
+TEST(Montgomery, PowSparseAndDenseExponents) {
+  // Exponents whose windows are all ones, a lone top bit, or a long zero
+  // run between two set bits — each stresses a different window boundary.
+  Xoshiro256ss rng(10);
+  BigUint m = random_exact_bits(rng, 1024);
+  if (!m.is_odd()) m += BigUint{1};
+  const Montgomery ctx(m);
+  const BigUint base = random_below(rng, m);
+  for (const BigUint& e : {BigUint::pow2(700) - BigUint{1}, BigUint::pow2(700),
+                           BigUint::pow2(600) + BigUint{5},
+                           (BigUint::pow2(130) + BigUint{1}) << 5}) {
+    EXPECT_EQ(ctx.pow(base, e), windowless_pow(base, e, m)) << e.bit_length();
   }
 }
 
@@ -88,6 +147,21 @@ TEST(Montgomery, LargeModulusPow) {
   const BigUint x = random_below(rng, m);
   EXPECT_EQ(ctx.pow(x, BigUint{2}), x.mul_mod(x, m));
   EXPECT_EQ(ctx.pow(x, BigUint{3}), x.mul_mod(x, m).mul_mod(x, m));
+}
+
+TEST(FixedBaseTable, MatchesPowAtPaillierWidths) {
+  Xoshiro256ss rng(12);
+  for (const std::size_t bits : {1024u, 2048u}) {
+    BigUint m = random_exact_bits(rng, bits);
+    if (!m.is_odd()) m += BigUint{1};
+    const auto ctx = std::make_shared<const Montgomery>(m);
+    const BigUint base = random_below(rng, m);
+    const FixedBaseTable table(ctx, base, bits);
+    for (const BigUint& e : {random_exact_bits(rng, bits), random_exact_bits(rng, bits / 2),
+                             BigUint::pow2(bits) - BigUint{1}, BigUint{1}}) {
+      EXPECT_EQ(table.pow(e), ctx->pow(base, e)) << bits;
+    }
+  }
 }
 
 }  // namespace
