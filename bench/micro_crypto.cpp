@@ -4,6 +4,9 @@
 // the constants behind §6.4's wall-clock numbers.
 
 #include <benchmark/benchmark.h>
+#if defined(DUBHE_GMP_FOUND)
+#include <gmp.h>
+#endif
 
 #include <chrono>
 #include <cstdio>
@@ -67,26 +70,77 @@ void BM_MontgomeryPow(benchmark::State& state) {
 }
 BENCHMARK(BM_MontgomeryPow)->Arg(1024)->Arg(2048)->Arg(4096)->Unit(benchmark::kMillisecond);
 
+/// Session-shape operands shared by the Montgomery and mpz_powm rows, so
+/// both raise the same base to the same exponent modulo the same modulus.
+struct PowShape {
+  BigUint m, base, exp;
+};
+
+PowShape pow_shape(std::size_t mod_bits, std::size_t exp_bits) {
+  bigint::Xoshiro256ss rng(mod_bits * 3 + exp_bits);
+  PowShape shape;
+  shape.m = odd_random(rng, mod_bits);
+  shape.base = bigint::random_below(rng, shape.m);
+  shape.exp = bigint::random_exact_bits(rng, exp_bits);
+  return shape;
+}
+
 void BM_MontgomeryPowSessionShape(benchmark::State& state) {
   // Modulus bits x exponent bits as a 2048-bit-key session runs them:
   // 1024/1024 is the key-holder encrypt half (r^n mod p) and a Miller-Rabin
   // round at keygen; 2048/1024 is a CRT decrypt half (mod p^2) and the
-  // encrypt lift.
-  const auto mod_bits = static_cast<std::size_t>(state.range(0));
-  const auto exp_bits = static_cast<std::size_t>(state.range(1));
-  bigint::Xoshiro256ss rng(mod_bits * 3 + exp_bits);
-  const BigUint m = odd_random(rng, mod_bits);
-  const bigint::Montgomery ctx(m);
-  const BigUint base = bigint::random_below(rng, m);
-  const BigUint exp = bigint::random_exact_bits(rng, exp_bits);
+  // encrypt lift. The third argument is the row tier (0 = portable,
+  // 1 = adx); the context is built with BMI2/ADX masked for the portable
+  // leg, and the ADX leg is skipped where the host or DUBHE_CPU lacks them.
+  const PowShape shape = pow_shape(static_cast<std::size_t>(state.range(0)),
+                                   static_cast<std::size_t>(state.range(1)));
+  const auto tier = static_cast<bigint::RowTier>(state.range(2));
+  std::uint32_t prev = core::cpu::enabled();
+  if (tier == bigint::RowTier::kPortable) {
+    prev = core::cpu::set_enabled(prev & ~(core::cpu::kBmi2 | core::cpu::kAdx));
+  }
+  const bigint::Montgomery ctx(shape.m);
+  core::cpu::set_enabled(prev);
+  if (ctx.row_tier() != tier) {
+    state.SkipWithError("row tier not enabled on this host");
+    return;
+  }
+  state.SetLabel(bigint::to_string(tier));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.pow(base, exp));
+    benchmark::DoNotOptimize(ctx.pow(shape.base, shape.exp));
   }
 }
 BENCHMARK(BM_MontgomeryPowSessionShape)
+    ->ArgNames({"mod", "exp", "tier"})
+    ->Args({1024, 1024, 1})
+    ->Args({1024, 1024, 0})
+    ->Args({2048, 1024, 1})
+    ->Args({2048, 1024, 0})
+    ->Unit(benchmark::kMillisecond);
+
+#if defined(DUBHE_GMP_FOUND)
+void BM_MpzPowmSessionShape(benchmark::State& state) {
+  // GMP's mpz_powm on BM_MontgomeryPowSessionShape's operands: the yardstick
+  // the per-tier rows are read against, measured in the same process.
+  const PowShape shape = pow_shape(static_cast<std::size_t>(state.range(0)),
+                                   static_cast<std::size_t>(state.range(1)));
+  mpz_t m, base, exp, out;
+  mpz_init_set_str(m, shape.m.to_hex().c_str(), 16);
+  mpz_init_set_str(base, shape.base.to_hex().c_str(), 16);
+  mpz_init_set_str(exp, shape.exp.to_hex().c_str(), 16);
+  mpz_init(out);
+  for (auto _ : state) {
+    mpz_powm(out, base, exp, m);
+    benchmark::DoNotOptimize(out);
+  }
+  mpz_clears(m, base, exp, out, nullptr);
+}
+BENCHMARK(BM_MpzPowmSessionShape)
+    ->ArgNames({"mod", "exp"})
     ->Args({1024, 1024})
     ->Args({2048, 1024})
     ->Unit(benchmark::kMillisecond);
+#endif
 
 void BM_FixedBasePow(benchmark::State& state) {
   // Same shape as BM_MontgomeryPow but through a precomputed comb table:
@@ -271,7 +325,8 @@ void print_ops_table() {
        time_op([&] { benchmark::DoNotOptimize(kp.pub.mul_plain(ct_a, scalar)); })},
   };
 
-  std::printf("cpu: %s\n", core::cpu::feature_string().c_str());
+  std::printf("cpu: %s | montgomery rows: %s\n", core::cpu::feature_string().c_str(),
+              bigint::to_string(bigint::select_row_tier()));
   std::printf("== crypto substrate ops/sec (key_bits = %zu, runtime workers: %zu) ==\n",
               kKeyBits, core::ParallelRuntime::instance().worker_count());
   std::printf("%-36s %12s %12s\n", "operation", "ms/op", "ops/sec");

@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "bigint/limb.hpp"
+#include "bigint/montgomery.hpp"
 #include "core/secure.hpp"
 
 using namespace dubhe;
@@ -80,7 +81,8 @@ int main() {
   // the dominant constant behind every encrypt/decrypt figure below.
   std::cout << "bigint kernel: " << bigint::kLimbBits << "-bit limbs, "
             << (DUBHE_HAS_INT128 ? "__int128" : "portable 32-bit synthesized")
-            << " intermediates\n";
+            << " intermediates, " << bigint::to_string(bigint::select_row_tier())
+            << " Montgomery rows\n";
 
   bigint::Xoshiro256ss rng(2048);
   auto t0 = Clock::now();

@@ -1,6 +1,6 @@
 # Locates the GNU multiple-precision library. Defines the imported target
-# GMP::GMP on success. Only the differential oracle tests use GMP; the dubhe
-# library itself never links it.
+# GMP::GMP on success. Only the differential oracle tests and micro_crypto's
+# mpz_powm yardstick use GMP; the dubhe library itself never links it.
 find_path(GMP_INCLUDE_DIR NAMES gmp.h)
 find_library(GMP_LIBRARY NAMES gmp)
 

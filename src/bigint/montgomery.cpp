@@ -4,6 +4,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/cpu.hpp"
+
+// The ADX row is GCC/Clang inline assembly for x86-64. It needs 128-bit
+// intermediates nowhere, but DUBHE_NO_INT128 builds are the portable
+// reference and keep the C loop only.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && DUBHE_HAS_INT128
+#define DUBHE_ROW_ADX 1
+#else
+#define DUBHE_ROW_ADX 0
+#endif
+
 namespace dubhe::bigint {
 
 namespace {
@@ -22,7 +33,161 @@ std::uint64_t inv64(std::uint64_t x) {
 /// 4-bit window, and each window then covers up to 5 exponent bits.
 constexpr unsigned kPowWindowBits = 5;
 
+/// Portable row: one sequential carry chain through `mac`.
+struct PortableRow {
+  static Limb addmul_1(Limb* t, const Limb* a, std::size_t n, Limb b) {
+    Limb carry = 0;
+    for (std::size_t j = 0; j < n; ++j) t[j] = mac(t[j], a[j], b, carry);
+    return carry;
+  }
+};
+
+#if DUBHE_ROW_ADX
+
+/// ADX row. mulx forms a[j] * b without touching the flags; adcx folds the
+/// previous product's high limb into this low limb on the CF chain, and
+/// adox adds the result into t[j] on the OF chain, so the two carry chains
+/// overlap instead of serializing. Loop control uses lea and jrcxz, which
+/// leave both flags alone. A 1-limb loop runs the n mod 4 leading limbs,
+/// then a 4x unrolled loop the rest; the final high limb takes both
+/// outstanding carries. It cannot overflow: t + a * b < 2^(64 (n + 1)).
+struct AdxRow {
+  static Limb addmul_1(Limb* t, const Limb* a, std::size_t n, Limb b) {
+    Limb carry, zero, lo0, lo1, hi0;
+    std::size_t count = n & 3;
+    const std::size_t blocks = n >> 2;
+    __asm__ volatile(
+        "xor %k[carry], %k[carry]\n\t"
+        "xor %k[zero], %k[zero]\n\t"  // also clears CF and OF
+        "1:\n\t"
+        "jrcxz 2f\n\t"
+        "mulx (%[a]), %[lo0], %[hi0]\n\t"
+        "adcx %[carry], %[lo0]\n\t"
+        "adox (%[t]), %[lo0]\n\t"
+        "mov %[lo0], (%[t])\n\t"
+        "mov %[hi0], %[carry]\n\t"
+        "lea 8(%[a]), %[a]\n\t"
+        "lea 8(%[t]), %[t]\n\t"
+        "lea -1(%%rcx), %%rcx\n\t"
+        "jmp 1b\n\t"
+        "2:\n\t"
+        "mov %[blocks], %%rcx\n\t"
+        "3:\n\t"
+        "jrcxz 4f\n\t"
+        "mulx (%[a]), %[lo0], %[hi0]\n\t"
+        "adcx %[carry], %[lo0]\n\t"
+        "adox (%[t]), %[lo0]\n\t"
+        "mov %[lo0], (%[t])\n\t"
+        "mulx 8(%[a]), %[lo1], %[carry]\n\t"
+        "adcx %[hi0], %[lo1]\n\t"
+        "adox 8(%[t]), %[lo1]\n\t"
+        "mov %[lo1], 8(%[t])\n\t"
+        "mulx 16(%[a]), %[lo0], %[hi0]\n\t"
+        "adcx %[carry], %[lo0]\n\t"
+        "adox 16(%[t]), %[lo0]\n\t"
+        "mov %[lo0], 16(%[t])\n\t"
+        "mulx 24(%[a]), %[lo1], %[carry]\n\t"
+        "adcx %[hi0], %[lo1]\n\t"
+        "adox 24(%[t]), %[lo1]\n\t"
+        "mov %[lo1], 24(%[t])\n\t"
+        "lea 32(%[a]), %[a]\n\t"
+        "lea 32(%[t]), %[t]\n\t"
+        "lea -1(%%rcx), %%rcx\n\t"
+        "jmp 3b\n\t"
+        "4:\n\t"
+        "adcx %[zero], %[carry]\n\t"
+        "adox %[zero], %[carry]\n\t"
+        : [carry] "=&r"(carry), [zero] "=&r"(zero), [lo0] "=&r"(lo0),
+          [lo1] "=&r"(lo1), [hi0] "=&r"(hi0), [t] "+r"(t), [a] "+r"(a),
+          "+c"(count)
+        : [blocks] "r"(blocks), "d"(b)
+        : "cc", "memory");
+    return carry;
+  }
+};
+
+#else
+
+// Never selected in these builds (select_row_tier returns kPortable); the
+// alias keeps the dispatch sites free of preprocessor branches.
+using AdxRow = PortableRow;
+
+#endif  // DUBHE_ROW_ADX
+
+/// CIOS over rows, without the per-step shift: step i adds a * b[i] and then
+/// m * N into t[i .. i+s), which leaves t[i] zero, so the running value
+/// moves up one limb per step and ends at t[s .. 2s] (< 2N). Only t[0 .. s)
+/// is read before it is written; the limb above each step's rows lives in
+/// `top` until the next step stores it.
+template <class Row>
+void cios_rows(const Limb* a, const Limb* b, const Limb* n, std::size_t s, Limb n0inv,
+               Limb* t) {
+  for (std::size_t i = 0; i < s; ++i) t[i] = 0;
+  Limb top = 0;  // t[i + s]
+  for (std::size_t i = 0; i < s; ++i) {
+    Limb k = 0;
+    Limb hi = addc(top, Row::addmul_1(t + i, a, s, b[i]), k);
+    Limb hi2 = k;
+    const Limb m = t[i] * n0inv;
+    k = 0;
+    hi = addc(hi, Row::addmul_1(t + i, n, s, m), k);
+    t[i + s] = hi;
+    top = hi2 + k;  // the running value stays < 2N, so this cannot wrap
+  }
+  t[2 * s] = top;
+}
+
+/// Squaring over rows: leaves a^2 / R (< 2N) in t[s .. 2s], ready for the
+/// final subtraction.
+template <class Row>
+void sqr_rows(const Limb* a, const Limb* n, std::size_t s, Limb n0inv, Limb* t) {
+  // Off-diagonal products a[i] * a[j] for i < j, each formed once. Row i
+  // accumulates into t[2i+1 .. i+s-1] and sets t[i+s], which no earlier
+  // row reaches; row 0 accumulates into the zeroed low half.
+  for (std::size_t i = 0; i < s; ++i) t[i] = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    t[i + s] = Row::addmul_1(t + 2 * i + 1, a + i + 1, s - i - 1, a[i]);
+  }
+  // Double the off-diagonal sum and add the diagonal squares a[i]^2 at
+  // limb 2i in one pass. a^2 < R^2, so nothing carries out of limb 2s-1.
+  Limb shifted = 0;  // top bit of the previous limb, shifted in
+  Limb carry = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const LimbPair d = mul_wide(a[i], a[i]);
+    const Limb lo = t[2 * i], hi = t[2 * i + 1];
+    t[2 * i] = addc((lo << 1) | shifted, d.lo, carry);
+    t[2 * i + 1] = addc((hi << 1) | (lo >> 63), d.hi, carry);
+    shifted = hi >> 63;
+  }
+  // Word-by-word REDC: each step clears limb i by adding m * N << 64i.
+  // `top` carries the bit out of limb i+s into limb i+s+1 of the next step.
+  Limb top = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const Limb m = t[i] * n0inv;
+    t[i + s] = addc(t[i + s], Row::addmul_1(t + i, n, s, m), top);
+  }
+  t[2 * s] = top;
+}
+
 }  // namespace
+
+Limb addmul_1(Limb* t, const Limb* a, std::size_t n, Limb b, RowTier tier) {
+  return tier == RowTier::kAdx ? AdxRow::addmul_1(t, a, n, b)
+                               : PortableRow::addmul_1(t, a, n, b);
+}
+
+const char* to_string(RowTier tier) {
+  return tier == RowTier::kAdx ? "adx" : "portable";
+}
+
+RowTier select_row_tier() {
+#if DUBHE_ROW_ADX
+  if (core::cpu::has(core::cpu::kBmi2) && core::cpu::has(core::cpu::kAdx)) {
+    return RowTier::kAdx;
+  }
+#endif
+  return RowTier::kPortable;
+}
 
 Montgomery::Montgomery(const BigUint& modulus) : n_(modulus) {
   if (n_.is_zero() || !n_.is_odd()) {
@@ -37,6 +202,7 @@ Montgomery::Montgomery(const BigUint& modulus) : n_(modulus) {
   const BigUint r = BigUint::pow2(kLimbBits * s_) % n_;
   one_mont_ = r;
   rr_ = r.mul_mod(r, n_);
+  tier_ = select_row_tier();
 }
 
 std::vector<Montgomery::Limb> Montgomery::padded(const BigUint& x) const {
@@ -53,51 +219,12 @@ BigUint Montgomery::from_limbs(std::vector<Limb> v) {
 }
 
 void Montgomery::cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const {
-  const std::size_t s = s_;
-  const Limb* n = n_limbs_.data();
-  for (std::size_t i = 0; i < s + 2; ++i) t[i] = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    // t += a * b[i]
-    const Limb bi = b[i];
-    Limb carry = 0;
-    std::size_t j = 0;
-#if defined(DUBHE_SIMD_ENABLED)
-    // 2-way unrolled inner loops (DUBHE_SIMD builds). The carry chain is
-    // strictly sequential, so unrolling only interleaves the independent
-    // 64x64 multiplies and removes loop overhead — the operation order, and
-    // therefore every limb produced, is bit-identical to the rolled loop.
-    for (; j + 2 <= s; j += 2) {
-      t[j] = mac(t[j], a[j], bi, carry);
-      t[j + 1] = mac(t[j + 1], a[j + 1], bi, carry);
-    }
-#endif
-    for (; j < s; ++j) {
-      t[j] = mac(t[j], a[j], bi, carry);
-    }
-    Limb c2 = 0;
-    t[s] = addc(t[s], carry, c2);
-    t[s + 1] += c2;
-
-    // Reduce: add m * N where m makes the low limb vanish, then shift.
-    const Limb m = t[0] * n0inv_;
-    carry = 0;
-    (void)mac(t[0], m, n[0], carry);  // low limb is zero by construction
-    j = 1;
-#if defined(DUBHE_SIMD_ENABLED)
-    for (; j + 2 <= s; j += 2) {
-      t[j - 1] = mac(t[j], m, n[j], carry);
-      t[j] = mac(t[j + 1], m, n[j + 1], carry);
-    }
-#endif
-    for (; j < s; ++j) {
-      t[j - 1] = mac(t[j], m, n[j], carry);
-    }
-    c2 = 0;
-    t[s - 1] = addc(t[s], carry, c2);
-    t[s] = t[s + 1] + c2;  // t fits s+1 limbs: the running value stays < 2N
-    t[s + 1] = 0;
+  if (tier_ == RowTier::kAdx) {
+    cios_rows<AdxRow>(a, b, n_limbs_.data(), s_, n0inv_, t);
+  } else {
+    cios_rows<PortableRow>(a, b, n_limbs_.data(), s_, n0inv_, t);
   }
-  reduce_final(t, out);
+  reduce_final(t + s_, out);
 }
 
 void Montgomery::reduce_final(const Limb* t, Limb* out) const {
@@ -122,49 +249,17 @@ void Montgomery::reduce_final(const Limb* t, Limb* out) const {
 }
 
 void Montgomery::sqr(const Limb* a, Limb* out, Limb* t) const {
-  const std::size_t s = s_;
-  const Limb* n = n_limbs_.data();
-  // Off-diagonal products a[i] * a[j] for i < j, each formed once. Row i
-  // accumulates into t[2i+1 .. i+s-1] and sets t[i+s], which no earlier
-  // row reaches; row 0 accumulates into the zeroed low half.
-  for (std::size_t i = 0; i < s; ++i) t[i] = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = i + 1; j < s; ++j) {
-      t[i + j] = mac(t[i + j], ai, a[j], carry);
-    }
-    t[i + s] = carry;
+  if (tier_ == RowTier::kAdx) {
+    sqr_rows<AdxRow>(a, n_limbs_.data(), s_, n0inv_, t);
+  } else {
+    sqr_rows<PortableRow>(a, n_limbs_.data(), s_, n0inv_, t);
   }
-  // Double the off-diagonal sum and add the diagonal squares a[i]^2 at
-  // limb 2i in one pass. a^2 < R^2, so nothing carries out of limb 2s-1.
-  Limb shifted = 0;  // top bit of the previous limb, shifted in
-  Limb carry = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const LimbPair d = mul_wide(a[i], a[i]);
-    const Limb lo = t[2 * i], hi = t[2 * i + 1];
-    t[2 * i] = addc((lo << 1) | shifted, d.lo, carry);
-    t[2 * i + 1] = addc((hi << 1) | (lo >> 63), d.hi, carry);
-    shifted = hi >> 63;
-  }
-  // Word-by-word REDC: each step clears limb i by adding m * N << 64i.
-  // `top` carries the bit out of limb i+s into limb i+s+1 of the next step.
-  Limb top = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const Limb m = t[i] * n0inv_;
-    carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      t[i + j] = mac(t[i + j], m, n[j], carry);
-    }
-    t[i + s] = addc(t[i + s], carry, top);
-  }
-  t[2 * s] = top;  // t[s .. 2s] = (a^2 + m N) / R < 2N
-  reduce_final(t + s, out);
+  reduce_final(t + s_, out);
 }
 
 BigUint Montgomery::mul(const BigUint& a, const BigUint& b) const {
   const std::vector<Limb> pa = padded(a), pb = padded(b);
-  std::vector<Limb> out(s_), t(s_ + 2);
+  std::vector<Limb> out(s_), t(scratch_limbs());
   cios(pa.data(), pb.data(), out.data(), t.data());
   return from_limbs(std::move(out));
 }
@@ -298,7 +393,7 @@ BigUint FixedBaseTable::pow(const BigUint& exp) const {
   }
   if (exp.is_zero()) return BigUint{1} % ctx_->n_;
 
-  std::vector<Limb> t(s_ + 2), tmp(s_);
+  std::vector<Limb> t(ctx_->scratch_limbs()), tmp(s_);
   std::vector<Limb> acc = ctx_->padded(ctx_->one_mont_);
   const std::size_t windows = (nbits + kWindowBits - 1) / kWindowBits;
   for (std::size_t w = 0; w < windows; ++w) {

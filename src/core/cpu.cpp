@@ -47,6 +47,9 @@ std::uint32_t detect_cpu() {
   if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) != 0) {
     if ((ebx7 & bit_AVX2) != 0 && ymm_ok) mask |= kAvx2;
     if ((ebx7 & bit_AVX512F) != 0 && zmm_ok) mask |= kAvx512f;
+    // General-purpose-register instructions: no OS state to check.
+    if ((ebx7 & bit_BMI2) != 0) mask |= kBmi2;
+    if ((ebx7 & bit_ADX) != 0) mask |= kAdx;
   }
   return mask;
 }
@@ -78,7 +81,8 @@ struct Token {
 
 constexpr Token kTokens[] = {
     {"sse4.1", kSse41}, {"sse4.2", kSse42},   {"pclmul", kPclmul}, {"fma", kFma},
-    {"avx2", kAvx2},    {"avx512f", kAvx512f}, {"avx512", kAvx512f}, {"epoll", kEpoll},
+    {"avx2", kAvx2},    {"avx512f", kAvx512f}, {"avx512", kAvx512f}, {"bmi2", kBmi2},
+    {"adx", kAdx},      {"epoll", kEpoll},
 };
 
 bool token_equals(const char* tok, std::size_t len, const char* name) {

@@ -6,7 +6,8 @@
 // Runtime capability probe + dispatch facility. Sits at the very bottom of
 // the stack (std-only, like core/parallel): any layer that owns multiple
 // implementation tiers of the same kernel — the CRC32 tiers in net/wire,
-// the GEMM backends in tensor/, the epoll-vs-poll event loop in net/tcp —
+// the GEMM backends in tensor/, the Montgomery row tiers in bigint/, the
+// epoll-vs-poll event loop in net/tcp —
 // asks *this* facility which tier to run, instead of trusting compile-time
 // flags. A binary compiled with every tier still runs correctly on a
 // machine (or under an operator policy) that has none of them.
@@ -17,7 +18,8 @@
 // narrows the detected set at startup:
 //
 //   DUBHE_CPU=portable            force the portable tier of everything
-//                                 (slice-by-8 CRC, scalar GEMM, poll(2))
+//                                 (slice-by-8 CRC, scalar GEMM, C
+//                                 Montgomery rows, poll(2))
 //   DUBHE_CPU=native              no restriction (the default)
 //   DUBHE_CPU=sse4.2,pclmul      allow only the listed capabilities
 //
@@ -37,6 +39,8 @@ enum Feature : std::uint32_t {
   kAvx2 = 1u << 4,
   kAvx512f = 1u << 5,
   kEpoll = 1u << 6,
+  kBmi2 = 1u << 7,  // mulx
+  kAdx = 1u << 8,   // adcx / adox
 };
 
 /// What the machine offers: cpuid ∩ OS register-state support, plus probed
@@ -60,7 +64,7 @@ std::uint32_t set_enabled(std::uint32_t mask);
 [[nodiscard]] std::uint32_t parse_feature_list(const char* value,
                                                std::uint32_t detected_mask);
 
-/// "sse4.1 sse4.2 pclmul fma avx2 avx512f epoll" for the given mask,
+/// "sse4.1 sse4.2 pclmul fma avx2 avx512f bmi2 adx epoll" for the given mask,
 /// "portable" for an empty one.
 [[nodiscard]] std::string to_string(std::uint32_t mask);
 

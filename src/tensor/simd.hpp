@@ -8,8 +8,6 @@
 // sources. All vector code lives behind the DUBHE_SIMD_AVX2 gate below so a
 // DUBHE_SIMD=OFF build — or any target without AVX2/FMA — compiles only the
 // portable scalar kernels and produces a binary with no AVX instructions.
-// The same DUBHE_SIMD_ENABLED gate selects the unrolled CIOS inner loop in
-// bigint::Montgomery (plain C unrolling, bit-identical, ISA-independent).
 //
 // Whether the compiled-in kernels actually *run* is decided through
 // core::cpu at first use: simd_available() additionally requires detected

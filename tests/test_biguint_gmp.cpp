@@ -1,13 +1,18 @@
 // Differential tests of the from-scratch bigint library against GMP.
-// GMP serves purely as an oracle here; no dubhe library links it.
+// GMP serves purely as an oracle here; no dubhe library links it. Every
+// case runs once per Montgomery row tier (the ADX leg skips on a host
+// without BMI2 + ADX): pow_mod builds its context inside the tier scope.
 
 #include <gmp.h>
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <tuple>
 
 #include "bigint/biguint.hpp"
 #include "bigint/random.hpp"
+#include "pow_reference.hpp"
 
 namespace dubhe::bigint {
 namespace {
@@ -39,10 +44,23 @@ class Mpz {
   mpz_t z_;
 };
 
-class BigUintGmpDifferential : public ::testing::TestWithParam<std::size_t> {};
+class BigUintGmpDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, RowTier>> {
+ protected:
+  void SetUp() override {
+    scope_.emplace(std::get<1>(GetParam()));
+    if (!scope_->available()) GTEST_SKIP() << "row tier not available on this host/build";
+  }
+  void TearDown() override { scope_.reset(); }
+  /// Operand width of this instance.
+  static std::size_t width() { return std::get<0>(GetParam()); }
+
+ private:
+  std::optional<ScopedRowTier> scope_;
+};
 
 TEST_P(BigUintGmpDifferential, AddSubMulDivAgreeWithGmp) {
-  const std::size_t bits = GetParam();
+  const std::size_t bits = width();
   Xoshiro256ss rng(bits * 7919 + 3);
   for (int iter = 0; iter < 25; ++iter) {
     const BigUint a = random_bits(rng, bits);
@@ -70,7 +88,7 @@ TEST_P(BigUintGmpDifferential, AddSubMulDivAgreeWithGmp) {
 }
 
 TEST_P(BigUintGmpDifferential, PowModAgreesWithGmp) {
-  const std::size_t bits = GetParam();
+  const std::size_t bits = width();
   Xoshiro256ss rng(bits * 31 + 1);
   for (int iter = 0; iter < 5; ++iter) {
     const BigUint base = random_bits(rng, bits);
@@ -87,7 +105,7 @@ TEST_P(BigUintGmpDifferential, PowModWideExponentsAgreeWithGmp) {
   // Exponents at the full and half modulus width (the half-width one is
   // the Paillier CRT shape), 2^k and 2^k - 1 (one lone bit, all-ones
   // windows), and a 300-bit run of zeros between two dense blocks.
-  const std::size_t bits = GetParam();
+  const std::size_t bits = width();
   Xoshiro256ss rng(bits * 37 + 5);
   BigUint mod = random_exact_bits(rng, bits);
   if (!mod.is_odd()) mod += BigUint{1};
@@ -105,7 +123,7 @@ TEST_P(BigUintGmpDifferential, PowModWideExponentsAgreeWithGmp) {
 }
 
 TEST_P(BigUintGmpDifferential, GcdAndInverseAgreeWithGmp) {
-  const std::size_t bits = GetParam();
+  const std::size_t bits = width();
   Xoshiro256ss rng(bits * 101 + 9);
   for (int iter = 0; iter < 10; ++iter) {
     const BigUint a = random_bits(rng, bits) + BigUint{1};
@@ -123,7 +141,7 @@ TEST_P(BigUintGmpDifferential, GcdAndInverseAgreeWithGmp) {
 }
 
 TEST_P(BigUintGmpDifferential, DecimalConversionAgreesWithGmp) {
-  const std::size_t bits = GetParam();
+  const std::size_t bits = width();
   Xoshiro256ss rng(bits + 77);
   for (int iter = 0; iter < 10; ++iter) {
     const BigUint a = random_bits(rng, bits);
@@ -136,8 +154,14 @@ TEST_P(BigUintGmpDifferential, DecimalConversionAgreesWithGmp) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, BigUintGmpDifferential,
-                         ::testing::Values(8, 64, 128, 512, 1024, 2048, 4096));
+INSTANTIATE_TEST_SUITE_P(
+    Widths, BigUintGmpDifferential,
+    ::testing::Combine(::testing::Values<std::size_t>(8, 64, 128, 512, 1024, 2048, 4096),
+                       ::testing::Values(RowTier::kPortable, RowTier::kAdx)),
+    [](const auto& info) {
+      return std::to_string(std::get<0>(info.param)) + "_" +
+             to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace dubhe::bigint

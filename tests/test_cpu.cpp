@@ -1,5 +1,5 @@
 // core::cpu is the dispatch authority for every tiered kernel in the tree
-// (CRC32, GEMM, the event-loop backend), so its parsing and clamping rules
+// (CRC32, GEMM, Montgomery rows, the event-loop backend), so its parsing and clamping rules
 // are load-bearing: a mis-parsed DUBHE_CPU must degrade to *fewer*
 // capabilities, never conjure one the machine lacks.
 
@@ -11,7 +11,8 @@ namespace dubhe::core {
 namespace {
 
 constexpr std::uint32_t kAll = cpu::kSse41 | cpu::kSse42 | cpu::kPclmul | cpu::kFma |
-                               cpu::kAvx2 | cpu::kAvx512f | cpu::kEpoll;
+                               cpu::kAvx2 | cpu::kAvx512f | cpu::kBmi2 | cpu::kAdx |
+                               cpu::kEpoll;
 
 TEST(CpuParse, KeywordsAndDefaults) {
   // Unset / empty / "native" all mean "whatever the machine offers".
@@ -30,11 +31,15 @@ TEST(CpuParse, ExplicitListsAreCaseInsensitiveAndClamped) {
             cpu::kSse42 | cpu::kPclmul);
   EXPECT_EQ(cpu::parse_feature_list("avx2 fma epoll", kAll),
             cpu::kAvx2 | cpu::kFma | cpu::kEpoll);
+  EXPECT_EQ(cpu::parse_feature_list("bmi2,adx", kAll), cpu::kBmi2 | cpu::kAdx);
+  EXPECT_EQ(cpu::parse_feature_list("ADX BMI2 pclmul", kAll),
+            cpu::kAdx | cpu::kBmi2 | cpu::kPclmul);
   // "avx512" is an accepted alias for avx512f.
   EXPECT_EQ(cpu::parse_feature_list("avx512", kAll), cpu::kAvx512f);
   // A listed capability the machine lacks stays off: clamped to detected.
   EXPECT_EQ(cpu::parse_feature_list("avx2,pclmul", cpu::kPclmul), cpu::kPclmul);
   EXPECT_EQ(cpu::parse_feature_list("avx2", 0), 0u);
+  EXPECT_EQ(cpu::parse_feature_list("bmi2,adx", cpu::kBmi2), cpu::kBmi2);
 }
 
 TEST(CpuParse, UnknownTokensAreIgnoredNotFatal) {
@@ -47,7 +52,8 @@ TEST(CpuParse, UnknownTokensAreIgnoredNotFatal) {
 TEST(CpuToString, RoundTripsThroughParse) {
   EXPECT_EQ(cpu::to_string(0), "portable");
   EXPECT_EQ(cpu::to_string(cpu::kSse42 | cpu::kPclmul), "sse4.2 pclmul");
-  EXPECT_EQ(cpu::to_string(kAll), "sse4.1 sse4.2 pclmul fma avx2 avx512f epoll");
+  EXPECT_EQ(cpu::to_string(cpu::kBmi2 | cpu::kAdx), "bmi2 adx");
+  EXPECT_EQ(cpu::to_string(kAll), "sse4.1 sse4.2 pclmul fma avx2 avx512f bmi2 adx epoll");
   // Every printable mask parses back to itself.
   for (std::uint32_t mask = 0; mask <= kAll; ++mask) {
     EXPECT_EQ(cpu::parse_feature_list(cpu::to_string(mask).c_str(), kAll), mask)

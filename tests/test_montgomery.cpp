@@ -1,5 +1,8 @@
-// Montgomery context, squaring kernel, sliding-window pow and fixed-base
-// table, each checked against plain long-division arithmetic.
+// Montgomery row primitive, context, squaring kernel, sliding-window pow
+// and fixed-base table, each checked against plain long-division
+// arithmetic. The kernel checks run once per row tier (the ADX leg skips on
+// a host without BMI2 + ADX); the row primitive's tiers are also compared
+// directly.
 //
 // This file is also compiled a second time with DUBHE_NO_INT128 (target
 // test_montgomery_portable) so the kernels' synthesized 64x64->128 path
@@ -10,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bigint/random.hpp"
@@ -27,6 +31,84 @@ BigUint all_ones_top_modulus(EntropySource& rng, std::size_t limbs) {
   return m;
 }
 
+/// Runs each kernel check with contexts built under one row tier.
+class MontgomeryTier : public ::testing::TestWithParam<RowTier> {
+ protected:
+  void SetUp() override {
+    scope_.emplace(GetParam());
+    if (!scope_->available()) GTEST_SKIP() << "row tier not available on this host/build";
+  }
+  void TearDown() override { scope_.reset(); }
+
+ private:
+  std::optional<ScopedRowTier> scope_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, MontgomeryTier,
+                         ::testing::Values(RowTier::kPortable, RowTier::kAdx),
+                         [](const auto& info) { return to_string(info.param); });
+
+/// addmul_1 through `tier` on copies of `t0`; checks the limb past the row
+/// is untouched and returns {row limbs..., carry}.
+std::vector<Limb> run_row(RowTier tier, const std::vector<Limb>& t0, const std::vector<Limb>& a,
+                          Limb b) {
+  constexpr Limb kGuard = 0x5a5a5a5a5a5a5a5aULL;
+  std::vector<Limb> t = t0;
+  t.push_back(kGuard);
+  const Limb carry = addmul_1(t.data(), a.data(), a.size(), b, tier);
+  EXPECT_EQ(t.back(), kGuard) << to_string(tier) << " wrote past the row";
+  t.back() = carry;
+  return t;
+}
+
+TEST(MontgomeryRow, AllOnesRowIsExact) {
+  // (2^64n - 1) + (2^64n - 1)(2^64 - 1) = 2^64(n+1) - 2^64: limb 0 is zero,
+  // every other limb and the carry are all ones — the largest carry on
+  // both chains.
+  for (const RowTier tier : {RowTier::kPortable, RowTier::kAdx}) {
+    const ScopedRowTier scope(tier);
+    if (!scope.available()) continue;
+    for (std::size_t n = 1; n <= 33; ++n) {
+      const std::vector<Limb> ones(n, kLimbMax);
+      std::vector<Limb> want(n + 1, kLimbMax);
+      want[0] = 0;
+      EXPECT_EQ(run_row(tier, ones, ones, kLimbMax), want) << to_string(tier) << " n=" << n;
+    }
+  }
+}
+
+TEST(MontgomeryRow, AdxMatchesPortable) {
+  {
+    const ScopedRowTier scope(RowTier::kAdx);
+    if (!scope.available()) GTEST_SKIP() << "BMI2 + ADX not available on this host/build";
+  }
+  Xoshiro256ss rng(13);
+  const auto random_limbs = [&](std::size_t n) {
+    std::vector<Limb> v(n);
+    for (Limb& x : v) x = rng.next_u64();
+    return v;
+  };
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
+                              33u, 64u}) {
+    const std::vector<Limb> ones(n, kLimbMax);
+    EXPECT_EQ(run_row(RowTier::kAdx, ones, ones, kLimbMax),
+              run_row(RowTier::kPortable, ones, ones, kLimbMax))
+        << "all ones, n=" << n;
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::vector<Limb> t = random_limbs(n), a = random_limbs(n);
+      // Mix in the extremes of b: 0, 1 and all ones alongside random limbs.
+      const Limb b = trial == 0 ? 0 : trial == 1 ? 1 : trial == 2 ? kLimbMax : rng.next_u64();
+      EXPECT_EQ(run_row(RowTier::kAdx, t, a, b), run_row(RowTier::kPortable, t, a, b))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST_P(MontgomeryTier, ContextRecordsItsTier) {
+  const Montgomery ctx(BigUint::from_dec("1000000007"));
+  EXPECT_EQ(ctx.row_tier(), GetParam());
+}
+
 TEST(Montgomery, RejectsEvenOrZeroModulus) {
   EXPECT_THROW(Montgomery{BigUint{100}}, std::invalid_argument);
   EXPECT_THROW(Montgomery{BigUint{}}, std::invalid_argument);
@@ -42,7 +124,7 @@ TEST(Montgomery, ToFromMontRoundTrip) {
   }
 }
 
-TEST(Montgomery, MulMatchesPlainModularMultiply) {
+TEST_P(MontgomeryTier, MulMatchesPlainModularMultiply) {
   Xoshiro256ss rng(6);
   for (int trial = 0; trial < 10; ++trial) {
     BigUint m = random_bits(rng, 192) + BigUint{3};
@@ -57,7 +139,7 @@ TEST(Montgomery, MulMatchesPlainModularMultiply) {
   }
 }
 
-TEST(Montgomery, PowMatchesSquareAndMultiply) {
+TEST_P(MontgomeryTier, PowMatchesSquareAndMultiply) {
   Xoshiro256ss rng(7);
   for (int trial = 0; trial < 8; ++trial) {
     BigUint m = random_bits(rng, 160) + BigUint{3};
@@ -69,7 +151,7 @@ TEST(Montgomery, PowMatchesSquareAndMultiply) {
   }
 }
 
-TEST(Montgomery, SqrMatchesMul) {
+TEST_P(MontgomeryTier, SqrMatchesMul) {
   Xoshiro256ss rng(8);
   for (const std::size_t limbs : {1u, 2u, 3u, 16u, 17u, 32u, 64u}) {
     for (const BigUint& m : {all_ones_top_modulus(rng, limbs),
@@ -88,7 +170,7 @@ TEST(Montgomery, SqrMatchesMul) {
   }
 }
 
-TEST(Montgomery, AllOnesTopLimbPowMatchesWindowless) {
+TEST_P(MontgomeryTier, AllOnesTopLimbPowMatchesWindowless) {
   // Bases 0, 1, N-1 and R mod N (the Montgomery one) at a 1024-bit
   // exponent, the width of every Paillier and Miller-Rabin exponent.
   Xoshiro256ss rng(9);
@@ -103,7 +185,7 @@ TEST(Montgomery, AllOnesTopLimbPowMatchesWindowless) {
   }
 }
 
-TEST(Montgomery, PowSparseAndDenseExponents) {
+TEST_P(MontgomeryTier, PowSparseAndDenseExponents) {
   // Exponents whose windows are all ones, a lone top bit, or a long zero
   // run between two set bits — each stresses a different window boundary.
   Xoshiro256ss rng(10);
@@ -137,7 +219,7 @@ TEST(Montgomery, SingleLimbModulus) {
   }
 }
 
-TEST(Montgomery, LargeModulusPow) {
+TEST_P(MontgomeryTier, LargeModulusPow) {
   // 2048-bit odd modulus: exercise multi-limb CIOS end to end via Fermat on
   // a known prime is too slow to find here, so check x^2 consistency.
   Xoshiro256ss rng(11);
@@ -149,7 +231,7 @@ TEST(Montgomery, LargeModulusPow) {
   EXPECT_EQ(ctx.pow(x, BigUint{3}), x.mul_mod(x, m).mul_mod(x, m));
 }
 
-TEST(FixedBaseTable, MatchesPowAtPaillierWidths) {
+TEST_P(MontgomeryTier, FixedBaseTableMatchesPowAtPaillierWidths) {
   Xoshiro256ss rng(12);
   for (const std::size_t bits : {1024u, 2048u}) {
     BigUint m = random_exact_bits(rng, bits);
