@@ -20,6 +20,7 @@
 #include "bigint/limb.hpp"
 #include "bigint/montgomery.hpp"
 #include "core/secure.hpp"
+#include "paillier/encrypted_vector.hpp"
 
 using namespace dubhe;
 using Clock = std::chrono::steady_clock;

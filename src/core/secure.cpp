@@ -111,53 +111,20 @@ std::uint64_t SecureSelectionSession::distribution_seed(std::size_t try_slot,
 }
 
 std::size_t SecureSelectionSession::encrypted_registry_bytes() const {
-  if (cfg_.use_packing) {
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    return net::wire_size_packed_vector(keypair_.pub, packed, codec_.length());
-  }
-  return net::wire_size_encrypted_vector(keypair_.pub, codec_.length());
+  return net::wire_size_packed_vector(keypair_.pub, packed_codec(), codec_.length());
 }
 
 std::size_t SecureSelectionSession::encrypted_distribution_bytes() const {
-  if (cfg_.use_packing) {
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    return net::wire_size_packed_vector(keypair_.pub, packed, codec_.num_classes());
-  }
-  return net::wire_size_encrypted_vector(keypair_.pub, codec_.num_classes());
+  return net::wire_size_packed_vector(keypair_.pub, packed_codec(), codec_.num_classes());
 }
 
 std::size_t SecureSelectionSession::registry_ciphertext_bytes() const {
-  if (cfg_.use_packing) {
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    return net::ciphertext_bytes_packed_vector(keypair_.pub, packed, codec_.length());
-  }
-  return net::ciphertext_bytes_encrypted_vector(keypair_.pub, codec_.length());
+  return net::ciphertext_bytes_packed_vector(keypair_.pub, packed_codec(), codec_.length());
 }
 
 std::size_t SecureSelectionSession::distribution_ciphertext_bytes() const {
-  if (cfg_.use_packing) {
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    return net::ciphertext_bytes_packed_vector(keypair_.pub, packed, codec_.num_classes());
-  }
-  return net::ciphertext_bytes_encrypted_vector(keypair_.pub, codec_.num_classes());
-}
-
-std::vector<std::uint64_t> SecureSelectionSession::reduce_registry(
-    std::span<const he::EncryptedVector> cts) {
-  if (cts.empty()) throw std::invalid_argument("reduce_registry: empty cohort");
-  auto decrypt_timed = [&](const he::EncryptedVector& v) {
-    const auto t0 = Clock::now();
-    auto out = v.decrypt(keypair_.prv);
-    timings_.decrypt_seconds += seconds_since(t0);
-    ++timings_.vectors_decrypted;
-    return out;
-  };
-  // Callers that streamed their own homomorphic sum pass it as a singleton
-  // span — decrypt in place, no copy.
-  if (cts.size() == 1) return decrypt_timed(cts[0]);
-  he::EncryptedVector sum = cts[0];
-  for (std::size_t k = 1; k < cts.size(); ++k) sum += cts[k];  // server side
-  return decrypt_timed(sum);
+  return net::ciphertext_bytes_packed_vector(keypair_.pub, packed_codec(),
+                                             codec_.num_classes());
 }
 
 std::vector<std::uint64_t> SecureSelectionSession::reduce_registry(
@@ -170,19 +137,12 @@ std::vector<std::uint64_t> SecureSelectionSession::reduce_registry(
     ++timings_.vectors_decrypted;
     return out;
   };
+  // Callers that streamed their own homomorphic sum pass it as a singleton
+  // span — decrypt in place, no copy.
   if (cts.size() == 1) return decrypt_timed(cts[0]);
   he::PackedEncryptedVector sum = cts[0];
-  for (std::size_t k = 1; k < cts.size(); ++k) sum += cts[k];
+  for (std::size_t k = 1; k < cts.size(); ++k) sum += cts[k];  // server side
   return decrypt_timed(sum);
-}
-
-stats::Distribution SecureSelectionSession::reduce_population(
-    std::span<const he::EncryptedVector> cts) {
-  std::vector<std::uint64_t> total = reduce_registry(cts);
-  stats::Distribution po(total.size());
-  for (std::size_t c = 0; c < total.size(); ++c) po[c] = static_cast<double>(total[c]);
-  stats::normalize(po);
-  return po;
 }
 
 stats::Distribution SecureSelectionSession::reduce_population(
@@ -219,29 +179,17 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   // Pre-runtime configs treated encrypt_threads <= 1 as serial; keep that
   // (the runtime itself reads 0 as "all workers").
   const std::size_t encrypt_shards = cfg_.encrypt_threads == 0 ? 1 : cfg_.encrypt_threads;
-  if (cfg_.use_packing) {
-    require_slot_capacity(cfg_.packing_slot_bits, num_clients_, "registry counts");
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    std::vector<he::PackedEncryptedVector> cts(N);
-    parallel_for(N, encrypt_shards, [&](std::size_t k) {
-      bigint::Xoshiro256ss client_rng(registration_seed(k));
-      const auto tk = Clock::now();
-      cts[k] = he::PackedEncryptedVector::encrypt(
-          keypair_.pub, packed, to_onehot(codec_, out.registrations[k]), client_rng);
-      durations[k] = seconds_since(tk);
-    });
-    out.overall_registry = reduce_registry(cts);
-  } else {
-    std::vector<he::EncryptedVector> cts(N);
-    parallel_for(N, encrypt_shards, [&](std::size_t k) {
-      bigint::Xoshiro256ss client_rng(registration_seed(k));
-      const auto tk = Clock::now();
-      cts[k] = he::EncryptedVector::encrypt(
-          keypair_.pub, to_onehot(codec_, out.registrations[k]), client_rng);
-      durations[k] = seconds_since(tk);
-    });
-    out.overall_registry = reduce_registry(cts);
-  }
+  require_slot_capacity(cfg_.packing_slot_bits, num_clients_, "registry counts");
+  const he::PackedCodec packed = packed_codec();
+  std::vector<he::PackedEncryptedVector> cts(N);
+  parallel_for(N, encrypt_shards, [&](std::size_t k) {
+    bigint::Xoshiro256ss client_rng(registration_seed(k));
+    const auto tk = Clock::now();
+    cts[k] = he::PackedEncryptedVector::encrypt(
+        keypair_.pub, packed, to_onehot(codec_, out.registrations[k]), client_rng);
+    durations[k] = seconds_since(tk);
+  });
+  out.overall_registry = reduce_registry(cts);
 
   for (const double d : durations) timings_.encrypt_seconds += d;
   timings_.vectors_encrypted += N;
@@ -265,64 +213,34 @@ stats::Distribution SecureSelectionSession::aggregate_population(
   // Clients quantize p_l to fixed point and encrypt; the server folds each
   // ciphertext into a running sum (one vector alive at a time, as before
   // the transport split); the agent decrypts the aggregate.
-  stats::Distribution po;
-  if (cfg_.use_packing) {
-    // Each slot accumulates up to scale per client across |selected| adds.
-    require_slot_capacity(cfg_.packing_slot_bits,
-                          cfg_.fixed_point_scale * selected.size(),
-                          "fixed-point distribution sums");
-    const he::PackedCodec packed(cfg_.key_bits - 1, cfg_.packing_slot_bits);
-    he::PackedEncryptedVector sum;
-    bool first = true;
-    for (const std::size_t k : selected) {
-      const auto t0 = Clock::now();
-      auto ct = he::PackedEncryptedVector::encrypt(
-          keypair_.pub, packed, quantize_distribution(dists[k], cfg_.fixed_point_scale),
-          rng_);
-      timings_.encrypt_seconds += seconds_since(t0);
-      ++timings_.vectors_encrypted;
-      if (channel_ != nullptr) {
-        channel_->record(fl::MessageKind::kDistribution, fl::Direction::kClientToServer,
-                         wire_bytes, 1, ct_bytes);
-      }
-      if (first) {
-        sum = std::move(ct);
-        first = false;
-      } else {
-        sum += ct;
-      }
-    }
-    if (channel_ != nullptr) {  // server -> agent
-      channel_->record(fl::MessageKind::kDistribution, fl::Direction::kServerToClient,
-                       wire_bytes, 1, ct_bytes);
-    }
-    po = reduce_population({&sum, 1});
-  } else {
-    he::EncryptedVector sum;
-    bool first = true;
-    for (const std::size_t k : selected) {
-      const auto t0 = Clock::now();
-      auto ct = he::EncryptedVector::encrypt(
-          keypair_.pub, quantize_distribution(dists[k], cfg_.fixed_point_scale), rng_);
-      timings_.encrypt_seconds += seconds_since(t0);
-      ++timings_.vectors_encrypted;
-      if (channel_ != nullptr) {
-        channel_->record(fl::MessageKind::kDistribution, fl::Direction::kClientToServer,
-                         wire_bytes, 1, ct_bytes);
-      }
-      if (first) {
-        sum = std::move(ct);
-        first = false;
-      } else {
-        sum += ct;
-      }
-    }
+  // Each slot accumulates up to scale per client across |selected| adds.
+  require_slot_capacity(cfg_.packing_slot_bits, cfg_.fixed_point_scale * selected.size(),
+                        "fixed-point distribution sums");
+  const he::PackedCodec packed = packed_codec();
+  he::PackedEncryptedVector sum;
+  bool first = true;
+  for (const std::size_t k : selected) {
+    const auto t0 = Clock::now();
+    auto ct = he::PackedEncryptedVector::encrypt(
+        keypair_.pub, packed, quantize_distribution(dists[k], cfg_.fixed_point_scale), rng_);
+    timings_.encrypt_seconds += seconds_since(t0);
+    ++timings_.vectors_encrypted;
     if (channel_ != nullptr) {
-      channel_->record(fl::MessageKind::kDistribution, fl::Direction::kServerToClient,
+      channel_->record(fl::MessageKind::kDistribution, fl::Direction::kClientToServer,
                        wire_bytes, 1, ct_bytes);
     }
-    po = reduce_population({&sum, 1});
+    if (first) {
+      sum = std::move(ct);
+      first = false;
+    } else {
+      sum += ct;
+    }
   }
+  if (channel_ != nullptr) {  // server -> agent
+    channel_->record(fl::MessageKind::kDistribution, fl::Direction::kServerToClient,
+                     wire_bytes, 1, ct_bytes);
+  }
+  const stats::Distribution po = reduce_population({&sum, 1});
   if (po.size() != C) throw std::logic_error("aggregate_population: size drift");
   return po;
 }

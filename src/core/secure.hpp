@@ -7,23 +7,21 @@
 #include "core/registration.hpp"
 #include "core/registry.hpp"
 #include "fl/channel.hpp"
-#include "paillier/encrypted_vector.hpp"
 #include "paillier/packing.hpp"
 #include "stats/distribution.hpp"
 
 namespace dubhe::core {
 
 /// Cryptosystem parameters for the secure flows. The paper's deployment is
-/// key_bits = 2048, one ciphertext per registry slot (python-paillier);
-/// packing (BatchCrypt-style, quantified in bench/micro_crypto) is the
-/// default wire form since wire v3 — a 2048-bit key with 32-bit slots
-/// carries ~63 logical values per ciphertext, so registry/distribution
-/// frames shrink ~50x. Set use_packing = false for the paper's per-slot
-/// layout (the A/B baseline; decrypted values are identical either way).
+/// key_bits = 2048 with one ciphertext per registry slot (python-paillier);
+/// here every registry and distribution vector is BatchCrypt-style packed
+/// (the only wire form since wire v6) — a 2048-bit key with 32-bit slots
+/// carries ~63 logical values per ciphertext, so those frames are ~50x
+/// smaller than the per-slot layout. Decrypted values are identical either
+/// way; bench/micro_crypto keeps the per-slot ablation.
 struct SecureConfig {
   std::size_t key_bits = 2048;
-  bool use_packing = true;
-  /// Slot width when packing. 32 bits holds fixed-point distribution sums
+  /// Packed slot width. 32 bits holds fixed-point distribution sums
   /// (scale 10^6 x cohorts into the thousands) and > 10^9 one-hot registry
   /// additions per slot, far beyond any realistic client population.
   std::size_t packing_slot_bits = 32;
@@ -142,8 +140,7 @@ class SecureSelectionSession {
   /// kKeyMaterial frames.
   [[nodiscard]] const he::Keypair& keypair() const { return keypair_; }
   /// Exact wire size (full frame, header included) of one client's encrypted
-  /// registry under the configured mode — what the channel accounting
-  /// records per registry message.
+  /// registry — what the channel accounting records per registry message.
   [[nodiscard]] std::size_t encrypted_registry_bytes() const;
   /// Exact wire size of one client's encrypted label distribution frame.
   [[nodiscard]] std::size_t encrypted_distribution_bytes() const;
@@ -174,15 +171,17 @@ class SecureSelectionSession {
   /// Agent half of §5.1: homomorphically sums the uploaded registries and
   /// decrypts R_A (timed into timings()). Throws std::invalid_argument on an
   /// empty span.
-  std::vector<std::uint64_t> reduce_registry(std::span<const he::EncryptedVector> cts);
   std::vector<std::uint64_t> reduce_registry(
       std::span<const he::PackedEncryptedVector> cts);
   /// Agent half of §5.3: sums the uploaded fixed-point distributions,
   /// decrypts, and normalizes p_o.
-  stats::Distribution reduce_population(std::span<const he::EncryptedVector> cts);
   stats::Distribution reduce_population(std::span<const he::PackedEncryptedVector> cts);
 
  private:
+  [[nodiscard]] he::PackedCodec packed_codec() const {
+    return {cfg_.key_bits - 1, cfg_.packing_slot_bits};
+  }
+
   const RegistryCodec& codec_;
   std::vector<double> sigma_;
   SecureConfig cfg_;

@@ -235,24 +235,8 @@ Participation parse_participation(const Frame& f) {
   return m;
 }
 
-Frame make_encrypted_vector(MsgType type, const he::EncryptedVector& v) {
-  return Frame{type, he::serialize(v)};
-}
-
 Frame make_encrypted_vector(MsgType type, const he::PackedEncryptedVector& v) {
   return Frame{type, he::serialize(v)};
-}
-
-bool payload_is_packed(const Frame& f) {
-  if (f.payload.empty() || (f.payload[0] != 'V' && f.payload[0] != 'K')) {
-    throw WireError(WireErrc::kBadPayload, "payload is not an encrypted vector");
-  }
-  return f.payload[0] == 'K';
-}
-
-he::EncryptedVector parse_encrypted_vector(const Frame& f, MsgType expected) {
-  check_type(f, expected);
-  return as_payload_error([&] { return he::deserialize_encrypted_vector(f.payload); });
 }
 
 he::PackedEncryptedVector parse_packed_encrypted_vector(const Frame& f, MsgType expected) {
@@ -455,18 +439,25 @@ std::vector<QuarantineRecord> read_quarantine_list(Reader& r) {
   return records;
 }
 
-/// The (contributors == 0) <=> (no ciphertext) canonical-encoding rule of
-/// the partial-sum payloads, plus the self-tag check — the root never hands
-/// untagged bytes to the paillier deserializer.
-void check_partial_ciphertext(std::uint32_t contributors,
-                              std::span<const std::uint8_t> ct) {
+/// The partial-sum section that ends a partial payload: the packed 'K'
+/// vector iff contributors > 0 (one canonical encoding per partial).
+void write_partial_sum(Writer& w, std::uint32_t contributors,
+                       const he::PackedEncryptedVector& ct) {
+  if ((contributors == 0) != (ct.ciphertext_count() == 0)) {
+    throw WireError(WireErrc::kBadPayload,
+                    "partial sum: contributor count and ciphertext disagree");
+  }
+  if (contributors > 0) w.bytes(he::serialize(ct));
+}
+
+he::PackedEncryptedVector read_partial_sum(Reader& r, std::uint32_t contributors) {
+  const auto ct = r.rest();
   if ((contributors == 0) != ct.empty()) {
     throw WireError(WireErrc::kBadPayload,
                     "partial sum: contributor count and ciphertext disagree");
   }
-  if (!ct.empty() && ct[0] != 'V' && ct[0] != 'K') {
-    throw WireError(WireErrc::kBadPayload, "partial sum: not an encrypted vector");
-  }
+  if (ct.empty()) return {};
+  return as_payload_error([&] { return he::deserialize_packed_encrypted_vector(ct); });
 }
 
 }  // namespace
@@ -519,13 +510,11 @@ ShardRoundBegin parse_shard_round_begin(const Frame& f) {
 }
 
 Frame make_partial_registry(const PartialRegistry& m) {
-  check_partial_ciphertext(m.contributors, m.ciphertext);
   Writer w;
-  w.reserve(12 + 18 * m.quarantined.size() + m.ciphertext.size());
   w.u32(m.shard_id);
   w.u32(m.contributors);
   write_quarantine_list(w, m.quarantined);
-  w.bytes(m.ciphertext);
+  write_partial_sum(w, m.contributors, m.ciphertext);
   return Frame{MsgType::kPartialRegistry, w.take()};
 }
 
@@ -536,9 +525,7 @@ PartialRegistry parse_partial_registry(const Frame& f) {
   m.shard_id = r.u32();
   m.contributors = r.u32();
   m.quarantined = read_quarantine_list(r);
-  const auto ct = r.rest();
-  m.ciphertext.assign(ct.begin(), ct.end());
-  check_partial_ciphertext(m.contributors, m.ciphertext);
+  m.ciphertext = read_partial_sum(r, m.contributors);
   return m;
 }
 
@@ -625,16 +612,14 @@ ShardTryBegin parse_shard_try_begin(const Frame& f) {
 }
 
 Frame make_partial_population(const PartialPopulation& m) {
-  check_partial_ciphertext(m.contributors, m.ciphertext);
   Writer w;
-  w.reserve(25 + 18 * m.quarantined.size() + m.ciphertext.size());
   w.u32(m.shard_id);
   w.u64(m.round);
   w.u32(m.try_index);
   w.u32(m.contributors);
   w.u8(m.failed ? 1 : 0);
   write_quarantine_list(w, m.quarantined);
-  w.bytes(m.ciphertext);
+  write_partial_sum(w, m.contributors, m.ciphertext);
   return Frame{MsgType::kPartialPopulation, w.take()};
 }
 
@@ -652,9 +637,7 @@ PartialPopulation parse_partial_population(const Frame& f) {
   }
   m.failed = failed == 1;
   m.quarantined = read_quarantine_list(r);
-  const auto ct = r.rest();
-  m.ciphertext.assign(ct.begin(), ct.end());
-  check_partial_ciphertext(m.contributors, m.ciphertext);
+  m.ciphertext = read_partial_sum(r, m.contributors);
   return m;
 }
 
@@ -709,7 +692,6 @@ Frame make_partial_update(const PartialUpdate& m) {
       for (const float x : e.weights) w.u32(std::bit_cast<std::uint32_t>(x));
     }
   } else {
-    check_partial_ciphertext(m.contributors, m.ciphertext);
     if (m.contributors == 0 && !m.plain_sums.empty()) {
       throw WireError(WireErrc::kBadPayload,
                       "partial update: plain sums without contributors");
@@ -717,7 +699,7 @@ Frame make_partial_update(const PartialUpdate& m) {
     w.u32(m.contributors);
     w.u32_size(m.plain_sums.size(), "plain sum count");
     for (const std::uint64_t v : m.plain_sums) w.u64(v);
-    w.bytes(m.ciphertext);
+    write_partial_sum(w, m.contributors, m.ciphertext);
   }
   return Frame{MsgType::kPartialUpdate, w.take()};
 }
@@ -767,9 +749,7 @@ PartialUpdate parse_partial_update(const Frame& f) {
     }
     m.plain_sums.reserve(pcount);
     for (std::size_t i = 0; i < pcount; ++i) m.plain_sums.push_back(r.u64());
-    const auto ct = r.rest();
-    m.ciphertext.assign(ct.begin(), ct.end());
-    check_partial_ciphertext(m.contributors, m.ciphertext);
+    m.ciphertext = read_partial_sum(r, m.contributors);
     if (m.contributors == 0 && !m.plain_sums.empty()) {
       throw WireError(WireErrc::kBadPayload,
                       "partial update: plain sums without contributors");
@@ -790,16 +770,13 @@ bool peek_u32(std::span<const std::uint8_t> p, std::size_t off, std::uint64_t& o
   return true;
 }
 
-/// Ciphertext bytes of a self-tagged 'V'/'K' encrypted-vector payload:
-/// total minus the tag/count header, the embedded public key ('P' + u32
-/// length + magnitude), and the per-ciphertext u32 length prefixes. 0 on
-/// any malformation.
+/// Ciphertext bytes of a packed encrypted-vector payload: total minus the
+/// 'K' header (tag, u32 logical, u32 slot_bits, u32 slots_per_pt, u32
+/// ct_count), the embedded public key ('P' + u32 length + magnitude), and
+/// the per-ciphertext u32 length prefixes. 0 on any malformation.
 std::uint64_t encrypted_vector_payload_bytes(std::span<const std::uint8_t> p) {
-  if (p.empty() || (p[0] != 'V' && p[0] != 'K')) return 0;
-  // 'V': tag, u32 slots, pk, slots x (u32 len + ct)
-  // 'K': tag, u32 logical, u32 slot_bits, u32 slots_per_pt, u32 ct_count,
-  //      pk, ct_count x (u32 len + ct)
-  const std::size_t count_off = (p[0] == 'V') ? 1 : 13;
+  if (p.empty() || p[0] != 'K') return 0;
+  const std::size_t count_off = 13;
   const std::size_t pk_off = count_off + 4;
   std::uint64_t count = 0;
   std::uint64_t n_len = 0;
@@ -833,7 +810,7 @@ std::size_t encrypted_payload_bytes(const Frame& f) {
           encrypted_vector_payload_bytes(p.subspan(static_cast<std::size_t>(prefix))));
     }
     case MsgType::kPartialRegistry: {
-      // shard_id, contributors, quarantine list, then the 'V'/'K' vector.
+      // shard_id, contributors, quarantine list, then the 'K' vector.
       const std::span<const std::uint8_t> p = f.payload;
       std::uint64_t qcount = 0;
       if (!peek_u32(p, 8, qcount)) return 0;
@@ -844,7 +821,7 @@ std::size_t encrypted_payload_bytes(const Frame& f) {
     }
     case MsgType::kPartialPopulation: {
       // shard_id, round, try_index, contributors, failed byte, quarantine
-      // list, then the 'V'/'K' vector.
+      // list, then the 'K' vector.
       const std::span<const std::uint8_t> p = f.payload;
       std::uint64_t qcount = 0;
       if (!peek_u32(p, 21, qcount)) return 0;

@@ -7,7 +7,6 @@
 #include "fl/channel.hpp"
 #include "net/sizes.hpp"
 #include "net/wire.hpp"
-#include "paillier/encrypted_vector.hpp"
 #include "paillier/packing.hpp"
 
 namespace dubhe::net {
@@ -102,12 +101,10 @@ Frame make_participation(const Participation& m);
 Participation parse_participation(const Frame& f);
 
 /// Encrypted-vector payloads (registry upload/broadcast, distribution
-/// upload) carry the paillier wire form, which is self-tagged: 'V' for
-/// EncryptedVector, 'K' for PackedEncryptedVector.
-Frame make_encrypted_vector(MsgType type, const he::EncryptedVector& v);
+/// upload) carry the packed paillier wire form ('K'-tagged
+/// PackedEncryptedVector). The per-slot 'V' form was retired in wire v6: a
+/// 'V' payload is a typed kBadPayload like any other malformation.
 Frame make_encrypted_vector(MsgType type, const he::PackedEncryptedVector& v);
-[[nodiscard]] bool payload_is_packed(const Frame& f);
-he::EncryptedVector parse_encrypted_vector(const Frame& f, MsgType expected);
 he::PackedEncryptedVector parse_packed_encrypted_vector(const Frame& f, MsgType expected);
 
 Frame make_weights(MsgType type, const WeightsMsg& m);  // kModelDown / kModelUpdate
@@ -142,10 +139,12 @@ Frame make_shutdown();
 /// first_client + num_clients) of a cohort of total_clients, split across
 /// num_shards shards. Partial messages carry the shard's quarantine records
 /// since its previous report (so churn reaches the root transcript intact)
-/// and, where ciphertext flows, the shard's homomorphic partial sum in the
-/// paillier wire form ('V'/'K' self-tagged bytes) — the root validates it
-/// against the session key and geometry before it joins the global sum,
-/// exactly as the flat aggregator validates a client upload.
+/// and, where ciphertext flows, the shard's homomorphic partial sum — on
+/// the wire in the packed 'K' form, present iff contributors > 0 (one
+/// canonical encoding per partial). The root validates it against the
+/// session key and geometry before it joins the global sum, exactly as a
+/// cohort validates a client upload. The partials are also the replies of
+/// the aggregator engine's children (net/engine.hpp), in or out of process.
 
 struct ShardHello {
   std::uint32_t shard_id = 0;
@@ -165,15 +164,13 @@ struct ShardRoundBegin {
 };
 
 /// Partial registry sum: `contributors` clients' validated uploads summed
-/// homomorphically shard-side. `ciphertext` is empty iff contributors == 0
-/// (a canonical-encoding rule the parser enforces).
+/// homomorphically shard-side. `ciphertext` holds no ciphertexts iff
+/// contributors == 0 (a canonical-encoding rule both codec ends enforce).
 struct PartialRegistry {
   std::uint32_t shard_id = 0;
   std::uint32_t contributors = 0;
   std::vector<QuarantineRecord> quarantined;
-  std::vector<std::uint8_t> ciphertext;  // 'V'/'K' paillier wire form
-
-  bool operator==(const PartialRegistry&) const = default;
+  he::PackedEncryptedVector ciphertext;
 };
 
 /// The shard's surviving clients' validated participation draws for one
@@ -211,9 +208,7 @@ struct PartialPopulation {
   std::uint32_t contributors = 0;
   bool failed = false;
   std::vector<QuarantineRecord> quarantined;
-  std::vector<std::uint8_t> ciphertext;  // empty iff contributors == 0
-
-  bool operator==(const PartialPopulation&) const = default;
+  he::PackedEncryptedVector ciphertext;  // no ciphertexts iff contributors == 0
 };
 
 /// Update phase for a shard: its recipients (global selection order) and
@@ -253,9 +248,7 @@ struct PartialUpdate {
   std::vector<ShardUpdateEntry> updates;   // mode 0
   std::uint32_t contributors = 0;          // mode 1
   std::vector<std::uint64_t> plain_sums;   // mode 1, ascending plan order
-  std::vector<std::uint8_t> ciphertext;    // mode 1, empty iff contributors == 0
-
-  bool operator==(const PartialUpdate&) const = default;
+  he::PackedEncryptedVector ciphertext;    // mode 1, none iff contributors == 0
 };
 
 Frame make_shard_hello(const ShardHello& m);
@@ -283,7 +276,7 @@ Frame make_partial_update(const PartialUpdate& m);
 PartialUpdate parse_partial_update(const Frame& f);
 
 /// Ciphertext-material bytes inside a frame's payload: the raw Paillier
-/// ciphertext bytes of a 'V'/'K' encrypted-vector payload or of the packed
+/// ciphertext bytes of a packed encrypted-vector payload or of the packed
 /// section of a kModelUpdateSparse payload — excluding framing, length
 /// prefixes, bitmaps, plaintext values, and public-key echoes. Never
 /// throws: returns 0 for messages that carry no ciphertext and for

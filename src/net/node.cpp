@@ -1,23 +1,21 @@
 #include "net/node.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "core/multitime.hpp"
 #include "core/parallel.hpp"
-#include "core/telemetry.hpp"
 #include "core/registration.hpp"
 #include "core/selection.hpp"
 #include "core/selective.hpp"
 #include "fl/client.hpp"
 #include "fl/server.hpp"
 #include "net/codec.hpp"
-#include "net/cohort.hpp"
+#include "net/engine.hpp"
 #include "net/tcp.hpp"
 #include "stats/rng.hpp"
 
@@ -25,33 +23,23 @@ namespace dubhe::net {
 
 namespace {
 
-// The cohort/quarantine machinery, upload validation, and sparse-update
-// plans are shared with the tree drivers (net/shard.cpp) via net/cohort.hpp.
 using detail::check_encrypted;
 using detail::check_session_params;
 using detail::fill_from_outcome;
-using detail::kSetup;
-using detail::kUnknown;
-using detail::phase_hist;
-using detail::RestartRound;
-using detail::ServerCohort;
+using detail::resolve_try;
 using detail::sparse_plan;
 using detail::SparseUpdatePlan;
 
 /// Client-side encryption of one upload (registry one-hot or quantized
-/// distribution) under the session's packing mode, seeded from the server's
-/// request — the same stream derivation the in-process session uses. The
-/// client holds the private key (§5.1), so it takes the key-holder CRT path:
-/// byte-identical ciphertexts to the session's public-key reference path.
-Frame encrypt_upload(MsgType type, const he::PrivateKey& prv, const SessionParams& p,
+/// distribution) as a packed vector, seeded from the server's request — the
+/// same stream derivation the in-process session uses. The client holds the
+/// private key (§5.1), so it takes the key-holder CRT path: byte-identical
+/// ciphertexts to the session's public-key reference path.
+Frame encrypt_upload(MsgType type, const he::PrivateKey& prv, const he::PackedCodec& packed,
                      std::span<const std::uint64_t> values, std::uint64_t seed) {
   bigint::Xoshiro256ss rng(seed);
-  if (p.secure.use_packing) {
-    const he::PackedCodec packed(p.secure.key_bits - 1, p.secure.packing_slot_bits);
-    return make_encrypted_vector(type,
-                                 he::PackedEncryptedVector::encrypt(prv, packed, values, rng));
-  }
-  return make_encrypted_vector(type, he::EncryptedVector::encrypt(prv, values, rng));
+  return make_encrypted_vector(type,
+                               he::PackedEncryptedVector::encrypt(prv, packed, values, rng));
 }
 
 /// Client half: split a quantized update along the plan's mask, encrypt
@@ -88,458 +76,6 @@ std::vector<std::uint8_t> proactive_draws(std::uint64_t session_seed, std::uint6
   std::vector<std::uint8_t> draws(H, 0);
   for (std::size_t h = 0; h < H; ++h) draws[h] = rng.bernoulli(probability) ? 1 : 0;
   return draws;
-}
-
-/// Server half of one tentative try: transpose the clients' per-round draw
-/// bits for try h and resolve them to exactly K with the replenish stream.
-/// Both execution modes call this one helper — the byte-identical-transcript
-/// contract depends on them consuming the stream identically.
-std::vector<std::size_t> resolve_try(const std::vector<std::vector<std::uint8_t>>& draws,
-                                     std::size_t h, std::size_t K, stats::Rng& rng) {
-  std::vector<std::uint8_t> bits(draws.size(), 0);
-  for (std::size_t k = 0; k < draws.size(); ++k) bits[k] = draws[k][h];
-  return core::resolve_participation(bits, K, rng);
-}
-
-SessionTranscript server_session_impl(std::span<const std::shared_ptr<Transport>> links,
-                                      const data::FederatedDataset& dataset,
-                                      const nn::Sequential& prototype,
-                                      const SessionParams& params,
-                                      fl::ChannelAccountant& acct) {
-  const std::size_t N = links.size();
-  const core::RegistryCodec codec(params.num_classes, params.reference_set);
-  const SessionTimeouts& to = params.timeouts;
-
-  bigint::Xoshiro256ss he_rng(params.he_seed);
-  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng,
-                                       nullptr);
-
-  SessionTranscript t;
-  ServerCohort cohort(N, t.quarantined);
-
-  if (telemetry::enabled()) {
-    // Pre-register every quarantine series so a scrape always exposes the
-    // family (zero-valued until an event) — dashboards and the smoke test's
-    // mid-session grep must not depend on a fault having fired yet.
-    for (const auto reason :
-         {QuarantineReason::kTimeout, QuarantineReason::kDisconnect,
-          QuarantineReason::kBadFrame, QuarantineReason::kBadCiphertext,
-          QuarantineReason::kBadParticipation, QuarantineReason::kReplay}) {
-      telemetry::counter("dubhe_quarantine_total{reason=\"" + to_string(reason) + "\"}");
-    }
-  }
-
-  // --- hello: bind links to client ids. A link that cannot produce a valid
-  // hello has no id yet, so its record carries kUnknownClient; the link is
-  // closed and never joins the cohort.
-  {
-  telemetry::Span hello_span("phase:hello", &phase_hist(SessionPhase::kHello));
-  for (const auto& link : links) {
-    try {
-      auto frame = link->receive(to.registration);
-      QuarantineReason bad = QuarantineReason::kBadFrame;
-      if (!frame) {
-        bad = QuarantineReason::kDisconnect;
-      } else if (frame->seq != 0) {
-        bad = QuarantineReason::kReplay;
-      } else if (frame->type == MsgType::kClientHello) {
-        const ClientHello hello = parse_client_hello(*frame);
-        if (hello.protocol == kWireVersion && hello.client_id < N &&
-            !cohort.alive(hello.client_id)) {
-          cohort.bind(hello.client_id, link);
-          continue;
-        }
-      }
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, bad);
-    } catch (const TransportTimeout&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, QuarantineReason::kTimeout);
-    } catch (const TransportError&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello,
-                        QuarantineReason::kDisconnect);
-    } catch (const WireError&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, QuarantineReason::kBadFrame);
-    }
-  }
-  for (std::size_t id = 0; id < N; ++id) {
-    cohort.send(id,
-                make_server_hello({session.session_seed(), static_cast<std::uint32_t>(N),
-                                   static_cast<std::uint32_t>(id)}),
-                kSetup, SessionPhase::kHello);
-  }
-  }
-
-  // --- §5.1 (once per connection): key dispatch + registration. -------------
-  const he::PackedCodec session_packed(params.secure.key_bits - 1,
-                                       params.secure.packing_slot_bits);
-  {
-  telemetry::Span reg_span("phase:registration",
-                           &phase_hist(SessionPhase::kRegistration));
-  const Frame key_frame =
-      make_key_material({session.keypair().pub, session.keypair().prv});
-  for (std::size_t id = 0; id < N; ++id) {
-    cohort.send(id, key_frame, kSetup, SessionPhase::kRegistration);
-  }
-  for (std::size_t id = 0; id < N; ++id) {
-    cohort.send(id,
-                make_seed_request(MsgType::kRegistrationRequest,
-                                  {session.registration_seed(id), 0}),
-                kSetup, SessionPhase::kRegistration);
-  }
-
-  std::vector<he::EncryptedVector> uploads;
-  std::vector<he::PackedEncryptedVector> packed_uploads;
-  for (std::size_t id = 0; id < N; ++id) {
-    // Only the ciphertext crosses the wire: the plaintext registration entry
-    // stays on the client (the retired kRegistrationInfo shortcut used to
-    // ship it here), so this aggregator never learns any client's category.
-    // An upload that does not parse is a framing failure; one that parses
-    // but does not match the session (key, shape, packing geometry) is a
-    // ciphertext failure.
-    auto up = cohort.recv(id, MsgType::kRegistryUpload, to.registration, kSetup,
-                          SessionPhase::kRegistration);
-    if (!up) continue;
-    bool mode_ok = false;
-    try {
-      mode_ok = payload_is_packed(*up) == params.secure.use_packing;
-    } catch (const WireError&) {
-      // not an encrypted-vector payload at all — still a ciphertext problem
-    }
-    if (!mode_ok) {
-      cohort.quarantine(id, kSetup, SessionPhase::kRegistration,
-                        QuarantineReason::kBadCiphertext);
-      continue;
-    }
-    bool parsed = false;
-    try {
-      if (params.secure.use_packing) {
-        auto v = parse_packed_encrypted_vector(*up, MsgType::kRegistryUpload);
-        parsed = true;
-        check_encrypted(v, session.public_key(), codec.length(), session_packed);
-        packed_uploads.push_back(std::move(v));
-      } else {
-        auto v = parse_encrypted_vector(*up, MsgType::kRegistryUpload);
-        parsed = true;
-        check_encrypted(v, session.public_key(), codec.length());
-        uploads.push_back(std::move(v));
-      }
-    } catch (const WireError&) {
-      cohort.quarantine(id, kSetup, SessionPhase::kRegistration,
-                        parsed ? QuarantineReason::kBadCiphertext
-                               : QuarantineReason::kBadFrame);
-    }
-  }
-  if (packed_uploads.empty() && uploads.empty()) {
-    throw TransportError("run_server_session: every client was quarantined during setup");
-  }
-  // The server only ever adds ciphertexts; the agent (co-located here)
-  // decrypts the sum, and every surviving client receives the encrypted sum
-  // broadcast (and decrypts it itself — that is what its proactive draws
-  // feed on). The registry is the survivors' registry: a quarantined client
-  // contributes nothing.
-  if (params.secure.use_packing) {
-    he::PackedEncryptedVector sum = packed_uploads[0];
-    for (std::size_t k = 1; k < packed_uploads.size(); ++k) sum += packed_uploads[k];
-    const Frame bcast = make_encrypted_vector(MsgType::kRegistryBroadcast, sum);
-    for (std::size_t id = 0; id < N; ++id) {
-      cohort.send(id, bcast, kSetup, SessionPhase::kRegistration);
-    }
-    t.overall_registry = session.reduce_registry({&sum, 1});
-  } else {
-    he::EncryptedVector sum = uploads[0];
-    for (std::size_t k = 1; k < uploads.size(); ++k) sum += uploads[k];
-    const Frame bcast = make_encrypted_vector(MsgType::kRegistryBroadcast, sum);
-    for (std::size_t id = 0; id < N; ++id) {
-      cohort.send(id, bcast, kSetup, SessionPhase::kRegistration);
-    }
-    t.overall_registry = session.reduce_registry({&sum, 1});
-  }
-  }
-  t.setup_ledger = acct.snapshot();
-
-  // --- the per-round loop over the same persistent connections. -------------
-  fl::Server server(prototype);
-  stats::Rng sel_rng(params.select_seed);
-  t.rounds.reserve(params.rounds);
-  for (std::size_t r = 0; r < params.rounds; ++r) {
-    const fl::ChannelLedger before = acct.snapshot();
-    const std::size_t qmark = t.quarantined.size();
-    RoundRecord rec;
-
-    // Round begin + the clients' own participation draws. The server never
-    // computes an Eq. 6 probability — it only resolves the volunteered bits
-    // to exactly K with its replenish stream (§5.2 server half).
-    std::vector<std::vector<std::uint8_t>> draws(N);
-    {
-    telemetry::Span part_span("phase:participation",
-                              &phase_hist(SessionPhase::kParticipation));
-    for (std::size_t id = 0; id < N; ++id) {
-      cohort.send(id, make_round_begin({static_cast<std::uint64_t>(r)}), r,
-                  SessionPhase::kParticipation);
-    }
-    for (std::size_t id = 0; id < N; ++id) {
-      if (!cohort.alive(id)) continue;
-      auto f = cohort.recv(id, MsgType::kParticipation, to.upload, r,
-                           SessionPhase::kParticipation);
-      if (!f) continue;
-      Participation part;
-      try {
-        part = parse_participation(*f);
-      } catch (const WireError&) {
-        cohort.quarantine(id, r, SessionPhase::kParticipation,
-                          QuarantineReason::kBadFrame);
-        continue;
-      }
-      // Parsable frame but nonsensical volunteering — wrong (client, round)
-      // binding, wrong try count, or non-bit draws — is its own category.
-      bool ok = part.client_id == id && part.round == r && part.draws.size() == params.H;
-      for (const std::uint8_t d : part.draws) ok = ok && d <= 1;
-      if (!ok) {
-        cohort.quarantine(id, r, SessionPhase::kParticipation,
-                          QuarantineReason::kBadParticipation);
-        continue;
-      }
-      draws[id] = std::move(part.draws);
-    }
-    }
-
-    // --- §5.3: multi-time determination with per-try encrypted aggregation.
-    // A selected client that fails its sweep costs the whole determination:
-    // the sweep finishes first (every surviving response consumed, queues
-    // balanced), the offender is already quarantined, and the determination
-    // re-runs over the survivors with K capped at the cohort that is left.
-    {
-    telemetry::Span dist_span("phase:distribution",
-                              &phase_hist(SessionPhase::kDistribution));
-    for (;;) {
-      const std::vector<std::size_t> ids = cohort.alive_ids();
-      if (ids.empty()) {
-        throw TransportError("run_server_session: every client was quarantined by round " +
-                             std::to_string(r));
-      }
-      const std::size_t Keff = std::min(params.K, ids.size());
-      try {
-        fill_from_outcome(
-            rec,
-            core::multi_time_select(
-                params.num_classes, params.H,
-                [&](std::size_t h) {
-                  // The survivors' volunteered bits, resolved to exactly
-                  // Keff; positions map back to real client ids.
-                  std::vector<std::uint8_t> bits(ids.size(), 0);
-                  for (std::size_t i = 0; i < ids.size(); ++i) bits[i] = draws[ids[i]][h];
-                  std::vector<std::size_t> sel =
-                      core::resolve_participation(bits, Keff, sel_rng);
-                  for (std::size_t& s : sel) s = ids[s];
-                  return sel;
-                },
-                [&](std::size_t h, std::span<const std::size_t> sel) {
-                  const std::size_t try_slot = r * params.H + h;
-                  bool failed = false;
-                  for (const std::size_t k : sel) {
-                    if (!cohort.send(k,
-                                     make_seed_request(
-                                         MsgType::kDistributionRequest,
-                                         {session.distribution_seed(try_slot, k),
-                                          static_cast<std::uint32_t>(h)}),
-                                     r, SessionPhase::kDistribution)) {
-                      failed = true;
-                    }
-                  }
-                  std::vector<he::PackedEncryptedVector> packed_ups;
-                  std::vector<he::EncryptedVector> plain_ups;
-                  for (const std::size_t k : sel) {
-                    auto up = cohort.recv(k, MsgType::kDistributionUpload, to.upload, r,
-                                          SessionPhase::kDistribution);
-                    if (!up) {
-                      failed = true;
-                      continue;
-                    }
-                    bool mode_ok = false;
-                    try {
-                      mode_ok = payload_is_packed(*up) == params.secure.use_packing;
-                    } catch (const WireError&) {
-                    }
-                    if (!mode_ok) {
-                      cohort.quarantine(k, r, SessionPhase::kDistribution,
-                                        QuarantineReason::kBadCiphertext);
-                      failed = true;
-                      continue;
-                    }
-                    bool parsed = false;
-                    try {
-                      if (params.secure.use_packing) {
-                        auto v = parse_packed_encrypted_vector(*up,
-                                                               MsgType::kDistributionUpload);
-                        parsed = true;
-                        check_encrypted(v, session.public_key(), params.num_classes,
-                                        session_packed);
-                        packed_ups.push_back(std::move(v));
-                      } else {
-                        auto v = parse_encrypted_vector(*up, MsgType::kDistributionUpload);
-                        parsed = true;
-                        check_encrypted(v, session.public_key(), params.num_classes);
-                        plain_ups.push_back(std::move(v));
-                      }
-                    } catch (const WireError&) {
-                      cohort.quarantine(k, r, SessionPhase::kDistribution,
-                                        parsed ? QuarantineReason::kBadCiphertext
-                                               : QuarantineReason::kBadFrame);
-                      failed = true;
-                    }
-                  }
-                  if (failed) throw RestartRound{};
-                  if (params.secure.use_packing) return session.reduce_population(packed_ups);
-                  return session.reduce_population(plain_ups);
-                }));
-        break;
-      } catch (const RestartRound&) {
-        rec = RoundRecord{};
-      }
-    }
-    }
-
-    // --- training round over the winning set (FedAvg over what arrives). ----
-    {
-    telemetry::Span upd_span("phase:update", &phase_hist(SessionPhase::kUpdate));
-    const std::uint64_t round_seed = stats::derive_seed(params.round_seed, r);
-    const std::vector<float>& global = server.global_weights();
-    std::vector<std::size_t> recipients;
-    recipients.reserve(rec.selected.size());
-    for (const std::size_t k : rec.selected) {
-      if (cohort.send(k,
-                      make_weights(MsgType::kModelDown,
-                                   {stats::derive_seed(round_seed, k + 1), global}),
-                      r, SessionPhase::kUpdate)) {
-        recipients.push_back(k);
-      }
-    }
-    if (params.secure.update_he_rate > 0.0) {
-      // Wire v3 selective encryption: each participant ships a
-      // kModelUpdateSparse — quantized, top-k coordinates packed into
-      // ciphertexts, the rest plaintext. The server homomorphically sums
-      // the encrypted portions (it never sees a top-k coordinate in the
-      // clear), plain-sums the rest, and the agent decrypts only the
-      // aggregate before the FedAvg merge — which reweights over the m
-      // updates that actually arrived. If none did, the round keeps the
-      // previous global model.
-      const SparseUpdatePlan plan = sparse_plan(global, params.secure, N);
-      const auto qb = static_cast<std::uint8_t>(params.secure.update_quant_bits);
-      std::size_t m = 0;
-      std::vector<std::uint64_t> sums(plan.n, 0);
-      he::PackedEncryptedVector enc_sum;
-      for (const std::size_t k : recipients) {
-        auto f = cohort.recv(k, MsgType::kModelUpdateSparse, to.update, r,
-                             SessionPhase::kUpdate);
-        if (!f) continue;
-        ModelUpdateSparse up;
-        try {
-          up = parse_model_update_sparse(*f);
-        } catch (const WireError&) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-          continue;
-        }
-        if (up.client_id != k) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-          continue;
-        }
-        if (up.total_count != plan.n || up.quant_bits != qb || up.bitmap != plan.bitmap) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate,
-                            QuarantineReason::kBadCiphertext);
-          continue;
-        }
-        bool shape_ok = true;
-        try {
-          check_encrypted(up.encrypted, session.public_key(), plan.k, plan.codec);
-        } catch (const WireError&) {
-          shape_ok = false;
-        }
-        if (!shape_ok) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate, QuarantineReason::kBadCiphertext);
-          continue;
-        }
-        for (std::size_t j = 0; j < plan.plain_idx.size(); ++j) {
-          sums[plan.plain_idx[j]] += up.plain_values[j];
-        }
-        if (m == 0) {
-          enc_sum = std::move(up.encrypted);
-        } else {
-          enc_sum += up.encrypted;
-        }
-        ++m;
-      }
-      if (m > 0) {
-        const std::vector<std::uint64_t> enc_sums = session.reduce_registry({&enc_sum, 1});
-        for (std::size_t j = 0; j < plan.k; ++j) sums[plan.mask[j]] = enc_sums[j];
-        static telemetry::Histogram& fedavg_hist =
-            telemetry::histogram("dubhe_fedavg_seconds");
-        telemetry::ScopedTimer fedavg_timer(fedavg_hist);
-        server.set_global_weights(core::merge_quantized_updates(
-            global, sums, m, params.secure.update_quant_bits,
-            params.secure.update_quant_scale));
-      }
-    } else {
-      std::vector<std::vector<float>> updates;
-      updates.reserve(recipients.size());
-      for (const std::size_t k : recipients) {
-        auto f = cohort.recv(k, MsgType::kModelUpdate, to.update, r, SessionPhase::kUpdate);
-        if (!f) continue;
-        WeightsMsg up;
-        try {
-          up = parse_weights(*f, MsgType::kModelUpdate);
-        } catch (const WireError&) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-          continue;
-        }
-        if (up.seed != k) {
-          cohort.quarantine(k, r, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-          continue;
-        }
-        updates.push_back(std::move(up.weights));
-      }
-      if (!updates.empty()) {
-        static telemetry::Histogram& fedavg_hist =
-            telemetry::histogram("dubhe_fedavg_seconds");
-        telemetry::ScopedTimer fedavg_timer(fedavg_hist);
-        server.aggregate(updates);
-      }
-    }
-    }
-    rec.global_weights = server.global_weights();
-    if (params.evaluate) rec.accuracy = server.evaluate(dataset);
-    for (std::size_t i = qmark; i < t.quarantined.size(); ++i) {
-      rec.dropped.push_back(t.quarantined[i].client_id);
-    }
-    std::sort(rec.dropped.begin(), rec.dropped.end());
-    rec.ledger = fl::ledger_delta(acct.snapshot(), before);
-    t.rounds.push_back(std::move(rec));
-    static telemetry::Counter& rounds_total = telemetry::counter("dubhe_rounds_total");
-    rounds_total.inc();
-  }
-
-  // --- shutdown: every surviving client acknowledges by closing; the drain
-  // deadline is the zombie guard (a peer that never acknowledges gets a
-  // typed record and a closed link instead of wedging teardown).
-  {
-    telemetry::Span drain_span("phase:drain", &phase_hist(SessionPhase::kShutdown));
-    for (std::size_t id = 0; id < N; ++id) {
-      cohort.send(id, make_shutdown(), kSetup, SessionPhase::kShutdown);
-    }
-    for (std::size_t id = 0; id < N; ++id) cohort.shutdown_drain(id, to.drain);
-  }
-
-  // Hello order (and with it record order) can depend on TCP accept order;
-  // the canonical sort makes the quarantine list — and the transcript —
-  // transport-independent for a given fault plan.
-  std::sort(t.quarantined.begin(), t.quarantined.end(),
-            [](const QuarantineRecord& a, const QuarantineRecord& b) {
-              return std::tie(a.client_id, a.round, a.phase, a.reason) <
-                     std::tie(b.client_id, b.round, b.phase, b.reason);
-            });
-  return t;
 }
 
 }  // namespace
@@ -640,27 +176,17 @@ SessionTranscript run_server_session(std::span<const std::shared_ptr<Transport>>
   if (N != dataset.num_clients()) {
     throw std::invalid_argument("run_server_session: one link per dataset client required");
   }
-  check_session_params(params, N);
-
-  // Accounting lives on the transports (exact frame sizes, aggregator
-  // perspective). A session-local accountant is always attached so the
-  // transcript's per-round ledgers exist even without a caller channel; it
-  // is merged into `channel` at the end and detached on every exit path
-  // (the links may outlive this call).
-  fl::ChannelAccountant acct;
-  for (const auto& link : links) {
-    link->set_accountant(&acct, fl::Direction::kServerToClient);
-  }
-  SessionTranscript t;
-  try {
-    t = server_session_impl(links, dataset, prototype, params, acct);
-  } catch (...) {
-    for (const auto& link : links) link->set_accountant(nullptr, fl::Direction::kServerToClient);
-    throw;
-  }
-  for (const auto& link : links) link->set_accountant(nullptr, fl::Direction::kServerToClient);
-  if (channel != nullptr) channel->add(acct.snapshot());
-  return t;
+  // The flat server is the engine over one cohort child owning every client.
+  return detail::run_engine(
+      links,
+      [&](std::uint64_t session_seed) {
+        auto cohort = std::make_unique<detail::CohortChild>(0, ShardRange{0, N}, N, params);
+        cohort->hello(links, session_seed);
+        std::vector<std::unique_ptr<detail::Child>> children;
+        children.push_back(std::move(cohort));
+        return children;
+      },
+      dataset, prototype, params, channel);
 }
 
 void serve_client(Transport& link, std::size_t client_id,
@@ -740,7 +266,7 @@ void serve_client(Transport& link, std::size_t client_id,
       case MsgType::kRegistrationRequest: {
         if (!have_key) throw TransportError("serve_client: registration before keys");
         const SeedRequest req = parse_seed_request(*frame, MsgType::kRegistrationRequest);
-        send(encrypt_upload(MsgType::kRegistryUpload, keys.prv, params,
+        send(encrypt_upload(MsgType::kRegistryUpload, keys.prv, session_packed,
                             core::to_onehot(codec, reg), req.seed));
         break;
       }
@@ -748,20 +274,10 @@ void serve_client(Transport& link, std::size_t client_id,
         // R_A arrives encrypted; this cohort member decrypts it and derives
         // its own Eq. 6 participation probability — the client half of §5.2.
         if (!have_key) throw TransportError("serve_client: broadcast before keys");
-        std::vector<std::uint64_t> overall;
-        if (payload_is_packed(*frame) != params.secure.use_packing) {
-          throw WireError(WireErrc::kBadPayload, "packing mode mismatch");
-        }
-        if (params.secure.use_packing) {
-          const auto v = parse_packed_encrypted_vector(*frame, MsgType::kRegistryBroadcast);
-          check_encrypted(v, keys.pub, codec.length(), session_packed);
-          overall = v.decrypt(keys.prv);
-        } else {
-          const auto v = parse_encrypted_vector(*frame, MsgType::kRegistryBroadcast);
-          check_encrypted(v, keys.pub, codec.length());
-          overall = v.decrypt(keys.prv);
-        }
-        probability = core::proactive_probability(overall, reg.category_index, params.K);
+        const auto v = parse_packed_encrypted_vector(*frame, MsgType::kRegistryBroadcast);
+        check_encrypted(v, keys.pub, codec.length(), session_packed);
+        probability =
+            core::proactive_probability(v.decrypt(keys.prv), reg.category_index, params.K);
         have_registry = true;
         break;
       }
@@ -785,7 +301,7 @@ void serve_client(Transport& link, std::size_t client_id,
         if (!have_key) throw TransportError("serve_client: distribution before keys");
         const SeedRequest req = parse_seed_request(*frame, MsgType::kDistributionRequest);
         send(encrypt_upload(
-            MsgType::kDistributionUpload, keys.prv, params,
+            MsgType::kDistributionUpload, keys.prv, session_packed,
             core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
         break;
       }
@@ -863,6 +379,8 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
   fl::FederatedTrainer trainer(dataset, prototype, params.train, params.train_threads,
                                &acct);
   stats::Rng sel_rng(params.select_seed);
+  std::vector<std::size_t> everyone(N);
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
   t.rounds.reserve(params.rounds);
   for (std::size_t r = 0; r < params.rounds; ++r) {
     const fl::ChannelLedger before = acct.snapshot();
@@ -873,7 +391,9 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
     }
     fill_from_outcome(rec, core::multi_time_select(
                                params.num_classes, params.H,
-                               [&](std::size_t h) { return resolve_try(draws, h, params.K, sel_rng); },
+                               [&](std::size_t h) {
+                                 return resolve_try(draws, everyone, h, params.K, sel_rng);
+                               },
                                [&](std::size_t, std::span<const std::size_t> sel) {
                                  return session.aggregate_population(dists, sel);
                                }));

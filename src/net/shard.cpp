@@ -4,53 +4,18 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
-#include "core/multitime.hpp"
-#include "core/selection.hpp"
-#include "core/selective.hpp"
 #include "core/telemetry.hpp"
-#include "fl/server.hpp"
 #include "net/codec.hpp"
-#include "net/cohort.hpp"
+#include "net/engine.hpp"
 #include "net/tcp.hpp"
-#include "stats/rng.hpp"
 
 namespace dubhe::net {
 
 namespace {
 
-using detail::check_encrypted;
-using detail::check_session_params;
-using detail::fill_from_outcome;
 using detail::kSetup;
-using detail::kUnknown;
-using detail::phase_hist;
-using detail::RestartRound;
-using detail::ServerCohort;
-using detail::sparse_plan;
-using detail::SparseUpdatePlan;
-
-/// The partial-sum ciphertext fields of the shard-plane payloads hold the
-/// self-tagged 'V'/'K' encrypted-vector wire form — exactly the payload of
-/// a make_encrypted_vector frame, so the existing codec does the byte work.
-std::vector<std::uint8_t> vector_bytes(const he::EncryptedVector& v) {
-  return std::move(make_encrypted_vector(MsgType::kRegistryUpload, v).payload);
-}
-
-std::vector<std::uint8_t> vector_bytes(const he::PackedEncryptedVector& v) {
-  return std::move(make_encrypted_vector(MsgType::kRegistryUpload, v).payload);
-}
-
-he::EncryptedVector parse_vector_bytes(std::vector<std::uint8_t> bytes) {
-  const Frame f{MsgType::kRegistryUpload, std::move(bytes)};
-  return parse_encrypted_vector(f, MsgType::kRegistryUpload);
-}
-
-he::PackedEncryptedVector parse_packed_bytes(std::vector<std::uint8_t> bytes) {
-  const Frame f{MsgType::kRegistryUpload, std::move(bytes)};
-  return parse_packed_encrypted_vector(f, MsgType::kRegistryUpload);
-}
+using detail::UpdateRequest;
 
 /// Counts every partial result a shard ships upward, labelled by message.
 void count_partial(const char* label) {
@@ -59,92 +24,132 @@ void count_partial(const char* label) {
       .inc();
 }
 
-/// Root's view of one bound shard link. The discipline differs from
-/// ServerCohort on purpose: shards are infrastructure, so every failure —
-/// timeout, sequence violation, unexpected type, malformed partial — is a
-/// fatal TransportError, never a quarantine.
-struct ShardLink {
-  std::shared_ptr<Transport> t;
-  ShardRange range;
-  std::uint16_t send_seq = 0;
-  std::uint16_t recv_seq = 1;  // the shard hello (seq 0) was already consumed
+/// A shard aggregator one link away: the root's child. Each post encodes
+/// the request as its shard-plane frame; each take receives, parses and
+/// checks the partial answering it. Shards are infrastructure, so every
+/// failure — timeout, sequence violation, unexpected type, a malformed or
+/// mislabelled partial — is a fatal TransportError, never a quarantine.
+class RemoteShard final : public detail::Child {
+ public:
+  RemoteShard(std::shared_ptr<Transport> t, std::uint32_t id, ShardRange range,
+              const SessionParams& params)
+      : Child(range), t_(std::move(t)), id_(id), params_(params) {}
 
   void send(Frame f) {
-    f.seq = send_seq++;
-    t->send(f);
+    f.seq = send_seq_++;
+    t_->send(f);
   }
 
+  void post(const KeyMaterial& keys) override {
+    expect(kSetup, params_.timeouts.registration);
+    send(make_key_material(keys));
+  }
+  void post(const Frame& broadcast) override {
+    expect(kSetup, params_.timeouts.registration);
+    send(broadcast);
+  }
+  void post(const ShardRoundBegin& begin) override {
+    expect(begin.round, params_.timeouts.upload);
+    send(make_shard_round_begin(begin));
+  }
+  void post(const ShardTryBegin& begin) override {
+    expect(begin.round, params_.timeouts.upload);
+    try_index_ = begin.try_index;
+    send(make_shard_try_begin(begin));
+  }
+  void post(const UpdateRequest& update) override {
+    expect(update.round, params_.timeouts.update);
+    send(make_shard_update_begin(
+        {update.round, update.recipients, {update.weights.begin(), update.weights.end()}}));
+  }
+  void post_shutdown() override {
+    expect(kSetup, params_.timeouts.update);
+    draining_ = true;
+    send(make_shutdown());
+  }
+
+  PartialRegistry take_registry() override {
+    PartialRegistry m = take(MsgType::kPartialRegistry, parse_partial_registry);
+    check(m.shard_id == id_, "partial registry from the wrong shard");
+    return m;
+  }
+  PartialParticipation take_participation() override {
+    PartialParticipation m = take(MsgType::kPartialParticipation, parse_partial_participation);
+    check(m.shard_id == id_ && m.round == round_, "partial participation for the wrong round");
+    for (const Participation& e : m.entries) {
+      check(owns(e.client_id) && e.draws.size() == params_.H, "invalid participation entry");
+    }
+    if (draining_) t_->close();
+    return m;
+  }
+  PartialPopulation take_population() override {
+    PartialPopulation m = take(MsgType::kPartialPopulation, parse_partial_population);
+    check(m.shard_id == id_ && m.round == round_ && m.try_index == try_index_,
+          "partial population for the wrong try");
+    return m;
+  }
+  PartialUpdate take_update() override {
+    PartialUpdate m = take(MsgType::kPartialUpdate, parse_partial_update);
+    const std::uint8_t mode = params_.secure.update_he_rate > 0.0 ? 1 : 0;
+    check(m.shard_id == id_ && m.round == round_ && m.mode == mode, "bad partial update");
+    for (const ShardUpdateEntry& e : m.updates) check(owns(e.client_id), "foreign update entry");
+    return m;
+  }
+
+ private:
   /// A shard's reply always follows its own client sweep under the shard's
-  /// per-client deadlines, so the root's deadline per phase is the phase
-  /// deadline scaled by the shard's cohort size (+1 slack) — generous
-  /// enough to never race an honest shard, bounded enough that a zombie
-  /// shard cannot wedge the tree.
-  Frame recv(MsgType want, std::chrono::milliseconds phase_deadline) {
-    const auto scale = static_cast<std::int64_t>(range.count) + 1;
-    const auto deadline =
-        phase_deadline.count() == 0 ? phase_deadline : phase_deadline * scale;
+  /// per-client deadlines, so the root waits the phase deadline scaled by
+  /// the shard's cohort size (+1 slack) — generous enough to never race an
+  /// honest shard, bounded enough that a zombie shard cannot wedge the tree.
+  void expect(std::uint64_t round, std::chrono::milliseconds phase_deadline) {
+    round_ = round;
+    deadline_ = phase_deadline * static_cast<std::int64_t>(range().count + 1);
+  }
+
+  template <typename Partial>
+  Partial take(MsgType want, Partial (*parse)(const Frame&)) {
     std::optional<Frame> f;
     try {
-      f = t->receive(deadline);
+      f = t_->receive(deadline_);
     } catch (const TransportTimeout&) {
       throw TransportError("run_root_session: shard did not answer in time");
     }
-    if (!f) throw TransportError("run_root_session: shard link closed mid-session");
-    if (f->seq != recv_seq) {
-      throw TransportError("run_root_session: shard frame out of sequence");
+    check(f.has_value(), "shard link closed mid-session");
+    check(f->seq == recv_seq_++, "shard frame out of sequence");
+    check(f->type == want, "shard sent an unexpected message");
+    try {
+      return parse(*f);
+    } catch (const WireError& e) {
+      throw TransportError(std::string("run_root_session: malformed partial: ") + e.what());
     }
-    ++recv_seq;
-    if (f->type != want) {
-      throw TransportError("run_root_session: shard sent unexpected " +
-                           to_string(f->type));
-    }
-    return *std::move(f);
   }
+
+  static void check(bool ok, const char* what) {
+    if (!ok) throw TransportError(std::string("run_root_session: ") + what);
+  }
+
+  std::shared_ptr<Transport> t_;
+  std::uint32_t id_;
+  const SessionParams& params_;
+  std::uint16_t send_seq_ = 0;
+  std::uint16_t recv_seq_ = 1;  // the shard hello (seq 0) was already consumed
+  std::uint64_t round_ = kSetup;
+  std::uint32_t try_index_ = 0;
+  std::chrono::milliseconds deadline_{0};
+  bool draining_ = false;
 };
 
-SessionTranscript root_session_impl(std::span<const std::shared_ptr<Transport>> links,
-                                    const data::FederatedDataset& dataset,
-                                    const nn::Sequential& prototype,
-                                    const SessionParams& params,
-                                    fl::ChannelAccountant& acct) {
-  const std::size_t N = dataset.num_clients();
+/// The root's hello: binds each link to the shard id its kShardHello
+/// announces. Unlike the client hello this is all-or-nothing — the
+/// announced ranges must exactly partition the cohort, so a single bad
+/// hello is a deployment error, not churn.
+std::vector<std::unique_ptr<detail::Child>> bind_shards(
+    std::span<const std::shared_ptr<Transport>> links, std::size_t N,
+    const SessionParams& params, std::uint64_t session_seed) {
   const std::size_t A = links.size();
-  const core::RegistryCodec codec(params.num_classes, params.reference_set);
-  const SessionTimeouts& to = params.timeouts;
-
-  bigint::Xoshiro256ss he_rng(params.he_seed);
-  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng,
-                                       nullptr);
-
-  SessionTranscript t;
-
-  if (telemetry::enabled()) {
-    // Same pre-registration as the flat driver (scrapes must expose the
-    // family before any event), plus the tree's own series.
-    for (const auto reason :
-         {QuarantineReason::kTimeout, QuarantineReason::kDisconnect,
-          QuarantineReason::kBadFrame, QuarantineReason::kBadCiphertext,
-          QuarantineReason::kBadParticipation, QuarantineReason::kReplay}) {
-      telemetry::counter("dubhe_quarantine_total{reason=\"" + to_string(reason) + "\"}");
-    }
-    telemetry::gauge("dubhe_tree_shards").set(static_cast<std::int64_t>(A));
-  }
-
-  // Shard-reported quarantine records splice into the transcript verbatim —
-  // the codec already validated the enum ranges, and the canonical sort at
-  // the end makes arrival order irrelevant.
-  auto merge_quarantines = [&](std::span<const QuarantineRecord> records) {
-    t.quarantined.insert(t.quarantined.end(), records.begin(), records.end());
-  };
-
-  // --- shard hello: bind links to shard ids. Unlike the client hello this
-  // is all-or-nothing — the announced ranges must exactly partition the
-  // cohort, so a single bad hello is a deployment error, not churn.
-  std::vector<ShardLink> shards(A);
-  {
-  telemetry::Span hello_span("phase:hello", &phase_hist(SessionPhase::kHello));
+  std::vector<std::unique_ptr<RemoteShard>> shards(A);
   for (const auto& link : links) {
-    auto frame = link->receive(to.registration);
+    auto frame = link->receive(params.timeouts.registration);
     if (!frame) throw TransportError("run_root_session: shard closed before hello");
     if (frame->seq != 0) {
       throw TransportError("run_root_session: shard hello out of sequence");
@@ -162,384 +167,19 @@ SessionTranscript root_session_impl(std::span<const std::shared_ptr<Transport>> 
     if (hello.first_client != want.first || hello.num_clients != want.count) {
       throw TransportError("run_root_session: shard announced a foreign client range");
     }
-    if (shards[hello.shard_id].t != nullptr) {
+    if (shards[hello.shard_id] != nullptr) {
       throw TransportError("run_root_session: duplicate shard id " +
                            std::to_string(hello.shard_id));
     }
-    shards[hello.shard_id] = ShardLink{link, want};
+    shards[hello.shard_id] = std::make_unique<RemoteShard>(link, hello.shard_id, want, params);
   }
+  std::vector<std::unique_ptr<detail::Child>> children;
   for (std::size_t s = 0; s < A; ++s) {
-    shards[s].send(make_server_hello({session.session_seed(), static_cast<std::uint32_t>(N),
-                                      static_cast<std::uint32_t>(s)}));
+    shards[s]->send(make_server_hello(
+        {session_seed, static_cast<std::uint32_t>(N), static_cast<std::uint32_t>(s)}));
+    children.push_back(std::move(shards[s]));
   }
-  }
-
-  // --- §5.1: key dispatch down the tree, partial registry sums up. ---------
-  const he::PackedCodec session_packed(params.secure.key_bits - 1,
-                                       params.secure.packing_slot_bits);
-  {
-  telemetry::Span reg_span("phase:registration",
-                           &phase_hist(SessionPhase::kRegistration));
-  const Frame key_frame =
-      make_key_material({session.keypair().pub, session.keypair().prv});
-  for (std::size_t s = 0; s < A; ++s) shards[s].send(key_frame);
-
-  // Multiplying the shard partials in shard order re-parenthesizes the flat
-  // driver's client-order product — Paillier addition is commutative, so
-  // the resulting ciphertext (and the broadcast frame) is bit-identical.
-  std::optional<he::EncryptedVector> sum;
-  std::optional<he::PackedEncryptedVector> packed_sum;
-  for (std::size_t s = 0; s < A; ++s) {
-    const Frame f = shards[s].recv(MsgType::kPartialRegistry, to.registration);
-    const PartialRegistry pr = parse_partial_registry(f);
-    if (pr.shard_id != s) {
-      throw TransportError("run_root_session: partial registry from the wrong shard");
-    }
-    merge_quarantines(pr.quarantined);
-    if (pr.contributors == 0) continue;
-    // The partial sum is validated exactly like a flat client upload —
-    // wrong session key, wrong shape, or wrong packing geometry is rejected
-    // before it can corrupt the global sum (fatal here: shards are infra).
-    try {
-      if (params.secure.use_packing) {
-        auto v = parse_packed_bytes(pr.ciphertext);
-        check_encrypted(v, session.public_key(), codec.length(), session_packed);
-        if (packed_sum) {
-          *packed_sum += v;
-        } else {
-          packed_sum = std::move(v);
-        }
-      } else {
-        auto v = parse_vector_bytes(pr.ciphertext);
-        check_encrypted(v, session.public_key(), codec.length());
-        if (sum) {
-          *sum += v;
-        } else {
-          sum = std::move(v);
-        }
-      }
-    } catch (const WireError& e) {
-      throw TransportError(std::string("run_root_session: invalid partial registry: ") +
-                           e.what());
-    }
-  }
-  if (!sum && !packed_sum) {
-    throw TransportError("run_root_session: every client was quarantined during setup");
-  }
-  if (params.secure.use_packing) {
-    const Frame bcast = make_encrypted_vector(MsgType::kRegistryBroadcast, *packed_sum);
-    for (std::size_t s = 0; s < A; ++s) shards[s].send(bcast);
-    t.overall_registry = session.reduce_registry({&*packed_sum, 1});
-  } else {
-    const Frame bcast = make_encrypted_vector(MsgType::kRegistryBroadcast, *sum);
-    for (std::size_t s = 0; s < A; ++s) shards[s].send(bcast);
-    t.overall_registry = session.reduce_registry({&*sum, 1});
-  }
-  // Post-broadcast flush: failures while a shard forwarded the broadcast
-  // are setup-phase records and must land before round 0 (the flat driver
-  // records them before its first round's quarantine mark).
-  for (std::size_t s = 0; s < A; ++s) {
-    const Frame f = shards[s].recv(MsgType::kPartialParticipation, to.registration);
-    const PartialParticipation pp = parse_partial_participation(f);
-    if (pp.shard_id != s || pp.round != kSetup) {
-      throw TransportError("run_root_session: bad setup flush report");
-    }
-    merge_quarantines(pp.quarantined);
-  }
-  }
-  t.setup_ledger = acct.snapshot();
-
-  const auto shard_of = [&](std::size_t client) {
-    for (std::size_t s = 0; s < A; ++s) {
-      if (client >= shards[s].range.first &&
-          client < shards[s].range.first + shards[s].range.count) {
-        return s;
-      }
-    }
-    throw TransportError("run_root_session: client id outside every shard");
-  };
-
-  // --- the per-round loop, one level up: the root plays the flat driver's
-  // role against A shards instead of N clients. The determination below is
-  // the same core::multi_time_select call with the same sel_rng stream —
-  // only the aggregate step fans out through the tree.
-  fl::Server server(prototype);
-  stats::Rng sel_rng(params.select_seed);
-  t.rounds.reserve(params.rounds);
-  for (std::size_t r = 0; r < params.rounds; ++r) {
-    const fl::ChannelLedger before = acct.snapshot();
-    const std::size_t qmark = t.quarantined.size();
-    RoundRecord rec;
-
-    // Participation: every shard round-begins its slice and reports its
-    // survivors' validated draws. The root's alive set for this round is
-    // exactly "clients that reported draws", shrunk by any quarantine a
-    // later partial reports — the same set the flat cohort tracks.
-    std::vector<std::vector<std::uint8_t>> draws(N);
-    std::vector<char> alive(N, 0);
-    auto merge_and_kill = [&](std::span<const QuarantineRecord> records) {
-      for (const QuarantineRecord& q : records) {
-        if (q.client_id < N) alive[q.client_id] = 0;
-      }
-      merge_quarantines(records);
-    };
-    {
-    telemetry::Span part_span("phase:participation",
-                              &phase_hist(SessionPhase::kParticipation));
-    for (std::size_t s = 0; s < A; ++s) {
-      shards[s].send(make_shard_round_begin({static_cast<std::uint64_t>(r)}));
-    }
-    for (std::size_t s = 0; s < A; ++s) {
-      const Frame f = shards[s].recv(MsgType::kPartialParticipation, to.upload);
-      const PartialParticipation pp = parse_partial_participation(f);
-      if (pp.shard_id != s || pp.round != r) {
-        throw TransportError("run_root_session: partial participation for wrong round");
-      }
-      merge_quarantines(pp.quarantined);
-      for (const Participation& e : pp.entries) {
-        if (e.client_id < shards[s].range.first ||
-            e.client_id >= shards[s].range.first + shards[s].range.count ||
-            e.draws.size() != params.H) {
-          throw TransportError("run_root_session: invalid participation entry");
-        }
-        draws[e.client_id] = e.draws;
-        alive[e.client_id] = 1;
-      }
-    }
-    }
-
-    // Determination: identical restart discipline to the flat driver. The
-    // per-try encrypted aggregation fans out as kShardTryBegin (members in
-    // global selection order) and the shard partials multiply back together
-    // in shard order — same ciphertext product, same decrypted population.
-    {
-    telemetry::Span dist_span("phase:distribution",
-                              &phase_hist(SessionPhase::kDistribution));
-    for (;;) {
-      std::vector<std::size_t> ids;
-      for (std::size_t id = 0; id < N; ++id) {
-        if (alive[id]) ids.push_back(id);
-      }
-      if (ids.empty()) {
-        throw TransportError("run_root_session: every client was quarantined by round " +
-                             std::to_string(r));
-      }
-      const std::size_t Keff = std::min(params.K, ids.size());
-      try {
-        fill_from_outcome(
-            rec,
-            core::multi_time_select(
-                params.num_classes, params.H,
-                [&](std::size_t h) {
-                  std::vector<std::uint8_t> bits(ids.size(), 0);
-                  for (std::size_t i = 0; i < ids.size(); ++i) bits[i] = draws[ids[i]][h];
-                  std::vector<std::size_t> sel =
-                      core::resolve_participation(bits, Keff, sel_rng);
-                  for (std::size_t& s : sel) s = ids[s];
-                  return sel;
-                },
-                [&](std::size_t h, std::span<const std::size_t> sel) {
-                  std::vector<std::vector<std::uint64_t>> members(A);
-                  for (const std::size_t k : sel) {
-                    members[shard_of(k)].push_back(static_cast<std::uint64_t>(k));
-                  }
-                  std::vector<std::size_t> polled;
-                  for (std::size_t s = 0; s < A; ++s) {
-                    if (members[s].empty()) continue;
-                    shards[s].send(make_shard_try_begin(
-                        {static_cast<std::uint64_t>(r), static_cast<std::uint32_t>(h),
-                         std::move(members[s])}));
-                    polled.push_back(s);
-                  }
-                  bool failed = false;
-                  std::optional<he::EncryptedVector> psum;
-                  std::optional<he::PackedEncryptedVector> packed_psum;
-                  for (const std::size_t s : polled) {
-                    const Frame f = shards[s].recv(MsgType::kPartialPopulation, to.upload);
-                    const PartialPopulation pp = parse_partial_population(f);
-                    if (pp.shard_id != s || pp.round != r || pp.try_index != h) {
-                      throw TransportError(
-                          "run_root_session: partial population for wrong try");
-                    }
-                    merge_and_kill(pp.quarantined);
-                    failed = failed || pp.failed;
-                    if (pp.contributors == 0) continue;
-                    try {
-                      if (params.secure.use_packing) {
-                        auto v = parse_packed_bytes(pp.ciphertext);
-                        check_encrypted(v, session.public_key(), params.num_classes,
-                                        session_packed);
-                        if (packed_psum) {
-                          *packed_psum += v;
-                        } else {
-                          packed_psum = std::move(v);
-                        }
-                      } else {
-                        auto v = parse_vector_bytes(pp.ciphertext);
-                        check_encrypted(v, session.public_key(), params.num_classes);
-                        if (psum) {
-                          *psum += v;
-                        } else {
-                          psum = std::move(v);
-                        }
-                      }
-                    } catch (const WireError& e) {
-                      throw TransportError(
-                          std::string("run_root_session: invalid partial population: ") +
-                          e.what());
-                    }
-                  }
-                  if (failed) throw RestartRound{};
-                  if (params.secure.use_packing) {
-                    return session.reduce_population({&*packed_psum, 1});
-                  }
-                  return session.reduce_population({&*psum, 1});
-                }));
-        break;
-      } catch (const RestartRound&) {
-        rec = RoundRecord{};
-      }
-    }
-    }
-
-    // Update: recipients fan out as kShardUpdateBegin (selection-order
-    // subsequences + the global weights); what comes back depends on the
-    // mode — forwarded raw updates the root reassembles in flat selection
-    // order (float FedAvg is order-sensitive), or exact partial sums.
-    {
-    telemetry::Span upd_span("phase:update", &phase_hist(SessionPhase::kUpdate));
-    const std::vector<float>& global = server.global_weights();
-    std::vector<std::vector<std::uint64_t>> members(A);
-    for (const std::size_t k : rec.selected) {
-      members[shard_of(k)].push_back(static_cast<std::uint64_t>(k));
-    }
-    std::vector<std::size_t> polled;
-    for (std::size_t s = 0; s < A; ++s) {
-      if (members[s].empty()) continue;
-      shards[s].send(make_shard_update_begin(
-          {static_cast<std::uint64_t>(r), std::move(members[s]), global}));
-      polled.push_back(s);
-    }
-    const std::uint8_t want_mode = params.secure.update_he_rate > 0.0 ? 1 : 0;
-    if (want_mode == 1) {
-      const SparseUpdatePlan plan = sparse_plan(global, params.secure, N);
-      std::size_t m = 0;
-      std::vector<std::uint64_t> sums(plan.n, 0);
-      std::optional<he::PackedEncryptedVector> enc_sum;
-      for (const std::size_t s : polled) {
-        const Frame f = shards[s].recv(MsgType::kPartialUpdate, to.update);
-        const PartialUpdate pu = parse_partial_update(f);
-        if (pu.shard_id != s || pu.round != r || pu.mode != want_mode) {
-          throw TransportError("run_root_session: bad partial update");
-        }
-        merge_and_kill(pu.quarantined);
-        if (pu.contributors == 0) continue;
-        if (pu.plain_sums.size() != plan.plain_idx.size()) {
-          throw TransportError("run_root_session: partial update plan mismatch");
-        }
-        // u64 wrap-around addition is associative: element-adding the
-        // shards' plain partial sums equals the flat driver's client-order
-        // accumulation exactly.
-        for (std::size_t j = 0; j < plan.plain_idx.size(); ++j) {
-          sums[plan.plain_idx[j]] += pu.plain_sums[j];
-        }
-        try {
-          auto v = parse_packed_bytes(pu.ciphertext);
-          check_encrypted(v, session.public_key(), plan.k, plan.codec);
-          if (enc_sum) {
-            *enc_sum += v;
-          } else {
-            enc_sum = std::move(v);
-          }
-        } catch (const WireError& e) {
-          throw TransportError(std::string("run_root_session: invalid partial update: ") +
-                               e.what());
-        }
-        m += pu.contributors;
-      }
-      if (m > 0) {
-        const std::vector<std::uint64_t> enc_sums = session.reduce_registry({&*enc_sum, 1});
-        for (std::size_t j = 0; j < plan.k; ++j) sums[plan.mask[j]] = enc_sums[j];
-        static telemetry::Histogram& fedavg_hist =
-            telemetry::histogram("dubhe_fedavg_seconds");
-        telemetry::ScopedTimer fedavg_timer(fedavg_hist);
-        server.set_global_weights(core::merge_quantized_updates(
-            global, sums, m, params.secure.update_quant_bits,
-            params.secure.update_quant_scale));
-      }
-    } else {
-      std::vector<std::vector<float>> collected(N);
-      std::vector<char> has(N, 0);
-      for (const std::size_t s : polled) {
-        const Frame f = shards[s].recv(MsgType::kPartialUpdate, to.update);
-        PartialUpdate pu = parse_partial_update(f);
-        if (pu.shard_id != s || pu.round != r || pu.mode != want_mode) {
-          throw TransportError("run_root_session: bad partial update");
-        }
-        merge_and_kill(pu.quarantined);
-        for (ShardUpdateEntry& e : pu.updates) {
-          if (e.client_id < shards[s].range.first ||
-              e.client_id >= shards[s].range.first + shards[s].range.count ||
-              has[e.client_id]) {
-            throw TransportError("run_root_session: foreign update entry");
-          }
-          has[e.client_id] = 1;
-          collected[e.client_id] = std::move(e.weights);
-        }
-      }
-      // Reassemble in flat selection order before the FedAvg accumulation —
-      // this is the step that keeps the order-sensitive float sum
-      // bit-identical to the single-aggregator driver.
-      std::vector<std::vector<float>> updates;
-      updates.reserve(rec.selected.size());
-      for (const std::size_t k : rec.selected) {
-        if (has[k]) updates.push_back(std::move(collected[k]));
-      }
-      if (!updates.empty()) {
-        static telemetry::Histogram& fedavg_hist =
-            telemetry::histogram("dubhe_fedavg_seconds");
-        telemetry::ScopedTimer fedavg_timer(fedavg_hist);
-        server.aggregate(updates);
-      }
-    }
-    }
-    rec.global_weights = server.global_weights();
-    if (params.evaluate) rec.accuracy = server.evaluate(dataset);
-    for (std::size_t i = qmark; i < t.quarantined.size(); ++i) {
-      rec.dropped.push_back(t.quarantined[i].client_id);
-    }
-    std::sort(rec.dropped.begin(), rec.dropped.end());
-    rec.ledger = fl::ledger_delta(acct.snapshot(), before);
-    t.rounds.push_back(std::move(rec));
-    static telemetry::Counter& rounds_total = telemetry::counter("dubhe_rounds_total");
-    rounds_total.inc();
-  }
-
-  // --- shutdown: each shard drains its slice and sends one final flush
-  // (round = kSetupRound) carrying whatever the drain quarantined.
-  {
-    telemetry::Span drain_span("phase:drain", &phase_hist(SessionPhase::kShutdown));
-    for (std::size_t s = 0; s < A; ++s) shards[s].send(make_shutdown());
-    for (std::size_t s = 0; s < A; ++s) {
-      const Frame f = shards[s].recv(MsgType::kPartialParticipation, to.update);
-      const PartialParticipation pp = parse_partial_participation(f);
-      if (pp.shard_id != s || pp.round != kSetup) {
-        throw TransportError("run_root_session: bad drain report");
-      }
-      merge_quarantines(pp.quarantined);
-    }
-    for (std::size_t s = 0; s < A; ++s) shards[s].t->close();
-  }
-
-  // Same canonical sort as the flat driver: record order inside the
-  // transcript is a function of the fault plan alone, not of shard count,
-  // accept order, or partial arrival order.
-  std::sort(t.quarantined.begin(), t.quarantined.end(),
-            [](const QuarantineRecord& a, const QuarantineRecord& b) {
-              return std::tie(a.client_id, a.round, a.phase, a.reason) <
-                     std::tie(b.client_id, b.round, b.phase, b.reason);
-            });
-  return t;
+  return children;
 }
 
 }  // namespace
@@ -560,35 +200,23 @@ SessionTranscript run_root_session(std::span<const std::shared_ptr<Transport>> s
                                    const nn::Sequential& prototype,
                                    const SessionParams& params,
                                    fl::ChannelAccountant* channel) {
+  const std::size_t N = dataset.num_clients();
   if (shard_links.empty()) {
     throw std::invalid_argument("run_root_session: at least one shard link required");
   }
-  if (shard_links.size() > dataset.num_clients()) {
+  if (shard_links.size() > N) {
     throw std::invalid_argument("run_root_session: more shards than clients");
   }
-  check_session_params(params, dataset.num_clients());
-
-  // Same accounting discipline as run_server_session: a session-local
-  // accountant on the shard links (the root's entire traffic), merged into
-  // the caller's channel at the end, detached on every exit path.
-  fl::ChannelAccountant acct;
-  for (const auto& link : shard_links) {
-    link->set_accountant(&acct, fl::Direction::kServerToClient);
+  if (telemetry::enabled()) {
+    telemetry::gauge("dubhe_tree_shards").set(static_cast<std::int64_t>(shard_links.size()));
   }
-  SessionTranscript t;
-  try {
-    t = root_session_impl(shard_links, dataset, prototype, params, acct);
-  } catch (...) {
-    for (const auto& link : shard_links) {
-      link->set_accountant(nullptr, fl::Direction::kServerToClient);
-    }
-    throw;
-  }
-  for (const auto& link : shard_links) {
-    link->set_accountant(nullptr, fl::Direction::kServerToClient);
-  }
-  if (channel != nullptr) channel->add(acct.snapshot());
-  return t;
+  // The root is the engine over one RemoteShard child per shard link.
+  return detail::run_engine(
+      shard_links,
+      [&](std::uint64_t session_seed) {
+        return bind_shards(shard_links, N, params, session_seed);
+      },
+      dataset, prototype, params, channel);
 }
 
 void serve_shard(Transport& uplink,
@@ -599,10 +227,6 @@ void serve_shard(Transport& uplink,
   if (client_links.size() != range.count) {
     throw std::invalid_argument("serve_shard: client link count does not match range");
   }
-  const core::RegistryCodec codec(params.num_classes, params.reference_set);
-  const he::PackedCodec session_packed(params.secure.key_bits - 1,
-                                       params.secure.packing_slot_bits);
-  const SessionTimeouts& to = params.timeouts;
 
   // Uplink discipline mirrors serve_client: stamped sequence numbers both
   // ways, and any root-side anomaly is fatal (the root is this process's
@@ -613,429 +237,77 @@ void serve_shard(Transport& uplink,
     f.seq = up_send++;
     uplink.send(f);
   };
-  auto recv_up = [&]() {
+  auto recv_up = [&](std::optional<MsgType> want = std::nullopt) {
     auto f = uplink.receive();
     if (!f) throw TransportError("serve_shard: root vanished before shutdown");
-    if (f->seq != up_recv) {
+    if (f->seq != up_recv++) {
       throw WireError(WireErrc::kReplayed, "serve_shard: root frame out of sequence");
     }
-    ++up_recv;
-    return *std::move(f);
-  };
-  auto recv_up_want = [&](MsgType want) {
-    Frame f = recv_up();
-    if (f.type != want) {
+    if (want && f->type != *want) {
       throw WireError(WireErrc::kBadPayload,
-                      "serve_shard: root sent unexpected " + to_string(f.type));
+                      "serve_shard: root sent unexpected " + to_string(f->type));
     }
-    return f;
+    return *std::move(f);
   };
 
   send_up(make_shard_hello({shard_id, num_shards, range.first, range.count,
                             total_clients, kWireVersion}));
-  const ServerHello root_hello = parse_server_hello(recv_up_want(MsgType::kServerHello));
+  const ServerHello root_hello = parse_server_hello(recv_up(MsgType::kServerHello));
   if (root_hello.cohort_index != shard_id || root_hello.num_clients != total_clients) {
     throw TransportError("serve_shard: root bound us to the wrong shard");
   }
-  const std::uint64_t session_seed = root_hello.session_seed;
-  const KeyMaterial km = parse_key_material(recv_up_want(MsgType::kKeyMaterial));
-  const he::Keypair keys{km.pub, km.prv};
 
-  // Quarantine records accumulate here (in *global* client ids, via the
-  // cohort's id_base) and flush into whichever partial goes up next.
-  std::vector<QuarantineRecord> records;
-  std::size_t flushed = 0;
-  auto flush = [&]() {
-    std::vector<QuarantineRecord> out(records.begin() + static_cast<std::ptrdiff_t>(flushed),
-                                      records.end());
-    flushed = records.size();
-    return out;
-  };
-  ServerCohort cohort(range.count, records, range.first);
-  const auto global_id = [&](std::size_t local) {
-    return static_cast<std::uint64_t>(range.first + local);
-  };
-
-  // --- hello: the unchanged client-facing exchange, restricted to the
-  // owned range. From here on every frame a client sees is byte-identical
-  // (payload and per-link sequence number) to the flat aggregator's.
+  // The slice behind this shard: every frame a client sees is the one a
+  // flat aggregator would send it (payload and per-link sequence number).
+  detail::CohortChild cohort(shard_id, range, total_clients, params);
   {
-  telemetry::Span hello_span("phase:hello", &phase_hist(SessionPhase::kHello));
-  for (const auto& link : client_links) {
-    try {
-      auto frame = link->receive(to.registration);
-      QuarantineReason bad = QuarantineReason::kBadFrame;
-      if (!frame) {
-        bad = QuarantineReason::kDisconnect;
-      } else if (frame->seq != 0) {
-        bad = QuarantineReason::kReplay;
-      } else if (frame->type == MsgType::kClientHello) {
-        const ClientHello hello = parse_client_hello(*frame);
-        if (hello.protocol == kWireVersion && hello.client_id >= range.first &&
-            hello.client_id < range.first + range.count &&
-            !cohort.alive(hello.client_id - range.first)) {
-          cohort.bind(hello.client_id - range.first, link);
-          continue;
-        }
-      }
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, bad);
-    } catch (const TransportTimeout&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, QuarantineReason::kTimeout);
-    } catch (const TransportError&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello,
-                        QuarantineReason::kDisconnect);
-    } catch (const WireError&) {
-      link->close();
-      cohort.quarantine(kUnknown, kSetup, SessionPhase::kHello, QuarantineReason::kBadFrame);
-    }
+    telemetry::Span hello_span("phase:hello", &detail::phase_hist(SessionPhase::kHello));
+    cohort.hello(client_links, root_hello.session_seed);
   }
-  for (std::size_t id = 0; id < range.count; ++id) {
-    cohort.send(id,
-                make_server_hello({session_seed, static_cast<std::uint32_t>(total_clients),
-                                   static_cast<std::uint32_t>(global_id(id))}),
-                kSetup, SessionPhase::kHello);
-  }
-  }
-
-  // --- registration: validate the slice's uploads exactly like the flat
-  // driver, sum them homomorphically, ship one partial up.
   {
-  telemetry::Span reg_span("phase:registration",
-                           &phase_hist(SessionPhase::kRegistration));
-  const Frame key_frame = make_key_material({keys.pub, keys.prv});
-  for (std::size_t id = 0; id < range.count; ++id) {
-    cohort.send(id, key_frame, kSetup, SessionPhase::kRegistration);
-  }
-  for (std::size_t id = 0; id < range.count; ++id) {
-    cohort.send(id,
-                make_seed_request(
-                    MsgType::kRegistrationRequest,
-                    {core::registration_stream_seed(session_seed, global_id(id)), 0}),
-                kSetup, SessionPhase::kRegistration);
-  }
-  std::uint32_t contributors = 0;
-  std::optional<he::EncryptedVector> sum;
-  std::optional<he::PackedEncryptedVector> packed_sum;
-  for (std::size_t id = 0; id < range.count; ++id) {
-    auto up = cohort.recv(id, MsgType::kRegistryUpload, to.registration, kSetup,
-                          SessionPhase::kRegistration);
-    if (!up) continue;
-    bool mode_ok = false;
-    try {
-      mode_ok = payload_is_packed(*up) == params.secure.use_packing;
-    } catch (const WireError&) {
-      // not an encrypted-vector payload at all — still a ciphertext problem
-    }
-    if (!mode_ok) {
-      cohort.quarantine(id, kSetup, SessionPhase::kRegistration,
-                        QuarantineReason::kBadCiphertext);
-      continue;
-    }
-    bool parsed = false;
-    try {
-      if (params.secure.use_packing) {
-        auto v = parse_packed_encrypted_vector(*up, MsgType::kRegistryUpload);
-        parsed = true;
-        check_encrypted(v, keys.pub, codec.length(), session_packed);
-        if (packed_sum) {
-          *packed_sum += v;
-        } else {
-          packed_sum = std::move(v);
-        }
-      } else {
-        auto v = parse_encrypted_vector(*up, MsgType::kRegistryUpload);
-        parsed = true;
-        check_encrypted(v, keys.pub, codec.length());
-        if (sum) {
-          *sum += v;
-        } else {
-          sum = std::move(v);
-        }
-      }
-      ++contributors;
-    } catch (const WireError&) {
-      cohort.quarantine(id, kSetup, SessionPhase::kRegistration,
-                        parsed ? QuarantineReason::kBadCiphertext
-                               : QuarantineReason::kBadFrame);
-    }
-  }
-  PartialRegistry pr;
-  pr.shard_id = shard_id;
-  pr.contributors = contributors;
-  pr.quarantined = flush();
-  if (contributors > 0) {
-    pr.ciphertext =
-        params.secure.use_packing ? vector_bytes(*packed_sum) : vector_bytes(*sum);
-  }
-  send_up(make_partial_registry(pr));
-  count_partial("partial_registry");
-
-  // Forward the root's broadcast verbatim — the payload is the global sum,
-  // so each surviving client receives the exact frame the flat aggregator
-  // would have sent it (its per-link sequence number included).
-  const Frame bcast = recv_up_want(MsgType::kRegistryBroadcast);
-  for (std::size_t id = 0; id < range.count; ++id) {
-    cohort.send(id, Frame{MsgType::kRegistryBroadcast, bcast.payload}, kSetup,
-                SessionPhase::kRegistration);
-  }
-  send_up(make_partial_participation({shard_id, kSetup, flush(), {}}));
-  count_partial("setup_flush");
+    telemetry::Span reg_span("phase:registration",
+                             &detail::phase_hist(SessionPhase::kRegistration));
+    cohort.post(parse_key_material(recv_up(MsgType::kKeyMaterial)));
+    send_up(make_partial_registry(cohort.take_registry()));
+    count_partial("partial_registry");
+    cohort.post(recv_up(MsgType::kRegistryBroadcast));
+    send_up(make_partial_participation(cohort.take_participation()));
+    count_partial("setup_flush");
   }
 
-  // --- the message-driven main loop: the root drives; this shard reacts.
-  std::uint64_t round = 0;
+  // The message-driven main loop: the root drives, the cohort answers, and
+  // each partial goes up as the matching shard-plane frame.
   for (;;) {
     const Frame f = recv_up();
     switch (f.type) {
       case MsgType::kShardRoundBegin: {
-        telemetry::Span part_span("phase:participation",
-                                  &phase_hist(SessionPhase::kParticipation));
-        round = parse_shard_round_begin(f).round;
-        for (std::size_t id = 0; id < range.count; ++id) {
-          cohort.send(id, make_round_begin({round}), round,
-                      SessionPhase::kParticipation);
-        }
-        PartialParticipation pp;
-        pp.shard_id = shard_id;
-        pp.round = round;
-        for (std::size_t id = 0; id < range.count; ++id) {
-          if (!cohort.alive(id)) continue;
-          auto pf = cohort.recv(id, MsgType::kParticipation, to.upload, round,
-                                SessionPhase::kParticipation);
-          if (!pf) continue;
-          Participation part;
-          try {
-            part = parse_participation(*pf);
-          } catch (const WireError&) {
-            cohort.quarantine(id, round, SessionPhase::kParticipation,
-                              QuarantineReason::kBadFrame);
-            continue;
-          }
-          bool ok = part.client_id == global_id(id) && part.round == round &&
-                    part.draws.size() == params.H;
-          for (const std::uint8_t d : part.draws) ok = ok && d <= 1;
-          if (!ok) {
-            cohort.quarantine(id, round, SessionPhase::kParticipation,
-                              QuarantineReason::kBadParticipation);
-            continue;
-          }
-          pp.entries.push_back(std::move(part));
-        }
-        pp.quarantined = flush();
-        send_up(make_partial_participation(pp));
+        telemetry::Span span("phase:participation",
+                             &detail::phase_hist(SessionPhase::kParticipation));
+        cohort.post(parse_shard_round_begin(f));
+        send_up(make_partial_participation(cohort.take_participation()));
         count_partial("partial_participation");
         break;
       }
       case MsgType::kShardTryBegin: {
-        telemetry::Span dist_span("phase:distribution",
-                                  &phase_hist(SessionPhase::kDistribution));
-        const ShardTryBegin tb = parse_shard_try_begin(f);
-        if (tb.round != round) {
-          throw TransportError("serve_shard: try begin for a round we are not in");
-        }
-        const std::size_t try_slot = tb.round * params.H + tb.try_index;
-        bool failed = false;
-        for (const std::uint64_t k : tb.selected) {
-          if (k < range.first || k >= range.first + range.count) {
-            throw TransportError("serve_shard: root selected a client we do not own");
-          }
-          if (!cohort.send(
-                  k - range.first,
-                  make_seed_request(MsgType::kDistributionRequest,
-                                    {core::distribution_stream_seed(
-                                         session_seed, total_clients, try_slot, k),
-                                     static_cast<std::uint32_t>(tb.try_index)}),
-                  tb.round, SessionPhase::kDistribution)) {
-            failed = true;
-          }
-        }
-        std::uint32_t contributors = 0;
-        std::optional<he::EncryptedVector> psum;
-        std::optional<he::PackedEncryptedVector> packed_psum;
-        for (const std::uint64_t k : tb.selected) {
-          const std::size_t id = k - range.first;
-          auto up = cohort.recv(id, MsgType::kDistributionUpload, to.upload, tb.round,
-                                SessionPhase::kDistribution);
-          if (!up) {
-            failed = true;
-            continue;
-          }
-          bool mode_ok = false;
-          try {
-            mode_ok = payload_is_packed(*up) == params.secure.use_packing;
-          } catch (const WireError&) {
-          }
-          if (!mode_ok) {
-            cohort.quarantine(id, tb.round, SessionPhase::kDistribution,
-                              QuarantineReason::kBadCiphertext);
-            failed = true;
-            continue;
-          }
-          bool parsed = false;
-          try {
-            if (params.secure.use_packing) {
-              auto v = parse_packed_encrypted_vector(*up, MsgType::kDistributionUpload);
-              parsed = true;
-              check_encrypted(v, keys.pub, params.num_classes, session_packed);
-              if (packed_psum) {
-                *packed_psum += v;
-              } else {
-                packed_psum = std::move(v);
-              }
-            } else {
-              auto v = parse_encrypted_vector(*up, MsgType::kDistributionUpload);
-              parsed = true;
-              check_encrypted(v, keys.pub, params.num_classes);
-              if (psum) {
-                *psum += v;
-              } else {
-                psum = std::move(v);
-              }
-            }
-            ++contributors;
-          } catch (const WireError&) {
-            cohort.quarantine(id, tb.round, SessionPhase::kDistribution,
-                              parsed ? QuarantineReason::kBadCiphertext
-                                     : QuarantineReason::kBadFrame);
-            failed = true;
-          }
-        }
-        PartialPopulation pp;
-        pp.shard_id = shard_id;
-        pp.round = tb.round;
-        pp.try_index = tb.try_index;
-        pp.contributors = contributors;
-        pp.failed = failed;
-        pp.quarantined = flush();
-        if (contributors > 0) {
-          pp.ciphertext = params.secure.use_packing ? vector_bytes(*packed_psum)
-                                                    : vector_bytes(*psum);
-        }
-        send_up(make_partial_population(pp));
+        telemetry::Span span("phase:distribution",
+                             &detail::phase_hist(SessionPhase::kDistribution));
+        cohort.post(parse_shard_try_begin(f));
+        send_up(make_partial_population(cohort.take_population()));
         count_partial("partial_population");
         break;
       }
       case MsgType::kShardUpdateBegin: {
-        telemetry::Span upd_span("phase:update", &phase_hist(SessionPhase::kUpdate));
-        const ShardUpdateBegin ub = parse_shard_update_begin(f);
-        if (ub.round != round) {
-          throw TransportError("serve_shard: update begin for a round we are not in");
-        }
-        const std::uint64_t round_seed = stats::derive_seed(params.round_seed, ub.round);
-        std::vector<std::uint64_t> recipients;
-        recipients.reserve(ub.recipients.size());
-        for (const std::uint64_t k : ub.recipients) {
-          if (k < range.first || k >= range.first + range.count) {
-            throw TransportError("serve_shard: root selected a client we do not own");
-          }
-          if (cohort.send(k - range.first,
-                          make_weights(MsgType::kModelDown,
-                                       {stats::derive_seed(round_seed, k + 1), ub.weights}),
-                          ub.round, SessionPhase::kUpdate)) {
-            recipients.push_back(k);
-          }
-        }
-        PartialUpdate pu;
-        pu.shard_id = shard_id;
-        pu.round = ub.round;
-        if (params.secure.update_he_rate > 0.0) {
-          pu.mode = 1;
-          const SparseUpdatePlan plan =
-              sparse_plan(ub.weights, params.secure, total_clients);
-          const auto qb = static_cast<std::uint8_t>(params.secure.update_quant_bits);
-          std::uint32_t m = 0;
-          std::vector<std::uint64_t> psums(plan.plain_idx.size(), 0);
-          std::optional<he::PackedEncryptedVector> enc_sum;
-          for (const std::uint64_t k : recipients) {
-            const std::size_t id = k - range.first;
-            auto uf = cohort.recv(id, MsgType::kModelUpdateSparse, to.update, ub.round,
-                                  SessionPhase::kUpdate);
-            if (!uf) continue;
-            ModelUpdateSparse up;
-            try {
-              up = parse_model_update_sparse(*uf);
-            } catch (const WireError&) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadFrame);
-              continue;
-            }
-            if (up.client_id != k) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadFrame);
-              continue;
-            }
-            if (up.total_count != plan.n || up.quant_bits != qb ||
-                up.bitmap != plan.bitmap) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadCiphertext);
-              continue;
-            }
-            bool shape_ok = true;
-            try {
-              check_encrypted(up.encrypted, keys.pub, plan.k, plan.codec);
-            } catch (const WireError&) {
-              shape_ok = false;
-            }
-            if (!shape_ok) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadCiphertext);
-              continue;
-            }
-            for (std::size_t j = 0; j < plan.plain_idx.size(); ++j) {
-              psums[j] += up.plain_values[j];
-            }
-            if (enc_sum) {
-              *enc_sum += up.encrypted;
-            } else {
-              enc_sum = std::move(up.encrypted);
-            }
-            ++m;
-          }
-          pu.contributors = m;
-          if (m > 0) {
-            pu.plain_sums = std::move(psums);
-            pu.ciphertext = vector_bytes(*enc_sum);
-          }
-        } else {
-          pu.mode = 0;
-          for (const std::uint64_t k : recipients) {
-            const std::size_t id = k - range.first;
-            auto uf = cohort.recv(id, MsgType::kModelUpdate, to.update, ub.round,
-                                  SessionPhase::kUpdate);
-            if (!uf) continue;
-            WeightsMsg up;
-            try {
-              up = parse_weights(*uf, MsgType::kModelUpdate);
-            } catch (const WireError&) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadFrame);
-              continue;
-            }
-            if (up.seed != k) {
-              cohort.quarantine(id, ub.round, SessionPhase::kUpdate,
-                                QuarantineReason::kBadFrame);
-              continue;
-            }
-            pu.updates.push_back({k, std::move(up.weights)});
-          }
-        }
-        pu.quarantined = flush();
-        send_up(make_partial_update(pu));
+        telemetry::Span span("phase:update", &detail::phase_hist(SessionPhase::kUpdate));
+        const ShardUpdateBegin begin = parse_shard_update_begin(f);
+        cohort.post(UpdateRequest{begin.round, begin.recipients, begin.weights});
+        send_up(make_partial_update(cohort.take_update()));
         count_partial("partial_update");
         break;
       }
       case MsgType::kShutdown: {
-        telemetry::Span drain_span("phase:drain", &phase_hist(SessionPhase::kShutdown));
-        for (std::size_t id = 0; id < range.count; ++id) {
-          cohort.send(id, make_shutdown(), kSetup, SessionPhase::kShutdown);
-        }
-        for (std::size_t id = 0; id < range.count; ++id) {
-          cohort.shutdown_drain(id, to.drain);
-        }
-        send_up(make_partial_participation({shard_id, kSetup, flush(), {}}));
+        telemetry::Span span("phase:drain", &detail::phase_hist(SessionPhase::kShutdown));
+        cohort.post_shutdown();
+        send_up(make_partial_participation(cohort.take_participation()));
         count_partial("drain_flush");
         uplink.close();
         return;

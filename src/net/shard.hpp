@@ -1,6 +1,7 @@
 #pragma once
 
-/// Sharded multi-aggregator topology (wire v5): a 2-level aggregation tree.
+/// Sharded multi-aggregator topology: a 2-level aggregation tree (shard
+/// plane since wire v5).
 ///
 ///                         root aggregator
 ///                       .---------+---------.
@@ -20,6 +21,12 @@
 /// reduction, the §5.3 determination, and the global FedAvg merge — so no
 /// single event loop or Paillier adder ever touches more than ceil(N/A)
 /// clients.
+///
+/// All three aggregator roles share one implementation (net/engine.hpp):
+/// the root is the aggregator engine over one child per shard link, a
+/// shard answers each root frame through the same client sweeps the flat
+/// server's engine runs over its whole cohort, and the partials above are
+/// what the engine's children answer with.
 ///
 /// Correctness bar: the tree only re-parenthesizes the existing reductions
 /// (Paillier addition is ciphertext multiplication mod n² — associative and

@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "net/wire.hpp"
-#include "paillier/encrypted_vector.hpp"
 #include "paillier/packing.hpp"
 
 namespace dubhe::net {
@@ -18,11 +17,6 @@ namespace dubhe::net {
 /// kModelDown / kModelUpdate: u64 seed-or-id + u32 count + f32 payload.
 [[nodiscard]] inline std::size_t wire_size_weights(std::size_t num_weights) {
   return frame_wire_size(8 + 4 + 4 * num_weights);
-}
-
-[[nodiscard]] inline std::size_t wire_size_encrypted_vector(const he::PublicKey& pk,
-                                                            std::size_t slots) {
-  return frame_wire_size(he::serialized_size(pk, slots));
 }
 
 [[nodiscard]] inline std::size_t wire_size_packed_vector(const he::PublicKey& pk,
@@ -51,11 +45,6 @@ namespace dubhe::net {
 /// the same quantity net::encrypted_payload_bytes measures on a real frame.
 /// Canonical ciphertext lengths make prediction exact: every serialized
 /// ciphertext is exactly pk.ciphertext_bytes() long.
-[[nodiscard]] inline std::size_t ciphertext_bytes_encrypted_vector(
-    const he::PublicKey& pk, std::size_t slots) {
-  return slots * pk.ciphertext_bytes();
-}
-
 [[nodiscard]] inline std::size_t ciphertext_bytes_packed_vector(
     const he::PublicKey& pk, const he::PackedCodec& codec, std::size_t logical) {
   return codec.plaintexts_for(logical) * pk.ciphertext_bytes();

@@ -767,8 +767,11 @@ void TcpServer::worker_loop(Worker& w) {
 }
 
 void TcpServer::stop() {
-  // Idempotent; not meant to be raced from several threads (the owner —
-  // typically the destructor — calls it).
+  // Idempotent, and serialized: a harness may stop the same server from
+  // several threads at once (the owner plus every thread whose peer just
+  // vanished), and two concurrent passes would join the same threads and
+  // close the wake fds twice.
+  const std::lock_guard<std::mutex> lock(stop_mu_);
   metrics_.reset();  // admin endpoint goes down before the data plane
   stopping_.store(true);
   if (wake_w_ >= 0) ring(wake_r_, wake_w_);

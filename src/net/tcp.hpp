@@ -107,7 +107,8 @@ class TcpServer {
   std::shared_ptr<Transport> accept();
 
   /// Closes the listener and every connection, and joins all loops.
-  /// Called by the destructor; safe to call twice.
+  /// Called by the destructor; safe to call twice, and from several
+  /// threads at once.
   void stop();
 
   /// Starts the loopback-only admin endpoint (net/metrics_http.hpp) next to
@@ -141,7 +142,8 @@ class TcpServer {
   std::unique_ptr<MetricsHttpServer> metrics_;
   std::atomic<bool> stopping_{false};
 
-  std::mutex mu_;  // guards pending_
+  std::mutex stop_mu_;  // serializes stop()
+  std::mutex mu_;       // guards pending_
   std::deque<std::shared_ptr<Transport>> pending_;
   std::condition_variable pending_cv_;
 };

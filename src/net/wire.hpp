@@ -48,7 +48,13 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'D', 'U', 'B', 'H'};
 /// The client-facing messages are untouched, so a client cannot tell a
 /// shard from a flat aggregator. A version-4 peer is refused at the first
 /// frame.
-inline constexpr std::uint8_t kWireVersion = 5;
+/// Version 6: one ciphertext wire form. Every encrypted-vector payload is
+/// the packed 'K' PackedEncryptedVector; the per-slot 'V' form (one
+/// ciphertext per slot) is retired and rejected as kBadPayload wherever a
+/// ciphertext travels — client uploads, the registry broadcast, and the
+/// shard-plane partial sums. A version-5 peer is refused at the first
+/// frame.
+inline constexpr std::uint8_t kWireVersion = 6;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Decoder-side ceiling on a single frame's payload. Frames whose length
 /// prefix exceeds this are rejected before any allocation, so a corrupted

@@ -9,33 +9,16 @@ namespace dubhe::he {
 EncryptedVector::EncryptedVector(PublicKey pk, std::vector<Ciphertext> slots)
     : pk_(std::move(pk)), slots_(std::move(slots)) {}
 
-namespace {
-
-/// One ciphertext per value under `key` (a PublicKey or a PrivateKey): a
-/// full 256-bit stream state drawn per slot (serially, so the draw order is
-/// fixed) keeps slot randomizations independently seeded at the generator's
-/// native width even when the source is real entropy.
-template <class Key>
-std::vector<Ciphertext> encrypt_slots(const Key& key, std::span<const std::uint64_t> values,
-                                      bigint::EntropySource& rng, const BatchOptions& opt) {
-  const std::vector<BigUint> ms(values.begin(), values.end());
-  return key.encrypt_batch(ms, detail::draw_stream_states(rng, values.size()), opt);
-}
-
-}  // namespace
-
 EncryptedVector EncryptedVector::encrypt(const PublicKey& pk,
                                          std::span<const std::uint64_t> values,
                                          bigint::EntropySource& rng,
                                          const BatchOptions& opt) {
-  return EncryptedVector(pk, encrypt_slots(pk, values, rng, opt));
-}
-
-EncryptedVector EncryptedVector::encrypt(const PrivateKey& prv,
-                                         std::span<const std::uint64_t> values,
-                                         bigint::EntropySource& rng,
-                                         const BatchOptions& opt) {
-  return EncryptedVector(prv.public_key(), encrypt_slots(prv, values, rng, opt));
+  // A full 256-bit stream state drawn per slot (serially, so the draw order
+  // is fixed) keeps slot randomizations independently seeded at the
+  // generator's native width even when the source is real entropy.
+  const std::vector<BigUint> ms(values.begin(), values.end());
+  return EncryptedVector(pk,
+                         pk.encrypt_batch(ms, detail::draw_stream_states(rng, values.size()), opt));
 }
 
 EncryptedVector EncryptedVector::encrypt_direct(const PublicKey& pk,

@@ -27,14 +27,6 @@ class EncryptedVector {
                                  std::span<const std::uint64_t> values,
                                  bigint::EntropySource& rng,
                                  const BatchOptions& opt = {});
-  /// Key-holder variant (PrivateKey::encrypt_batch, CRT noise): the same
-  /// stream-state draw, so the vector serializes byte-equal to the
-  /// PublicKey overload's for the same `rng` state — only faster. For the
-  /// parties that hold p and q (clients, agent), never the aggregator.
-  static EncryptedVector encrypt(const PrivateKey& prv,
-                                 std::span<const std::uint64_t> values,
-                                 bigint::EntropySource& rng,
-                                 const BatchOptions& opt = {});
   /// Serial full-entropy variant: every slot draws its randomization
   /// directly from `rng` (~key_bits of fresh entropy per slot, the pre-batch
   /// behavior) instead of a 64-bit per-slot stream seed. For deployments

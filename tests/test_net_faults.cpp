@@ -11,17 +11,22 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "core/registry.hpp"
+#include "net/codec.hpp"
 #include "net/fault.hpp"
 #include "net/node.hpp"
 #include "nn/builders.hpp"
+#include "paillier/encrypted_vector.hpp"
 
 namespace dubhe {
 namespace {
 
 using net::FaultKind;
 using net::FaultPlan;
+using net::MsgType;
 using net::QuarantineReason;
 using net::SessionPhase;
 
@@ -201,6 +206,102 @@ TEST(NetFaults, EmptyPlanIsByteIdenticalToFaultFreeDriver) {
   EXPECT_EQ(net::format_transcript(direct), net::format_transcript(plain));
   EXPECT_EQ(net::format_transcript(direct), net::format_transcript(planned));
   EXPECT_EQ(net::format_transcript(direct), net::format_transcript(tcp));
+}
+
+/// A registry-length vector in the per-slot 'V' form that wire v6 retired.
+net::Frame per_slot_registry(MsgType type, const he::PublicKey& pk,
+                             const net::SessionParams& params) {
+  bigint::Xoshiro256ss rng(11);
+  const std::vector<std::uint64_t> values(
+      core::RegistryCodec(params.num_classes, params.reference_set).length(), 1);
+  return net::Frame{type, he::serialize(he::EncryptedVector::encrypt(pk, values, rng))};
+}
+
+TEST(NetFaults, PerSlotRegistryUploadIsBadCiphertext) {
+  // A client speaking the retired per-slot form by hand: its upload cannot
+  // join the packed sum, so it is quarantined and the session goes on over
+  // the other clients.
+  const std::size_t N = 3;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(2);
+  std::vector<std::shared_ptr<net::Transport>> server_side;
+  std::vector<std::thread> clients;
+  for (std::size_t id = 0; id < N; ++id) {
+    auto [agg, cli] = net::LoopbackTransport::make_pair();
+    server_side.push_back(agg);
+    clients.emplace_back([&, id, link = cli] {
+      try {
+        if (id != 2) {
+          net::serve_client(*link, id, dataset, proto, params);
+          return;
+        }
+        std::uint16_t seq = 0;
+        const auto send = [&](net::Frame f) {
+          f.seq = seq++;
+          link->send(f);
+        };
+        send(net::make_client_hello({id, net::kWireVersion}));
+        (void)link->receive();  // kServerHello
+        const net::KeyMaterial keys = net::parse_key_material(*link->receive());
+        (void)link->receive();  // kRegistrationRequest
+        send(per_slot_registry(MsgType::kRegistryUpload, keys.pub, params));
+        while (link->receive()) {
+        }
+      } catch (...) {
+        link->close();
+      }
+    });
+  }
+  const auto t = net::run_server_session(server_side, dataset, proto, params);
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(t.rounds.size(), params.rounds);
+  ASSERT_EQ(t.quarantined.size(), 1u);
+  EXPECT_EQ(t.quarantined[0].client_id, 2u);
+  EXPECT_EQ(t.quarantined[0].round, kSetup);
+  EXPECT_EQ(t.quarantined[0].phase, SessionPhase::kRegistration);
+  EXPECT_EQ(t.quarantined[0].reason, QuarantineReason::kBadCiphertext);
+}
+
+TEST(NetFaults, ClientRejectsPerSlotRegistryBroadcast) {
+  // The client end of the same rule: a registry broadcast in the per-slot
+  // form is a typed wire error, never decrypted.
+  const auto dataset = make_dataset(2);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(1);
+  auto [server, client] = net::LoopbackTransport::make_pair();
+  std::exception_ptr error;
+  std::thread endpoint([&, link = client] {
+    try {
+      net::serve_client(*link, 0, dataset, proto, params);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    link->close();
+  });
+  std::uint16_t seq = 0;
+  const auto send = [&](net::Frame f) {
+    f.seq = seq++;
+    server->send(f);
+  };
+  (void)server->receive();  // kClientHello
+  bigint::Xoshiro256ss rng(12);
+  const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
+  send(net::make_server_hello({1, 2, 0}));
+  send(net::make_key_material({kp.pub, kp.prv}));
+  send(net::make_seed_request(MsgType::kRegistrationRequest, {3, 0}));
+  (void)server->receive();  // the client's packed kRegistryUpload
+  send(per_slot_registry(MsgType::kRegistryBroadcast, kp.pub, params));
+  endpoint.join();
+  server->close();
+  ASSERT_NE(error, nullptr);
+  try {
+    std::rethrow_exception(error);
+  } catch (const net::WireError& e) {
+    EXPECT_EQ(e.code(), net::WireErrc::kBadPayload);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a WireError, got: " << e.what();
+  }
 }
 
 TEST(NetFaults, PlanParserRoundTripsAndRejectsGarbage) {

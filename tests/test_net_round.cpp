@@ -135,7 +135,7 @@ TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
   // The out-of-band contract: flipping collection AND tracing on must not
   // move a single transcript byte — no instrumentation site may touch an
   // RNG stream, a payload, or a control decision. Quarantines included:
-  // the fault plan exercises the counting path inside ServerCohort.
+  // the fault plan exercises the counting path inside CohortChild.
   const auto dataset = make_dataset(6);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   auto params = make_params(2, 2);
@@ -166,29 +166,6 @@ TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
             0u);
   EXPECT_FALSE(telemetry::trace_events().empty());
   telemetry::reset_all();
-}
-
-TEST(NetRound, PlainSlotModeIsValueIdenticalToPackedDefault) {
-  // Packed distributions are the wire-v3 default; the paper's per-slot
-  // layout stays available as the A/B baseline. Both modes must agree with
-  // their own loopback run AND with each other: packing changes the
-  // ciphertext layout, never a decrypted value.
-  const auto dataset = make_dataset(6);
-  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
-  auto params = make_params(2);
-  params.evaluate = false;  // registry/selection equality is the point here
-
-  const auto packed_direct = net::run_session_direct(dataset, proto, params);
-  const auto packed_loopback = net::run_loopback_session(dataset, proto, params);
-  expect_same_transcript(packed_direct, packed_loopback);
-
-  auto plain = params;
-  plain.secure.use_packing = false;
-  const auto plain_direct = net::run_session_direct(dataset, proto, plain);
-  const auto plain_loopback = net::run_loopback_session(dataset, proto, plain);
-  expect_same_transcript(plain_direct, plain_loopback);
-
-  expect_same_transcript(packed_direct, plain_direct);
 }
 
 TEST(NetRound, SelectiveUpdateSessionMatchesEverywhere) {

@@ -23,6 +23,7 @@
 #include "net/shard.hpp"
 #include "net/wire.hpp"
 #include "nn/builders.hpp"
+#include "paillier/packing.hpp"
 
 namespace dubhe {
 namespace {
@@ -165,12 +166,95 @@ TEST(ShardTree, ShardSideFaultReachesRootTranscriptIntact) {
   expect_same_transcript(flat, tree_tcp);
 }
 
+TEST(ShardTree, EveryHarnessTerminatesWhenTrainingThrows) {
+  // A CNN prototype fed flat features: every client's train() throws, and
+  // with evaluate on so does the aggregator's own evaluate(). All four
+  // harnesses must surface that error instead of hanging. The tree-over-TCP
+  // one used to hang or abort: the root's failure made every shard thread
+  // stop the root server while the main thread was stopping it too.
+  const auto dataset = make_dataset(4);
+  const auto proto = nn::make_cnn(16, 10, 7);
+  const auto expect_conv_error = [](const char* harness, const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << harness << " returned a transcript";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("Conv2d: bad input"), std::string::npos)
+          << harness << ": " << e.what();
+    }
+  };
+  for (const bool evaluate : {true, false}) {
+    auto params = make_params(3, 2);
+    params.evaluate = evaluate;
+    expect_conv_error("loopback", [&] { (void)net::run_loopback_session(dataset, proto, params); });
+    expect_conv_error("tcp", [&] { (void)net::run_tcp_session(dataset, proto, params, 2); });
+    expect_conv_error("tree", [&] { (void)net::run_tree_session(dataset, proto, params, 2); });
+    for (int i = 0; i < 5; ++i) {
+      expect_conv_error("tree-tcp",
+                        [&] { (void)net::run_tree_tcp_session(dataset, proto, params, 2, 2); });
+    }
+  }
+}
+
 // --- shard-plane codec: round trips. ---------------------------------------
 
 std::vector<QuarantineRecord> sample_quarantines() {
   return {{net::QuarantineRecord::kUnknownClient, net::QuarantineRecord::kSetupRound,
            SessionPhase::kHello, QuarantineReason::kTimeout},
           {7, 2, SessionPhase::kUpdate, QuarantineReason::kBadCiphertext}};
+}
+
+/// A small packed partial sum for the codec cases.
+he::PackedEncryptedVector sample_sum() {
+  bigint::Xoshiro256ss rng(77);
+  const he::Keypair kp = he::Keypair::generate(rng, 128);
+  const he::PackedCodec codec(kp.pub.key_bits() - 1, 32);
+  return he::PackedEncryptedVector::encrypt(kp.pub, codec, std::vector<std::uint64_t>{3, 0, 9},
+                                            rng);
+}
+
+/// The partials hold typed ciphertexts, so their round trip is checked the
+/// canonical way: parsing a frame and re-encoding it gives the same bytes.
+template <typename Partial>
+void expect_canonical(const Frame& f, Partial (*parse)(const Frame&),
+                      Frame (*make)(const Partial&)) {
+  EXPECT_EQ(make(parse(f)).payload, f.payload);
+}
+
+/// The packed vector has no operator==: two sums are equal when both are
+/// empty or their full serialized forms (key, geometry, ciphertexts) match.
+void expect_same_sum(const he::PackedEncryptedVector& a, const he::PackedEncryptedVector& b) {
+  ASSERT_EQ(a.ciphertext_count(), b.ciphertext_count());
+  if (a.ciphertext_count() != 0) EXPECT_EQ(he::serialize(a), he::serialize(b));
+}
+
+// Field-wise equality for the partials that carry a ciphertext.
+void expect_same(const net::PartialRegistry& a, const net::PartialRegistry& b) {
+  EXPECT_EQ(a.shard_id, b.shard_id);
+  EXPECT_EQ(a.contributors, b.contributors);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  expect_same_sum(a.ciphertext, b.ciphertext);
+}
+
+void expect_same(const net::PartialPopulation& a, const net::PartialPopulation& b) {
+  EXPECT_EQ(a.shard_id, b.shard_id);
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.try_index, b.try_index);
+  EXPECT_EQ(a.contributors, b.contributors);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  expect_same_sum(a.ciphertext, b.ciphertext);
+}
+
+void expect_same(const net::PartialUpdate& a, const net::PartialUpdate& b) {
+  EXPECT_EQ(a.shard_id, b.shard_id);
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.updates, b.updates);
+  EXPECT_EQ(a.contributors, b.contributors);
+  EXPECT_EQ(a.plain_sums, b.plain_sums);
+  expect_same_sum(a.ciphertext, b.ciphertext);
 }
 
 TEST(ShardCodec, RoundTripsEveryMessage) {
@@ -184,11 +268,15 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pr.shard_id = 2;
   pr.contributors = 3;
   pr.quarantined = sample_quarantines();
-  pr.ciphertext = {'V', 1, 2, 3};
-  EXPECT_EQ(net::parse_partial_registry(net::make_partial_registry(pr)), pr);
+  pr.ciphertext = sample_sum();
+  const Frame prf = net::make_partial_registry(pr);
+  expect_canonical(prf, net::parse_partial_registry, net::make_partial_registry);
+  expect_same(net::parse_partial_registry(prf), pr);
   pr.contributors = 0;
-  pr.ciphertext.clear();
-  EXPECT_EQ(net::parse_partial_registry(net::make_partial_registry(pr)), pr);
+  pr.ciphertext = {};
+  const Frame pr0f = net::make_partial_registry(pr);
+  expect_canonical(pr0f, net::parse_partial_registry, net::make_partial_registry);
+  expect_same(net::parse_partial_registry(pr0f), pr);
 
   net::PartialParticipation pp;
   pp.shard_id = 1;
@@ -207,8 +295,10 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pop.contributors = 2;
   pop.failed = true;
   pop.quarantined = sample_quarantines();
-  pop.ciphertext = {'K', 9};
-  EXPECT_EQ(net::parse_partial_population(net::make_partial_population(pop)), pop);
+  pop.ciphertext = sample_sum();
+  const Frame popf = net::make_partial_population(pop);
+  expect_canonical(popf, net::parse_partial_population, net::make_partial_population);
+  expect_same(net::parse_partial_population(popf), pop);
 
   const net::ShardUpdateBegin ub{3, {5, 9}, {1.5f, -2.25f, 0.0f}};
   EXPECT_EQ(net::parse_shard_update_begin(net::make_shard_update_begin(ub)), ub);
@@ -219,16 +309,21 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pu0.mode = 0;
   pu0.quarantined = sample_quarantines();
   pu0.updates = {{9, {0.5f, 1.25f}}, {5, {-3.0f, 0.0f}}};  // recipient order
-  EXPECT_EQ(net::parse_partial_update(net::make_partial_update(pu0)), pu0);
+  const Frame pu0f = net::make_partial_update(pu0);
+  expect_canonical(pu0f, net::parse_partial_update, net::make_partial_update);
+  expect_same(net::parse_partial_update(pu0f), pu0);
 
   net::PartialUpdate pu1;
   pu1.shard_id = 1;
   pu1.round = 3;
   pu1.mode = 1;
+  pu1.quarantined = sample_quarantines();
   pu1.contributors = 2;
   pu1.plain_sums = {10, 0, 77};
-  pu1.ciphertext = {'K', 1};
-  EXPECT_EQ(net::parse_partial_update(net::make_partial_update(pu1)), pu1);
+  pu1.ciphertext = sample_sum();
+  const Frame puf = net::make_partial_update(pu1);
+  expect_canonical(puf, net::parse_partial_update, net::make_partial_update);
+  expect_same(net::parse_partial_update(puf), pu1);
 }
 
 // --- shard-plane codec: hostile bytes must fail typed, never UB. -----------
@@ -268,13 +363,15 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pr.contributors = 2;
   EXPECT_THROW((void)net::make_partial_registry(pr), WireError);
   pr.contributors = 0;
-  pr.ciphertext = {'V', 1};
+  pr.ciphertext = sample_sum();
   EXPECT_THROW((void)net::make_partial_registry(pr), WireError);
 
-  // A ciphertext field that is not the self-tagged paillier wire form.
+  // A ciphertext section that is not the packed paillier wire form.
   pr.contributors = 1;
-  pr.ciphertext = {0x00, 0x01};
-  EXPECT_THROW((void)net::make_partial_registry(pr), WireError);
+  Frame garbled = net::make_partial_registry(pr);
+  garbled.payload.push_back(0x00);  // trailing byte after the last ciphertext
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_registry(garbled); }),
+            WireErrc::kBadPayload);
 
   // Quarantine records with out-of-range enums are rejected on decode.
   net::PartialParticipation pp;
@@ -353,7 +450,7 @@ TEST(ShardTree, RootRejectsWrongShapePartialSum) {
       net::PartialRegistry pr;
       pr.shard_id = 0;
       pr.contributors = 4;
-      pr.ciphertext = net::make_encrypted_vector(MsgType::kRegistryUpload, enc).payload;
+      pr.ciphertext = enc;
       send(net::make_partial_registry(pr));
       while (shard->receive()) {
       }

@@ -22,6 +22,7 @@
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "paillier/encrypted_vector.hpp"
 #include "stats/rng.hpp"
 
 namespace dubhe {
@@ -372,13 +373,6 @@ TEST_F(EncryptedPayloads, EncryptedVectorRoundTrip) {
   EXPECT_EQ(back.decrypt(kp_.prv), values);
   EXPECT_EQ(he::serialize(back), bytes);  // canonical re-encode
 
-  // Frame-level transport of the same payload.
-  const Frame f = net::make_encrypted_vector(MsgType::kRegistryUpload, v);
-  EXPECT_FALSE(net::payload_is_packed(f));
-  EXPECT_EQ(net::frame_wire_size(f.payload.size()),
-            net::wire_size_encrypted_vector(kp_.pub, values.size()));
-  EXPECT_EQ(net::parse_encrypted_vector(f, MsgType::kRegistryUpload).slots(), v.slots());
-
   // Truncation and tag corruption are typed failures.
   auto evil = bytes;
   evil.resize(evil.size() - 3);
@@ -386,6 +380,52 @@ TEST_F(EncryptedPayloads, EncryptedVectorRoundTrip) {
   evil = bytes;
   evil[0] = 'W';
   EXPECT_THROW((void)he::deserialize_encrypted_vector(evil), std::invalid_argument);
+}
+
+TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
+  // Wire v6 retired the per-slot 'V' form: wherever a ciphertext travels —
+  // a client upload, the registry broadcast, a shard's partial sum — a 'V'
+  // payload is a typed kBadPayload that carries no ciphertext bytes.
+  bigint::Xoshiro256ss rng(5);
+  const std::vector<std::uint64_t> values{3, 1, 4};
+  const auto per_slot = he::serialize(he::EncryptedVector::encrypt(kp_.pub, values, rng));
+  for (const MsgType type : {MsgType::kRegistryUpload, MsgType::kRegistryBroadcast,
+                             MsgType::kDistributionUpload}) {
+    const Frame f{type, per_slot};
+    EXPECT_EQ(code_of([&] { (void)net::parse_packed_encrypted_vector(f, type); }),
+              WireErrc::kBadPayload);
+    EXPECT_EQ(net::encrypted_payload_bytes(f), 0u);
+  }
+
+  // Each partial carrying a ciphertext, with its packed tail swapped for
+  // the 'V' bytes.
+  const he::PackedCodec codec(kp_.pub.key_bits() - 1, 32);
+  const auto packed = he::PackedEncryptedVector::encrypt(kp_.pub, codec, values, rng);
+  const std::size_t tail = he::serialize(packed).size();
+  const auto per_slot_tail = [&](Frame f) {
+    f.payload.resize(f.payload.size() - tail);
+    f.payload.insert(f.payload.end(), per_slot.begin(), per_slot.end());
+    EXPECT_EQ(net::encrypted_payload_bytes(f), 0u);
+    return f;
+  };
+  net::PartialRegistry pr;
+  pr.contributors = 2;
+  pr.ciphertext = packed;
+  const Frame reg = per_slot_tail(net::make_partial_registry(pr));
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_registry(reg); }), WireErrc::kBadPayload);
+  net::PartialPopulation pop;
+  pop.contributors = 2;
+  pop.ciphertext = packed;
+  const Frame popf = per_slot_tail(net::make_partial_population(pop));
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_population(popf); }),
+            WireErrc::kBadPayload);
+  net::PartialUpdate pu;
+  pu.mode = 1;
+  pu.contributors = 2;
+  pu.plain_sums = {7, 0};
+  pu.ciphertext = packed;
+  const Frame upd = per_slot_tail(net::make_partial_update(pu));
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_update(upd); }), WireErrc::kBadPayload);
 }
 
 TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
@@ -402,7 +442,8 @@ TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
   EXPECT_EQ(he::serialize(back), bytes);
 
   const Frame f = net::make_encrypted_vector(MsgType::kDistributionUpload, v);
-  EXPECT_TRUE(net::payload_is_packed(f));
+  EXPECT_EQ(net::parse_packed_encrypted_vector(f, MsgType::kDistributionUpload).ciphertexts(),
+            v.ciphertexts());
   EXPECT_EQ(net::frame_wire_size(f.payload.size()),
             net::wire_size_packed_vector(kp_.pub, codec, values.size()));
 

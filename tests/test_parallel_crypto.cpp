@@ -297,12 +297,6 @@ TEST(KeyHolderEncrypt, VectorsSerializeByteEqualToPublicKeyOverloads) {
   const auto values = test_values();
   const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    bigint::Xoshiro256ss r1(57), r2(57);
-    const auto via_pub = he::EncryptedVector::encrypt(kp.pub, values, r1, {.threads = threads});
-    const auto via_prv = he::EncryptedVector::encrypt(kp.prv, values, r2, {.threads = threads});
-    EXPECT_EQ(he::serialize(via_prv), he::serialize(via_pub)) << "threads=" << threads;
-    EXPECT_EQ(r1.next_u64(), r2.next_u64());
-
     bigint::Xoshiro256ss r3(58), r4(58);
     const auto packed_pub =
         he::PackedEncryptedVector::encrypt(kp.pub, codec, values, r3, {.threads = threads});

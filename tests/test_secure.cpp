@@ -21,25 +21,22 @@ std::vector<stats::Distribution> make_cohort(std::size_t n, std::uint64_t seed =
   return data::make_partition(cfg).client_dists;
 }
 
-SecureConfig test_config(bool packing = false) {
+SecureConfig test_config() {
   SecureConfig cfg;
   cfg.key_bits = 256;  // small keys keep the test fast; 2048 runs in the bench
-  cfg.use_packing = packing;
   cfg.packing_slot_bits = 16;
   // Keep fixed-point sums within the 16-bit packed slots (5 clients x 2000).
   cfg.fixed_point_scale = 2000;
   return cfg;
 }
 
-class SecureSessionTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SecureSessionTest, RegistrationMatchesPlaintextPath) {
+TEST(SecureSession, RegistrationMatchesPlaintextPath) {
   const auto dists = make_cohort(40);
   const RegistryCodec codec(10, {1, 2, 10});
   const std::vector<double> sigma{0.7, 0.1, 0.0};
 
   bigint::Xoshiro256ss rng(42);
-  SecureSelectionSession session(codec, sigma, test_config(GetParam()), dists.size(), rng);
+  SecureSelectionSession session(codec, sigma, test_config(), dists.size(), rng);
   const auto outcome = session.run_registration(dists);
 
   // The HE path must agree exactly with plaintext registration + summation.
@@ -53,11 +50,11 @@ TEST_P(SecureSessionTest, RegistrationMatchesPlaintextPath) {
   }
 }
 
-TEST_P(SecureSessionTest, RegistrySumsToCohortSize) {
+TEST(SecureSession, RegistrySumsToCohortSize) {
   const auto dists = make_cohort(25);
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(43);
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(GetParam()),
+  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(),
                                  dists.size(), rng);
   const auto outcome = session.run_registration(dists);
   std::uint64_t total = 0;
@@ -65,11 +62,11 @@ TEST_P(SecureSessionTest, RegistrySumsToCohortSize) {
   EXPECT_EQ(total, 25u);
 }
 
-TEST_P(SecureSessionTest, AggregatePopulationMatchesPlaintext) {
+TEST(SecureSession, AggregatePopulationMatchesPlaintext) {
   const auto dists = make_cohort(30);
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(44);
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(GetParam()),
+  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(),
                                  dists.size(), rng);
   const std::vector<std::size_t> selected{1, 4, 9, 16, 25};
   const auto po = session.aggregate_population(dists, selected);
@@ -78,8 +75,6 @@ TEST_P(SecureSessionTest, AggregatePopulationMatchesPlaintext) {
     EXPECT_NEAR(po[c], expect[c], 2e-3);  // fixed-point quantization tolerance
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(PackedAndUnpacked, SecureSessionTest, ::testing::Bool());
 
 TEST(SecureSession, ChannelAccountingCounts) {
   const auto dists = make_cohort(12);
@@ -123,16 +118,6 @@ TEST(SecureSession, TimingsAreAccumulated) {
   EXPECT_GT(session.timings().decrypt_seconds, 0.0);
   EXPECT_EQ(session.timings().vectors_encrypted, 8u);
   EXPECT_EQ(session.timings().vectors_decrypted, 1u);
-}
-
-TEST(SecureSession, PackingShrinksWireSize) {
-  const RegistryCodec codec(10, {1, 2, 10});
-  bigint::Xoshiro256ss rng(47);
-  SecureSelectionSession unpacked(codec, {0.7, 0.1, 0.0}, test_config(false), 4, rng);
-  SecureSelectionSession packed(codec, {0.7, 0.1, 0.0}, test_config(true), 4, rng);
-  EXPECT_LT(packed.encrypted_registry_bytes(), unpacked.encrypted_registry_bytes() / 10);
-  EXPECT_LT(packed.encrypted_distribution_bytes(),
-            unpacked.encrypted_distribution_bytes());
 }
 
 TEST(SecureSession, DubheSelectorConsumesSecureRegistry) {

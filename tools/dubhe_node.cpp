@@ -51,7 +51,6 @@ struct Options {
   std::size_t rounds = 1;
   std::uint64_t seed = 21;
   std::size_t workers = 1;
-  bool plain = false;
   double he_rate = 0.0;
   std::string fault_plan;        // empty = honest
   std::size_t fault_client = 0;  // which client misbehaves (selftest)
@@ -77,8 +76,6 @@ Common options (must match across all processes of one session):
   --h H          tentative tries (default 3)
   --rounds R     global rounds per session (default 1)
   --seed S       partition seed (default 21)
-  --plain        per-slot (unpacked) registry/distribution ciphertexts —
-                 the paper's python-paillier layout; packed is the default
   --he-rate X    fraction of model-update coordinates shipped encrypted
                  (top-k by |global weight|; default 0 = plaintext updates)
 Fault injection (churn testing — see src/net/README.md "Failure model"):
@@ -154,8 +151,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.shard_id = std::strtoull(v, nullptr, 10);
     } else if (a == "--shard-of" && (v = need_value(i))) {
       opt.shard_of = v;
-    } else if (a == "--plain") {
-      opt.plain = true;
     } else if (a == "--help" || a == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
@@ -263,7 +258,6 @@ data::FederatedDataset make_dataset(const Options& opt) {
 net::SessionParams make_params(const Options& opt) {
   net::SessionParams p;
   p.secure.key_bits = opt.key_bits;
-  p.secure.use_packing = !opt.plain;
   p.secure.update_he_rate = opt.he_rate;
   p.K = opt.K;
   p.H = opt.H;
