@@ -85,7 +85,7 @@ int main() {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     fl::ChannelAccountant uplink;
     const auto l0 = std::chrono::steady_clock::now();
-    const auto tree = net::run_tree_session(dataset, proto, params, shards, &uplink);
+    const auto tree = net::run_tree_session(dataset, proto, params, shards, {}, &uplink);
     const auto loop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - l0)
                              .count();

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "core/multitime.hpp"
 #include "core/parallel.hpp"
@@ -16,7 +15,6 @@
 #include "fl/server.hpp"
 #include "net/codec.hpp"
 #include "net/engine.hpp"
-#include "net/tcp.hpp"
 #include "stats/rng.hpp"
 
 namespace dubhe::net {
@@ -446,131 +444,6 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
     t.rounds.push_back(std::move(rec));
   }
   if (channel != nullptr) channel->add(acct.snapshot());
-  return t;
-}
-
-SessionTranscript run_loopback_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       fl::ChannelAccountant* channel) {
-  return run_loopback_session(dataset, prototype, params, std::span<const FaultPlan>{},
-                              channel);
-}
-
-SessionTranscript run_loopback_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::span<const FaultPlan> plans,
-                                       fl::ChannelAccountant* channel) {
-  const std::size_t N = dataset.num_clients();
-  if (!plans.empty() && plans.size() != N) {
-    throw std::invalid_argument("run_loopback_session: one fault plan per client required");
-  }
-  std::vector<std::shared_ptr<Transport>> server_side;
-  std::vector<std::shared_ptr<Transport>> client_side;
-  server_side.reserve(N);
-  client_side.reserve(N);
-  for (std::size_t id = 0; id < N; ++id) {
-    auto [a, b] = LoopbackTransport::make_pair();
-    server_side.push_back(std::move(a));
-    client_side.push_back(std::move(b));
-  }
-  // A protocol error on either side must surface as the typed exception,
-  // not std::terminate: client endpoints trap their exceptions, and the
-  // server side closes every pair (unblocking the endpoints) and joins
-  // before rethrowing. A client running an enabled fault plan is *expected*
-  // to die mid-session — its exception is swallowed; the server-side
-  // quarantine record is the observable outcome.
-  std::vector<std::exception_ptr> client_errors(N);
-  std::vector<std::thread> clients;
-  clients.reserve(N);
-  for (std::size_t id = 0; id < N; ++id) {
-    clients.emplace_back([&, id] {
-      const bool faulty = id < plans.size() && plans[id].enabled();
-      std::shared_ptr<Transport> endpoint = client_side[id];
-      if (faulty) endpoint = std::make_shared<FaultyTransport>(endpoint, plans[id]);
-      try {
-        serve_client(*endpoint, id, dataset, prototype, params);
-      } catch (...) {
-        if (!faulty) client_errors[id] = std::current_exception();
-        client_side[id]->close();
-      }
-    });
-  }
-  SessionTranscript t;
-  try {
-    t = run_server_session(server_side, dataset, prototype, params, channel);
-  } catch (...) {
-    for (auto& link : server_side) link->close();
-    for (auto& th : clients) th.join();
-    throw;
-  }
-  for (auto& th : clients) th.join();
-  for (auto& err : client_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
-  return t;
-}
-
-SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
-                                  const nn::Sequential& prototype,
-                                  const SessionParams& params, std::size_t workers,
-                                  fl::ChannelAccountant* channel) {
-  return run_tcp_session(dataset, prototype, params, std::span<const FaultPlan>{}, workers,
-                         channel);
-}
-
-SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
-                                  const nn::Sequential& prototype,
-                                  const SessionParams& params,
-                                  std::span<const FaultPlan> plans, std::size_t workers,
-                                  fl::ChannelAccountant* channel) {
-  const std::size_t N = dataset.num_clients();
-  if (!plans.empty() && plans.size() != N) {
-    throw std::invalid_argument("run_tcp_session: one fault plan per client required");
-  }
-  TcpServer server(0, workers);
-  // Same error discipline as the loopback harness: endpoints trap their
-  // exceptions and close their link; the server path closes everything and
-  // joins before rethrowing; fault-plan clients are expected to die.
-  std::vector<std::exception_ptr> client_errors(N);
-  std::vector<std::thread> clients;
-  clients.reserve(N);
-  for (std::size_t id = 0; id < N; ++id) {
-    clients.emplace_back([&, id] {
-      const bool faulty = id < plans.size() && plans[id].enabled();
-      std::shared_ptr<Transport> link;
-      try {
-        link = TcpTransport::connect("127.0.0.1", server.port());
-        std::shared_ptr<Transport> endpoint = link;
-        if (faulty) endpoint = std::make_shared<FaultyTransport>(endpoint, plans[id]);
-        serve_client(*endpoint, id, dataset, prototype, params);
-      } catch (...) {
-        if (!faulty) client_errors[id] = std::current_exception();
-        if (link != nullptr) link->close();
-      }
-    });
-  }
-  SessionTranscript t;
-  std::vector<std::shared_ptr<Transport>> links;
-  links.reserve(N);
-  try {
-    for (std::size_t i = 0; i < N; ++i) {
-      auto link = server.accept();
-      if (link == nullptr) throw TransportError("run_tcp_session: server stopped");
-      links.push_back(std::move(link));
-    }
-    t = run_server_session(links, dataset, prototype, params, channel);
-  } catch (...) {
-    for (auto& link : links) link->close();
-    server.stop();
-    for (auto& th : clients) th.join();
-    throw;
-  }
-  for (auto& th : clients) th.join();
-  for (auto& err : client_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
   return t;
 }
 

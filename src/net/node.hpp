@@ -153,45 +153,37 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
                                      const SessionParams& params,
                                      fl::ChannelAccountant* channel = nullptr);
 
-/// Convenience harness for tests/benches/selftest: runs run_server_session
-/// against `dataset.num_clients()` in-process client threads over loopback
-/// pairs. Accounting (if `channel` is given) is attached to the server side
-/// of every pair.
+/// In-process session harnesses for tests, benches and the selftest. Each
+/// runs one whole session in this process: the caller's thread is the
+/// aggregator, every client (and, in a tree, every shard aggregator) gets
+/// its own thread, and all four share one implementation, so only the
+/// topology and the transport differ:
+///   - run_loopback_session: run_server_session over loopback pairs;
+///   - run_tcp_session: the same over a TcpServer with `workers` event-loop
+///     shards on an ephemeral 127.0.0.1 port, clients dialing through
+///     TcpTransport (the hello exchange binds ids, so accept order and
+///     worker sharding cannot move the transcript);
+///   - run_tree_session / run_tree_tcp_session (net/shard.hpp): the 2-level
+///     tree, one listener per shard plus one for the root.
+/// `plans` is empty (everyone honest) or holds one FaultPlan per client:
+/// client i's endpoint then runs behind a FaultyTransport with `plans[i]`
+/// (kNone = honest). A client with an enabled plan is expected to die
+/// mid-session; its exception is swallowed and the quarantine records are
+/// the observable outcome. `channel`, if given, accounts the top
+/// aggregator's links: the client links when flat, the shard uplinks in a
+/// tree. A bad shard count or a `plans.size()` other than the cohort size
+/// throws std::invalid_argument before any thread or socket exists. Any
+/// other endpoint failure is rethrown after every thread was joined.
 SessionTranscript run_loopback_session(const data::FederatedDataset& dataset,
                                        const nn::Sequential& prototype,
                                        const SessionParams& params,
+                                       std::span<const FaultPlan> plans = {},
                                        fl::ChannelAccountant* channel = nullptr);
 
-/// Churn harness: same as above, but client `i`'s endpoint is wrapped in a
-/// FaultyTransport running `plans[i]` (kNone = honest). Clients with an
-/// enabled plan are expected to die mid-session; their exceptions are
-/// swallowed (the server-side quarantine records are the observable
-/// outcome). `plans.size()` must equal the cohort size.
-SessionTranscript run_loopback_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::span<const FaultPlan> plans,
-                                       fl::ChannelAccountant* channel = nullptr);
-
-/// Same harness over real sockets: a TcpServer with `workers` event-loop
-/// shards on an ephemeral 127.0.0.1 port, one in-process client thread per
-/// dataset shard connecting through TcpTransport. The hello exchange binds
-/// client ids, so accept order (and worker sharding) cannot affect the
-/// transcript — this is how tests assert byte-identical transcripts across
-/// readiness backends and worker counts.
 SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
                                   const nn::Sequential& prototype,
                                   const SessionParams& params, std::size_t workers = 1,
-                                  fl::ChannelAccountant* channel = nullptr);
-
-/// Churn harness over real sockets — the TCP twin of the fault-plan
-/// loopback overload, for asserting that a seeded plan quarantines the
-/// same clients with the same records on both transports.
-SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
-                                  const nn::Sequential& prototype,
-                                  const SessionParams& params,
-                                  std::span<const FaultPlan> plans,
-                                  std::size_t workers = 1,
+                                  std::span<const FaultPlan> plans = {},
                                   fl::ChannelAccountant* channel = nullptr);
 
 }  // namespace dubhe::net

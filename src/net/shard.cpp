@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/telemetry.hpp"
 #include "net/codec.hpp"
 #include "net/engine.hpp"
-#include "net/tcp.hpp"
 
 namespace dubhe::net {
 
@@ -317,211 +315,6 @@ void serve_shard(Transport& uplink,
                         "serve_shard: root sent unexpected " + to_string(f.type));
     }
   }
-}
-
-SessionTranscript run_tree_session(const data::FederatedDataset& dataset,
-                                   const nn::Sequential& prototype,
-                                   const SessionParams& params, std::size_t num_shards,
-                                   fl::ChannelAccountant* channel) {
-  return run_tree_session(dataset, prototype, params, num_shards,
-                          std::span<const FaultPlan>{}, channel);
-}
-
-SessionTranscript run_tree_session(const data::FederatedDataset& dataset,
-                                   const nn::Sequential& prototype,
-                                   const SessionParams& params, std::size_t num_shards,
-                                   std::span<const FaultPlan> plans,
-                                   fl::ChannelAccountant* channel) {
-  const std::size_t N = dataset.num_clients();
-  const std::size_t A = num_shards;
-  if (A == 0 || A > N) {
-    throw std::invalid_argument("run_tree_session: need 1..N shards");
-  }
-  if (!plans.empty() && plans.size() != N) {
-    throw std::invalid_argument("run_tree_session: one fault plan per client required");
-  }
-
-  std::vector<std::shared_ptr<Transport>> root_side(A);   // root's ends of uplinks
-  std::vector<std::shared_ptr<Transport>> shard_up(A);    // shards' ends of uplinks
-  std::vector<std::vector<std::shared_ptr<Transport>>> shard_side(A);  // per-shard client links
-  std::vector<std::shared_ptr<Transport>> client_side(N);
-  for (std::size_t s = 0; s < A; ++s) {
-    auto [a, b] = LoopbackTransport::make_pair();
-    root_side[s] = std::move(a);
-    shard_up[s] = std::move(b);
-    const ShardRange range = shard_range(N, A, s);
-    shard_side[s].resize(range.count);
-    for (std::size_t i = 0; i < range.count; ++i) {
-      auto [sa, sb] = LoopbackTransport::make_pair();
-      shard_side[s][i] = std::move(sa);
-      client_side[range.first + i] = std::move(sb);
-    }
-  }
-
-  // Error discipline extends the flat harness one level: clients trap their
-  // exceptions (fault-plan clients are expected to die — swallowed), shard
-  // aggregators trap theirs (a shard death surfaces at the root as a
-  // TransportError AND is rethrown here, since shards are infrastructure),
-  // and the root path closes everything and joins before rethrowing.
-  std::vector<std::exception_ptr> client_errors(N);
-  std::vector<std::exception_ptr> shard_errors(A);
-  std::vector<std::thread> threads;
-  threads.reserve(A + N);
-  for (std::size_t s = 0; s < A; ++s) {
-    threads.emplace_back([&, s] {
-      try {
-        serve_shard(*shard_up[s], shard_side[s], static_cast<std::uint32_t>(s),
-                    static_cast<std::uint32_t>(A), N, params);
-      } catch (...) {
-        shard_errors[s] = std::current_exception();
-        shard_up[s]->close();
-        for (auto& link : shard_side[s]) link->close();
-      }
-    });
-  }
-  for (std::size_t id = 0; id < N; ++id) {
-    threads.emplace_back([&, id] {
-      const bool faulty = id < plans.size() && plans[id].enabled();
-      std::shared_ptr<Transport> endpoint = client_side[id];
-      if (faulty) endpoint = std::make_shared<FaultyTransport>(endpoint, plans[id]);
-      try {
-        serve_client(*endpoint, id, dataset, prototype, params);
-      } catch (...) {
-        if (!faulty) client_errors[id] = std::current_exception();
-        client_side[id]->close();
-      }
-    });
-  }
-  SessionTranscript t;
-  try {
-    t = run_root_session(root_side, dataset, prototype, params, channel);
-  } catch (...) {
-    for (auto& link : root_side) link->close();
-    for (auto& per_shard : shard_side) {
-      for (auto& link : per_shard) link->close();
-    }
-    for (auto& th : threads) th.join();
-    throw;
-  }
-  for (auto& th : threads) th.join();
-  for (auto& err : shard_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
-  for (auto& err : client_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
-  return t;
-}
-
-SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::size_t num_shards, std::size_t workers,
-                                       fl::ChannelAccountant* channel) {
-  return run_tree_tcp_session(dataset, prototype, params, num_shards,
-                              std::span<const FaultPlan>{}, workers, channel);
-}
-
-SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::size_t num_shards,
-                                       std::span<const FaultPlan> plans,
-                                       std::size_t workers,
-                                       fl::ChannelAccountant* channel) {
-  const std::size_t N = dataset.num_clients();
-  const std::size_t A = num_shards;
-  if (A == 0 || A > N) {
-    throw std::invalid_argument("run_tree_tcp_session: need 1..N shards");
-  }
-  if (!plans.empty() && plans.size() != N) {
-    throw std::invalid_argument("run_tree_tcp_session: one fault plan per client required");
-  }
-
-  // Servers first, so every port is known before any thread connects: the
-  // root listens for shards, each shard listens for its slice of clients.
-  TcpServer root_server(0, workers);
-  std::vector<std::unique_ptr<TcpServer>> shard_servers;
-  shard_servers.reserve(A);
-  for (std::size_t s = 0; s < A; ++s) {
-    shard_servers.push_back(std::make_unique<TcpServer>(0, workers));
-  }
-
-  std::vector<std::exception_ptr> client_errors(N);
-  std::vector<std::exception_ptr> shard_errors(A);
-  std::vector<std::thread> threads;
-  threads.reserve(A + N);
-  for (std::size_t s = 0; s < A; ++s) {
-    threads.emplace_back([&, s] {
-      const ShardRange range = shard_range(N, A, s);
-      std::vector<std::shared_ptr<Transport>> links;
-      std::shared_ptr<Transport> up;
-      try {
-        links.reserve(range.count);
-        for (std::size_t i = 0; i < range.count; ++i) {
-          auto link = shard_servers[s]->accept();
-          if (link == nullptr) throw TransportError("tree shard: server stopped");
-          links.push_back(std::move(link));
-        }
-        up = TcpTransport::connect("127.0.0.1", root_server.port());
-        serve_shard(*up, links, static_cast<std::uint32_t>(s),
-                    static_cast<std::uint32_t>(A), N, params);
-      } catch (...) {
-        shard_errors[s] = std::current_exception();
-        if (up != nullptr) up->close();
-        for (auto& link : links) link->close();
-        // A shard that dies before connecting upward would leave the root's
-        // accept loop waiting forever; stopping the root server turns that
-        // into a clean TransportError on the main thread.
-        root_server.stop();
-      }
-    });
-  }
-  for (std::size_t id = 0; id < N; ++id) {
-    threads.emplace_back([&, id] {
-      std::size_t s = 0;
-      while (!(id >= shard_range(N, A, s).first &&
-               id < shard_range(N, A, s).first + shard_range(N, A, s).count)) {
-        ++s;
-      }
-      const bool faulty = id < plans.size() && plans[id].enabled();
-      std::shared_ptr<Transport> link;
-      try {
-        link = TcpTransport::connect("127.0.0.1", shard_servers[s]->port());
-        std::shared_ptr<Transport> endpoint = link;
-        if (faulty) endpoint = std::make_shared<FaultyTransport>(endpoint, plans[id]);
-        serve_client(*endpoint, id, dataset, prototype, params);
-      } catch (...) {
-        if (!faulty) client_errors[id] = std::current_exception();
-        if (link != nullptr) link->close();
-      }
-    });
-  }
-  SessionTranscript t;
-  std::vector<std::shared_ptr<Transport>> links;
-  links.reserve(A);
-  try {
-    for (std::size_t s = 0; s < A; ++s) {
-      auto link = root_server.accept();
-      if (link == nullptr) throw TransportError("run_tree_tcp_session: server stopped");
-      links.push_back(std::move(link));
-    }
-    t = run_root_session(links, dataset, prototype, params, channel);
-  } catch (...) {
-    for (auto& link : links) link->close();
-    root_server.stop();
-    for (auto& srv : shard_servers) srv->stop();
-    for (auto& th : threads) th.join();
-    throw;
-  }
-  for (auto& th : threads) th.join();
-  for (auto& err : shard_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
-  for (auto& err : client_errors) {
-    if (err != nullptr) std::rethrow_exception(err);
-  }
-  return t;
 }
 
 }  // namespace dubhe::net

@@ -95,44 +95,22 @@ void serve_shard(Transport& uplink,
                  std::uint32_t shard_id, std::uint32_t num_shards,
                  std::size_t total_clients, const SessionParams& params);
 
-/// Convenience harness: the full tree in one process over loopback pairs —
-/// the caller's thread runs the root, one thread per shard aggregator, one
-/// thread per client. Accounting (if `channel` is given) is attached to
-/// the root's shard uplinks.
+/// The full tree in one process with `num_shards` shard aggregators (1..N):
+/// the caller's thread runs the root, one thread per shard, one per client,
+/// over loopback pairs or, for the TCP twin, one TcpServer per shard plus
+/// one for the root with `workers` event loops each. `plans` and `channel`
+/// work as for run_loopback_session (net/node.hpp).
 SessionTranscript run_tree_session(const data::FederatedDataset& dataset,
                                    const nn::Sequential& prototype,
                                    const SessionParams& params, std::size_t num_shards,
+                                   std::span<const FaultPlan> plans = {},
                                    fl::ChannelAccountant* channel = nullptr);
 
-/// Churn harness: same, but client `i`'s endpoint runs `plans[i]` (kNone =
-/// honest) behind a FaultyTransport. `plans.size()` must equal the cohort
-/// size. Faulty clients are expected to die mid-session; the quarantine
-/// records in the root transcript are the observable outcome.
-SessionTranscript run_tree_session(const data::FederatedDataset& dataset,
-                                   const nn::Sequential& prototype,
-                                   const SessionParams& params, std::size_t num_shards,
-                                   std::span<const FaultPlan> plans,
-                                   fl::ChannelAccountant* channel = nullptr);
-
-/// The tree over real sockets: one TcpServer per shard (clients connect
-/// there) plus one for the root (shards connect upward), all on ephemeral
-/// 127.0.0.1 ports with `workers` event-loop shards each. Accept order is
-/// irrelevant on both tiers (hello exchanges bind ids), which is what lets
-/// tests assert byte-identical transcripts against the flat TCP driver.
 SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
                                        const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::size_t num_shards, std::size_t workers = 1,
-                                       fl::ChannelAccountant* channel = nullptr);
-
-/// Churn harness over real sockets — the TCP twin of the fault-plan tree
-/// overload above.
-SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
-                                       const nn::Sequential& prototype,
-                                       const SessionParams& params,
-                                       std::size_t num_shards,
-                                       std::span<const FaultPlan> plans,
+                                       const SessionParams& params, std::size_t num_shards,
                                        std::size_t workers = 1,
+                                       std::span<const FaultPlan> plans = {},
                                        fl::ChannelAccountant* channel = nullptr);
 
 }  // namespace dubhe::net

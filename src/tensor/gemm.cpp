@@ -195,10 +195,10 @@ void store_block(const float* acc, std::size_t astride, float* c, std::size_t n,
 
 bool simd_available() {
 #if DUBHE_SIMD_AVX2
-  // Compiled in is necessary, not sufficient: the host must actually have
-  // (and the DUBHE_CPU policy must allow) AVX2+FMA, or the vector kernels
-  // would fault — a binary built -mavx2 still runs on a lesser machine as
-  // long as dispatch keeps it on the scalar path.
+  // Compiled in is necessary, not sufficient: the DUBHE_CPU policy must
+  // also allow AVX2+FMA, so DUBHE_CPU=portable keeps an AVX2 build on the
+  // scalar kernel. That does not make the binary run on a pre-AVX2 host:
+  // the whole library is compiled -mavx2 -mfma (see simd.hpp).
   return core::cpu::has(core::cpu::kAvx2) && core::cpu::has(core::cpu::kFma);
 #else
   return false;

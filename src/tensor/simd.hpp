@@ -4,16 +4,18 @@
 // validated at run time.
 //
 // The `DUBHE_SIMD` CMake option (ON by default) defines DUBHE_SIMD_ENABLED
-// and, when the compiler accepts them, adds -mavx2 -mfma to the library
-// sources. All vector code lives behind the DUBHE_SIMD_AVX2 gate below so a
-// DUBHE_SIMD=OFF build — or any target without AVX2/FMA — compiles only the
-// portable scalar kernels and produces a binary with no AVX instructions.
+// and, when the compiler accepts them, adds -mavx2 -mfma to every library
+// source, not only to this kernel. The compiler then emits AVX2/VEX code
+// wherever it sees fit (event loops, keygen, ...), so a default build needs
+// an AVX2 host whatever the dispatch below picks. All vector code lives
+// behind the DUBHE_SIMD_AVX2 gate below, so a DUBHE_SIMD=OFF build compiles
+// only the portable scalar kernels and has no AVX instructions: it is the
+// only build that runs on a pre-AVX2 x86 host.
 //
-// Whether the compiled-in kernels actually *run* is decided through
-// core::cpu at first use: simd_available() additionally requires detected
-// AVX2+FMA under the current DUBHE_CPU policy, so the same binary degrades
-// to scalar on a lesser host (or under DUBHE_CPU=portable) instead of
-// faulting.
+// Which compiled-in kernel runs is decided through core::cpu at first use:
+// simd_available() additionally requires AVX2+FMA under the current
+// DUBHE_CPU policy, so DUBHE_CPU=portable exercises the scalar tier inside
+// an AVX2 build.
 
 #if defined(DUBHE_SIMD_ENABLED) && defined(__AVX2__) && defined(__FMA__)
 #define DUBHE_SIMD_AVX2 1

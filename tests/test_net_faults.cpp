@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -75,7 +76,7 @@ void expect_quarantine(const char* spec, std::uint64_t client, std::uint64_t rou
   const auto plans = plan_for(N, faulty, net::parse_fault_plan(spec));
 
   const auto loop = net::run_loopback_session(dataset, proto, base_params, plans);
-  const auto tcp = net::run_tcp_session(dataset, proto, base_params, plans, 1);
+  const auto tcp = net::run_tcp_session(dataset, proto, base_params, 1, plans);
 
   // The whole point: churn transcripts are part of the deterministic
   // acceptance contract, quarantine records included.
@@ -199,7 +200,7 @@ TEST(NetFaults, EmptyPlanIsByteIdenticalToFaultFreeDriver) {
   const auto direct = net::run_session_direct(dataset, proto, params);
   const auto plain = net::run_loopback_session(dataset, proto, params);
   const auto planned = net::run_loopback_session(dataset, proto, params, none);
-  const auto tcp = net::run_tcp_session(dataset, proto, params, none, 2);
+  const auto tcp = net::run_tcp_session(dataset, proto, params, 2, none);
 
   EXPECT_TRUE(direct.quarantined.empty());
   EXPECT_TRUE(planned.quarantined.empty());
@@ -299,6 +300,99 @@ TEST(NetFaults, ClientRejectsPerSlotRegistryBroadcast) {
     std::rethrow_exception(error);
   } catch (const net::WireError& e) {
     EXPECT_EQ(e.code(), net::WireErrc::kBadPayload);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a WireError, got: " << e.what();
+  }
+}
+
+TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
+  // Frame::seq is a u16 per connection and direction, so a long session
+  // wraps both counters to 0. The exact-successor rule must hold across the
+  // wrap: the client accepts the server's wrapped numbers, stamps its own
+  // wrapped numbers, and still rejects a pre-wrap number as a replay. The
+  // scripted server spends seqs 0-3 on setup (hello, keys, registration
+  // request, broadcast), so its counter wraps at round 65,532; the client
+  // spends 0-1 (hello, registry upload), so its counter wraps at 65,534.
+  const auto dataset = make_dataset(2);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(1);
+  bigint::Xoshiro256ss rng(12);
+  const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
+
+  struct Server {
+    std::shared_ptr<net::Transport> link;
+    std::uint16_t seq = 0;
+    void send(net::Frame f) {
+      f.seq = seq++;
+      link->send(f);
+    }
+  };
+  // Registers one client endpoint (its own upload echoed back as the
+  // registry broadcast), hands the server end to `script`, and returns
+  // whatever serve_client threw (nullptr = it returned).
+  const auto run = [&](const std::function<void(Server&)>& script) {
+    auto [server_end, client] = net::LoopbackTransport::make_pair();
+    std::exception_ptr error;
+    std::thread endpoint([&, link = client] {
+      try {
+        net::serve_client(*link, 0, dataset, proto, params);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      link->close();
+    });
+    Server server{server_end};
+    std::exception_ptr script_error;
+    try {
+      (void)server.link->receive();  // kClientHello
+      server.send(net::make_server_hello({1, 2, 0}));
+      server.send(net::make_key_material({kp.pub, kp.prv}));
+      server.send(net::make_seed_request(MsgType::kRegistrationRequest, {3, 0}));
+      auto upload = server.link->receive();
+      if (!upload) throw net::TransportError("client left before its registry upload");
+      upload->type = MsgType::kRegistryBroadcast;
+      server.send(*upload);
+      script(server);
+    } catch (...) {
+      script_error = std::current_exception();
+      server.link->close();
+    }
+    endpoint.join();
+    server.link->close();
+    if (script_error != nullptr) std::rethrow_exception(script_error);
+    return error;
+  };
+  // Pipelines kRoundBegin for rounds [0, rounds), then checks that every
+  // answer is round r's kParticipation stamped (2 + r) mod 2^16.
+  const auto play_rounds = [](Server& server, std::uint64_t rounds) {
+    for (std::uint64_t r = 0; r < rounds; ++r) server.send(net::make_round_begin({r}));
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      const auto f = server.link->receive();
+      ASSERT_TRUE(f.has_value()) << "client left at round " << r;
+      ASSERT_EQ(f->type, MsgType::kParticipation) << "round " << r;
+      ASSERT_EQ(f->seq, static_cast<std::uint16_t>(2 + r)) << "round " << r;
+      ASSERT_EQ(net::parse_participation(*f).round, r);
+    }
+  };
+
+  const std::exception_ptr clean = run([&](Server& server) {
+    play_rounds(server, 65540);
+    server.send(net::make_shutdown());
+  });
+  EXPECT_EQ(clean, nullptr) << "serve_client did not return after kShutdown";
+
+  const std::exception_ptr replayed = run([&](Server& server) {
+    play_rounds(server, 65534);  // the server's last two frames carry seqs 0 and 1
+    net::Frame stale = net::make_round_begin({65534});
+    stale.seq = 65535;  // round 65,531's number, from before the wrap
+    server.link->send(stale);
+    server.link->close();  // a client that accepted the replay fails on EOF, not hangs
+  });
+  ASSERT_NE(replayed, nullptr);
+  try {
+    std::rethrow_exception(replayed);
+  } catch (const net::WireError& e) {
+    EXPECT_EQ(e.code(), net::WireErrc::kReplayed);
   } catch (const std::exception& e) {
     ADD_FAILURE() << "expected a WireError, got: " << e.what();
   }

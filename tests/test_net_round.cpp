@@ -105,7 +105,7 @@ TEST(NetRound, LoopbackMatchesDirectBitForBit) {
   fl::ChannelAccountant direct_channel;
   const auto direct = net::run_session_direct(dataset, proto, params, &direct_channel);
   fl::ChannelAccountant loop_channel;
-  const auto loopback = net::run_loopback_session(dataset, proto, params, &loop_channel);
+  const auto loopback = net::run_loopback_session(dataset, proto, params, {}, &loop_channel);
 
   expect_same_transcript(direct, loopback);
   ASSERT_EQ(direct.rounds.size(), 1u);
@@ -183,9 +183,9 @@ TEST(NetRound, SelectiveUpdateSessionMatchesEverywhere) {
   params.secure.update_he_rate = 0.5;
 
   fl::ChannelAccountant tcp_channel;
-  const auto tcp = net::run_tcp_session(dataset, proto, params, 1, &tcp_channel);
+  const auto tcp = net::run_tcp_session(dataset, proto, params, 1, {}, &tcp_channel);
   fl::ChannelAccountant loop_channel;
-  const auto loopback = net::run_loopback_session(dataset, proto, params, &loop_channel);
+  const auto loopback = net::run_loopback_session(dataset, proto, params, {}, &loop_channel);
   const auto direct = net::run_session_direct(dataset, proto, params);
 
   expect_same_transcript(tcp, loopback);
@@ -260,7 +260,7 @@ TEST(NetRound, ThreeRoundPersistentSessionMatchesEverywhere) {
   const auto params = make_params(2, R);
 
   fl::ChannelAccountant tcp_channel;
-  const auto tcp = net::run_tcp_session(dataset, proto, params, 1, &tcp_channel);
+  const auto tcp = net::run_tcp_session(dataset, proto, params, 1, {}, &tcp_channel);
 
   // The same session again at 4 event-loop workers (connections sharded
   // across loops), and once more with epoll masked out of the enabled CPU
@@ -276,7 +276,7 @@ TEST(NetRound, ThreeRoundPersistentSessionMatchesEverywhere) {
   expect_same_transcript(tcp_poll, tcp);
 
   fl::ChannelAccountant loop_channel;
-  const auto loopback = net::run_loopback_session(dataset, proto, params, &loop_channel);
+  const auto loopback = net::run_loopback_session(dataset, proto, params, {}, &loop_channel);
   const auto direct = net::run_session_direct(dataset, proto, params);
 
   ASSERT_EQ(tcp.rounds.size(), R);

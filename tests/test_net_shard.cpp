@@ -162,7 +162,7 @@ TEST(ShardTree, ShardSideFaultReachesRootTranscriptIntact) {
   EXPECT_EQ(tree.quarantined[0].reason, QuarantineReason::kDisconnect);
 
   // Same plan over TCP: timing changes, the transcript must not.
-  const auto tree_tcp = net::run_tree_tcp_session(dataset, proto, params, 2, plans);
+  const auto tree_tcp = net::run_tree_tcp_session(dataset, proto, params, 2, 1, plans);
   expect_same_transcript(flat, tree_tcp);
 }
 
@@ -466,13 +466,51 @@ TEST(ShardTree, RootRejectsWrongShapePartialSum) {
 }
 
 TEST(ShardTree, RejectsInvalidTopologies) {
-  const auto dataset = make_dataset(4);
+  // Every harness checks its arguments before any thread or socket exists:
+  // a tree needs 1..N shards, and a non-empty fault-plan list needs one
+  // plan per client.
+  const std::size_t N = 4;
+  const auto dataset = make_dataset(N);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   const auto params = make_params(2, 1);
-  EXPECT_THROW((void)net::run_tree_session(dataset, proto, params, 0),
-               std::invalid_argument);
-  EXPECT_THROW((void)net::run_tree_session(dataset, proto, params, 5),
-               std::invalid_argument);
+  using Plans = std::span<const net::FaultPlan>;
+  struct Harness {
+    const char* name;
+    bool tree;
+    std::function<void(std::size_t shards, Plans plans)> run;
+  };
+  const Harness harnesses[] = {
+      {"loopback", false,
+       [&](std::size_t, Plans plans) {
+         (void)net::run_loopback_session(dataset, proto, params, plans);
+       }},
+      {"tcp", false,
+       [&](std::size_t, Plans plans) {
+         (void)net::run_tcp_session(dataset, proto, params, 1, plans);
+       }},
+      {"tree", true,
+       [&](std::size_t shards, Plans plans) {
+         (void)net::run_tree_session(dataset, proto, params, shards, plans);
+       }},
+      {"tree-tcp", true,
+       [&](std::size_t shards, Plans plans) {
+         (void)net::run_tree_tcp_session(dataset, proto, params, shards, 1, plans);
+       }},
+  };
+  struct Case {
+    std::size_t shards;
+    std::size_t plans;  // 0 = no fault plans
+    bool tree_only;
+  };
+  const Case cases[] = {{0, 0, true}, {N + 1, 0, true}, {2, N - 1, false}, {2, N + 1, false}};
+  for (const Harness& h : harnesses) {
+    for (const Case& c : cases) {
+      if (c.tree_only && !h.tree) continue;
+      const std::vector<net::FaultPlan> plans(c.plans);
+      EXPECT_THROW(h.run(c.shards, plans), std::invalid_argument)
+          << h.name << ": shards " << c.shards << ", plans " << c.plans;
+    }
+  }
 }
 
 }  // namespace

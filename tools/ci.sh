@@ -3,13 +3,14 @@
 # under ASan/UBSan to catch carry-propagation UB and lifetime bugs in the
 # bigint kernels and the shared core::ParallelRuntime pool, then once more
 # with DUBHE_SIMD=OFF so the portable scalar GEMM / slice-by-8 CRC fallback
-# stays green. The release leg additionally runs the multi-process net
-# smoke (tools/net_smoke.sh: dubhe_node server + 3 client processes over
-# localhost, plus a 1-root + 2-shard + 4-client aggregation-tree leg,
-# every transcript diffed against the in-process selftest) and a
-# DUBHE_CPU=portable pass of the dispatch-sensitive suites (slice-by-8
-# CRC, scalar GEMM, C Montgomery rows, poll(2) backend — the
-# no-capability tier). Data races
+# stays green (the only build with no AVX instructions, so the only one
+# that runs on a pre-AVX2 x86 host). The release leg additionally runs the
+# multi-process net smoke (tools/net_smoke.sh: dubhe_node server + 3 client
+# processes over localhost, plus a 1-root + 2-shard + 4-client
+# aggregation-tree leg, every transcript diffed against the in-process
+# selftest) and a DUBHE_CPU=portable pass of the dispatch-sensitive suites
+# (slice-by-8 CRC, scalar GEMM, C Montgomery rows, poll(2) backend — the
+# scalar tiers inside the AVX2 build). Data races
 # are a separate tool's job: a final ThreadSanitizer pass builds the
 # thread-invariance and transport suites (test_parallel_crypto +
 # test_tensor_simd + test_net_wire + test_net_round + test_net_faults +
@@ -60,8 +61,9 @@ fi
 # Portable-tier leg: DUBHE_CPU=portable masks every runtime capability, so
 # the release binaries must pass the net + dispatch + bigint suites on
 # slice-by-8 CRC, scalar GEMM, the C Montgomery row loop (with __int128,
-# unlike the *_portable suites) and the poll(2) event-loop backend — the
-# exact configuration a machine without PCLMUL/AVX2/ADX/epoll would run.
+# unlike the *_portable suites) and the poll(2) event-loop backend. These
+# are the tiers a host without PCLMUL/AVX2/ADX/epoll would select, run
+# inside the AVX2 build; only the simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
 DUBHE_CPU=portable ctest --preset release \
   -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier" \

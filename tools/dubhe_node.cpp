@@ -495,7 +495,7 @@ int run_selftest(const Options& opt) {
     std::vector<net::FaultPlan> plans(opt.clients);
     plans[opt.fault_client] = net::parse_fault_plan(opt.fault_plan);
     const auto loopback = net::run_loopback_session(dataset, proto, params, plans);
-    const auto tcp = net::run_tcp_session(dataset, proto, params, plans, opt.workers);
+    const auto tcp = net::run_tcp_session(dataset, proto, params, opt.workers, plans);
     const std::string text = net::format_transcript(loopback);
     if (!(loopback == tcp)) {
       std::fprintf(stderr,
