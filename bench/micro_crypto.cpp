@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <map>
 #include <string_view>
-#include <utility>
 
 #include "bigint/montgomery.hpp"
 #include "bigint/prime.hpp"
@@ -141,22 +140,6 @@ BENCHMARK(BM_MpzPowmSessionShape)
     ->Args({2048, 1024})
     ->Unit(benchmark::kMillisecond);
 #endif
-
-void BM_FixedBasePow(benchmark::State& state) {
-  // Same shape as BM_MontgomeryPow but through a precomputed comb table:
-  // no squarings, one multiplication per non-zero 4-bit exponent window.
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  bigint::Xoshiro256ss rng(bits + 2);
-  const BigUint m = odd_random(rng, bits);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  const BigUint base = bigint::random_below(rng, m);
-  const BigUint exp = bigint::random_exact_bits(rng, bits);
-  const bigint::FixedBaseTable table(ctx, base, bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.pow(exp));
-  }
-}
-BENCHMARK(BM_FixedBasePow)->Arg(1024)->Arg(2048)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_GenericPowModEvenModulus(benchmark::State& state) {
   // The non-Montgomery fallback, for contrast with BM_MontgomeryPow.
@@ -298,10 +281,6 @@ void print_ops_table() {
   const he::Ciphertext ct_b = kp.pub.encrypt(BigUint{654321}, rng);
   const BigUint scalar{0x1234567890abcdefULL};
 
-  // A key copy with the fixed-base noise table, for the table-vs-plain rows.
-  he::PublicKey pub_fb = kp.pub;
-  pub_fb.precompute_noise(rng);
-
   struct Row {
     const char* op;
     double sec;
@@ -311,8 +290,6 @@ void print_ops_table() {
        time_op([&] { benchmark::DoNotOptimize(ctx.pow(base, exp)); })},
       {"paillier encrypt",
        time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); })},
-      {"paillier encrypt (fixed-base)",
-       time_op([&] { benchmark::DoNotOptimize(pub_fb.encrypt(BigUint{1}, rng)); })},
       // Same ciphertext as "paillier encrypt": r^n mod p^2 and mod q^2 on
       // two pool workers, for the parties that hold p and q.
       {"paillier encrypt (key-holder CRT)",
@@ -337,18 +314,14 @@ void print_ops_table() {
 }
 
 /// Batch-encryption throughput over the shared runtime: serial legacy loop
-/// versus encrypt_batch at 1/2/4/8 threads, with and without the fixed-base
-/// noise table. Slot ops/sec is the comparable unit (slots per second of a
-/// 32-slot vector). Thread scaling tops out at the machine's core count —
-/// the table records whatever this host offers.
+/// versus encrypt_batch at 1/2/4/8 threads. Slot ops/sec is the comparable
+/// unit (slots per second of a 32-slot vector). Thread scaling tops out at
+/// the machine's core count — the table records whatever this host offers.
 void print_batch_table() {
   constexpr std::size_t kKeyBits = 2048;
   constexpr std::size_t kSlots = 32;
   const he::Keypair& kp = keypair(kKeyBits);
   bigint::Xoshiro256ss rng(43);
-
-  he::PublicKey pub_fb = kp.pub;
-  pub_fb.precompute_noise(rng);
 
   const std::vector<std::uint64_t> values(kSlots, 123456);
 
@@ -365,16 +338,12 @@ void print_batch_table() {
              benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{v}, rng));
            }
          }));
-  const std::pair<const char*, const he::PublicKey*> modes[] = {
-      {"encrypt_batch", &kp.pub}, {"encrypt_batch + fixed-base", &pub_fb}};
-  for (const auto& [mode, pub] : modes) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-      report(mode, threads, time_op([&] {
-               benchmark::DoNotOptimize(he::EncryptedVector::encrypt(
-                   *pub, values, rng, {.threads = threads}));
-             }));
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    report("encrypt_batch", threads, time_op([&] {
+             benchmark::DoNotOptimize(
+                 he::EncryptedVector::encrypt(kp.pub, values, rng, {.threads = threads}));
+           }));
   }
   std::printf("(runtime workers: %zu)\n\n",
               core::ParallelRuntime::instance().worker_count());

@@ -200,7 +200,6 @@ Montgomery::Montgomery(const BigUint& modulus) : n_(modulus) {
 
   // R = 2^(64 s); compute R mod N and R^2 mod N with plain division once.
   const BigUint r = BigUint::pow2(kLimbBits * s_) % n_;
-  one_mont_ = r;
   rr_ = r.mul_mod(r, n_);
   tier_ = select_row_tier();
 }
@@ -294,14 +293,6 @@ BigUint Montgomery::from_mont_limbs(const std::vector<Limb>& acc,
   return from_limbs(std::move(tmp));
 }
 
-unsigned Montgomery::window4(const BigUint& exp, std::size_t w) {
-  unsigned idx = 0;
-  for (int k = 3; k >= 0; --k) {
-    idx = (idx << 1) | (exp.bit(w * 4 + static_cast<std::size_t>(k)) ? 1u : 0u);
-  }
-  return idx;
-}
-
 BigUint Montgomery::pow(const BigUint& base, const BigUint& exp) const {
   if (exp.is_zero()) return BigUint{1} % n_;
 
@@ -354,56 +345,6 @@ BigUint Montgomery::pow(const BigUint& base, const BigUint& exp) const {
     i = low;  // the loop's decrement moves on to bit low - 1
   }
   return from_mont_limbs(acc, tmp, t);
-}
-
-FixedBaseTable::FixedBaseTable(std::shared_ptr<const Montgomery> ctx,
-                               const BigUint& base, std::size_t max_exp_bits)
-    : ctx_(std::move(ctx)), max_exp_bits_(max_exp_bits) {
-  if (!ctx_) throw std::invalid_argument("FixedBaseTable: null context");
-  if (max_exp_bits == 0) {
-    throw std::invalid_argument("FixedBaseTable: zero exponent width");
-  }
-  s_ = ctx_->s_;
-  const std::size_t windows = (max_exp_bits + kWindowBits - 1) / kWindowBits;
-  entries_.resize(windows * 15 * s_);
-
-  std::vector<Limb> t(ctx_->scratch_limbs()), tmp(s_);
-  // bw = base^(16^w) in Montgomery form, starting from w = 0.
-  std::vector<Limb> bw(s_);
-  ctx_->to_mont_limbs(base % ctx_->n_, bw.data(), t.data());
-  for (std::size_t w = 0; w < windows; ++w) {
-    Limb* row = entries_.data() + w * 15 * s_;
-    std::copy(bw.begin(), bw.end(), row);  // digit 1
-    for (unsigned d = 2; d <= 15; ++d) {
-      ctx_->cios(row + (d - 2) * s_, bw.data(), row + (d - 1) * s_, t.data());
-    }
-    if (w + 1 < windows) {
-      for (int sq = 0; sq < 4; ++sq) {  // bw <- bw^16
-        ctx_->sqr(bw.data(), tmp.data(), t.data());
-        bw.swap(tmp);
-      }
-    }
-  }
-}
-
-BigUint FixedBaseTable::pow(const BigUint& exp) const {
-  const std::size_t nbits = exp.bit_length();
-  if (nbits > max_exp_bits_) {
-    throw std::out_of_range("FixedBaseTable: exponent exceeds table width");
-  }
-  if (exp.is_zero()) return BigUint{1} % ctx_->n_;
-
-  std::vector<Limb> t(ctx_->scratch_limbs()), tmp(s_);
-  std::vector<Limb> acc = ctx_->padded(ctx_->one_mont_);
-  const std::size_t windows = (nbits + kWindowBits - 1) / kWindowBits;
-  for (std::size_t w = 0; w < windows; ++w) {
-    const unsigned idx = Montgomery::window4(exp, w);
-    if (idx != 0) {
-      ctx_->cios(acc.data(), entry(w, idx), tmp.data(), t.data());
-      acc.swap(tmp);
-    }
-  }
-  return ctx_->from_mont_limbs(acc, tmp, t);
 }
 
 }  // namespace dubhe::bigint

@@ -2,14 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bigint/biguint.hpp"
 
 namespace dubhe::bigint {
-
-class FixedBaseTable;
 
 /// Tiers of the Montgomery row primitive `addmul_1`. Both produce the same
 /// limbs; they differ only in how the carry chain is scheduled.
@@ -68,7 +65,6 @@ class Montgomery {
   [[nodiscard]] BigUint pow(const BigUint& base, const BigUint& exp) const;
 
  private:
-  friend class FixedBaseTable;
   using Limb = BigUint::Limb;
 
   /// Raw CIOS kernel over limb vectors of length s_ (inputs zero-padded,
@@ -96,54 +92,13 @@ class Montgomery {
   [[nodiscard]] BigUint from_mont_limbs(const std::vector<Limb>& acc,
                                         std::vector<Limb>& tmp,
                                         std::vector<Limb>& t) const;
-  /// 4-bit window digit of `exp` at window w (bits [4w, 4w+4)).
-  [[nodiscard]] static unsigned window4(const BigUint& exp, std::size_t w);
 
   BigUint n_;
   std::vector<Limb> n_limbs_;  // modulus, padded to s_
   std::size_t s_ = 0;          // limb count of the modulus
   Limb n0inv_ = 0;             // -N^{-1} mod 2^64
   BigUint rr_;                 // R^2 mod N
-  BigUint one_mont_;           // R mod N (1 in Montgomery form)
   RowTier tier_ = RowTier::kPortable;
-};
-
-/// Fixed-base exponentiation table (radix-2^4 comb). Precomputes
-/// base^(d * 16^w) in Montgomery form for every 4-bit window w up to
-/// `max_exp_bits` and every digit d in [1, 15], after which pow(exp) is a
-/// product of one table entry per non-zero exponent window — no squarings
-/// and no per-call table build, ~5x fewer kernel calls than Montgomery::pow
-/// for 2048-bit exponents. Build cost is ~18 multiplications per window and
-/// the table stores 15 entries per window (15 * ceil(bits/4) * limb_count
-/// words), so this pays off when the same base is raised to many exponents:
-/// the Paillier noise term h^x reuses one table per key across every
-/// encrypt/rerandomize call.
-class FixedBaseTable {
- public:
-  /// Builds the table for exponents up to `max_exp_bits` bits. Throws
-  /// std::invalid_argument on a null context or zero width.
-  FixedBaseTable(std::shared_ptr<const Montgomery> ctx, const BigUint& base,
-                 std::size_t max_exp_bits);
-
-  [[nodiscard]] const Montgomery& context() const { return *ctx_; }
-  [[nodiscard]] std::size_t max_exp_bits() const { return max_exp_bits_; }
-
-  /// base^exp mod N — bit-identical to Montgomery::pow(base, exp). Throws
-  /// std::out_of_range if exp.bit_length() > max_exp_bits().
-  [[nodiscard]] BigUint pow(const BigUint& exp) const;
-
- private:
-  using Limb = BigUint::Limb;
-  static constexpr std::size_t kWindowBits = 4;
-
-  [[nodiscard]] const Limb* entry(std::size_t window, unsigned digit) const {
-    return entries_.data() + (window * 15 + (digit - 1)) * s_;
-  }
-
-  std::shared_ptr<const Montgomery> ctx_;
-  std::size_t max_exp_bits_ = 0;
-  std::size_t s_ = 0;           // limbs per entry (= modulus limb count)
-  std::vector<Limb> entries_;   // [window][digit-1][limb], Montgomery form
 };
 
 }  // namespace dubhe::bigint

@@ -55,10 +55,8 @@ class SystemEntropySource final : public EntropySource {
 };
 
 /// Derives an independent stream seed from a master seed (golden-ratio mix
-/// through SplitMix64). The batch Paillier APIs seed stream k of a batch
-/// with derive_seed(batch_seed, k), which is what makes their output
-/// independent of thread count; stats::derive_seed forwards here so
-/// client-level and slot-level streams share one convention.
+/// through SplitMix64). stats::derive_seed forwards here, so the experiment
+/// stack's per-client and per-stream seeds share one convention.
 std::uint64_t derive_seed(std::uint64_t master, std::uint64_t stream);
 
 /// Uniform integer in [0, 2^bits). Consumes ceil(bits / 64) generator words;

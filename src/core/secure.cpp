@@ -63,7 +63,6 @@ SecureSelectionSession::SecureSelectionSession(const RegistryCodec& codec,
   }
   const auto t0 = Clock::now();
   keypair_ = he::Keypair::generate(rng_, cfg_.key_bits);
-  if (cfg_.use_fixed_base) keypair_.pub.precompute_noise(rng_);
   timings_.keygen_seconds += seconds_since(t0);
   session_seed_ = rng_.next_u64();
   if (channel_ != nullptr) {

@@ -36,15 +36,6 @@ struct SecureConfig {
   /// under its own seed-derived randomness (and each slot under a per-slot
   /// derived stream — see he::BatchOptions).
   std::size_t encrypt_threads = 1;
-  /// Build the session key's fixed-base noise table
-  /// (he::PublicKey::precompute_noise) right after keygen, making every
-  /// encryption in the session ~10x cheaper at 2048-bit keys. Off by
-  /// default because it also changes the noise model — uniform r^n becomes
-  /// DJN-style (h^n)^x, a statistical→computational randomization trade —
-  /// and that should be an explicit opt-in, not a silent default.
-  /// Deterministic given the session RNG; thread-count invariance holds
-  /// either way.
-  bool use_fixed_base = false;
   /// Fraction of model-update coordinates shipped encrypted (top-k by
   /// global-weight magnitude, see core/selective.hpp). 0 keeps today's
   /// plaintext kModelUpdate path bit-for-bit; 1 encrypts every coordinate

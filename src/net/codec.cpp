@@ -554,6 +554,10 @@ PartialParticipation parse_partial_participation(const Frame& f) {
   m.round = r.u64();
   m.quarantined = read_quarantine_list(r);
   const std::size_t count = r.u32();
+  // Every entry is at least a u64 id and a u32 draw count.
+  if (count * 12 > r.remaining()) {
+    throw WireError(WireErrc::kBadPayload, "partial participation: entry count mismatch");
+  }
   m.entries.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Participation e;
@@ -717,6 +721,10 @@ PartialUpdate parse_partial_update(const Frame& f) {
   m.quarantined = read_quarantine_list(r);
   if (m.mode == 0) {
     const std::size_t count = r.u32();
+    // Every entry is at least a u64 id and a u32 weight count.
+    if (count * 12 > r.remaining()) {
+      throw WireError(WireErrc::kBadPayload, "partial update: entry count mismatch");
+    }
     m.updates.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       ShardUpdateEntry e;

@@ -21,17 +21,6 @@ EncryptedVector EncryptedVector::encrypt(const PublicKey& pk,
                          pk.encrypt_batch(ms, detail::draw_stream_states(rng, values.size()), opt));
 }
 
-EncryptedVector EncryptedVector::encrypt_direct(const PublicKey& pk,
-                                                std::span<const std::uint64_t> values,
-                                                bigint::EntropySource& rng) {
-  std::vector<Ciphertext> slots;
-  slots.reserve(values.size());
-  for (const std::uint64_t v : values) {
-    slots.push_back(pk.encrypt(BigUint{v}, rng));
-  }
-  return EncryptedVector(pk, std::move(slots));
-}
-
 EncryptedVector EncryptedVector::zeros(const PublicKey& pk, std::size_t size) {
   std::vector<Ciphertext> slots(size, pk.encrypt_deterministic(BigUint{}));
   return EncryptedVector(pk, std::move(slots));

@@ -27,13 +27,6 @@ class EncryptedVector {
                                  std::span<const std::uint64_t> values,
                                  bigint::EntropySource& rng,
                                  const BatchOptions& opt = {});
-  /// Serial full-entropy variant: every slot draws its randomization
-  /// directly from `rng` (~key_bits of fresh entropy per slot, the pre-batch
-  /// behavior) instead of a 64-bit per-slot stream seed. For deployments
-  /// encrypting under a real entropy source; not thread-parallelizable.
-  static EncryptedVector encrypt_direct(const PublicKey& pk,
-                                        std::span<const std::uint64_t> values,
-                                        bigint::EntropySource& rng);
   /// All-zeros encrypted vector (deterministic encryptions of 0, suitable
   /// as the identity for += aggregation on the server).
   static EncryptedVector zeros(const PublicKey& pk, std::size_t size);

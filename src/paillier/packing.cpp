@@ -99,19 +99,6 @@ PackedEncryptedVector PackedEncryptedVector::encrypt(
                                encrypt_packed(prv, codec, values, rng, opt));
 }
 
-PackedEncryptedVector PackedEncryptedVector::encrypt_direct(
-    const PublicKey& pk, const PackedCodec& codec,
-    std::span<const std::uint64_t> values, bigint::EntropySource& rng) {
-  PackedEncryptedVector v;
-  v.pk_ = pk;
-  v.codec_ = codec;
-  v.count_ = values.size();
-  const std::vector<BigUint> pts = codec.encode(values);
-  v.cts_.reserve(pts.size());
-  for (const BigUint& pt : pts) v.cts_.push_back(pk.encrypt(pt, rng));
-  return v;
-}
-
 PackedEncryptedVector& PackedEncryptedVector::operator+=(const PackedEncryptedVector& o) {
   if (count_ != o.count_ || cts_.size() != o.cts_.size() ||
       codec_.slot_bits() != o.codec_.slot_bits()) {

@@ -69,12 +69,6 @@ class PackedEncryptedVector {
                                        std::span<const std::uint64_t> values,
                                        bigint::EntropySource& rng,
                                        const BatchOptions& opt = {});
-  /// Serial full-entropy variant mirroring EncryptedVector::encrypt_direct:
-  /// each packed ciphertext draws its randomization directly from `rng`.
-  static PackedEncryptedVector encrypt_direct(const PublicKey& pk,
-                                              const PackedCodec& codec,
-                                              std::span<const std::uint64_t> values,
-                                              bigint::EntropySource& rng);
 
   PackedEncryptedVector& operator+=(const PackedEncryptedVector& o);
 

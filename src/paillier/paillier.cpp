@@ -10,22 +10,19 @@ namespace dubhe::he {
 
 namespace {
 
-/// Crypto-op telemetry (counts + latency histograms, fixed-base vs plain
-/// noise path). Out-of-band: no RNG or ciphertext state is touched, so
-/// instrumented and uninstrumented runs are byte-identical.
-telemetry::Histogram& encrypt_hist(bool fixed_base) {
-  static telemetry::Histogram& fb = telemetry::histogram(
-      "dubhe_paillier_encrypt_seconds{mode=\"fixed_base\"}");
-  static telemetry::Histogram& plain =
+/// Crypto-op telemetry (counts + latency histograms). Out-of-band: no RNG
+/// or ciphertext state is touched, so instrumented and uninstrumented runs
+/// are byte-identical. The mode label is always "plain"; it stays in the
+/// series names so readers of those names keep working.
+telemetry::Histogram& encrypt_hist() {
+  static telemetry::Histogram& hist =
       telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
-  return fixed_base ? fb : plain;
+  return hist;
 }
-telemetry::Counter& encrypt_count(bool fixed_base) {
-  static telemetry::Counter& fb =
-      telemetry::counter("dubhe_paillier_encrypt_total{mode=\"fixed_base\"}");
-  static telemetry::Counter& plain =
+telemetry::Counter& encrypt_count() {
+  static telemetry::Counter& count =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
-  return fixed_base ? fb : plain;
+  return count;
 }
 
 /// The one r draw behind both encryption paths: r uniform in Z*_n by
@@ -85,66 +82,21 @@ Ciphertext PublicKey::encrypt_deterministic(const BigUint& m) const {
 }
 
 Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
-  const bool fixed_base = noise_table_ != nullptr;
-  encrypt_count(fixed_base).inc();
-  telemetry::ScopedTimer timer(encrypt_hist(fixed_base));
+  encrypt_count().inc();
+  telemetry::ScopedTimer timer(encrypt_hist());
   Ciphertext gm = encrypt_deterministic(m);
   return rerandomize(gm, rng);
 }
 
 Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const {
-  BigUint rn;
-  if (noise_table_ != nullptr) {
-    // Fixed-base path: noise = (h^n)^x, one table product per 4 bits of x.
-    BigUint x;
-    do {
-      x = bigint::random_bits(rng, noise_bits_);
-    } while (x.is_zero());
-    rn = noise_table_->pow(x);
-  } else {
-    rn = mont_n2_->pow(draw_unit(rng, n_), n_);
-  }
+  const BigUint rn = mont_n2_->pow(draw_unit(rng, n_), n_);
   return Ciphertext{a.c.mul_mod(rn, n_sq_)};
-}
-
-void PublicKey::precompute_noise(bigint::EntropySource& rng, std::size_t noise_bits) {
-  if (n_.is_zero()) throw std::logic_error("Paillier: empty public key");
-  noise_bits_ = noise_bits == 0 ? key_bits() / 2 : noise_bits;
-  BigUint h;
-  do {
-    h = bigint::random_below(rng, n_sq_);
-  } while (h.is_zero() || h.is_one() || !BigUint::gcd(h, n_).is_one());
-  const BigUint hn = mont_n2_->pow(h, n_);
-  noise_table_ =
-      std::make_shared<bigint::FixedBaseTable>(mont_n2_, hn, noise_bits_);
 }
 
 std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
                                                  std::span<const StreamState> states,
                                                  const BatchOptions& opt) const {
   return encrypt_each(*this, ms, states, opt);
-}
-
-std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
-                                                 std::uint64_t seed,
-                                                 const BatchOptions& opt) const {
-  std::vector<Ciphertext> out(ms.size());
-  core::parallel_for(ms.size(), opt.threads, [&](std::size_t i) {
-    bigint::Xoshiro256ss stream(bigint::derive_seed(seed, i));
-    out[i] = encrypt(ms[i], stream);
-  });
-  return out;
-}
-
-std::vector<Ciphertext> PublicKey::rerandomize_batch(std::span<const Ciphertext> cts,
-                                                     std::uint64_t seed,
-                                                     const BatchOptions& opt) const {
-  std::vector<Ciphertext> out(cts.size());
-  core::parallel_for(cts.size(), opt.threads, [&](std::size_t i) {
-    bigint::Xoshiro256ss stream(bigint::derive_seed(seed, i));
-    out[i] = rerandomize(cts[i], stream);
-  });
-  return out;
 }
 
 Ciphertext PublicKey::add(const Ciphertext& a, const Ciphertext& b) const {
@@ -214,8 +166,8 @@ PrivateKey::PrivateKey(const BigUint& p, const BigUint& q) : p_(p), q_(q) {
 }
 
 Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
-  encrypt_count(false).inc();
-  telemetry::ScopedTimer timer(encrypt_hist(false));
+  encrypt_count().inc();
+  telemetry::ScopedTimer timer(encrypt_hist());
   const Ciphertext gm = pub_.encrypt_deterministic(m);
   const BigUint& n = pub_.n();
   const BigUint r = draw_unit(rng, n);
@@ -338,6 +290,9 @@ void append_field(std::vector<std::uint8_t>& out, const BigUint& v) {
   out.insert(out.end(), mag.begin(), mag.end());
 }
 
+/// Widest key field read_field accepts: 16,384 bits, 8x the paper's key.
+constexpr std::size_t kMaxKeyFieldBytes = 16384 / 8;
+
 BigUint read_field(std::span<const std::uint8_t>& bytes) {
   if (bytes.size() < 4) throw std::invalid_argument("key field: short buffer");
   const std::size_t body = (static_cast<std::size_t>(bytes[0]) << 24) |
@@ -345,6 +300,12 @@ BigUint read_field(std::span<const std::uint8_t>& bytes) {
                            (static_cast<std::size_t>(bytes[2]) << 8) |
                            static_cast<std::size_t>(bytes[3]);
   if (bytes.size() < 4 + body) throw std::invalid_argument("key field: truncated");
+  // n, p and q all come through here, and every key parse then builds n^2
+  // and Montgomery contexts at a cost quadratic in the width. Packed
+  // uploads embed their own key, so the width is bounded before that runs.
+  if (body > kMaxKeyFieldBytes) {
+    throw std::invalid_argument("key field: wider than 16384 bits");
+  }
   // append_field writes trimmed magnitudes; accept only that canonical form
   // so a parsed field always re-serializes to the identical bytes (the net
   // layer's exact-size accounting and byte-identity tests rely on it).

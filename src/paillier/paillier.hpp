@@ -27,8 +27,7 @@ struct Ciphertext {
 /// shared core::ParallelRuntime: 1 (the default) runs serially on the
 /// caller, 0 uses every pool worker. Batch results are byte-identical for
 /// any thread count — each item draws from its own independently seeded
-/// RNG stream (an explicit per-item seed, or bigint::derive_seed of a
-/// batch seed), never from a shared one.
+/// RNG stream (an explicit per-item StreamState), never from a shared one.
 struct BatchOptions {
   std::size_t threads = 1;
 };
@@ -69,20 +68,6 @@ class PublicKey {
   /// unlinking it from its origin without changing the plaintext.
   [[nodiscard]] Ciphertext rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const;
 
-  /// Precomputes the fixed-base noise table (DJN-style shortcut): samples a
-  /// unit h of Z*_{n^2}, fixes h_n = h^n mod n^2, and builds a
-  /// bigint::FixedBaseTable for h_n. Afterwards encrypt/rerandomize obtain
-  /// their noise as h_n^x for a fresh `noise_bits`-bit x — one table lookup
-  /// product per 4 exponent bits, no squarings — instead of computing r^n
-  /// from scratch (~5x faster at the paper's 2048-bit keys). The noise then
-  /// ranges over the cyclic subgroup <h^n> rather than all n-th residues,
-  /// the standard Damgård–Jurik–Nielsen trade (computationally, not
-  /// statistically, indistinguishable randomization). noise_bits == 0 picks
-  /// key_bits / 2. The table is never serialized; re-enable it after
-  /// deserialize_public_key if wanted.
-  void precompute_noise(bigint::EntropySource& rng, std::size_t noise_bits = 0);
-  [[nodiscard]] bool has_noise_table() const { return noise_table_ != nullptr; }
-
   /// Per-item RNG stream state for the batch APIs: a full 256-bit
   /// xoshiro256** state, so each item's randomization carries the caller's
   /// entropy at the generator's native width (no 64-bit bottleneck).
@@ -95,19 +80,6 @@ class PublicKey {
   [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
       std::span<const BigUint> ms, std::span<const StreamState> states,
       const BatchOptions& opt = {}) const;
-  /// Reproducibility convenience: seeds item i's stream with
-  /// bigint::derive_seed(seed, i) — here the whole batch is deliberately a
-  /// function of one 64-bit seed (the experiment stack's seeded-
-  /// reproducibility contract). Deployments encrypting under real entropy
-  /// should use the StreamState overload (what EncryptedVector::encrypt
-  /// does) or per-item encrypt().
-  [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
-      std::span<const BigUint> ms, std::uint64_t seed,
-      const BatchOptions& opt = {}) const;
-  /// Batch re-randomization with the same per-item stream derivation.
-  [[nodiscard]] std::vector<Ciphertext> rerandomize_batch(
-      std::span<const Ciphertext> cts, std::uint64_t seed,
-      const BatchOptions& opt = {}) const;
 
   bool operator==(const PublicKey& o) const { return n_ == o.n_; }
 
@@ -115,10 +87,6 @@ class PublicKey {
   BigUint n_;
   BigUint n_sq_;
   std::shared_ptr<const bigint::Montgomery> mont_n2_;
-  /// Fixed-base table for h^n (shared across copies of the key; a PublicKey
-  /// copy is cheap even with the table enabled).
-  std::shared_ptr<const bigint::FixedBaseTable> noise_table_;
-  std::size_t noise_bits_ = 0;
 };
 
 /// Paillier private key. Decryption uses the CRT over p^2 and q^2, which is
@@ -152,9 +120,8 @@ class PrivateKey {
   /// paillier.cpp), which relies on p and q being prime, as
   /// Keypair::generate makes them. The result is the same integer as the
   /// public path's, so ciphertexts are byte-identical for the same stream —
-  /// but no exponentiation runs modulo n^2. Fixed-base (DJN) noise stays a
-  /// public-key option: this path ignores any noise table on public_key().
-  /// Counted under the dubhe_paillier_encrypt_*{mode="plain"} series.
+  /// but no exponentiation runs modulo n^2. Counted under the
+  /// dubhe_paillier_encrypt_*{mode="plain"} series.
   /// Throws std::out_of_range unless m < n.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
   /// Batch key-holder encryption with PublicKey::encrypt_batch's per-item

@@ -59,6 +59,25 @@ TEST(KeySerialization, RejectsTruncated) {
                std::invalid_argument);
 }
 
+TEST(KeySerialization, BoundsTheKeyFieldWidth) {
+  // n, p and q share one field reader, capped at 16,384 bits (8x the
+  // paper's key) before any n^2 or Montgomery context is built.
+  bigint::Xoshiro256ss rng(6);
+  const auto odd_modulus = [&rng](std::size_t bits) {
+    BigUint n = bigint::random_exact_bits(rng, bits);
+    if (!n.is_odd()) n += BigUint{1};
+    return n;
+  };
+  const PublicKey widest(odd_modulus(16384));
+  ASSERT_EQ(widest.key_bits(), 16384u);
+  EXPECT_EQ(deserialize_public_key(serialize(widest)), widest);
+
+  auto bytes = serialize(PublicKey(odd_modulus(16392)));
+  EXPECT_THROW(deserialize_public_key(bytes), std::invalid_argument);
+  bytes[0] = 'S';  // the same field as a private key's p
+  EXPECT_THROW(deserialize_private_key(bytes), std::invalid_argument);
+}
+
 TEST(KeySerialization, AgentDispatchScenario) {
   // The §5.1 flow in bytes: the agent serializes the keypair, every client
   // deserializes it, encrypts its registry slot, and the sum decrypts

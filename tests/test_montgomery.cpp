@@ -1,8 +1,7 @@
-// Montgomery row primitive, context, squaring kernel, sliding-window pow
-// and fixed-base table, each checked against plain long-division
-// arithmetic. The kernel checks run once per row tier (the ADX leg skips on
-// a host without BMI2 + ADX); the row primitive's tiers are also compared
-// directly.
+// Montgomery row primitive, context, squaring kernel and sliding-window
+// pow, each checked against plain long-division arithmetic. The kernel
+// checks run once per row tier (the ADX leg skips on a host without
+// BMI2 + ADX); the row primitive's tiers are also compared directly.
 //
 // This file is also compiled a second time with DUBHE_NO_INT128 (target
 // test_montgomery_portable) so the kernels' synthesized 64x64->128 path
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -229,21 +227,6 @@ TEST_P(MontgomeryTier, LargeModulusPow) {
   const BigUint x = random_below(rng, m);
   EXPECT_EQ(ctx.pow(x, BigUint{2}), x.mul_mod(x, m));
   EXPECT_EQ(ctx.pow(x, BigUint{3}), x.mul_mod(x, m).mul_mod(x, m));
-}
-
-TEST_P(MontgomeryTier, FixedBaseTableMatchesPowAtPaillierWidths) {
-  Xoshiro256ss rng(12);
-  for (const std::size_t bits : {1024u, 2048u}) {
-    BigUint m = random_exact_bits(rng, bits);
-    if (!m.is_odd()) m += BigUint{1};
-    const auto ctx = std::make_shared<const Montgomery>(m);
-    const BigUint base = random_below(rng, m);
-    const FixedBaseTable table(ctx, base, bits);
-    for (const BigUint& e : {random_exact_bits(rng, bits), random_exact_bits(rng, bits / 2),
-                             BigUint::pow2(bits) - BigUint{1}, BigUint{1}}) {
-      EXPECT_EQ(table.pow(e), ctx->pow(base, e)) << bits;
-    }
-  }
 }
 
 }  // namespace

@@ -324,6 +324,17 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   const Frame puf = net::make_partial_update(pu1);
   expect_canonical(puf, net::parse_partial_update, net::make_partial_update);
   expect_same(net::parse_partial_update(puf), pu1);
+
+  // encrypted_payload_bytes skips each partial's variable-length prefix
+  // (quarantine records, plain sums) and counts only the ciphertexts.
+  const he::PackedEncryptedVector sum = sample_sum();
+  const std::size_t sum_bytes = sum.ciphertext_count() * sum.public_key().ciphertext_bytes();
+  ASSERT_GT(sum_bytes, 0u);
+  EXPECT_EQ(net::encrypted_payload_bytes(prf), sum_bytes);
+  EXPECT_EQ(net::encrypted_payload_bytes(popf), sum_bytes);
+  EXPECT_EQ(net::encrypted_payload_bytes(puf), sum_bytes);
+  EXPECT_EQ(net::encrypted_payload_bytes(pr0f), 0u);
+  EXPECT_EQ(net::encrypted_payload_bytes(pu0f), 0u);
 }
 
 // --- shard-plane codec: hostile bytes must fail typed, never UB. -----------
@@ -403,6 +414,22 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   EXPECT_EQ(
       code_of([&] { (void)net::parse_partial_update(net::make_partial_update(pu)); }),
       WireErrc::kBadPayload);
+
+  // An entry count the remaining bytes cannot hold is rejected before any
+  // allocation: shard 0, round 1, no quarantine records, count 0xFFFFFFFF.
+  const std::vector<std::uint8_t> huge_count = {0xFF, 0xFF, 0xFF, 0xFF};
+  Frame huge_pp{net::MsgType::kPartialParticipation, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}};
+  huge_pp.payload.insert(huge_pp.payload.end(), {0, 0, 0, 0});
+  huge_pp.payload.insert(huge_pp.payload.end(), huge_count.begin(), huge_count.end());
+  ASSERT_EQ(huge_pp.payload.size(), 20u);
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_participation(huge_pp); }),
+            WireErrc::kBadPayload);
+  Frame huge_pu{net::MsgType::kPartialUpdate, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0}};
+  huge_pu.payload.insert(huge_pu.payload.end(), {0, 0, 0, 0});
+  huge_pu.payload.insert(huge_pu.payload.end(), huge_count.begin(), huge_count.end());
+  ASSERT_EQ(huge_pu.payload.size(), 21u);
+  EXPECT_EQ(code_of([&] { (void)net::parse_partial_update(huge_pu); }),
+            WireErrc::kBadPayload);
 
   // A drain report (round == kSetupRound) must not carry entries.
   net::PartialParticipation drain;

@@ -428,6 +428,39 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   EXPECT_EQ(code_of([&] { (void)net::parse_partial_update(upd); }), WireErrc::kBadPayload);
 }
 
+TEST_F(EncryptedPayloads, OversizedEmbeddedModulusIsATypedWireError) {
+  // Every packed upload embeds its own public key. A 1,048,576-bit modulus
+  // with one well-formed ciphertext under it is refused at the key field,
+  // before n^2 or a Montgomery context is built for it.
+  bigint::Xoshiro256ss rng(6);
+  const he::PackedCodec codec(kp_.pub.key_bits() - 1, 32);
+  const std::vector<std::uint64_t> values{3, 1, 4};
+  const auto packed = he::PackedEncryptedVector::encrypt(kp_.pub, codec, values, rng);
+  ASSERT_EQ(packed.ciphertext_count(), 1u);
+  const auto be32 = [](std::vector<std::uint8_t>& out, std::size_t v) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(v >> shift));
+    }
+  };
+  constexpr std::size_t kModulusBytes = 1048576 / 8;
+  const auto packed_bytes = he::serialize(packed);
+  std::vector<std::uint8_t> payload(packed_bytes.begin(),
+                                    packed_bytes.begin() + 17);  // 'K' + geometry
+  payload.push_back('P');
+  be32(payload, kModulusBytes);
+  payload.push_back(0x80);
+  payload.insert(payload.end(), kModulusBytes - 2, 0x00);
+  payload.push_back(0x01);  // odd n with exactly 1,048,576 bits
+  be32(payload, 2 * kModulusBytes);
+  payload.insert(payload.end(), 2 * kModulusBytes - 1, 0x00);
+  payload.push_back(0x01);  // the ciphertext 1 < n^2
+  const Frame f{MsgType::kDistributionUpload, payload};
+  EXPECT_EQ(code_of([&] {
+              (void)net::parse_packed_encrypted_vector(f, MsgType::kDistributionUpload);
+            }),
+            WireErrc::kBadPayload);
+}
+
 TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
   bigint::Xoshiro256ss rng(4);
   const he::PackedCodec codec(kp_.pub.key_bits() - 1, 20);

@@ -1,6 +1,6 @@
 // The shared crypto runtime: core::ParallelRuntime determinism, the batch
 // Paillier APIs' thread-count invariance (byte-identical ciphertexts for any
-// shard count), FixedBaseTable agreement with plain Montgomery::pow, and the
+// shard count, each item from its own 256-bit stream state), and the
 // key-holder CRT encryption path (byte-identical to the public-key path,
 // its two halves on the shared pool, nested and concurrent use).
 // tools/ci.sh runs this suite under Release, ASan/UBSan (lifetime and UB
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "bigint/montgomery.hpp"
 #include "bigint/random.hpp"
 #include "core/parallel.hpp"
 #include "core/registration.hpp"
@@ -24,6 +23,7 @@
 #include "data/partition.hpp"
 #include "paillier/encrypted_vector.hpp"
 #include "paillier/packing.hpp"
+#include "paillier/serial_util.hpp"
 #include "stats/rng.hpp"
 
 namespace dubhe {
@@ -78,8 +78,8 @@ TEST(ParallelRuntime, SharedInstanceHasWorkers) {
 // --- seed derivation ---------------------------------------------------------
 
 TEST(DeriveSeed, StatsConventionMatchesBigintConvention) {
-  // core/secure seeds clients via stats::derive_seed and the batch APIs seed
-  // slots via bigint::derive_seed; both must stay one convention.
+  // stats::derive_seed forwards to bigint::derive_seed; both must stay one
+  // convention.
   for (std::uint64_t master : {0ull, 42ull, 0xdeadbeefdeadbeefull}) {
     for (std::uint64_t stream : {0ull, 1ull, 999ull}) {
       EXPECT_EQ(stats::derive_seed(master, stream),
@@ -88,53 +88,6 @@ TEST(DeriveSeed, StatsConventionMatchesBigintConvention) {
   }
   EXPECT_NE(bigint::derive_seed(1, 0), bigint::derive_seed(1, 1));
   EXPECT_NE(bigint::derive_seed(1, 0), bigint::derive_seed(2, 0));
-}
-
-// --- FixedBaseTable ----------------------------------------------------------
-
-BigUint odd_modulus(bigint::EntropySource& rng, std::size_t bits) {
-  BigUint m = bigint::random_exact_bits(rng, bits);
-  if (!m.is_odd()) m += BigUint{1};
-  return m;
-}
-
-TEST(FixedBaseTable, MatchesPlainPowAcrossWidths) {
-  bigint::Xoshiro256ss rng(7);
-  // Moduli and exponent widths deliberately include non-limb-multiple sizes.
-  for (const std::size_t mod_bits : {65u, 100u, 127u, 192u, 256u}) {
-    const BigUint m = odd_modulus(rng, mod_bits);
-    const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-    const BigUint base = bigint::random_below(rng, m);
-    const std::size_t max_bits = 150;
-    const bigint::FixedBaseTable table(ctx, base, max_bits);
-    for (const std::size_t exp_bits : {1u, 3u, 37u, 63u, 64u, 65u, 100u, 150u}) {
-      const BigUint exp = bigint::random_exact_bits(rng, exp_bits);
-      EXPECT_EQ(table.pow(exp), ctx->pow(base, exp))
-          << "mod_bits=" << mod_bits << " exp_bits=" << exp_bits;
-    }
-  }
-}
-
-TEST(FixedBaseTable, EdgeExponents) {
-  bigint::Xoshiro256ss rng(8);
-  const BigUint m = odd_modulus(rng, 128);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  const BigUint base = bigint::random_below(rng, m);
-  const bigint::FixedBaseTable table(ctx, base, 64);
-
-  EXPECT_EQ(table.pow(BigUint{}), BigUint{1} % m);          // exp = 0
-  EXPECT_EQ(table.pow(BigUint{1}), base % m);               // exp = 1
-  const BigUint full = bigint::random_exact_bits(rng, 64);  // exp at max width
-  EXPECT_EQ(table.pow(full), ctx->pow(base, full));
-  EXPECT_THROW(table.pow(BigUint::pow2(64)), std::out_of_range);
-}
-
-TEST(FixedBaseTable, RejectsBadConstruction) {
-  bigint::Xoshiro256ss rng(9);
-  const BigUint m = odd_modulus(rng, 100);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  EXPECT_THROW(bigint::FixedBaseTable(ctx, BigUint{2}, 0), std::invalid_argument);
-  EXPECT_THROW(bigint::FixedBaseTable(nullptr, BigUint{2}, 8), std::invalid_argument);
 }
 
 // --- batch Paillier APIs -----------------------------------------------------
@@ -153,37 +106,29 @@ std::vector<std::uint64_t> test_values() {
   return v;
 }
 
+/// Per-item stream states drawn the way both vector forms draw them.
+std::vector<he::PublicKey::StreamState> stream_states(std::uint64_t seed, std::size_t count) {
+  bigint::Xoshiro256ss rng(seed);
+  return he::detail::draw_stream_states(rng, count);
+}
+
 TEST(BatchPaillier, EncryptBatchIsThreadCountInvariant) {
   const he::Keypair& kp = test_keypair();
   std::vector<BigUint> ms;
   for (const auto v : test_values()) ms.emplace_back(v);
+  const auto states = stream_states(77, ms.size());
 
-  const auto serial = kp.pub.encrypt_batch(ms, 77, {.threads = 1});
+  const auto serial = kp.pub.encrypt_batch(ms, states, {.threads = 1});
   for (const std::size_t threads : {std::size_t{2}, std::size_t{7}, std::size_t{0}}) {
-    const auto parallel = kp.pub.encrypt_batch(ms, 77, {.threads = threads});
+    const auto parallel = kp.pub.encrypt_batch(ms, states, {.threads = threads});
     EXPECT_EQ(serial, parallel) << "threads=" << threads;
   }
-  // A different batch seed must change the randomization.
-  EXPECT_NE(serial, kp.pub.encrypt_batch(ms, 78, {.threads = 1}));
+  // Different stream states must change the randomization.
+  EXPECT_NE(serial, kp.pub.encrypt_batch(ms, stream_states(78, ms.size()), {.threads = 1}));
   // And every ciphertext decrypts to its message.
   const auto decrypted = kp.prv.decrypt_batch(serial, {.threads = 4});
   ASSERT_EQ(decrypted.size(), ms.size());
   for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(decrypted[i], ms[i]);
-}
-
-TEST(BatchPaillier, RerandomizeBatchKeepsPlaintextsAndIsInvariant) {
-  const he::Keypair& kp = test_keypair();
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  const auto cts = kp.pub.encrypt_batch(ms, 5, {});
-
-  const auto serial = kp.pub.rerandomize_batch(cts, 31, {.threads = 1});
-  const auto parallel = kp.pub.rerandomize_batch(cts, 31, {.threads = 7});
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_NE(serial[i], cts[i]);  // unlinked from the original
-    EXPECT_EQ(kp.prv.decrypt(serial[i]), ms[i]);
-  }
 }
 
 TEST(BatchPaillier, EncryptedVectorBytesAreThreadCountInvariant) {
@@ -211,44 +156,6 @@ TEST(BatchPaillier, PackedEncryptIsThreadCountInvariant) {
                                               {.threads = 7});
   EXPECT_EQ(a.decrypt(kp.prv), b.decrypt(kp.prv));
   EXPECT_EQ(a.decrypt(kp.prv, {.threads = 5}), values);
-}
-
-TEST(BatchPaillier, DirectEncryptionRoundTrips) {
-  // The full-entropy escape hatch: randomization drawn straight from rng.
-  const he::Keypair& kp = test_keypair();
-  const auto values = test_values();
-  bigint::Xoshiro256ss rng(77);
-  const auto v = he::EncryptedVector::encrypt_direct(kp.pub, values, rng);
-  EXPECT_EQ(v.decrypt(kp.prv), values);
-
-  const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
-  bigint::Xoshiro256ss rng2(78);
-  const auto p = he::PackedEncryptedVector::encrypt_direct(kp.pub, codec, values, rng2);
-  EXPECT_EQ(p.decrypt(kp.prv), values);
-}
-
-TEST(BatchPaillier, FixedBaseEncryptionRoundTripsAndStaysInvariant) {
-  he::Keypair kp = test_keypair();  // copy: enable the table on this copy only
-  bigint::Xoshiro256ss table_rng(321);
-  kp.pub.precompute_noise(table_rng);
-  ASSERT_TRUE(kp.pub.has_noise_table());
-
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  const auto serial = kp.pub.encrypt_batch(ms, 91, {.threads = 1});
-  const auto parallel = kp.pub.encrypt_batch(ms, 91, {.threads = 7});
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(kp.prv.decrypt(serial[i]), ms[i]);
-  }
-
-  // Single-ciphertext path through the table.
-  bigint::Xoshiro256ss rng(17);
-  const he::Ciphertext ct = kp.pub.encrypt(BigUint{424242}, rng);
-  EXPECT_EQ(kp.prv.decrypt(ct), BigUint{424242});
-  const he::Ciphertext re = kp.pub.rerandomize(ct, rng);
-  EXPECT_NE(re, ct);
-  EXPECT_EQ(kp.prv.decrypt(re), BigUint{424242});
 }
 
 // --- key-holder CRT encryption -----------------------------------------------
@@ -279,17 +186,6 @@ TEST(KeyHolderEncrypt, MatchesPublicKeyPathAtBothEnds) {
     bigint::Xoshiro256ss s(1);
     EXPECT_THROW((void)kp.prv.encrypt(kp.pub.n(), s), std::out_of_range);
   }
-}
-
-TEST(KeyHolderEncrypt, IgnoresTheFixedBaseTable) {
-  // Fixed-base noise is a public-key option: the key-holder path always
-  // draws uniform r^n, so it keeps matching the plain public-key path.
-  he::Keypair kp = test_keypair();
-  he::PublicKey plain = kp.pub;
-  bigint::Xoshiro256ss table_rng(11);
-  kp.pub.precompute_noise(table_rng);
-  bigint::Xoshiro256ss a(12), b(12);
-  EXPECT_EQ(kp.prv.encrypt(BigUint{99}, a), plain.encrypt(BigUint{99}, b));
 }
 
 TEST(KeyHolderEncrypt, VectorsSerializeByteEqualToPublicKeyOverloads) {
@@ -385,7 +281,6 @@ TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     core::SecureConfig cfg;
     cfg.key_bits = 256;
-    cfg.use_fixed_base = true;  // table + threads together
     cfg.encrypt_threads = threads;
     bigint::Xoshiro256ss rng(2024);
     core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, cfg, dists.size(), rng);
@@ -398,7 +293,7 @@ TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
   }
 }
 
-TEST(SecureSessionRuntime, DefaultFixedBaseOffStillAgreesWithPlaintext) {
+TEST(SecureSessionRuntime, DefaultConfigAgreesWithPlaintext) {
   data::PartitionConfig pcfg;
   pcfg.num_classes = 10;
   pcfg.num_clients = 8;
@@ -409,7 +304,7 @@ TEST(SecureSessionRuntime, DefaultFixedBaseOffStillAgreesWithPlaintext) {
   const auto dists = data::make_partition(pcfg).client_dists;
   const core::RegistryCodec codec(10, {1, 2, 10});
 
-  core::SecureConfig cfg;  // use_fixed_base stays at its default (off)
+  core::SecureConfig cfg;
   cfg.key_bits = 256;
   bigint::Xoshiro256ss rng(2025);
   core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, cfg, dists.size(), rng);

@@ -59,14 +59,15 @@ if [ "$QUICK" -eq 0 ]; then
 fi
 
 # Portable-tier leg: DUBHE_CPU=portable masks every runtime capability, so
-# the release binaries must pass the net + dispatch + bigint suites on
+# the release binaries must pass the net + dispatch + bigint + Paillier
+# suites (the key-holder encryption every client runs included) on
 # slice-by-8 CRC, scalar GEMM, the C Montgomery row loop (with __int128,
 # unlike the *_portable suites) and the poll(2) event-loop backend. These
 # are the tiers a host without PCLMUL/AVX2/ADX/epoll would select, run
 # inside the AVX2 build; only the simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
 DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier" \
+  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 run_preset asan "$@"
