@@ -248,6 +248,30 @@ void BM_MillerRabin(benchmark::State& state) {
 }
 BENCHMARK(BM_MillerRabin)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
+// Key generation as the agent runs it at session setup: the prime search's
+// Miller–Rabin rounds run on the shared pool, so the rows are wall time.
+// Each iteration searches from the next seed, so a row averages the
+// search-length spread over many seeds.
+void BM_RandomPrime(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    bigint::Xoshiro256ss rng(++seed);
+    benchmark::DoNotOptimize(bigint::random_prime(rng, bits));
+  }
+}
+BENCHMARK(BM_RandomPrime)->Arg(1024)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_KeypairGenerate(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    bigint::Xoshiro256ss rng(++seed);
+    benchmark::DoNotOptimize(he::Keypair::generate(rng, bits));
+  }
+}
+BENCHMARK(BM_KeypairGenerate)->Arg(2048)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 /// Times `fn` until ~0.5 s has elapsed and returns seconds per call.
 template <typename F>
 double time_op(F&& fn) {

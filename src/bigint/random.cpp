@@ -13,6 +13,10 @@ std::uint64_t SplitMix64::next_u64() {
   return z ^ (z >> 31);
 }
 
+std::unique_ptr<EntropySource> SplitMix64::clone() const {
+  return std::make_unique<SplitMix64>(*this);
+}
+
 Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next_u64();
@@ -35,6 +39,10 @@ std::uint64_t Xoshiro256ss::next_u64() {
   s_[2] ^= t;
   s_[3] = std::rotl(s_[3], 45);
   return result;
+}
+
+std::unique_ptr<EntropySource> Xoshiro256ss::clone() const {
+  return std::make_unique<Xoshiro256ss>(*this);
 }
 
 double Xoshiro256ss::next_double() {
@@ -61,6 +69,10 @@ std::uint64_t SystemEntropySource::next_u64() {
     throw std::runtime_error("short read from /dev/urandom");
   }
   return v;
+}
+
+std::unique_ptr<EntropySource> SystemEntropySource::clone() const {
+  return std::make_unique<SystemEntropySource>();
 }
 
 std::uint64_t derive_seed(std::uint64_t master, std::uint64_t stream) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "bigint/biguint.hpp"
 
@@ -14,6 +15,10 @@ class EntropySource {
  public:
   virtual ~EntropySource() = default;
   virtual std::uint64_t next_u64() = 0;
+  /// An independent source that yields the words this one would yield
+  /// next. Seeded generators copy their state, so advancing the clone leaves
+  /// the original untouched; random_prime speculates on clones this way.
+  [[nodiscard]] virtual std::unique_ptr<EntropySource> clone() const = 0;
 };
 
 /// SplitMix64 — tiny, fast generator used for seeding and tests.
@@ -21,6 +26,7 @@ class SplitMix64 final : public EntropySource {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
   std::uint64_t next_u64() override;
+  [[nodiscard]] std::unique_ptr<EntropySource> clone() const override;
 
  private:
   std::uint64_t state_;
@@ -38,6 +44,7 @@ class Xoshiro256ss final : public EntropySource {
   /// SplitMix64 seeding from 0.
   explicit Xoshiro256ss(const std::array<std::uint64_t, 4>& state);
   std::uint64_t next_u64() override;
+  [[nodiscard]] std::unique_ptr<EntropySource> clone() const override;
 
   /// Uniform double in [0, 1).
   double next_double();
@@ -52,6 +59,9 @@ class Xoshiro256ss final : public EntropySource {
 class SystemEntropySource final : public EntropySource {
  public:
   std::uint64_t next_u64() override;
+  /// A fresh reader: OS entropy is not reproducible, so the clone's words
+  /// are independent of this source's, not a copy of them.
+  [[nodiscard]] std::unique_ptr<EntropySource> clone() const override;
 };
 
 /// Derives an independent stream seed from a master seed (golden-ratio mix

@@ -95,5 +95,22 @@ TEST(KeySerialization, AgentDispatchScenario) {
   EXPECT_EQ(deserialize_private_key(prv_wire).decrypt(sum).to_u64(), 10u);
 }
 
+TEST(KeySerialization, GeneratedKeyMatchesGolden) {
+  // The agent's 2048-bit key for one seed, as FNV-1a over n's bytes, and
+  // the generator's next word: captured from the serial prime search, so
+  // the pooled search must produce the same key and leave the session's
+  // stream where the serial one did.
+  bigint::Xoshiro256ss rng(1000);
+  const Keypair kp = Keypair::generate(rng, 2048);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : kp.pub.n().to_bytes_be()) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(kp.pub.key_bits(), 2048u);
+  EXPECT_EQ(h, 0x72b944df773d1598ULL);
+  EXPECT_EQ(rng.next_u64(), 0xebe298eb7456612eULL);
+}
+
 }  // namespace
 }  // namespace dubhe::he

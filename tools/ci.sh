@@ -14,11 +14,11 @@
 # are a separate tool's job: a final ThreadSanitizer pass builds the
 # thread-invariance and transport suites (test_parallel_crypto +
 # test_tensor_simd + test_net_wire + test_net_round + test_net_faults +
-# test_net_shard + test_telemetry) under the `tsan` preset and runs them, so
-# a racy edit to the pool, the compute kernels, the TCP event loop, the
-# quarantine/deadline machinery, the aggregation tree (client and shard
-# threads driving the shared pool at once), or the sharded telemetry
-# counters fails loudly.
+# test_net_shard + test_telemetry + test_prime_random) under the `tsan`
+# preset and runs them, so a racy edit to the pool, the compute kernels, the
+# TCP event loop, the quarantine/deadline machinery, the aggregation tree
+# (client and shard threads driving the shared pool at once), the sharded
+# telemetry counters or the pooled prime search fails loudly.
 # Usage: tools/ci.sh [--quick] [extra cmake args...]
 #   --quick: run only the fast suites (ctest label `tier1`) in each preset.
 set -eu
@@ -67,7 +67,7 @@ fi
 # inside the AVX2 build; only the simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
 DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization" \
+  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 run_preset asan "$@"
@@ -78,9 +78,9 @@ cmake --preset tsan "$@"
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" \
   --target test_parallel_crypto --target test_tensor_simd \
   --target test_net_wire --target test_net_round --target test_net_faults \
-  --target test_net_shard --target test_telemetry
+  --target test_net_shard --target test_telemetry --target test_prime_random
 ctest --preset tsan \
-  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_telemetry" \
+  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_telemetry|test_prime_random$" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 echo "CI OK"
