@@ -366,11 +366,11 @@ void BM_WeightsCodec(benchmark::State& state) {
   msg.seed = 1;
   msg.weights.assign(static_cast<std::size_t>(state.range(0)), 0.5f);
   for (auto _ : state) {
-    const auto f = net::make_weights(net::MsgType::kModelDown, msg);
-    benchmark::DoNotOptimize(net::parse_weights(f, net::MsgType::kModelDown));
+    const auto f = net::encode(net::MsgType::kModelDown, msg);
+    benchmark::DoNotOptimize(net::decode<net::WeightsMsg>(f, net::MsgType::kModelDown));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(net::wire_size_weights(msg.weights.size())));
+                          static_cast<std::int64_t>(net::wire_size(msg).frame));
 }
 BENCHMARK(BM_WeightsCodec)->Arg(1024)->Arg(16384);
 

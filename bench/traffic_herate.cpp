@@ -6,8 +6,8 @@
 //   1. measured bytes/round of the model-update channel, split into
 //      ciphertext material vs plaintext (ledger accounting, small key —
 //      byte *counts* at the deployment key are predicted separately);
-//   2. predicted bytes/round at the deployment 2048-bit key from the
-//      net/sizes.hpp exact-size helpers;
+//   2. predicted bytes/round at the deployment 2048-bit key, priced by
+//      net::wire_size from the payload field lists in net/schema.hpp;
 //   3. encrypt + aggregate + decrypt wall-clock at the 2048-bit key,
 //      micro-timed on the real packed ciphertext path;
 //   4. final accuracy and its delta against the he_rate = 0 plaintext
@@ -19,7 +19,7 @@
 #include "bench_common.hpp"
 #include "core/selective.hpp"
 #include "net/node.hpp"
-#include "net/sizes.hpp"
+#include "net/schema.hpp"
 #include "nn/builders.hpp"
 
 using namespace dubhe;
@@ -95,12 +95,16 @@ int main() {
     // uplinks — plaintext kModelUpdate frames at rate 0, kModelUpdateSparse
     // otherwise.
     const std::size_t k = core::update_encrypted_count(n_weights, rate);
+    const std::size_t down_2048 =
+        net::wire_size(net::WeightsMsg{0, std::vector<float>(n_weights)}).frame;
     const std::size_t up_2048 =
-        k == 0 ? net::wire_size_weights(n_weights)
-               : net::wire_size_model_update_sparse(kp.pub, codec, n_weights, k, 16);
+        k == 0 ? down_2048
+               : net::wire_size(net::ModelUpdateSparse{
+                                    0, static_cast<std::uint32_t>(n_weights), 16, {}, {},
+                                    net::packed_shape(kp.pub, codec, k)})
+                     .frame;
     const double round_2048 =
-        static_cast<double>(K) *
-        static_cast<double>(net::wire_size_weights(n_weights) + up_2048);
+        static_cast<double>(K) * static_cast<double>(down_2048 + up_2048);
 
     const double acc = transcript.rounds.back().accuracy;
     if (rate == 0.0) acc0 = acc;

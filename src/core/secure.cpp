@@ -5,7 +5,7 @@
 #include <string>
 
 #include "core/parallel.hpp"
-#include "net/sizes.hpp"
+#include "net/schema.hpp"
 #include "stats/rng.hpp"
 
 namespace dubhe::core {
@@ -68,7 +68,8 @@ SecureSelectionSession::SecureSelectionSession(const RegistryCodec& codec,
   if (channel_ != nullptr) {
     // The agent dispatches the keypair to every other client (paper §5.1):
     // one kKeyMaterial frame per recipient, recorded at its exact wire size.
-    const std::size_t key_bytes = net::wire_size_key_material(keypair_);
+    const std::size_t key_bytes =
+        net::wire_size(net::KeyMaterial{keypair_.pub, keypair_.prv}).frame;
     channel_->record(fl::MessageKind::kKeyMaterial, fl::Direction::kServerToClient,
                      key_bytes * num_clients_, num_clients_);
   }
@@ -110,20 +111,22 @@ std::uint64_t SecureSelectionSession::distribution_seed(std::size_t try_slot,
 }
 
 std::size_t SecureSelectionSession::encrypted_registry_bytes() const {
-  return net::wire_size_packed_vector(keypair_.pub, packed_codec(), codec_.length());
+  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.length())).frame;
 }
 
 std::size_t SecureSelectionSession::encrypted_distribution_bytes() const {
-  return net::wire_size_packed_vector(keypair_.pub, packed_codec(), codec_.num_classes());
+  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.num_classes()))
+      .frame;
 }
 
 std::size_t SecureSelectionSession::registry_ciphertext_bytes() const {
-  return net::ciphertext_bytes_packed_vector(keypair_.pub, packed_codec(), codec_.length());
+  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.length()))
+      .ciphertext;
 }
 
 std::size_t SecureSelectionSession::distribution_ciphertext_bytes() const {
-  return net::ciphertext_bytes_packed_vector(keypair_.pub, packed_codec(),
-                                             codec_.num_classes());
+  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.num_classes()))
+      .ciphertext;
 }
 
 std::vector<std::uint64_t> SecureSelectionSession::reduce_registry(

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "core/parallel.hpp"
-#include "net/sizes.hpp"
+#include "net/schema.hpp"
 
 namespace dubhe::fl {
 
@@ -48,7 +48,7 @@ RoundResult FederatedTrainer::run_round(std::span<const std::size_t> selected,
     // frame size (kModelDown and kModelUpdate frames are the same width —
     // see net::WeightsMsg), so the ledger matches what a Transport carries
     // byte for byte.
-    const std::size_t model_bytes = net::wire_size_weights(global.size());
+    const std::size_t model_bytes = net::wire_size(net::WeightsMsg{0, global}).frame;
     channel_->record(MessageKind::kModelWeights, Direction::kServerToClient,
                      model_bytes * K, K);
     channel_->record(MessageKind::kModelWeights, Direction::kClientToServer,

@@ -1,292 +1,234 @@
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fl/channel.hpp"
-#include "net/sizes.hpp"
+#include "net/schema.hpp"
 #include "net/wire.hpp"
-#include "paillier/packing.hpp"
 
 namespace dubhe::net {
 
-/// Typed payloads for every MsgType, with make_*/parse_* codec pairs. Parse
-/// functions verify the frame's type tag, reject trailing bytes, and throw
-/// WireError{kBadPayload} on any malformation, so a frame that decodes is
-/// fully validated. Multi-byte integers are big-endian; floats travel as
-/// their IEEE-754 bit patterns (big-endian u32), so weight tensors
-/// round-trip bit-exactly — including NaNs.
+/// The payload codec: encode/decode for every payload in net/schema.hpp,
+/// by walking its field list. Decoding verifies the frame's type tag,
+/// rejects trailing bytes, and throws WireError{kBadPayload} on any
+/// malformation, so a frame that decodes is fully validated.
 
-struct ClientHello {
-  std::uint64_t client_id = 0;
-  std::uint32_t protocol = kWireVersion;
+namespace detail {
 
-  bool operator==(const ClientHello&) const = default;
+inline WireError bad_payload(const std::string& what) {
+  return WireError(WireErrc::kBadPayload, what);
+}
+
+/// A scalar from its big-endian wire bits.
+template <WireScalar T>
+T from_bits(std::uint64_t bits) {
+  if constexpr (std::is_same_v<T, float>) {
+    return std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+  } else {
+    return static_cast<T>(bits);
+  }
+}
+
+/// Smallest encoding of one list entry: a default entry's size.
+template <class T, class Entry>
+std::size_t min_entry_size(const Entry& entry) {
+  Sizer s;
+  T e{};
+  entry(s, e);
+  return s.payload;
+}
+
+/// Big-endian writer into a buffer reserved once, at the Sizer's count.
+class Writer {
+ public:
+  explicit Writer(std::size_t bytes) { out_.reserve(bytes); }
+
+  template <class... T>
+  void operator()(const T&... f) {
+    (field(f), ...);
+  }
+  void fixed(const auto& list, std::uint64_t, std::size_t width) {
+    for (const auto x : list) put(x, width);
+  }
+  template <class T, class Entry>
+  void list(const std::vector<T>& list, const Entry& entry) {
+    count(list.size());
+    for (const T& e : list) entry(*this, e);
+  }
+  void implied(const auto&, const auto&) {}
+  std::vector<std::uint8_t> take() { return std::move(out_); }
+
+ private:
+  void put(std::uint64_t bits, std::size_t width) {
+    for (std::size_t b = width; b-- > 0;) {
+      out_.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
+    }
+  }
+  void count(std::size_t n) {
+    if (n > std::size_t{0xFFFFFFFF}) throw bad_payload("list length exceeds u32");
+    put(n, 4);
+  }
+  template <WireScalar T>
+  void field(const T& x) {
+    if constexpr (std::is_same_v<T, float>) {
+      put(std::bit_cast<std::uint32_t>(x), 4);
+    } else {
+      put(static_cast<std::uint64_t>(x), sizeof(T));
+    }
+  }
+  template <class T>
+  void field(const std::vector<T>& l) {
+    list(l, entry_fields<T>);
+  }
+  /// Key material and the packed vector, in their paillier wire forms.
+  template <class Paillier>
+  void field(const Paillier& x) {
+    const std::vector<std::uint8_t> bytes = he::serialize(x);
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
+  }
+
+  std::vector<std::uint8_t> out_;
 };
 
-struct ServerHello {
-  std::uint64_t session_seed = 0;
-  std::uint32_t num_clients = 0;
-  std::uint32_t cohort_index = 0;  // the id the server bound this link to
+/// Big-endian reader; underflow is WireError{kBadPayload}. read_list is the
+/// one bounded list read: a count whose smallest possible entries would not
+/// fit in the bytes left is refused before anything is allocated.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> bytes) : rest_(bytes) {}
 
-  bool operator==(const ServerHello&) const = default;
+  template <class... T>
+  void operator()(T&... f) {
+    (field(f), ...);
+  }
+  template <class T>
+  void fixed(std::vector<T>& list, std::uint64_t count, std::size_t width) {
+    read_list(list, count, width, [&](T& x) { x = static_cast<T>(get(width)); });
+  }
+  template <class T, class Entry>
+  void list(std::vector<T>& list, const Entry& entry) {
+    read_list(list, get(4), min_entry_size<T>(entry), [&](T& e) { entry(*this, e); });
+  }
+  void implied(auto& field, const auto& value) { field = value; }
+  void finish() const {
+    if (!rest_.empty()) {
+      throw bad_payload(std::to_string(rest_.size()) + " trailing payload bytes");
+    }
+  }
+
+ private:
+  std::uint64_t get(std::size_t width) {
+    if (rest_.size() < width) throw bad_payload("payload underflow");
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i) v = (v << 8) | rest_[i];
+    rest_ = rest_.subspan(width);
+    return v;
+  }
+  template <class T, class ReadOne>
+  void read_list(std::vector<T>& list, std::uint64_t count, std::size_t min_entry,
+                 const ReadOne& read_one) {
+    if (min_entry == 0 || count > rest_.size() / min_entry) {
+      throw bad_payload("list of " + std::to_string(count) + " entries overruns the payload");
+    }
+    list.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) read_one(list.emplace_back());
+  }
+
+  template <WireScalar T>
+  void field(T& x) {
+    const std::uint64_t bits = get(sizeof(T));
+    if (std::is_same_v<T, bool> && bits > 1) throw bad_payload("flag byte is not 0 or 1");
+    x = from_bits<T>(bits);
+  }
+  template <class T>
+  void field(std::vector<T>& l) {
+    list(l, entry_fields<T>);
+  }
+  void field(he::PublicKey& k) { k = he::deserialize_public_key_prefix(rest_); }
+  void field(he::PrivateKey& k) { k = he::deserialize_private_key_prefix(rest_); }
+  void field(he::PackedEncryptedVector& x) {
+    x = he::deserialize_packed_encrypted_vector(rest_);
+    rest_ = {};
+  }
+
+  std::span<const std::uint8_t> rest_;
 };
 
-/// The agent's key dispatch (paper §5.1: the agent generates the session
-/// keypair and distributes it to the cohort).
-struct KeyMaterial {
-  he::PublicKey pub;
-  he::PrivateKey prv;
-};
+template <class M>
+bool carries(MsgType type) {
+  return std::ranges::find(kTypesOf<M>, type) != kTypesOf<M>.end();
+}
 
-/// Registration and distribution requests share one shape: an RNG seed for
-/// the client's encryption stream plus a tag (0 for registration, the
-/// tentative-try index h for distribution requests).
-struct SeedRequest {
-  std::uint64_t seed = 0;
-  std::uint32_t tag = 0;
+}  // namespace detail
 
-  bool operator==(const SeedRequest&) const = default;
-};
+/// Validates `m` and encodes it as a frame of type `type`, which must carry
+/// M (WireError{kBadType} otherwise). Throws WireError{kBadPayload} for a
+/// message validate() refuses.
+template <class M>
+[[nodiscard]] Frame encode(MsgType type, const M& m) {
+  if (!detail::carries<M>(type)) {
+    throw WireError(WireErrc::kBadType, to_string(type) + " does not carry this payload");
+  }
+  if constexpr (requires { m.validate(); }) m.validate();
+  Sizer size;
+  visit_fields(size, m);
+  detail::Writer w(size.payload);
+  visit_fields(w, m);
+  return Frame{type, w.take()};
+}
 
-/// Round begin (S->C): the index of the global round whose loop body
-/// follows. The client answers with its kParticipation draws.
-struct RoundBegin {
-  std::uint64_t round = 0;
+/// Decodes a frame of type `expected`, which must carry M.
+template <class M>
+[[nodiscard]] M decode(const Frame& f, MsgType expected) {
+  if (f.type != expected || !detail::carries<M>(expected)) {
+    throw detail::bad_payload("expected " + to_string(expected) + ", got " + to_string(f.type));
+  }
+  M m{};
+  try {
+    detail::Reader r(f.payload);
+    visit_fields(r, m);
+    r.finish();
+  } catch (const std::invalid_argument& e) {
+    throw detail::bad_payload(e.what());  // the paillier fields' rejections
+  }
+  if constexpr (requires { m.validate(); }) m.validate();
+  return m;
+}
 
-  bool operator==(const RoundBegin&) const = default;
-};
+/// The payloads a single MsgType carries need not name it; the three that
+/// several carry (SeedRequest, WeightsMsg, the packed vector) must.
+template <class M>
+  requires(kTypesOf<M>.size() == 1)
+[[nodiscard]] Frame encode(const M& m) {
+  return encode(kTypesOf<M>[0], m);
+}
 
-/// Proactive participation (C->S): the client's own Bernoulli draws for one
-/// round — one 0/1 byte per tentative try, drawn client-side from the
-/// (session seed, client id, round) stream against the Eq. 6 probability
-/// the client computed from the decrypted registry broadcast. This is what
-/// replaced the retired kRegistrationInfo plaintext entry: the server
-/// learns only the check-in bits, never the registration itself.
-struct Participation {
-  std::uint64_t client_id = 0;
-  std::uint64_t round = 0;
-  std::vector<std::uint8_t> draws;  // draws[h] in {0, 1}, one per try
+template <class M>
+  requires(kTypesOf<M>.size() == 1)
+[[nodiscard]] M decode(const Frame& f) {
+  return decode<M>(f, kTypesOf<M>[0]);
+}
 
-  bool operator==(const Participation&) const = default;
-};
-
-/// Model weights down (seed = the client's training seed for this round) or
-/// up (seed field carries the client id instead). Same wire size both ways,
-/// which keeps §6.4's up/down accounting symmetric.
-struct WeightsMsg {
-  std::uint64_t seed = 0;
-  std::vector<float> weights;
-
-  bool operator==(const WeightsMsg&) const = default;
-};
-
-Frame make_client_hello(const ClientHello& m);
-ClientHello parse_client_hello(const Frame& f);
-
-Frame make_server_hello(const ServerHello& m);
-ServerHello parse_server_hello(const Frame& f);
-
-Frame make_key_material(const KeyMaterial& m);
-KeyMaterial parse_key_material(const Frame& f);
-
-Frame make_seed_request(MsgType type, const SeedRequest& m);  // registration/distribution
-SeedRequest parse_seed_request(const Frame& f, MsgType expected);
-
-Frame make_round_begin(const RoundBegin& m);
-RoundBegin parse_round_begin(const Frame& f);
-
-Frame make_participation(const Participation& m);
-Participation parse_participation(const Frame& f);
-
-/// Encrypted-vector payloads (registry upload/broadcast, distribution
-/// upload) carry the packed paillier wire form ('K'-tagged
-/// PackedEncryptedVector). The per-slot 'V' form was retired in wire v6: a
-/// 'V' payload is a typed kBadPayload like any other malformation.
-Frame make_encrypted_vector(MsgType type, const he::PackedEncryptedVector& v);
-he::PackedEncryptedVector parse_packed_encrypted_vector(const Frame& f, MsgType expected);
-
-Frame make_weights(MsgType type, const WeightsMsg& m);  // kModelDown / kModelUpdate
-WeightsMsg parse_weights(const Frame& f, MsgType expected);
-
-/// Selectively encrypted model update (wire v3, kModelUpdateSparse): the
-/// client quantizes its weight delta to `quant_bits`-bit biased-unsigned
-/// values, encrypts the top-k coordinates (by global-weight magnitude, a
-/// mask both ends derive identically) as one packed vector, and ships the
-/// remaining n-k coordinates as plaintext behind an index bitmap. Wire
-/// layout (big-endian): u64 client_id, u32 total_count, u32
-/// encrypted_count, u8 quant_bits, ceil(n/8) bitmap bytes (bit i set =
-/// coordinate i encrypted; bits >= n must be clear), the n-k plaintext
-/// values at ceil(quant_bits/8) bytes each in ascending index order, then
-/// the packed vector in its self-tagged 'K' form.
-struct ModelUpdateSparse {
-  std::uint64_t client_id = 0;
-  std::uint32_t total_count = 0;
-  std::uint8_t quant_bits = 0;
-  std::vector<std::uint8_t> bitmap;         // ceil(total_count / 8) bytes
-  std::vector<std::uint64_t> plain_values;  // unmasked coords, ascending index
-  he::PackedEncryptedVector encrypted;      // logical size = popcount(bitmap)
-};
-
-Frame make_model_update_sparse(const ModelUpdateSparse& m);
-ModelUpdateSparse parse_model_update_sparse(const Frame& f);
-
-Frame make_shutdown();
-
-/// --- the shard plane (wire v5): root <-> shard-aggregator payloads. ------
-/// A shard aggregator owns the contiguous client range [first_client,
-/// first_client + num_clients) of a cohort of total_clients, split across
-/// num_shards shards. Partial messages carry the shard's quarantine records
-/// since its previous report (so churn reaches the root transcript intact)
-/// and, where ciphertext flows, the shard's homomorphic partial sum — on
-/// the wire in the packed 'K' form, present iff contributors > 0 (one
-/// canonical encoding per partial). The root validates it against the
-/// session key and geometry before it joins the global sum, exactly as a
-/// cohort validates a client upload. The partials are also the replies of
-/// the aggregator engine's children (net/engine.hpp), in or out of process.
-
-struct ShardHello {
-  std::uint32_t shard_id = 0;
-  std::uint32_t num_shards = 0;
-  std::uint64_t first_client = 0;
-  std::uint64_t num_clients = 0;    // clients this shard owns
-  std::uint64_t total_clients = 0;  // cohort size across all shards
-  std::uint32_t protocol = kWireVersion;
-
-  bool operator==(const ShardHello&) const = default;
-};
-
-struct ShardRoundBegin {
-  std::uint64_t round = 0;
-
-  bool operator==(const ShardRoundBegin&) const = default;
-};
-
-/// Partial registry sum: `contributors` clients' validated uploads summed
-/// homomorphically shard-side. `ciphertext` holds no ciphertexts iff
-/// contributors == 0 (a canonical-encoding rule both codec ends enforce).
-struct PartialRegistry {
-  std::uint32_t shard_id = 0;
-  std::uint32_t contributors = 0;
-  std::vector<QuarantineRecord> quarantined;
-  he::PackedEncryptedVector ciphertext;
-};
-
-/// The shard's surviving clients' validated participation draws for one
-/// round (entries strictly ascending by client id — canonical encoding).
-/// round == QuarantineRecord::kSetupRound marks the shutdown drain report,
-/// which carries only the final quarantine flush (entries must be empty).
-struct PartialParticipation {
-  std::uint32_t shard_id = 0;
-  std::uint64_t round = 0;
-  std::vector<QuarantineRecord> quarantined;
-  std::vector<Participation> entries;
-
-  bool operator==(const PartialParticipation&) const = default;
-};
-
-/// One tentative try for a shard: the selected clients this shard owns, in
-/// global selection order. The shard runs the unchanged per-client
-/// distribution sweep over them.
-struct ShardTryBegin {
-  std::uint64_t round = 0;
-  std::uint32_t try_index = 0;             // h
-  std::vector<std::uint64_t> selected;     // global client ids
-
-  bool operator==(const ShardTryBegin&) const = default;
-};
-
-/// Partial population sum for one try. `failed` mirrors the flat driver's
-/// restart trigger: a selected client died or misbehaved during the sweep
-/// (the sweep still completed, the offenders are in `quarantined`), so the
-/// root must restart the whole determination over the survivors.
-struct PartialPopulation {
-  std::uint32_t shard_id = 0;
-  std::uint64_t round = 0;
-  std::uint32_t try_index = 0;
-  std::uint32_t contributors = 0;
-  bool failed = false;
-  std::vector<QuarantineRecord> quarantined;
-  he::PackedEncryptedVector ciphertext;  // no ciphertexts iff contributors == 0
-};
-
-/// Update phase for a shard: its recipients (global selection order) and
-/// the global weights to train from.
-struct ShardUpdateBegin {
-  std::uint64_t round = 0;
-  std::vector<std::uint64_t> recipients;  // global client ids
-  std::vector<float> weights;
-
-  bool operator==(const ShardUpdateBegin&) const = default;
-};
-
-/// One forwarded plaintext update inside a PartialUpdate (mode 0).
-struct ShardUpdateEntry {
-  std::uint64_t client_id = 0;
-  std::vector<float> weights;
-
-  bool operator==(const ShardUpdateEntry&) const = default;
-};
-
-/// The shard's update-phase result. Two modes, because float FedAvg is
-/// order-sensitive while the quantized/encrypted path is exact:
-///   mode 0 (update_he_rate == 0): the raw per-client float updates are
-///     forwarded, tagged with their ids, so the root can reassemble them in
-///     flat selection order before the FedAvg accumulation — summing floats
-///     shard-side would re-associate the adds and drift the transcript.
-///   mode 1 (update_he_rate > 0): genuine partial aggregation — exact u64
-///     sums over the plaintext coordinates (ascending plan order) plus the
-///     homomorphic partial sum of the packed top-k ciphertexts; u64
-///     wrap-around addition and Paillier addition are both associative, so
-///     re-parenthesizing across shards is bit-identical.
-struct PartialUpdate {
-  std::uint32_t shard_id = 0;
-  std::uint64_t round = 0;
-  std::uint8_t mode = 0;  // 0 = forwarded updates, 1 = sparse partial sums
-  std::vector<QuarantineRecord> quarantined;
-  std::vector<ShardUpdateEntry> updates;   // mode 0
-  std::uint32_t contributors = 0;          // mode 1
-  std::vector<std::uint64_t> plain_sums;   // mode 1, ascending plan order
-  he::PackedEncryptedVector ciphertext;    // mode 1, none iff contributors == 0
-};
-
-Frame make_shard_hello(const ShardHello& m);
-ShardHello parse_shard_hello(const Frame& f);
-
-Frame make_shard_round_begin(const ShardRoundBegin& m);
-ShardRoundBegin parse_shard_round_begin(const Frame& f);
-
-Frame make_partial_registry(const PartialRegistry& m);
-PartialRegistry parse_partial_registry(const Frame& f);
-
-Frame make_partial_participation(const PartialParticipation& m);
-PartialParticipation parse_partial_participation(const Frame& f);
-
-Frame make_shard_try_begin(const ShardTryBegin& m);
-ShardTryBegin parse_shard_try_begin(const Frame& f);
-
-Frame make_partial_population(const PartialPopulation& m);
-PartialPopulation parse_partial_population(const Frame& f);
-
-Frame make_shard_update_begin(const ShardUpdateBegin& m);
-ShardUpdateBegin parse_shard_update_begin(const Frame& f);
-
-Frame make_partial_update(const PartialUpdate& m);
-PartialUpdate parse_partial_update(const Frame& f);
+/// Named decoders the benchmark harness (perfbench/taps.hpp) calls; it is
+/// versioned apart from the library, so these stay as forwarders.
+inline ClientHello parse_client_hello(const Frame& f) { return decode<ClientHello>(f); }
+inline RoundBegin parse_round_begin(const Frame& f) { return decode<RoundBegin>(f); }
+inline ShardRoundBegin parse_shard_round_begin(const Frame& f) { return decode<ShardRoundBegin>(f); }
+inline SeedRequest parse_seed_request(const Frame& f, MsgType type) { return decode<SeedRequest>(f, type); }
 
 /// Ciphertext-material bytes inside a frame's payload: the raw Paillier
-/// ciphertext bytes of a packed encrypted-vector payload or of the packed
-/// section of a kModelUpdateSparse payload — excluding framing, length
+/// ciphertext bytes of its packed field — excluding framing, length
 /// prefixes, bitmaps, plaintext values, and public-key echoes. Never
 /// throws: returns 0 for messages that carry no ciphertext and for
-/// malformed payloads (which the typed parsers reject separately). This is
-/// what the transports feed the ledger's plaintext/encrypted byte split.
+/// malformed payloads (which decode rejects separately). This is what the
+/// transports feed the ledger's plaintext/encrypted byte split.
 [[nodiscard]] std::size_t encrypted_payload_bytes(const Frame& f);
-
-/// Exact wire sizes of the §6.4-accounted messages live in net/sizes.hpp
-/// (re-exported via the include above), so `core`/`fl` can use them without
-/// depending on this header's core/fl includes.
 
 /// Which §6.4 ledger a message type lands in.
 [[nodiscard]] fl::MessageKind account_kind(MsgType type);

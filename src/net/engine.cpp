@@ -104,7 +104,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
       if (pr.contributors > 0) fold_partial(sum, terms, pr.ciphertext, codec.length(), packed);
     }
     if (terms == 0) throw TransportError("session: every client was quarantined during setup");
-    const Frame bcast = make_encrypted_vector(MsgType::kRegistryBroadcast, sum);
+    const Frame bcast = encode(MsgType::kRegistryBroadcast, sum);
     for (auto& kid : kids) kid->post(bcast);
     t.overall_registry = session.reduce_registry({&sum, 1});
     // Failures while the broadcast went out are setup records and land
@@ -416,7 +416,7 @@ void CohortChild::hello(std::span<const std::shared_ptr<Transport>> links,
       } else if (frame->seq != 0) {
         bad = QuarantineReason::kReplay;
       } else if (frame->type == MsgType::kClientHello) {
-        const ClientHello h = parse_client_hello(*frame);
+        const ClientHello h = decode<ClientHello>(*frame);
         if (h.protocol == kWireVersion && owns(h.client_id) &&
             !alive(h.client_id - range().first)) {
           links_[h.client_id - range().first] = {link, 0, 1};  // hello was seq 0
@@ -435,22 +435,22 @@ void CohortChild::hello(std::span<const std::shared_ptr<Transport>> links,
   }
   for (std::size_t i = 0; i < links_.size(); ++i) {
     send(i,
-         make_server_hello({session_seed_, static_cast<std::uint32_t>(total_),
-                            static_cast<std::uint32_t>(range().first + i)}),
+         encode<ServerHello>({session_seed_, static_cast<std::uint32_t>(total_),
+                              static_cast<std::uint32_t>(range().first + i)}),
          kSetup, SessionPhase::kHello);
   }
 }
 
 void CohortChild::post(const KeyMaterial& keys) {
   key_ = keys.pub;
-  const Frame key_frame = make_key_material(keys);
+  const Frame key_frame = encode(keys);
   for (std::size_t i = 0; i < links_.size(); ++i) {
     send(i, key_frame, kSetup, SessionPhase::kRegistration);
   }
   for (std::size_t i = 0; i < links_.size(); ++i) {
     send(i,
-         make_seed_request(MsgType::kRegistrationRequest,
-                           {core::registration_stream_seed(session_seed_, range().first + i), 0}),
+         encode<SeedRequest>(MsgType::kRegistrationRequest,
+                             {core::registration_stream_seed(session_seed_, range().first + i), 0}),
          kSetup, SessionPhase::kRegistration);
   }
   // Only the ciphertext crosses the wire: the plaintext registration entry
@@ -478,7 +478,7 @@ void CohortChild::post(const Frame& broadcast) {
 void CohortChild::post(const ShardRoundBegin& begin) {
   round_ = begin.round;
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    send(i, make_round_begin({round_}), round_, SessionPhase::kParticipation);
+    send(i, encode<RoundBegin>({round_}), round_, SessionPhase::kParticipation);
   }
   participation_ = {id_, round_, {}, {}};
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -487,7 +487,7 @@ void CohortChild::post(const ShardRoundBegin& begin) {
     if (!f) continue;
     Participation part;
     try {
-      part = parse_participation(*f);
+      part = decode<Participation>(*f);
     } catch (const WireError&) {
       quarantine(i, round_, SessionPhase::kParticipation, QuarantineReason::kBadFrame);
       continue;
@@ -513,7 +513,7 @@ void CohortChild::post(const ShardTryBegin& begin) {
   for (const std::uint64_t k : begin.selected) {
     const SeedRequest req{core::distribution_stream_seed(session_seed_, total_, try_slot, k),
                           begin.try_index};
-    if (!send(local(k), make_seed_request(MsgType::kDistributionRequest, req), round_,
+    if (!send(local(k), encode(MsgType::kDistributionRequest, req), round_,
               SessionPhase::kDistribution)) {
       population_.failed = true;
     }
@@ -540,7 +540,7 @@ void CohortChild::post(const UpdateRequest& update) {
   for (const std::uint64_t k : update.recipients) {
     const WeightsMsg down{stats::derive_seed(round_seed, k + 1),
                           {update.weights.begin(), update.weights.end()}};
-    if (send(local(k), make_weights(MsgType::kModelDown, down), round_, SessionPhase::kUpdate)) {
+    if (send(local(k), encode(MsgType::kModelDown, down), round_, SessionPhase::kUpdate)) {
       recipients.push_back(k);
     }
   }
@@ -563,7 +563,7 @@ void CohortChild::post(const UpdateRequest& update) {
       if (!f) continue;
       ModelUpdateSparse up;
       try {
-        up = parse_model_update_sparse(*f);
+        up = decode<ModelUpdateSparse>(*f);
       } catch (const WireError&) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
         continue;
@@ -593,7 +593,7 @@ void CohortChild::post(const UpdateRequest& update) {
       if (!f) continue;
       WeightsMsg up;
       try {
-        up = parse_weights(*f, MsgType::kModelUpdate);
+        up = decode<WeightsMsg>(*f, MsgType::kModelUpdate);
       } catch (const WireError&) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
         continue;
@@ -610,7 +610,7 @@ void CohortChild::post(const UpdateRequest& update) {
 
 void CohortChild::post_shutdown() {
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    send(i, make_shutdown(), kSetup, SessionPhase::kShutdown);
+    send(i, encode(Shutdown{}), kSetup, SessionPhase::kShutdown);
   }
   for (std::size_t i = 0; i < links_.size(); ++i) drain(i);
   participation_ = {id_, kSetup, flush(), {}};
@@ -686,7 +686,7 @@ std::optional<he::PackedEncryptedVector> CohortChild::recv_upload(
   if (!f) return std::nullopt;
   he::PackedEncryptedVector v;
   try {
-    v = parse_packed_encrypted_vector(*f, want);
+    v = decode<he::PackedEncryptedVector>(*f, want);
   } catch (const WireError&) {
     // Not tagged as a packed vector at all (garbage, or the per-slot 'V'
     // form wire v6 retired): a ciphertext that cannot join the sum.

@@ -36,8 +36,7 @@ using detail::SparseUpdatePlan;
 Frame encrypt_upload(MsgType type, const he::PrivateKey& prv, const he::PackedCodec& packed,
                      std::span<const std::uint64_t> values, std::uint64_t seed) {
   bigint::Xoshiro256ss rng(seed);
-  return make_encrypted_vector(type,
-                               he::PackedEncryptedVector::encrypt(prv, packed, values, rng));
+  return encode(type, he::PackedEncryptedVector::encrypt(prv, packed, values, rng));
 }
 
 /// Client half: split a quantized update along the plan's mask, encrypt
@@ -60,7 +59,7 @@ Frame make_sparse_update(std::uint64_t client_id, const SparseUpdatePlan& plan,
   }
   bigint::Xoshiro256ss rng(seed);
   m.encrypted = he::PackedEncryptedVector::encrypt(prv, plan.codec, enc_vals, rng);
-  return make_model_update_sparse(m);
+  return encode(m);
 }
 
 /// The client's proactive draws for one round: H Bernoulli bits against the
@@ -212,7 +211,7 @@ void serve_client(Transport& link, std::size_t client_id,
     link.send(f);
   };
 
-  send(make_client_hello({static_cast<std::uint64_t>(client_id), kWireVersion}));
+  send(encode<ClientHello>({static_cast<std::uint64_t>(client_id), kWireVersion}));
 
   he::Keypair keys;
   bool have_key = false;
@@ -235,7 +234,7 @@ void serve_client(Transport& link, std::size_t client_id,
     ++recv_seq;
     switch (frame->type) {
       case MsgType::kServerHello: {
-        const ServerHello hello = parse_server_hello(*frame);
+        const ServerHello hello = decode<ServerHello>(*frame);
         if (hello.cohort_index != client_id) {
           throw TransportError("serve_client: server bound us to the wrong id");
         }
@@ -256,14 +255,14 @@ void serve_client(Transport& link, std::size_t client_id,
         // member holds the private half, which is exactly what lets this
         // endpoint decrypt the registry broadcast and draw its own
         // participation — the aggregator is the one party without it.
-        const KeyMaterial km = parse_key_material(*frame);
+        const KeyMaterial km = decode<KeyMaterial>(*frame);
         keys = {km.pub, km.prv};
         have_key = true;
         break;
       }
       case MsgType::kRegistrationRequest: {
         if (!have_key) throw TransportError("serve_client: registration before keys");
-        const SeedRequest req = parse_seed_request(*frame, MsgType::kRegistrationRequest);
+        const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kRegistrationRequest);
         send(encrypt_upload(MsgType::kRegistryUpload, keys.prv, session_packed,
                             core::to_onehot(codec, reg), req.seed));
         break;
@@ -272,7 +271,7 @@ void serve_client(Transport& link, std::size_t client_id,
         // R_A arrives encrypted; this cohort member decrypts it and derives
         // its own Eq. 6 participation probability — the client half of §5.2.
         if (!have_key) throw TransportError("serve_client: broadcast before keys");
-        const auto v = parse_packed_encrypted_vector(*frame, MsgType::kRegistryBroadcast);
+        const auto v = decode<he::PackedEncryptedVector>(*frame, MsgType::kRegistryBroadcast);
         check_encrypted(v, keys.pub, codec.length(), session_packed);
         probability =
             core::proactive_probability(v.decrypt(keys.prv), reg.category_index, params.K);
@@ -283,28 +282,28 @@ void serve_client(Transport& link, std::size_t client_id,
         if (!have_hello || !have_registry) {
           throw TransportError("serve_client: round begin before registration completed");
         }
-        const RoundBegin rb = parse_round_begin(*frame);
+        const RoundBegin rb = decode<RoundBegin>(*frame);
         if (rb.round != next_round) {
           throw TransportError("serve_client: server skipped to round " +
                                std::to_string(rb.round) + " (expected " +
                                std::to_string(next_round) + ")");
         }
         ++next_round;
-        send(make_participation(
+        send(encode<Participation>(
             {static_cast<std::uint64_t>(client_id), rb.round,
              proactive_draws(session_seed, rb.round, client_id, probability, params.H)}));
         break;
       }
       case MsgType::kDistributionRequest: {
         if (!have_key) throw TransportError("serve_client: distribution before keys");
-        const SeedRequest req = parse_seed_request(*frame, MsgType::kDistributionRequest);
+        const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kDistributionRequest);
         send(encrypt_upload(
             MsgType::kDistributionUpload, keys.prv, session_packed,
             core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
         break;
       }
       case MsgType::kModelDown: {
-        const WeightsMsg down = parse_weights(*frame, MsgType::kModelDown);
+        const WeightsMsg down = decode<WeightsMsg>(*frame, MsgType::kModelDown);
         std::vector<float> trained =
             client.train(prototype, down.weights, params.train, down.seed);
         if (params.secure.update_he_rate > 0.0) {
@@ -328,7 +327,7 @@ void serve_client(Transport& link, std::size_t client_id,
           WeightsMsg up;
           up.seed = client_id;
           up.weights = std::move(trained);
-          send(make_weights(MsgType::kModelUpdate, up));
+          send(encode(MsgType::kModelUpdate, up));
         }
         break;
       }
@@ -422,16 +421,15 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
       trainer.server().set_global_weights(core::merge_quantized_updates(
           global, sums, m, params.secure.update_quant_bits,
           params.secure.update_quant_scale));
-      const std::size_t down_bytes = net::wire_size_weights(global.size());
-      const std::size_t up_bytes = net::wire_size_model_update_sparse(
-          session.public_key(), plan.codec, plan.n, plan.k,
-          params.secure.update_quant_bits);
-      const std::size_t up_ct =
-          net::ciphertext_bytes_packed_vector(session.public_key(), plan.codec, plan.k);
+      const std::size_t down_bytes = wire_size(WeightsMsg{0, global}).frame;
+      const WireSize up = wire_size(ModelUpdateSparse{
+          0, static_cast<std::uint32_t>(plan.n),
+          static_cast<std::uint8_t>(params.secure.update_quant_bits), {}, {},
+          packed_shape(session.public_key(), plan.codec, plan.k)});
       acct.record(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient,
                   down_bytes * m, m);
       acct.record(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer,
-                  up_bytes * m, m, up_ct * m);
+                  up.frame * m, m, up.ciphertext * m);
       rec.global_weights = trainer.server().global_weights();
       if (params.evaluate) rec.accuracy = trainer.server().evaluate(dataset);
     } else {

@@ -40,7 +40,7 @@ class RemoteShard final : public detail::Child {
 
   void post(const KeyMaterial& keys) override {
     expect(kSetup, params_.timeouts.registration);
-    send(make_key_material(keys));
+    send(encode(keys));
   }
   void post(const Frame& broadcast) override {
     expect(kSetup, params_.timeouts.registration);
@@ -48,31 +48,31 @@ class RemoteShard final : public detail::Child {
   }
   void post(const ShardRoundBegin& begin) override {
     expect(begin.round, params_.timeouts.upload);
-    send(make_shard_round_begin(begin));
+    send(encode(begin));
   }
   void post(const ShardTryBegin& begin) override {
     expect(begin.round, params_.timeouts.upload);
     try_index_ = begin.try_index;
-    send(make_shard_try_begin(begin));
+    send(encode(begin));
   }
   void post(const UpdateRequest& update) override {
     expect(update.round, params_.timeouts.update);
-    send(make_shard_update_begin(
+    send(encode<ShardUpdateBegin>(
         {update.round, update.recipients, {update.weights.begin(), update.weights.end()}}));
   }
   void post_shutdown() override {
     expect(kSetup, params_.timeouts.update);
     draining_ = true;
-    send(make_shutdown());
+    send(encode(Shutdown{}));
   }
 
   PartialRegistry take_registry() override {
-    PartialRegistry m = take(MsgType::kPartialRegistry, parse_partial_registry);
+    PartialRegistry m = take(MsgType::kPartialRegistry, decode<PartialRegistry>);
     check(m.shard_id == id_, "partial registry from the wrong shard");
     return m;
   }
   PartialParticipation take_participation() override {
-    PartialParticipation m = take(MsgType::kPartialParticipation, parse_partial_participation);
+    PartialParticipation m = take(MsgType::kPartialParticipation, decode<PartialParticipation>);
     check(m.shard_id == id_ && m.round == round_, "partial participation for the wrong round");
     for (const Participation& e : m.entries) {
       check(owns(e.client_id) && e.draws.size() == params_.H, "invalid participation entry");
@@ -81,13 +81,13 @@ class RemoteShard final : public detail::Child {
     return m;
   }
   PartialPopulation take_population() override {
-    PartialPopulation m = take(MsgType::kPartialPopulation, parse_partial_population);
+    PartialPopulation m = take(MsgType::kPartialPopulation, decode<PartialPopulation>);
     check(m.shard_id == id_ && m.round == round_ && m.try_index == try_index_,
           "partial population for the wrong try");
     return m;
   }
   PartialUpdate take_update() override {
-    PartialUpdate m = take(MsgType::kPartialUpdate, parse_partial_update);
+    PartialUpdate m = take(MsgType::kPartialUpdate, decode<PartialUpdate>);
     const std::uint8_t mode = params_.secure.update_he_rate > 0.0 ? 1 : 0;
     check(m.shard_id == id_ && m.round == round_ && m.mode == mode, "bad partial update");
     for (const ShardUpdateEntry& e : m.updates) check(owns(e.client_id), "foreign update entry");
@@ -152,7 +152,7 @@ std::vector<std::unique_ptr<detail::Child>> bind_shards(
     if (frame->seq != 0) {
       throw TransportError("run_root_session: shard hello out of sequence");
     }
-    const ShardHello hello = parse_shard_hello(*frame);
+    const ShardHello hello = decode<ShardHello>(*frame);
     if (hello.protocol != kWireVersion) {
       throw TransportError("run_root_session: shard speaks wire v" +
                            std::to_string(hello.protocol) + ", want v" +
@@ -173,7 +173,7 @@ std::vector<std::unique_ptr<detail::Child>> bind_shards(
   }
   std::vector<std::unique_ptr<detail::Child>> children;
   for (std::size_t s = 0; s < A; ++s) {
-    shards[s]->send(make_server_hello(
+    shards[s]->send(encode<ServerHello>(
         {session_seed, static_cast<std::uint32_t>(N), static_cast<std::uint32_t>(s)}));
     children.push_back(std::move(shards[s]));
   }
@@ -248,9 +248,9 @@ void serve_shard(Transport& uplink,
     return *std::move(f);
   };
 
-  send_up(make_shard_hello({shard_id, num_shards, range.first, range.count,
-                            total_clients, kWireVersion}));
-  const ServerHello root_hello = parse_server_hello(recv_up(MsgType::kServerHello));
+  send_up(encode<ShardHello>({shard_id, num_shards, range.first, range.count,
+                              total_clients, kWireVersion}));
+  const ServerHello root_hello = decode<ServerHello>(recv_up(MsgType::kServerHello));
   if (root_hello.cohort_index != shard_id || root_hello.num_clients != total_clients) {
     throw TransportError("serve_shard: root bound us to the wrong shard");
   }
@@ -265,11 +265,11 @@ void serve_shard(Transport& uplink,
   {
     telemetry::Span reg_span("phase:registration",
                              &detail::phase_hist(SessionPhase::kRegistration));
-    cohort.post(parse_key_material(recv_up(MsgType::kKeyMaterial)));
-    send_up(make_partial_registry(cohort.take_registry()));
+    cohort.post(decode<KeyMaterial>(recv_up(MsgType::kKeyMaterial)));
+    send_up(encode(cohort.take_registry()));
     count_partial("partial_registry");
     cohort.post(recv_up(MsgType::kRegistryBroadcast));
-    send_up(make_partial_participation(cohort.take_participation()));
+    send_up(encode(cohort.take_participation()));
     count_partial("setup_flush");
   }
 
@@ -281,31 +281,31 @@ void serve_shard(Transport& uplink,
       case MsgType::kShardRoundBegin: {
         telemetry::Span span("phase:participation",
                              &detail::phase_hist(SessionPhase::kParticipation));
-        cohort.post(parse_shard_round_begin(f));
-        send_up(make_partial_participation(cohort.take_participation()));
+        cohort.post(decode<ShardRoundBegin>(f));
+        send_up(encode(cohort.take_participation()));
         count_partial("partial_participation");
         break;
       }
       case MsgType::kShardTryBegin: {
         telemetry::Span span("phase:distribution",
                              &detail::phase_hist(SessionPhase::kDistribution));
-        cohort.post(parse_shard_try_begin(f));
-        send_up(make_partial_population(cohort.take_population()));
+        cohort.post(decode<ShardTryBegin>(f));
+        send_up(encode(cohort.take_population()));
         count_partial("partial_population");
         break;
       }
       case MsgType::kShardUpdateBegin: {
         telemetry::Span span("phase:update", &detail::phase_hist(SessionPhase::kUpdate));
-        const ShardUpdateBegin begin = parse_shard_update_begin(f);
+        const ShardUpdateBegin begin = decode<ShardUpdateBegin>(f);
         cohort.post(UpdateRequest{begin.round, begin.recipients, begin.weights});
-        send_up(make_partial_update(cohort.take_update()));
+        send_up(encode(cohort.take_update()));
         count_partial("partial_update");
         break;
       }
       case MsgType::kShutdown: {
         telemetry::Span span("phase:drain", &detail::phase_hist(SessionPhase::kShutdown));
         cohort.post_shutdown();
-        send_up(make_partial_participation(cohort.take_participation()));
+        send_up(encode(cohort.take_participation()));
         count_partial("drain_flush");
         uplink.close();
         return;

@@ -216,6 +216,19 @@ std::size_t check_header(std::span<const std::uint8_t> h, std::size_t max_payloa
   return len;
 }
 
+/// The frame behind a header check_header accepted and its `len` payload
+/// bytes, which must match the header's checksum.
+Frame checked_frame(const std::uint8_t* h, std::size_t len) {
+  Frame frame;
+  frame.type = static_cast<MsgType>(h[5]);
+  frame.seq = static_cast<std::uint16_t>((h[6] << 8) | h[7]);
+  frame.payload.assign(h + kFrameHeaderBytes, h + kFrameHeaderBytes + len);
+  if (crc32(frame.payload) != get_u32(h + 12)) {
+    throw WireError(WireErrc::kBadCrc, "payload does not match its checksum");
+  }
+  return frame;
+}
+
 }  // namespace
 
 bool is_valid(MsgType type) {
@@ -356,23 +369,11 @@ std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes) {
 const char* crc32_backend_name() { return pclmul_usable() ? "pclmul" : "slice8"; }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame, std::size_t max_payload) {
-  if (!is_valid(frame.type)) {
-    throw WireError(WireErrc::kBadType, "refusing to encode an unknown message type");
-  }
-  if (frame.payload.size() > max_payload ||
-      frame.payload.size() > std::size_t{0xFFFFFFFF}) {
-    throw WireError(WireErrc::kOversized,
-                    "payload of " + std::to_string(frame.payload.size()) + " bytes");
-  }
-  std::vector<std::uint8_t> out(kFrameHeaderBytes + frame.payload.size());
-  std::copy(kMagic.begin(), kMagic.end(), out.begin());
-  out[4] = kWireVersion;
-  out[5] = static_cast<std::uint8_t>(frame.type);
-  out[6] = static_cast<std::uint8_t>(frame.seq >> 8);
-  out[7] = static_cast<std::uint8_t>(frame.seq & 0xFF);
-  put_u32(out.data() + 8, static_cast<std::uint32_t>(frame.payload.size()));
-  put_u32(out.data() + 12, crc32(frame.payload));
-  std::copy(frame.payload.begin(), frame.payload.end(), out.begin() + kFrameHeaderBytes);
+  const auto header = encode_frame_header(frame.type, frame.payload, frame.seq, max_payload);
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderBytes + frame.payload.size());
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
 }
 
@@ -413,15 +414,7 @@ Frame decode_frame(std::span<const std::uint8_t> bytes, std::size_t max_payload)
                     std::to_string(bytes.size() - kFrameHeaderBytes - len) +
                         " trailing bytes after the frame");
   }
-  Frame frame;
-  frame.type = static_cast<MsgType>(bytes[5]);
-  frame.seq = static_cast<std::uint16_t>((bytes[6] << 8) | bytes[7]);
-  frame.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
-  const std::uint32_t want = get_u32(bytes.data() + 12);
-  if (crc32(frame.payload) != want) {
-    throw WireError(WireErrc::kBadCrc, "payload does not match its checksum");
-  }
-  return frame;
+  return checked_frame(bytes.data(), len);
 }
 
 void FrameReader::feed(std::span<const std::uint8_t> bytes) {
@@ -444,16 +437,8 @@ std::optional<Frame> FrameReader::next() {
   // Slice the payload straight out of the buffer (the header was just
   // validated; re-running decode_frame would copy the payload twice on
   // every received frame — this is the transport hot path).
-  Frame frame;
-  frame.type = static_cast<MsgType>(h[5]);
-  frame.seq = static_cast<std::uint16_t>((h[6] << 8) | h[7]);
-  frame.payload.assign(h + kFrameHeaderBytes, h + kFrameHeaderBytes + len);
-  const std::uint32_t want = get_u32(h + 12);
   pos_ += kFrameHeaderBytes + len;
-  if (crc32(frame.payload) != want) {
-    throw WireError(WireErrc::kBadCrc, "payload does not match its checksum");
-  }
-  return frame;
+  return checked_frame(h, len);
 }
 
 }  // namespace dubhe::net

@@ -186,4 +186,17 @@ std::size_t serialized_size(const PublicKey& pk, const PackedCodec& codec,
          codec.plaintexts_for(logical) * (4 + pk.ciphertext_bytes());
 }
 
+std::size_t packed_ciphertext_bytes(std::span<const std::uint8_t> bytes) noexcept {
+  // 'K' and four u32 geometry fields, the last the ciphertext count; then
+  // the key, 'P' + u32 modulus length + modulus; then the ciphertexts.
+  constexpr std::size_t kKeyAt = 1 + 4 * 4;
+  if (bytes.size() < kKeyAt + 5 || bytes[0] != 'K' || bytes[kKeyAt] != 'P') return 0;
+  const auto u32_at = [&](std::size_t at) {
+    return (std::uint64_t{bytes[at]} << 24) | (std::uint64_t{bytes[at + 1]} << 16) |
+           (std::uint64_t{bytes[at + 2]} << 8) | std::uint64_t{bytes[at + 3]};
+  };
+  const std::uint64_t framing = kKeyAt + 5 + u32_at(kKeyAt + 1) + 4 * u32_at(kKeyAt - 4);
+  return framing <= bytes.size() ? static_cast<std::size_t>(bytes.size() - framing) : 0;
+}
+
 }  // namespace dubhe::he

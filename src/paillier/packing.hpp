@@ -101,5 +101,10 @@ PackedEncryptedVector deserialize_packed_encrypted_vector(
 /// Exact size of serialize() for `logical` values under `pk` + `codec`.
 std::size_t serialized_size(const PublicKey& pk, const PackedCodec& codec,
                             std::size_t logical);
+/// Ciphertext bytes of the serialized vector `bytes`: its length minus the
+/// 'K' header, the embedded key and the per-ciphertext length prefixes,
+/// read from the header fields alone — nothing is deserialized. Returns 0
+/// when the tag or header is malformed; never throws.
+std::size_t packed_ciphertext_bytes(std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace dubhe::he

@@ -136,7 +136,7 @@ TEST(Trainer, ChannelAccountsModelTraffic) {
   // Exact encoded frame size (header + seed/id + count + f32 payload), not
   // the bare float-payload estimate — what a net::Transport would carry.
   const std::size_t model_bytes =
-      net::wire_size_weights(trainer.server().global_weights().size());
+      net::wire_size(net::WeightsMsg{0, trainer.server().global_weights()}).frame;
   EXPECT_EQ(channel.bytes(MessageKind::kModelWeights), 2 * 4 * model_bytes);
 }
 

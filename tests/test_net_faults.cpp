@@ -242,9 +242,9 @@ TEST(NetFaults, PerSlotRegistryUploadIsBadCiphertext) {
           f.seq = seq++;
           link->send(f);
         };
-        send(net::make_client_hello({id, net::kWireVersion}));
+        send(net::encode<net::ClientHello>({id, net::kWireVersion}));
         (void)link->receive();  // kServerHello
-        const net::KeyMaterial keys = net::parse_key_material(*link->receive());
+        const net::KeyMaterial keys = net::decode<net::KeyMaterial>(*link->receive());
         (void)link->receive();  // kRegistrationRequest
         send(per_slot_registry(MsgType::kRegistryUpload, keys.pub, params));
         while (link->receive()) {
@@ -288,9 +288,9 @@ TEST(NetFaults, ClientRejectsPerSlotRegistryBroadcast) {
   (void)server->receive();  // kClientHello
   bigint::Xoshiro256ss rng(12);
   const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
-  send(net::make_server_hello({1, 2, 0}));
-  send(net::make_key_material({kp.pub, kp.prv}));
-  send(net::make_seed_request(MsgType::kRegistrationRequest, {3, 0}));
+  send(net::encode<net::ServerHello>({1, 2, 0}));
+  send(net::encode<net::KeyMaterial>({kp.pub, kp.prv}));
+  send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
   (void)server->receive();  // the client's packed kRegistryUpload
   send(per_slot_registry(MsgType::kRegistryBroadcast, kp.pub, params));
   endpoint.join();
@@ -345,9 +345,9 @@ TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
     std::exception_ptr script_error;
     try {
       (void)server.link->receive();  // kClientHello
-      server.send(net::make_server_hello({1, 2, 0}));
-      server.send(net::make_key_material({kp.pub, kp.prv}));
-      server.send(net::make_seed_request(MsgType::kRegistrationRequest, {3, 0}));
+      server.send(net::encode<net::ServerHello>({1, 2, 0}));
+      server.send(net::encode<net::KeyMaterial>({kp.pub, kp.prv}));
+      server.send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
       auto upload = server.link->receive();
       if (!upload) throw net::TransportError("client left before its registry upload");
       upload->type = MsgType::kRegistryBroadcast;
@@ -365,25 +365,25 @@ TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
   // Pipelines kRoundBegin for rounds [0, rounds), then checks that every
   // answer is round r's kParticipation stamped (2 + r) mod 2^16.
   const auto play_rounds = [](Server& server, std::uint64_t rounds) {
-    for (std::uint64_t r = 0; r < rounds; ++r) server.send(net::make_round_begin({r}));
+    for (std::uint64_t r = 0; r < rounds; ++r) server.send(net::encode<net::RoundBegin>({r}));
     for (std::uint64_t r = 0; r < rounds; ++r) {
       const auto f = server.link->receive();
       ASSERT_TRUE(f.has_value()) << "client left at round " << r;
       ASSERT_EQ(f->type, MsgType::kParticipation) << "round " << r;
       ASSERT_EQ(f->seq, static_cast<std::uint16_t>(2 + r)) << "round " << r;
-      ASSERT_EQ(net::parse_participation(*f).round, r);
+      ASSERT_EQ(net::decode<net::Participation>(*f).round, r);
     }
   };
 
   const std::exception_ptr clean = run([&](Server& server) {
     play_rounds(server, 65540);
-    server.send(net::make_shutdown());
+    server.send(net::encode(net::Shutdown{}));
   });
   EXPECT_EQ(clean, nullptr) << "serve_client did not return after kShutdown";
 
   const std::exception_ptr replayed = run([&](Server& server) {
     play_rounds(server, 65534);  // the server's last two frames carry seqs 0 and 1
-    net::Frame stale = net::make_round_begin({65534});
+    net::Frame stale = net::encode<net::RoundBegin>({65534});
     stale.seq = 65535;  // round 65,531's number, from before the wrap
     server.link->send(stale);
     server.link->close();  // a client that accepted the replay fails on EOF, not hangs

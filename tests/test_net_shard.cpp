@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -259,34 +260,34 @@ void expect_same(const net::PartialUpdate& a, const net::PartialUpdate& b) {
 
 TEST(ShardCodec, RoundTripsEveryMessage) {
   const net::ShardHello hello{1, 4, 25, 25, 100, net::kWireVersion};
-  EXPECT_EQ(net::parse_shard_hello(net::make_shard_hello(hello)), hello);
+  EXPECT_EQ(net::decode<net::ShardHello>(net::encode<net::ShardHello>(hello)), hello);
 
   const net::ShardRoundBegin rb{42};
-  EXPECT_EQ(net::parse_shard_round_begin(net::make_shard_round_begin(rb)), rb);
+  EXPECT_EQ(net::decode<net::ShardRoundBegin>(net::encode<net::ShardRoundBegin>(rb)), rb);
 
   net::PartialRegistry pr;
   pr.shard_id = 2;
   pr.contributors = 3;
   pr.quarantined = sample_quarantines();
   pr.ciphertext = sample_sum();
-  const Frame prf = net::make_partial_registry(pr);
-  expect_canonical(prf, net::parse_partial_registry, net::make_partial_registry);
-  expect_same(net::parse_partial_registry(prf), pr);
+  const Frame prf = net::encode<net::PartialRegistry>(pr);
+  expect_canonical(prf, net::decode<net::PartialRegistry>, net::encode<net::PartialRegistry>);
+  expect_same(net::decode<net::PartialRegistry>(prf), pr);
   pr.contributors = 0;
   pr.ciphertext = {};
-  const Frame pr0f = net::make_partial_registry(pr);
-  expect_canonical(pr0f, net::parse_partial_registry, net::make_partial_registry);
-  expect_same(net::parse_partial_registry(pr0f), pr);
+  const Frame pr0f = net::encode<net::PartialRegistry>(pr);
+  expect_canonical(pr0f, net::decode<net::PartialRegistry>, net::encode<net::PartialRegistry>);
+  expect_same(net::decode<net::PartialRegistry>(pr0f), pr);
 
   net::PartialParticipation pp;
   pp.shard_id = 1;
   pp.round = 3;
   pp.quarantined = sample_quarantines();
   pp.entries = {{5, 3, {1, 0, 1}}, {6, 3, {0, 0, 0}}};
-  EXPECT_EQ(net::parse_partial_participation(net::make_partial_participation(pp)), pp);
+  EXPECT_EQ(net::decode<net::PartialParticipation>(net::encode<net::PartialParticipation>(pp)), pp);
 
   const net::ShardTryBegin tb{3, 2, {5, 9, 6}};  // selection order, not sorted
-  EXPECT_EQ(net::parse_shard_try_begin(net::make_shard_try_begin(tb)), tb);
+  EXPECT_EQ(net::decode<net::ShardTryBegin>(net::encode<net::ShardTryBegin>(tb)), tb);
 
   net::PartialPopulation pop;
   pop.shard_id = 0;
@@ -296,12 +297,12 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pop.failed = true;
   pop.quarantined = sample_quarantines();
   pop.ciphertext = sample_sum();
-  const Frame popf = net::make_partial_population(pop);
-  expect_canonical(popf, net::parse_partial_population, net::make_partial_population);
-  expect_same(net::parse_partial_population(popf), pop);
+  const Frame popf = net::encode<net::PartialPopulation>(pop);
+  expect_canonical(popf, net::decode<net::PartialPopulation>, net::encode<net::PartialPopulation>);
+  expect_same(net::decode<net::PartialPopulation>(popf), pop);
 
   const net::ShardUpdateBegin ub{3, {5, 9}, {1.5f, -2.25f, 0.0f}};
-  EXPECT_EQ(net::parse_shard_update_begin(net::make_shard_update_begin(ub)), ub);
+  EXPECT_EQ(net::decode<net::ShardUpdateBegin>(net::encode<net::ShardUpdateBegin>(ub)), ub);
 
   net::PartialUpdate pu0;
   pu0.shard_id = 1;
@@ -309,9 +310,9 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pu0.mode = 0;
   pu0.quarantined = sample_quarantines();
   pu0.updates = {{9, {0.5f, 1.25f}}, {5, {-3.0f, 0.0f}}};  // recipient order
-  const Frame pu0f = net::make_partial_update(pu0);
-  expect_canonical(pu0f, net::parse_partial_update, net::make_partial_update);
-  expect_same(net::parse_partial_update(pu0f), pu0);
+  const Frame pu0f = net::encode<net::PartialUpdate>(pu0);
+  expect_canonical(pu0f, net::decode<net::PartialUpdate>, net::encode<net::PartialUpdate>);
+  expect_same(net::decode<net::PartialUpdate>(pu0f), pu0);
 
   net::PartialUpdate pu1;
   pu1.shard_id = 1;
@@ -321,9 +322,9 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pu1.contributors = 2;
   pu1.plain_sums = {10, 0, 77};
   pu1.ciphertext = sample_sum();
-  const Frame puf = net::make_partial_update(pu1);
-  expect_canonical(puf, net::parse_partial_update, net::make_partial_update);
-  expect_same(net::parse_partial_update(puf), pu1);
+  const Frame puf = net::encode<net::PartialUpdate>(pu1);
+  expect_canonical(puf, net::decode<net::PartialUpdate>, net::encode<net::PartialUpdate>);
+  expect_same(net::decode<net::PartialUpdate>(puf), pu1);
 
   // encrypted_payload_bytes skips each partial's variable-length prefix
   // (quarantine records, plain sums) and counts only the ciphertexts.
@@ -352,19 +353,19 @@ WireErrc code_of(const std::function<void()>& fn) {
 TEST(ShardCodec, RejectsMalformedShardHello) {
   // shard_id must be < num_shards; the announced slice must fit the cohort.
   EXPECT_EQ(code_of([] {
-              (void)net::parse_shard_hello(
-                  net::make_shard_hello({3, 2, 0, 4, 8, net::kWireVersion}));
+              (void)net::decode<net::ShardHello>(
+                  net::encode<net::ShardHello>({3, 2, 0, 4, 8, net::kWireVersion}));
             }),
             WireErrc::kBadPayload);
   EXPECT_EQ(code_of([] {
-              (void)net::parse_shard_hello(
-                  net::make_shard_hello({0, 2, 6, 4, 8, net::kWireVersion}));
+              (void)net::decode<net::ShardHello>(
+                  net::encode<net::ShardHello>({0, 2, 6, 4, 8, net::kWireVersion}));
             }),
             WireErrc::kBadPayload);
   // Truncation is typed too.
-  Frame f = net::make_shard_hello({0, 2, 0, 4, 8, net::kWireVersion});
+  Frame f = net::encode<net::ShardHello>({0, 2, 0, 4, 8, net::kWireVersion});
   f.payload.pop_back();
-  EXPECT_EQ(code_of([&] { (void)net::parse_shard_hello(f); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ShardHello>(f); }), WireErrc::kBadPayload);
 }
 
 TEST(ShardCodec, RejectsInconsistentPartials) {
@@ -372,16 +373,16 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   net::PartialRegistry pr;
   pr.shard_id = 0;
   pr.contributors = 2;
-  EXPECT_THROW((void)net::make_partial_registry(pr), WireError);
+  EXPECT_THROW((void)net::encode<net::PartialRegistry>(pr), WireError);
   pr.contributors = 0;
   pr.ciphertext = sample_sum();
-  EXPECT_THROW((void)net::make_partial_registry(pr), WireError);
+  EXPECT_THROW((void)net::encode<net::PartialRegistry>(pr), WireError);
 
   // A ciphertext section that is not the packed paillier wire form.
   pr.contributors = 1;
-  Frame garbled = net::make_partial_registry(pr);
+  Frame garbled = net::encode<net::PartialRegistry>(pr);
   garbled.payload.push_back(0x00);  // trailing byte after the last ciphertext
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_registry(garbled); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(garbled); }),
             WireErrc::kBadPayload);
 
   // Quarantine records with out-of-range enums are rejected on decode.
@@ -389,11 +390,11 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pp.shard_id = 0;
   pp.round = 1;
   pp.quarantined = {{1, 0, SessionPhase::kUpdate, QuarantineReason::kTimeout}};
-  Frame f = net::make_partial_participation(pp);
+  Frame f = net::encode<net::PartialParticipation>(pp);
   // Locate the reason byte (last byte of the single 18-byte record) and
   // corrupt it past the enum range.
   f.payload[f.payload.size() - 5] = 0xEE;  // reason byte of the only record
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_participation(f); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialParticipation>(f); }),
             WireErrc::kBadPayload);
 
   // Non-ascending participation entries are a canonical-encoding violation
@@ -401,7 +402,7 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pp.quarantined.clear();
   pp.entries = {{6, 1, {1}}, {5, 1, {0}}};
   EXPECT_EQ(code_of([&] {
-              (void)net::parse_partial_participation(net::make_partial_participation(pp));
+              (void)net::decode<net::PartialParticipation>(net::encode<net::PartialParticipation>(pp));
             }),
             WireErrc::kBadPayload);
 
@@ -412,7 +413,7 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pu.mode = 0;
   pu.updates = {{5, {1.0f}}, {5, {2.0f}}};
   EXPECT_EQ(
-      code_of([&] { (void)net::parse_partial_update(net::make_partial_update(pu)); }),
+      code_of([&] { (void)net::decode<net::PartialUpdate>(net::encode<net::PartialUpdate>(pu)); }),
       WireErrc::kBadPayload);
 
   // An entry count the remaining bytes cannot hold is rejected before any
@@ -422,13 +423,13 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   huge_pp.payload.insert(huge_pp.payload.end(), {0, 0, 0, 0});
   huge_pp.payload.insert(huge_pp.payload.end(), huge_count.begin(), huge_count.end());
   ASSERT_EQ(huge_pp.payload.size(), 20u);
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_participation(huge_pp); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialParticipation>(huge_pp); }),
             WireErrc::kBadPayload);
   Frame huge_pu{net::MsgType::kPartialUpdate, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0}};
   huge_pu.payload.insert(huge_pu.payload.end(), {0, 0, 0, 0});
   huge_pu.payload.insert(huge_pu.payload.end(), huge_count.begin(), huge_count.end());
   ASSERT_EQ(huge_pu.payload.size(), 21u);
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_update(huge_pu); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(huge_pu); }),
             WireErrc::kBadPayload);
 
   // A drain report (round == kSetupRound) must not carry entries.
@@ -437,9 +438,27 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   drain.round = net::QuarantineRecord::kSetupRound;
   drain.entries = {{1, 0, {1}}};
   EXPECT_EQ(code_of([&] {
-              (void)net::parse_partial_participation(net::make_partial_participation(drain));
+              (void)net::decode<net::PartialParticipation>(net::encode<net::PartialParticipation>(drain));
             }),
             WireErrc::kBadPayload);
+}
+
+TEST(ShardCodec, DecodesManyForwardedUpdatesInNLogN) {
+  // 200,000 distinct ids with empty weight lists: a 2.4 MB mode-0 partial.
+  // The duplicate-id check must not compare every pair (that took ~20 s).
+  net::PartialUpdate pu;
+  pu.mode = 0;
+  pu.updates.resize(200000);
+  for (std::size_t i = 0; i < pu.updates.size(); ++i) {
+    pu.updates[i].client_id = pu.updates.size() - i;  // recipient order, not sorted
+  }
+  const Frame f = net::encode(pu);
+  ASSERT_EQ(f.payload.size(), 21u + 12u * pu.updates.size());
+  const auto t0 = std::chrono::steady_clock::now();
+  const net::PartialUpdate back = net::decode<net::PartialUpdate>(f);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(back.updates, pu.updates);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
 TEST(ShardTree, RootRejectsWrongShapePartialSum) {
@@ -461,7 +480,7 @@ TEST(ShardTree, RootRejectsWrongShapePartialSum) {
         f.seq = seq++;
         shard->send(f);
       };
-      send(net::make_shard_hello({0, 1, 0, 4, 4, net::kWireVersion}));
+      send(net::encode<net::ShardHello>({0, 1, 0, 4, 4, net::kWireVersion}));
       (void)shard->receive();  // kServerHello
       (void)shard->receive();  // kKeyMaterial
       // A partial registry whose ciphertext is under a *fresh* key: parses
@@ -478,7 +497,7 @@ TEST(ShardTree, RootRejectsWrongShapePartialSum) {
       pr.shard_id = 0;
       pr.contributors = 4;
       pr.ciphertext = enc;
-      send(net::make_partial_registry(pr));
+      send(net::encode<net::PartialRegistry>(pr));
       while (shard->receive()) {
       }
     } catch (...) {

@@ -230,60 +230,60 @@ TEST(WireFrame, AdversarialDecodesFailTyped) {
 
 TEST(PayloadCodec, ControlMessagesRoundTrip) {
   const net::ClientHello ch{0x1234567890ABCDEFull, net::kWireVersion};
-  EXPECT_EQ(net::parse_client_hello(net::make_client_hello(ch)), ch);
+  EXPECT_EQ(net::decode<net::ClientHello>(net::encode<net::ClientHello>(ch)), ch);
 
   const net::ServerHello sh{0xDEADBEEFCAFEF00Dull, 50, 7};
-  EXPECT_EQ(net::parse_server_hello(net::make_server_hello(sh)), sh);
+  EXPECT_EQ(net::decode<net::ServerHello>(net::encode<net::ServerHello>(sh)), sh);
 
   const net::SeedRequest rr{0xA5A5A5A55A5A5A5Aull, 3};
-  EXPECT_EQ(net::parse_seed_request(
-                net::make_seed_request(MsgType::kDistributionRequest, rr),
+  EXPECT_EQ(net::decode<net::SeedRequest>(
+                net::encode<net::SeedRequest>(MsgType::kDistributionRequest, rr),
                 MsgType::kDistributionRequest),
             rr);
 
   const net::RoundBegin rb{0xFEDCBA9876543210ull};
-  EXPECT_EQ(net::parse_round_begin(net::make_round_begin(rb)), rb);
+  EXPECT_EQ(net::decode<net::RoundBegin>(net::encode<net::RoundBegin>(rb)), rb);
 
   const net::Participation part{17, 4, {1, 0, 1}};
-  EXPECT_EQ(net::parse_participation(net::make_participation(part)), part);
+  EXPECT_EQ(net::decode<net::Participation>(net::encode<net::Participation>(part)), part);
 
   // Wrong-type parse and malformed payloads are typed failures.
   EXPECT_EQ(code_of([&] {
-              (void)net::parse_server_hello(net::make_client_hello(ch));
+              (void)net::decode<net::ServerHello>(net::encode<net::ClientHello>(ch));
             }),
             WireErrc::kBadPayload);
 }
 
 TEST(PayloadCodec, ParticipationAdversarialDecodes) {
   const net::Participation part{3, 9, {0, 1, 0, 1}};
-  const Frame good = net::make_participation(part);
+  const Frame good = net::encode<net::Participation>(part);
 
   // Trailing byte after the declared draw count.
   Frame evil = good;
   evil.payload.push_back(1);
-  EXPECT_EQ(code_of([&] { (void)net::parse_participation(evil); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::Participation>(evil); }), WireErrc::kBadPayload);
   // Truncated draws.
   evil = good;
   evil.payload.pop_back();
-  EXPECT_EQ(code_of([&] { (void)net::parse_participation(evil); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::Participation>(evil); }), WireErrc::kBadPayload);
   // A draw must be a bit: a "join twice" byte is rejected, not truncated
   // into a bool.
   evil = good;
   evil.payload.back() = 2;
-  EXPECT_EQ(code_of([&] { (void)net::parse_participation(evil); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::Participation>(evil); }), WireErrc::kBadPayload);
   // The encoder refuses non-bit draws too.
   EXPECT_EQ(code_of([&] {
-              (void)net::make_participation(net::Participation{0, 0, {0, 7}});
+              (void)net::encode<net::Participation>(net::Participation{0, 0, {0, 7}});
             }),
             WireErrc::kBadPayload);
   // Truncated round-begin.
-  Frame rb = net::make_round_begin({5});
+  Frame rb = net::encode<net::RoundBegin>({5});
   rb.payload.pop_back();
-  EXPECT_EQ(code_of([&] { (void)net::parse_round_begin(rb); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::RoundBegin>(rb); }), WireErrc::kBadPayload);
   // Round-begin with trailing bytes.
-  rb = net::make_round_begin({5});
+  rb = net::encode<net::RoundBegin>({5});
   rb.payload.push_back(0);
-  EXPECT_EQ(code_of([&] { (void)net::parse_round_begin(rb); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::RoundBegin>(rb); }), WireErrc::kBadPayload);
 }
 
 TEST(PayloadCodec, WeightsAreBitExact) {
@@ -295,19 +295,19 @@ TEST(PayloadCodec, WeightsAreBitExact) {
                  std::numeric_limits<float>::quiet_NaN(),
                  std::numeric_limits<float>::denorm_min()};
   const auto parsed =
-      net::parse_weights(net::make_weights(MsgType::kModelUpdate, msg), MsgType::kModelUpdate);
+      net::decode<net::WeightsMsg>(net::encode<net::WeightsMsg>(MsgType::kModelUpdate, msg), MsgType::kModelUpdate);
   EXPECT_EQ(parsed.seed, msg.seed);
   ASSERT_EQ(parsed.weights.size(), msg.weights.size());
   EXPECT_EQ(std::memcmp(parsed.weights.data(), msg.weights.data(),
                         msg.weights.size() * sizeof(float)),
             0);
-  EXPECT_EQ(net::make_weights(MsgType::kModelUpdate, msg).payload.size() +
+  EXPECT_EQ(net::encode<net::WeightsMsg>(MsgType::kModelUpdate, msg).payload.size() +
                 net::kFrameHeaderBytes,
-            net::wire_size_weights(msg.weights.size()));
+            net::wire_size(msg).frame);
 
-  Frame evil = net::make_weights(MsgType::kModelDown, msg);
+  Frame evil = net::encode<net::WeightsMsg>(MsgType::kModelDown, msg);
   evil.payload.pop_back();
-  EXPECT_EQ(code_of([&] { (void)net::parse_weights(evil, MsgType::kModelDown); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::WeightsMsg>(evil, MsgType::kModelDown); }),
             WireErrc::kBadPayload);
 }
 
@@ -321,16 +321,16 @@ class EncryptedPayloads : public ::testing::Test {
 };
 
 TEST_F(EncryptedPayloads, KeyMaterialRoundTrip) {
-  const Frame f = net::make_key_material({kp_.pub, kp_.prv});
-  EXPECT_EQ(net::frame_wire_size(f.payload.size()), net::wire_size_key_material(kp_));
-  const net::KeyMaterial parsed = net::parse_key_material(f);
+  const Frame f = net::encode<net::KeyMaterial>({kp_.pub, kp_.prv});
+  EXPECT_EQ(net::frame_wire_size(f.payload.size()), net::wire_size(net::KeyMaterial{kp_.pub, kp_.prv}).frame);
+  const net::KeyMaterial parsed = net::decode<net::KeyMaterial>(f);
   EXPECT_EQ(parsed.pub, kp_.pub);
   EXPECT_EQ(parsed.prv.p(), kp_.prv.p());
   EXPECT_EQ(parsed.prv.q(), kp_.prv.q());
 
   Frame evil = f;
   evil.payload[0] = 'X';
-  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(evil); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::KeyMaterial>(evil); }), WireErrc::kBadPayload);
 }
 
 /// A kKeyMaterial frame carrying n = p*q and the private (p, q) verbatim,
@@ -352,12 +352,12 @@ TEST(KeyMaterial, DegeneratePrimesAreTypedBadPayload) {
   // p = 1 used to escape as std::underflow_error and p = 15, q = 21 (shared
   // factor 3) as std::domain_error; both must be typed wire errors.
   using bigint::BigUint;
-  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(raw_key_material(BigUint{1}, BigUint{7})); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::KeyMaterial>(raw_key_material(BigUint{1}, BigUint{7})); }),
             WireErrc::kBadPayload);
-  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(raw_key_material(BigUint{15}, BigUint{21})); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::KeyMaterial>(raw_key_material(BigUint{15}, BigUint{21})); }),
             WireErrc::kBadPayload);
   // The hand-built form itself is sound: valid primes parse.
-  EXPECT_EQ(net::parse_key_material(raw_key_material(BigUint{11}, BigUint{13})).prv.p(),
+  EXPECT_EQ(net::decode<net::KeyMaterial>(raw_key_material(BigUint{11}, BigUint{13})).prv.p(),
             BigUint{11});
 }
 
@@ -392,7 +392,7 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   for (const MsgType type : {MsgType::kRegistryUpload, MsgType::kRegistryBroadcast,
                              MsgType::kDistributionUpload}) {
     const Frame f{type, per_slot};
-    EXPECT_EQ(code_of([&] { (void)net::parse_packed_encrypted_vector(f, type); }),
+    EXPECT_EQ(code_of([&] { (void)net::decode<he::PackedEncryptedVector>(f, type); }),
               WireErrc::kBadPayload);
     EXPECT_EQ(net::encrypted_payload_bytes(f), 0u);
   }
@@ -411,21 +411,21 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   net::PartialRegistry pr;
   pr.contributors = 2;
   pr.ciphertext = packed;
-  const Frame reg = per_slot_tail(net::make_partial_registry(pr));
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_registry(reg); }), WireErrc::kBadPayload);
+  const Frame reg = per_slot_tail(net::encode<net::PartialRegistry>(pr));
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(reg); }), WireErrc::kBadPayload);
   net::PartialPopulation pop;
   pop.contributors = 2;
   pop.ciphertext = packed;
-  const Frame popf = per_slot_tail(net::make_partial_population(pop));
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_population(popf); }),
+  const Frame popf = per_slot_tail(net::encode<net::PartialPopulation>(pop));
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialPopulation>(popf); }),
             WireErrc::kBadPayload);
   net::PartialUpdate pu;
   pu.mode = 1;
   pu.contributors = 2;
   pu.plain_sums = {7, 0};
   pu.ciphertext = packed;
-  const Frame upd = per_slot_tail(net::make_partial_update(pu));
-  EXPECT_EQ(code_of([&] { (void)net::parse_partial_update(upd); }), WireErrc::kBadPayload);
+  const Frame upd = per_slot_tail(net::encode<net::PartialUpdate>(pu));
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(upd); }), WireErrc::kBadPayload);
 }
 
 TEST_F(EncryptedPayloads, OversizedEmbeddedModulusIsATypedWireError) {
@@ -456,7 +456,7 @@ TEST_F(EncryptedPayloads, OversizedEmbeddedModulusIsATypedWireError) {
   payload.push_back(0x01);  // the ciphertext 1 < n^2
   const Frame f{MsgType::kDistributionUpload, payload};
   EXPECT_EQ(code_of([&] {
-              (void)net::parse_packed_encrypted_vector(f, MsgType::kDistributionUpload);
+              (void)net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload);
             }),
             WireErrc::kBadPayload);
 }
@@ -474,11 +474,11 @@ TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
   EXPECT_EQ(back.decrypt(kp_.prv), values);
   EXPECT_EQ(he::serialize(back), bytes);
 
-  const Frame f = net::make_encrypted_vector(MsgType::kDistributionUpload, v);
-  EXPECT_EQ(net::parse_packed_encrypted_vector(f, MsgType::kDistributionUpload).ciphertexts(),
+  const Frame f = net::encode(MsgType::kDistributionUpload, v);
+  EXPECT_EQ(net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload).ciphertexts(),
             v.ciphertexts());
   EXPECT_EQ(net::frame_wire_size(f.payload.size()),
-            net::wire_size_packed_vector(kp_.pub, codec, values.size()));
+            net::wire_size(net::packed_shape(kp_.pub, codec, values.size())).frame);
 
   auto evil = bytes;
   evil[6] ^= 0xFF;  // geometry field
@@ -513,21 +513,21 @@ class SparseUpdatePayloads : public EncryptedPayloads {
 
 TEST_F(SparseUpdatePayloads, RoundTripAndExactPredictedSize) {
   const net::ModelUpdateSparse m = make_update();
-  const Frame f = net::make_model_update_sparse(m);
+  const Frame f = net::encode<net::ModelUpdateSparse>(m);
   EXPECT_EQ(f.type, MsgType::kModelUpdateSparse);
 
-  // sizes.hpp predicts the encoded frame byte-for-byte (satellite 2).
+  // wire_size predicts the encoded frame byte-for-byte from the shape alone.
   EXPECT_EQ(net::frame_wire_size(f.payload.size()),
-            net::wire_size_model_update_sparse(kp_.pub, codec(), kN, 4, 16));
+            net::wire_size(net::ModelUpdateSparse{0, kN, 16, {}, {}, net::packed_shape(kp_.pub, codec(), 4)}).frame);
 
   // The ciphertext-material share the ledger records is exactly the packed
   // section's raw ciphertext bytes, predicted without building the frame.
   EXPECT_EQ(net::encrypted_payload_bytes(f),
-            net::ciphertext_bytes_packed_vector(kp_.pub, codec(), 4));
+            net::wire_size(net::packed_shape(kp_.pub, codec(), 4)).ciphertext);
   EXPECT_GT(net::encrypted_payload_bytes(f), 0u);
   EXPECT_LT(net::encrypted_payload_bytes(f), f.payload.size());
 
-  const net::ModelUpdateSparse back = net::parse_model_update_sparse(f);
+  const net::ModelUpdateSparse back = net::decode<net::ModelUpdateSparse>(f);
   EXPECT_EQ(back.client_id, m.client_id);
   EXPECT_EQ(back.total_count, m.total_count);
   EXPECT_EQ(back.quant_bits, m.quant_bits);
@@ -540,7 +540,7 @@ TEST_F(SparseUpdatePayloads, RoundTripAndExactPredictedSize) {
 
 TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
   const net::ModelUpdateSparse m = make_update();
-  const Frame good = net::make_model_update_sparse(m);
+  const Frame good = net::encode<net::ModelUpdateSparse>(m);
   // Header is 8 + 4 + 4 + 1 = 17 bytes, bitmap ceil(12/8) = 2 bytes, then
   // 8 plaintext values at 2 bytes each => the embedded 'K' starts at 35.
   const std::size_t k_off = 17 + 2 + 16;
@@ -549,27 +549,27 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
   // Truncated inside the bitmap.
   Frame evil = good;
   evil.payload.resize(17 + 1);
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Bitmap popcount disagrees with the declared encrypted count.
   evil = good;
   evil.payload[17] |= 0x01;  // coordinate 0 was plaintext; now 5 bits set
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Set a tail bit past n: bit 13 of a 12-coordinate bitmap must be clear.
   evil = good;
   evil.payload[18] ^= 0x24;  // clear bit 10 (in-mask), set bit 13 — popcount kept
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Encrypted count out of range (k > n).
   evil = good;
   evil.payload[15] = 13;  // k field is the BE u32 at offset 12
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // k = 0 is the plaintext path's job, never a sparse frame.
   evil = good;
   evil.payload[15] = 0;
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Slot-count mismatch: the packed section's logical size must equal k.
   net::ModelUpdateSparse wrong = m;
@@ -578,11 +578,11 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
     wrong.encrypted = he::PackedEncryptedVector::encrypt(
         kp_.pub, codec(), std::vector<std::uint64_t>{1, 2, 3}, rng);  // 3 slots, k = 4
   }
-  EXPECT_EQ(code_of([&] { (void)net::make_model_update_sparse(wrong); }),
+  EXPECT_EQ(code_of([&] { (void)net::encode<net::ModelUpdateSparse>(wrong); }),
             WireErrc::kBadPayload);
   evil = good;
   evil.payload[k_off + 4] = 3;  // lie about the embedded logical size instead
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Non-canonical ciphertext width: grow the first ciphertext's length
   // prefix and pad a leading zero byte — same value, different encoding.
@@ -599,7 +599,7 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
     evil.payload.insert(evil.payload.begin() +
                             static_cast<std::ptrdiff_t>(ct_len_off + 4),
                         0x00);
-    EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+    EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
               WireErrc::kBadPayload);
     // The accounting peek must never throw, even on this hostile frame.
     EXPECT_NO_THROW((void)net::encrypted_payload_bytes(evil));
@@ -607,12 +607,12 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
   // Plaintext value overflowing quant_bits is refused at the encoder.
   wrong = m;
   wrong.plain_values[0] = 65536;
-  EXPECT_EQ(code_of([&] { (void)net::make_model_update_sparse(wrong); }),
+  EXPECT_EQ(code_of([&] { (void)net::encode<net::ModelUpdateSparse>(wrong); }),
             WireErrc::kBadPayload);
   // Trailing garbage after the packed section.
   evil = good;
   evil.payload.push_back(0);
-  EXPECT_EQ(code_of([&] { (void)net::parse_model_update_sparse(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
             WireErrc::kBadPayload);
   // Truncated frames yield 0 from the peek, not an exception.
   evil = good;

@@ -67,7 +67,7 @@ fi
 # inside the AVX2 build; only the simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
 DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random" \
+  -R "test_cpu|test_net_wire|test_net_codec|test_net_round|test_net_faults|test_net_shard|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 run_preset asan "$@"
