@@ -374,6 +374,25 @@ void BM_WeightsCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightsCodec)->Arg(1024)->Arg(16384);
 
+/// What an aggregator pays per client upload before the homomorphic add:
+/// decoding a 2048-bit one-ciphertext kDistributionUpload (10 classes,
+/// 32-bit slots) under the session key.
+void BM_PackedUploadDecode(benchmark::State& state) {
+  bigint::Xoshiro256ss rng(2048);
+  const he::Keypair kp = he::Keypair::generate(rng, 2048);
+  const he::PackedCodec codec(kp.pub.key_bits() - 1, 32);
+  const std::vector<std::uint64_t> dist(10, 1u << 20);
+  const net::Frame f = net::encode(net::MsgType::kDistributionUpload,
+                                   he::PackedEncryptedVector::encrypt(kp.pub, codec, dist, rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::decode<he::PackedEncryptedVector>(
+        f, net::MsgType::kDistributionUpload, kp.pub));
+  }
+  state.counters["frame_bytes"] =
+      static_cast<double>(net::frame_wire_size(f.payload.size()));
+}
+BENCHMARK(BM_PackedUploadDecode);
+
 void BM_LoopbackEcho(benchmark::State& state) {
   auto [a, b] = net::LoopbackTransport::make_pair();
   std::thread peer([peer_end = b] { echo_until_closed(*peer_end); });

@@ -69,7 +69,7 @@ SecureSelectionSession::SecureSelectionSession(const RegistryCodec& codec,
     // The agent dispatches the keypair to every other client (paper §5.1):
     // one kKeyMaterial frame per recipient, recorded at its exact wire size.
     const std::size_t key_bytes =
-        net::wire_size(net::KeyMaterial{keypair_.pub, keypair_.prv}).frame;
+        net::wire_size(net::KeyMaterial{keypair_.prv}).frame;
     channel_->record(fl::MessageKind::kKeyMaterial, fl::Direction::kServerToClient,
                      key_bytes * num_clients_, num_clients_);
   }

@@ -63,7 +63,6 @@ class Walker {
       list(l, entry_fields<T>);
     }
   }
-  void field(const he::PublicKey&) { ok_ = false; }
   void field(const he::PrivateKey&) { ok_ = false; }
   void field(const he::PackedEncryptedVector&) {
     if (ok_) ciphertext_ = he::packed_ciphertext_bytes(rest_);
@@ -110,10 +109,6 @@ void check_partial_sum(std::uint32_t contributors, const he::PackedEncryptedVect
 }
 
 }  // namespace
-
-void KeyMaterial::validate() const {
-  if (!(prv.public_key() == pub)) throw bad_payload("key material: p*q does not match n");
-}
 
 void Participation::validate() const { check_draws(draws); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -96,12 +97,18 @@ class Writer {
   std::vector<std::uint8_t> out_;
 };
 
+/// The key of a decode whose payload has no packed field.
+struct NoKey {};
+
 /// Big-endian reader; underflow is WireError{kBadPayload}. read_list is the
 /// one bounded list read: a count whose smallest possible entries would not
-/// fit in the bytes left is refused before anything is allocated.
+/// fit in the bytes left is refused before anything is allocated. `Key` is
+/// the receiver's session key (he::PublicKey), under which a packed field
+/// is read, or NoKey, which cannot read one.
+template <class Key>
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : rest_(bytes) {}
+  Reader(std::span<const std::uint8_t> bytes, const Key& key) : rest_(bytes), key_(key) {}
 
   template <class... T>
   void operator()(T&... f) {
@@ -150,14 +157,16 @@ class Reader {
   void field(std::vector<T>& l) {
     list(l, entry_fields<T>);
   }
-  void field(he::PublicKey& k) { k = he::deserialize_public_key_prefix(rest_); }
   void field(he::PrivateKey& k) { k = he::deserialize_private_key_prefix(rest_); }
-  void field(he::PackedEncryptedVector& x) {
-    x = he::deserialize_packed_encrypted_vector(rest_);
+  void field(he::PackedEncryptedVector& x)
+    requires std::same_as<Key, he::PublicKey>
+  {
+    x = he::deserialize_packed_encrypted_vector(rest_, key_);
     rest_ = {};
   }
 
   std::span<const std::uint8_t> rest_;
+  const Key& key_;
 };
 
 template <class M>
@@ -183,15 +192,19 @@ template <class M>
   return Frame{type, w.take()};
 }
 
-/// Decodes a frame of type `expected`, which must carry M.
-template <class M>
-[[nodiscard]] M decode(const Frame& f, MsgType expected) {
+/// Decodes a frame of type `expected`, which must carry M. A payload with
+/// a packed field does not compile without `key`, the receiver's session
+/// key (he::PublicKey): every ciphertext must be exactly
+/// key.ciphertext_bytes() long and below its n^2, and the vector shares
+/// the key's Montgomery context.
+template <class M, class Key = detail::NoKey>
+[[nodiscard]] M decode(const Frame& f, MsgType expected, const Key& key = {}) {
   if (f.type != expected || !detail::carries<M>(expected)) {
     throw detail::bad_payload("expected " + to_string(expected) + ", got " + to_string(f.type));
   }
   M m{};
   try {
-    detail::Reader r(f.payload);
+    detail::Reader<Key> r(f.payload, key);
     visit_fields(r, m);
     r.finish();
   } catch (const std::invalid_argument& e) {
@@ -209,10 +222,10 @@ template <class M>
   return encode(kTypesOf<M>[0], m);
 }
 
-template <class M>
+template <class M, class Key = detail::NoKey>
   requires(kTypesOf<M>.size() == 1)
-[[nodiscard]] M decode(const Frame& f) {
-  return decode<M>(f, kTypesOf<M>[0]);
+[[nodiscard]] M decode(const Frame& f, const Key& key = {}) {
+  return decode<M>(f, kTypesOf<M>[0], key);
 }
 
 /// Named decoders the benchmark harness (perfbench/taps.hpp) calls; it is
@@ -224,7 +237,7 @@ inline SeedRequest parse_seed_request(const Frame& f, MsgType type) { return dec
 
 /// Ciphertext-material bytes inside a frame's payload: the raw Paillier
 /// ciphertext bytes of its packed field — excluding framing, length
-/// prefixes, bitmaps, plaintext values, and public-key echoes. Never
+/// prefixes, bitmaps, plaintext values and key material. Never
 /// throws: returns 0 for messages that carry no ciphertext and for
 /// malformed payloads (which decode rejects separately). This is what the
 /// transports feed the ledger's plaintext/encrypted byte split.

@@ -81,7 +81,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
                                 he::PackedEncryptedVector& part, std::size_t logical,
                                 const he::PackedCodec& geometry) {
     try {
-      check_encrypted(part, session.public_key(), logical, geometry);
+      check_encrypted(part, logical, geometry);
     } catch (const WireError& e) {
       throw TransportError(std::string("session: invalid partial sum: ") + e.what());
     }
@@ -94,7 +94,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
   // (and decrypts it itself — that is what its proactive draws feed on).
   {
     telemetry::Span reg_span("phase:registration", &phase_hist(SessionPhase::kRegistration));
-    const KeyMaterial keys{session.keypair().pub, session.keypair().prv};
+    const KeyMaterial keys{session.keypair().prv};
     for (auto& kid : kids) kid->post(keys);
     he::PackedEncryptedVector sum;
     std::uint32_t terms = 0;
@@ -317,11 +317,11 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
 
 }  // namespace
 
-void check_encrypted(const he::PackedEncryptedVector& v, const he::PublicKey& session_key,
-                     std::size_t want_logical, const he::PackedCodec& want_codec) {
+void check_encrypted(const he::PackedEncryptedVector& v, std::size_t want_logical,
+                     const he::PackedCodec& want_codec) {
   // Both geometry fields matter: a forged slots_per_plaintext can keep the
   // ciphertext count identical while shifting every slot boundary.
-  if (!(v.public_key() == session_key) || v.logical_size() != want_logical ||
+  if (v.logical_size() != want_logical ||
       v.codec().slot_bits() != want_codec.slot_bits() ||
       v.codec().slots_per_plaintext() != want_codec.slots_per_plaintext()) {
     throw WireError(WireErrc::kBadPayload,
@@ -442,7 +442,7 @@ void CohortChild::hello(std::span<const std::shared_ptr<Transport>> links,
 }
 
 void CohortChild::post(const KeyMaterial& keys) {
-  key_ = keys.pub;
+  key_ = keys.prv.public_key();
   const Frame key_frame = encode(keys);
   for (std::size_t i = 0; i < links_.size(); ++i) {
     send(i, key_frame, kSetup, SessionPhase::kRegistration);
@@ -563,7 +563,7 @@ void CohortChild::post(const UpdateRequest& update) {
       if (!f) continue;
       ModelUpdateSparse up;
       try {
-        up = decode<ModelUpdateSparse>(*f);
+        up = decode<ModelUpdateSparse>(*f, key_);
       } catch (const WireError&) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
         continue;
@@ -574,7 +574,7 @@ void CohortChild::post(const UpdateRequest& update) {
       }
       bool ok = up.total_count == plan.n && up.quant_bits == qb && up.bitmap == plan.bitmap;
       try {
-        if (ok) check_encrypted(up.encrypted, key_, plan.k, plan.codec);
+        if (ok) check_encrypted(up.encrypted, plan.k, plan.codec);
       } catch (const WireError&) {
         ok = false;
       }
@@ -686,7 +686,7 @@ std::optional<he::PackedEncryptedVector> CohortChild::recv_upload(
   if (!f) return std::nullopt;
   he::PackedEncryptedVector v;
   try {
-    v = decode<he::PackedEncryptedVector>(*f, want);
+    v = decode<he::PackedEncryptedVector>(*f, want, key_);
   } catch (const WireError&) {
     // Not tagged as a packed vector at all (garbage, or the per-slot 'V'
     // form wire v6 retired): a ciphertext that cannot join the sum.
@@ -696,7 +696,7 @@ std::optional<he::PackedEncryptedVector> CohortChild::recv_upload(
     return std::nullopt;
   }
   try {
-    check_encrypted(v, key_, logical, packed_);
+    check_encrypted(v, logical, packed_);
   } catch (const WireError&) {
     quarantine(i, round, phase, QuarantineReason::kBadCiphertext);
     return std::nullopt;

@@ -41,15 +41,15 @@ namespace dubhe::net::detail {
 constexpr std::uint64_t kUnknown = QuarantineRecord::kUnknownClient;
 constexpr std::uint64_t kSetup = QuarantineRecord::kSetupRound;
 
-/// Wire-parsed ciphertexts are untrusted: before one joins a homomorphic
-/// sum it must carry the *session* key and the expected shape and packing
-/// geometry, otherwise a misbehaving client could silently corrupt the
-/// aggregate (deserialization only validates slots against the key the
-/// payload itself embeds). Clients apply the same check to the registry
-/// broadcast, and the engine to every child's partial sum. Throws
+/// Wire-parsed ciphertexts are untrusted. Decoding under the session key
+/// (net/codec.hpp) puts every one in that key's Z_{n^2}; before a vector
+/// joins a homomorphic sum it must also have the expected shape and
+/// packing geometry, otherwise a misbehaving client could silently corrupt
+/// the aggregate. Clients apply the same check to the registry broadcast,
+/// and the engine to every child's partial sum. Throws
 /// WireError{kBadPayload}.
-void check_encrypted(const he::PackedEncryptedVector& v, const he::PublicKey& session_key,
-                     std::size_t want_logical, const he::PackedCodec& want_codec);
+void check_encrypted(const he::PackedEncryptedVector& v, std::size_t want_logical,
+                     const he::PackedCodec& want_codec);
 
 /// Per-phase wall-clock histograms. Telemetry is strictly out-of-band:
 /// nothing here touches the RNG streams, payloads, or control flow, so
@@ -195,8 +195,8 @@ class CohortChild final : public Child {
                             std::uint64_t round, SessionPhase phase);
   /// recv() of a packed-vector upload, validated against the session: a
   /// payload that is not a packed vector at all is kBadCiphertext, a packed
-  /// vector that does not parse kBadFrame, one under the wrong key or shape
-  /// kBadCiphertext.
+  /// vector that does not parse under the session key kBadFrame, one of the
+  /// wrong shape kBadCiphertext.
   std::optional<he::PackedEncryptedVector> recv_upload(std::size_t i, MsgType want,
                                                        std::chrono::milliseconds deadline,
                                                        std::size_t logical,

@@ -213,7 +213,7 @@ void serve_client(Transport& link, std::size_t client_id,
 
   send(encode<ClientHello>({static_cast<std::uint64_t>(client_id), kWireVersion}));
 
-  he::Keypair keys;
+  he::PrivateKey prv;
   bool have_key = false;
   std::uint64_t session_seed = 0;
   bool have_hello = false;
@@ -255,15 +255,14 @@ void serve_client(Transport& link, std::size_t client_id,
         // member holds the private half, which is exactly what lets this
         // endpoint decrypt the registry broadcast and draw its own
         // participation — the aggregator is the one party without it.
-        const KeyMaterial km = decode<KeyMaterial>(*frame);
-        keys = {km.pub, km.prv};
+        prv = decode<KeyMaterial>(*frame).prv;
         have_key = true;
         break;
       }
       case MsgType::kRegistrationRequest: {
         if (!have_key) throw TransportError("serve_client: registration before keys");
         const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kRegistrationRequest);
-        send(encrypt_upload(MsgType::kRegistryUpload, keys.prv, session_packed,
+        send(encrypt_upload(MsgType::kRegistryUpload, prv, session_packed,
                             core::to_onehot(codec, reg), req.seed));
         break;
       }
@@ -271,10 +270,11 @@ void serve_client(Transport& link, std::size_t client_id,
         // R_A arrives encrypted; this cohort member decrypts it and derives
         // its own Eq. 6 participation probability — the client half of §5.2.
         if (!have_key) throw TransportError("serve_client: broadcast before keys");
-        const auto v = decode<he::PackedEncryptedVector>(*frame, MsgType::kRegistryBroadcast);
-        check_encrypted(v, keys.pub, codec.length(), session_packed);
+        const auto v = decode<he::PackedEncryptedVector>(*frame, MsgType::kRegistryBroadcast,
+                                                         prv.public_key());
+        check_encrypted(v, codec.length(), session_packed);
         probability =
-            core::proactive_probability(v.decrypt(keys.prv), reg.category_index, params.K);
+            core::proactive_probability(v.decrypt(prv), reg.category_index, params.K);
         have_registry = true;
         break;
       }
@@ -298,7 +298,7 @@ void serve_client(Transport& link, std::size_t client_id,
         if (!have_key) throw TransportError("serve_client: distribution before keys");
         const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kDistributionRequest);
         send(encrypt_upload(
-            MsgType::kDistributionUpload, keys.prv, session_packed,
+            MsgType::kDistributionUpload, prv, session_packed,
             core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
         break;
       }
@@ -320,7 +320,7 @@ void serve_client(Transport& link, std::size_t client_id,
               core::quantize_update(down.weights, trained, params.secure.update_quant_bits,
                                     params.secure.update_quant_scale);
           send(make_sparse_update(
-              static_cast<std::uint64_t>(client_id), plan, q, keys.prv,
+              static_cast<std::uint64_t>(client_id), plan, q, prv,
               static_cast<std::uint8_t>(params.secure.update_quant_bits),
               core::update_encryption_seed(session_seed, round, client_id)));
         } else {

@@ -24,9 +24,11 @@ namespace dubhe::net {
 /// bounded list (u32 count, then the entries; v.list takes the entry field
 /// list explicitly); v.fixed(list, count, width), entries with no count
 /// prefix; v.implied(field, value), set on decode but not on the wire; key
-/// material; and the packed vector's self-tagged 'K' form, which runs to
-/// the end of the payload. Semantic rules live in each payload's
-/// validate(), which the codec runs before encoding and after decoding.
+/// material; and the packed vector's 'K' form, which runs to the end of
+/// the payload and carries no key: its ciphertexts are read under the
+/// receiver's session key (see decode). Semantic rules live in each
+/// payload's validate(), which the codec runs before encoding and after
+/// decoding.
 
 struct ClientHello {
   static constexpr std::array kTypes{MsgType::kClientHello};
@@ -48,14 +50,14 @@ struct ServerHello {
 };
 
 /// The agent's key dispatch (paper §5.1: the agent generates the session
-/// keypair and distributes it to the cohort).
+/// keypair and distributes it to the cohort). Only p and q travel; the
+/// receiver's session key is prv.public_key(), the one key every packed
+/// payload of the session is decoded under.
 struct KeyMaterial {
   static constexpr std::array kTypes{MsgType::kKeyMaterial};
-  he::PublicKey pub;
   he::PrivateKey prv;
 
-  static void fields(auto& v, auto& m) { v(m.pub, m.prv); }
-  void validate() const;
+  static void fields(auto& v, auto& m) { v(m.prv); }
 };
 
 /// Registration and distribution requests share one shape: an RNG seed for
@@ -153,9 +155,9 @@ struct Shutdown {
 /// since its previous report (so churn reaches the root transcript intact)
 /// and, where ciphertext flows, the shard's homomorphic partial sum — on
 /// the wire in the packed 'K' form, present iff contributors > 0 (one
-/// canonical encoding per partial). The root validates it against the
-/// session key and geometry before it joins the global sum, exactly as a
-/// cohort validates a client upload. The partials are also the replies of
+/// canonical encoding per partial). The root decodes it under the session
+/// key and checks its geometry before it joins the global sum, exactly as
+/// a cohort checks a client upload. The partials are also the replies of
 /// the aggregator engine's children (net/engine.hpp), in or out of process.
 
 struct ShardHello {
@@ -375,10 +377,7 @@ struct Sizer {
   void field(const std::vector<T>& l) {
     list(l, entry_fields<T>);
   }
-  template <class Key>
-  void field(const Key& k) {
-    payload += he::serialized_size(k);
-  }
+  void field(const he::PrivateKey& k) { payload += he::serialized_size(k); }
   void field(const he::PackedEncryptedVector& x) {
     payload += he::serialized_size(x.public_key(), x.codec(), x.logical_size());
     ciphertext += x.ciphertext_count() * x.public_key().ciphertext_bytes();

@@ -23,8 +23,9 @@ void count_partial(const char* label) {
 }
 
 /// A shard aggregator one link away: the root's child. Each post encodes
-/// the request as its shard-plane frame; each take receives, parses and
-/// checks the partial answering it. Shards are infrastructure, so every
+/// the request as its shard-plane frame; each take receives, parses (a
+/// partial sum under the session key the root dispatched) and checks the
+/// partial answering it. Shards are infrastructure, so every
 /// failure — timeout, sequence violation, unexpected type, a malformed or
 /// mislabelled partial — is a fatal TransportError, never a quarantine.
 class RemoteShard final : public detail::Child {
@@ -40,6 +41,7 @@ class RemoteShard final : public detail::Child {
 
   void post(const KeyMaterial& keys) override {
     expect(kSetup, params_.timeouts.registration);
+    key_ = keys.prv.public_key();
     send(encode(keys));
   }
   void post(const Frame& broadcast) override {
@@ -67,12 +69,12 @@ class RemoteShard final : public detail::Child {
   }
 
   PartialRegistry take_registry() override {
-    PartialRegistry m = take(MsgType::kPartialRegistry, decode<PartialRegistry>);
+    PartialRegistry m = take<PartialRegistry>();
     check(m.shard_id == id_, "partial registry from the wrong shard");
     return m;
   }
   PartialParticipation take_participation() override {
-    PartialParticipation m = take(MsgType::kPartialParticipation, decode<PartialParticipation>);
+    PartialParticipation m = take<PartialParticipation>();
     check(m.shard_id == id_ && m.round == round_, "partial participation for the wrong round");
     for (const Participation& e : m.entries) {
       check(owns(e.client_id) && e.draws.size() == params_.H, "invalid participation entry");
@@ -81,13 +83,13 @@ class RemoteShard final : public detail::Child {
     return m;
   }
   PartialPopulation take_population() override {
-    PartialPopulation m = take(MsgType::kPartialPopulation, decode<PartialPopulation>);
+    PartialPopulation m = take<PartialPopulation>();
     check(m.shard_id == id_ && m.round == round_ && m.try_index == try_index_,
           "partial population for the wrong try");
     return m;
   }
   PartialUpdate take_update() override {
-    PartialUpdate m = take(MsgType::kPartialUpdate, decode<PartialUpdate>);
+    PartialUpdate m = take<PartialUpdate>();
     const std::uint8_t mode = params_.secure.update_he_rate > 0.0 ? 1 : 0;
     check(m.shard_id == id_ && m.round == round_ && m.mode == mode, "bad partial update");
     for (const ShardUpdateEntry& e : m.updates) check(owns(e.client_id), "foreign update entry");
@@ -105,7 +107,7 @@ class RemoteShard final : public detail::Child {
   }
 
   template <typename Partial>
-  Partial take(MsgType want, Partial (*parse)(const Frame&)) {
+  Partial take() {
     std::optional<Frame> f;
     try {
       f = t_->receive(deadline_);
@@ -114,9 +116,9 @@ class RemoteShard final : public detail::Child {
     }
     check(f.has_value(), "shard link closed mid-session");
     check(f->seq == recv_seq_++, "shard frame out of sequence");
-    check(f->type == want, "shard sent an unexpected message");
+    check(f->type == kTypesOf<Partial>[0], "shard sent an unexpected message");
     try {
-      return parse(*f);
+      return decode<Partial>(*f, key_);
     } catch (const WireError& e) {
       throw TransportError(std::string("run_root_session: malformed partial: ") + e.what());
     }
@@ -129,6 +131,7 @@ class RemoteShard final : public detail::Child {
   std::shared_ptr<Transport> t_;
   std::uint32_t id_;
   const SessionParams& params_;
+  he::PublicKey key_;
   std::uint16_t send_seq_ = 0;
   std::uint16_t recv_seq_ = 1;  // the shard hello (seq 0) was already consumed
   std::uint64_t round_ = kSetup;

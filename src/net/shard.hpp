@@ -40,8 +40,9 @@
 ///
 /// Trust model: a shard aggregator is infrastructure, not a client. It sees
 /// only its slice's ciphertexts, participation bits and failures; it holds
-/// the session keypair purely as forwarding payload for the key dispatch
-/// (exactly what a flat aggregator holds). The root plays the agent role —
+/// the session keypair as forwarding payload for the key dispatch and uses
+/// only its public half, to decode uploads (exactly what a flat aggregator
+/// does). The root plays the agent role —
 /// it alone decrypts aggregates. Consequently a *client* failure anywhere
 /// is a typed quarantine, while a *shard-link* failure is a fatal
 /// TransportError: losing an aggregator is an infrastructure outage, not

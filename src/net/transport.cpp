@@ -45,9 +45,8 @@ void Transport::account_received(const Frame& frame, std::size_t frame_bytes) co
 }
 
 std::pair<std::shared_ptr<LoopbackTransport>, std::shared_ptr<LoopbackTransport>>
-LoopbackTransport::make_pair(LinkModel model) {
+LoopbackTransport::make_pair() {
   auto shared = std::make_shared<Shared>();
-  shared->model = model;
   auto a = std::shared_ptr<LoopbackTransport>(new LoopbackTransport(shared, true));
   auto b = std::shared_ptr<LoopbackTransport>(new LoopbackTransport(shared, false));
   return {std::move(a), std::move(b)};
@@ -60,10 +59,6 @@ void LoopbackTransport::send(const Frame& frame) {
   {
     std::lock_guard<std::mutex> lock(q.m);
     if (q.closed) throw TransportError("loopback: send on a closed channel");
-    q.busy_seconds += shared_->model.latency_seconds;
-    if (shared_->model.bytes_per_second > 0) {
-      q.busy_seconds += static_cast<double>(size) / shared_->model.bytes_per_second;
-    }
     q.frames.push_back(std::move(encoded));
   }
   q.cv.notify_one();
@@ -101,12 +96,6 @@ void LoopbackTransport::close() {
     }
     q->cv.notify_all();
   }
-}
-
-double LoopbackTransport::simulated_seconds() const {
-  const Queue& q = out();
-  std::lock_guard<std::mutex> lock(q.m);
-  return q.busy_seconds;
 }
 
 }  // namespace dubhe::net

@@ -76,14 +76,6 @@ class Transport {
   fl::Direction outbound_ = fl::Direction::kServerToClient;
 };
 
-/// Optional loopback link model: each frame charges latency + size/bandwidth
-/// of *virtual* seconds to its direction's clock (no real sleeping), so
-/// benches can price a WAN without simulating one.
-struct LinkModel {
-  double latency_seconds = 0;
-  double bytes_per_second = 0;  // 0 = infinite bandwidth
-};
-
 /// The deterministic in-process transport: a pair of endpoints joined by two
 /// mutex/condvar frame queues (single producer, single consumer per
 /// direction — uncontended in practice, and race-checked under the TSan
@@ -92,9 +84,9 @@ struct LinkModel {
 /// accounted sizes are the true wire sizes.
 class LoopbackTransport final : public Transport {
  public:
-  /// Creates the two joined endpoints. `model` applies to both directions.
+  /// Creates the two joined endpoints.
   static std::pair<std::shared_ptr<LoopbackTransport>, std::shared_ptr<LoopbackTransport>>
-  make_pair(LinkModel model = {});
+  make_pair();
 
   void send(const Frame& frame) override;
   std::optional<Frame> receive(std::chrono::milliseconds deadline) override;
@@ -102,21 +94,16 @@ class LoopbackTransport final : public Transport {
   void close() override;
   [[nodiscard]] std::string peer_name() const override { return "loopback"; }
 
-  /// Virtual seconds this endpoint's outbound link has been busy.
-  [[nodiscard]] double simulated_seconds() const;
-
  private:
   struct Queue {
-    mutable std::mutex m;
+    std::mutex m;
     std::condition_variable cv;
     std::deque<std::vector<std::uint8_t>> frames;  // encoded
     bool closed = false;
-    double busy_seconds = 0;
   };
   struct Shared {
     Queue a_to_b;
     Queue b_to_a;
-    LinkModel model;
   };
 
   LoopbackTransport(std::shared_ptr<Shared> shared, bool is_a)
@@ -124,7 +111,6 @@ class LoopbackTransport final : public Transport {
 
   Queue& out() { return is_a_ ? shared_->a_to_b : shared_->b_to_a; }
   Queue& in() { return is_a_ ? shared_->b_to_a : shared_->a_to_b; }
-  [[nodiscard]] const Queue& out() const { return is_a_ ? shared_->a_to_b : shared_->b_to_a; }
 
   std::shared_ptr<Shared> shared_;
   bool is_a_;

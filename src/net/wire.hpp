@@ -54,7 +54,11 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'D', 'U', 'B', 'H'};
 /// ciphertext travels — client uploads, the registry broadcast, and the
 /// shard-plane partial sums. A version-5 peer is refused at the first
 /// frame.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// Version 7: the session key crosses the wire once. kKeyMaterial carries
+/// only the private (p, q), and the packed 'K' form no longer embeds the
+/// public key: every packed payload is decoded under the receiver's
+/// session key. A version-6 peer is refused at the first frame.
+inline constexpr std::uint8_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Decoder-side ceiling on a single frame's payload. Frames whose length
 /// prefix exceeds this are rejected before any allocation, so a corrupted
@@ -161,7 +165,7 @@ enum class QuarantineReason : std::uint8_t {
   kTimeout = 1,        // the per-phase deadline expired
   kDisconnect,         // peer closed / transport error mid-phase
   kBadFrame,           // malformed or out-of-protocol frame / payload
-  kBadCiphertext,      // ciphertext does not match the session key/geometry
+  kBadCiphertext,      // not a packed vector, or not the session's shape/geometry
   kBadParticipation,   // participation bits with wrong shape/round/values
   kReplay,             // frame sequence violation (duplicate / replayed)
 };

@@ -130,8 +130,6 @@ std::vector<std::uint8_t> serialize(const PackedEncryptedVector& v) {
   detail::put_u32_be(out, v.codec().slot_bits(), "PackedEncryptedVector");
   detail::put_u32_be(out, v.codec().slots_per_plaintext(), "PackedEncryptedVector");
   detail::put_u32_be(out, v.ciphertext_count(), "PackedEncryptedVector");
-  const auto pk_bytes = serialize(v.public_key());
-  out.insert(out.end(), pk_bytes.begin(), pk_bytes.end());
   for (const Ciphertext& ct : v.ciphertexts()) {
     const auto ct_bytes = serialize(ct, v.public_key());
     out.insert(out.end(), ct_bytes.begin(), ct_bytes.end());
@@ -139,8 +137,8 @@ std::vector<std::uint8_t> serialize(const PackedEncryptedVector& v) {
   return out;
 }
 
-PackedEncryptedVector deserialize_packed_encrypted_vector(
-    std::span<const std::uint8_t> bytes) {
+PackedEncryptedVector deserialize_packed_encrypted_vector(std::span<const std::uint8_t> bytes,
+                                                          const PublicKey& pk) {
   if (bytes.empty() || bytes[0] != 'K') {
     throw std::invalid_argument("PackedEncryptedVector: bad tag");
   }
@@ -156,7 +154,6 @@ PackedEncryptedVector deserialize_packed_encrypted_vector(
   if (codec.slots_per_plaintext() != slots_per_pt) {
     throw std::invalid_argument("PackedEncryptedVector: inconsistent geometry");
   }
-  PublicKey pk = deserialize_public_key_prefix(bytes);
   const std::size_t body = pk.ciphertext_bytes();
   if (bytes.size() != ct_count * (4 + body)) {
     throw std::invalid_argument("PackedEncryptedVector: ciphertext payload mismatch");
@@ -176,26 +173,23 @@ PackedEncryptedVector deserialize_packed_encrypted_vector(
     cts.push_back(std::move(ct));
     bytes = bytes.subspan(body);
   }
-  return PackedEncryptedVector(std::move(pk), codec, logical, std::move(cts));
+  return PackedEncryptedVector(pk, codec, logical, std::move(cts));
 }
 
 std::size_t serialized_size(const PublicKey& pk, const PackedCodec& codec,
                             std::size_t logical) {
-  // 'K' + 4 geometry fields + embedded key + packed ciphertexts.
-  return 1 + 4 * 4 + serialized_size(pk) +
-         codec.plaintexts_for(logical) * (4 + pk.ciphertext_bytes());
+  // 'K' + 4 geometry fields + packed ciphertexts.
+  return 1 + 4 * 4 + codec.plaintexts_for(logical) * (4 + pk.ciphertext_bytes());
 }
 
 std::size_t packed_ciphertext_bytes(std::span<const std::uint8_t> bytes) noexcept {
   // 'K' and four u32 geometry fields, the last the ciphertext count; then
-  // the key, 'P' + u32 modulus length + modulus; then the ciphertexts.
-  constexpr std::size_t kKeyAt = 1 + 4 * 4;
-  if (bytes.size() < kKeyAt + 5 || bytes[0] != 'K' || bytes[kKeyAt] != 'P') return 0;
-  const auto u32_at = [&](std::size_t at) {
-    return (std::uint64_t{bytes[at]} << 24) | (std::uint64_t{bytes[at + 1]} << 16) |
-           (std::uint64_t{bytes[at + 2]} << 8) | std::uint64_t{bytes[at + 3]};
-  };
-  const std::uint64_t framing = kKeyAt + 5 + u32_at(kKeyAt + 1) + 4 * u32_at(kKeyAt - 4);
+  // the ciphertexts, each behind a u32 length.
+  constexpr std::size_t kHeader = 1 + 4 * 4;
+  if (bytes.size() < kHeader || bytes[0] != 'K') return 0;
+  auto count = bytes.subspan(kHeader - 4);  // >= 4 bytes: the read cannot throw
+  const std::uint64_t framing =
+      kHeader + 4 * std::uint64_t{detail::get_u32_be(count, "PackedEncryptedVector")};
   return framing <= bytes.size() ? static_cast<std::size_t>(bytes.size() - framing) : 0;
 }
 

@@ -89,22 +89,26 @@ class PackedEncryptedVector {
   std::vector<Ciphertext> cts_;
 };
 
-/// Self-contained wire form: 'K' tag, then big-endian u32 logical count,
-/// slot width, slots-per-plaintext and ciphertext count, the public key,
-/// and the packed ciphertexts. deserialize_packed_encrypted_vector is the
-/// exact inverse (std::invalid_argument on any malformation); the codec is
-/// rebuilt from (slots_per_plaintext * slot_bits, slot_bits), which
-/// reproduces the packing geometry for any original capacity.
+/// Wire form: 'K' tag, then big-endian u32 logical count, slot width,
+/// slots-per-plaintext and ciphertext count, and the packed ciphertexts,
+/// each a u32 length and its canonical pk.ciphertext_bytes() body. The key
+/// is not on the wire: the receiver holds the session key and passes it to
+/// deserialize_packed_encrypted_vector, the exact inverse
+/// (std::invalid_argument on any malformation, a ciphertext of another
+/// width or one outside Z_{n^2} of `pk` included). The result shares
+/// `pk`'s Montgomery context. The codec is rebuilt from
+/// (slots_per_plaintext * slot_bits, slot_bits), which reproduces the
+/// packing geometry for any original capacity.
 std::vector<std::uint8_t> serialize(const PackedEncryptedVector& v);
-PackedEncryptedVector deserialize_packed_encrypted_vector(
-    std::span<const std::uint8_t> bytes);
+PackedEncryptedVector deserialize_packed_encrypted_vector(std::span<const std::uint8_t> bytes,
+                                                          const PublicKey& pk);
 /// Exact size of serialize() for `logical` values under `pk` + `codec`.
 std::size_t serialized_size(const PublicKey& pk, const PackedCodec& codec,
                             std::size_t logical);
 /// Ciphertext bytes of the serialized vector `bytes`: its length minus the
-/// 'K' header, the embedded key and the per-ciphertext length prefixes,
-/// read from the header fields alone — nothing is deserialized. Returns 0
-/// when the tag or header is malformed; never throws.
+/// 'K' header and the per-ciphertext length prefixes, read from the header
+/// alone — nothing is deserialized. Returns 0 when the tag or header is
+/// malformed; never throws.
 std::size_t packed_ciphertext_bytes(std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace dubhe::he

@@ -301,8 +301,8 @@ BigUint read_field(std::span<const std::uint8_t>& bytes) {
                            static_cast<std::size_t>(bytes[3]);
   if (bytes.size() < 4 + body) throw std::invalid_argument("key field: truncated");
   // n, p and q all come through here, and every key parse then builds n^2
-  // and Montgomery contexts at a cost quadratic in the width. Packed
-  // uploads embed their own key, so the width is bounded before that runs.
+  // and Montgomery contexts at a cost quadratic in the width, so the width
+  // is bounded before that runs.
   if (body > kMaxKeyFieldBytes) {
     throw std::invalid_argument("key field: wider than 16384 bits");
   }

@@ -182,7 +182,7 @@ std::vector<std::uint8_t> serialize(const PrivateKey& prv);
 PrivateKey deserialize_private_key(std::span<const std::uint8_t> bytes);
 
 /// Advancing variants for keys embedded inside larger payloads (the
-/// encrypted-vector wire forms, net key-material frames): parse the key at
+/// per-slot 'V' vector form, net key-material frames): parse the key at
 /// the front of `bytes` and move the span past its canonical encoding, so
 /// callers never re-measure the field layout themselves.
 PublicKey deserialize_public_key_prefix(std::span<const std::uint8_t>& bytes);

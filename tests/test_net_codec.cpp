@@ -44,15 +44,13 @@ std::size_t ciphertext_bytes(const M& m) {
 
 /// Payload byte ranges [begin, end) of the ciphertext bodies of the packed
 /// vector `v` serialized at the end of `payload`: after the 'K' header
-/// (17 bytes) and the embedded key, each ciphertext is a u32 length prefix
-/// and then its body.
+/// (17 bytes), each ciphertext is a u32 length prefix and then its body.
 std::vector<std::pair<std::size_t, std::size_t>> body_ranges(
     const std::vector<std::uint8_t>& payload, const he::PackedEncryptedVector& v) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
   if (v.ciphertext_count() == 0) return out;
   const std::size_t body = v.public_key().ciphertext_bytes();
-  std::size_t at = payload.size() - he::serialize(v).size() + 17 +
-                   he::serialized_size(v.public_key());
+  std::size_t at = payload.size() - he::serialize(v).size() + 17;
   for (std::size_t i = 0; i < v.ciphertext_count(); ++i, at += 4 + body) {
     out.emplace_back(at + 4, at + 4 + body);
   }
@@ -66,6 +64,16 @@ struct Case {
   std::vector<std::pair<std::size_t, std::size_t>> bodies;
   std::function<void(const Frame&, const std::string&)> check;
 };
+
+/// The session keypair every case's ciphertexts are under; the receiver
+/// decodes a payload with a packed field under its public half.
+const he::Keypair& session_keys() {
+  static const he::Keypair kp = [] {
+    bigint::Xoshiro256ss rng(2718);
+    return he::Keypair::generate(rng, 128);
+  }();
+  return kp;
+}
 
 template <class M>
 Case make_case(const std::string& name, MsgType type, const M& m) {
@@ -86,7 +94,7 @@ Case make_case(const std::string& name, MsgType type, const M& m) {
     }
     std::optional<M> back;
     try {
-      back = net::decode<M>(f, type);
+      back = net::decode<M>(f, type, session_keys().pub);
     } catch (const net::WireError&) {
       return;  // a typed rejection
     } catch (const std::exception& e) {
@@ -101,7 +109,7 @@ Case make_case(const std::string& name, MsgType type, const M& m) {
 
 std::vector<Case> every_message_type() {
   bigint::Xoshiro256ss rng(2718);
-  const he::Keypair kp = he::Keypair::generate(rng, 128);
+  const he::Keypair& kp = session_keys();
   const he::PackedCodec codec(kp.pub.key_bits() - 1, 20);
   const auto vec = he::PackedEncryptedVector::encrypt(
       kp.pub, codec, std::vector<std::uint64_t>{5, 0, 1, 999999, 3, 77, 123456, 0, 1}, rng);
@@ -141,7 +149,7 @@ std::vector<Case> every_message_type() {
                 net::ClientHello{0x1234567890ABCDEFull, net::kWireVersion}),
       make_case("ServerHello", MsgType::kServerHello,
                 net::ServerHello{0xDEADBEEFCAFEF00Dull, 50, 7}),
-      make_case("KeyMaterial", MsgType::kKeyMaterial, net::KeyMaterial{kp.pub, kp.prv}),
+      make_case("KeyMaterial", MsgType::kKeyMaterial, net::KeyMaterial{kp.prv}),
       make_case("RegistrationRequest", MsgType::kRegistrationRequest,
                 net::SeedRequest{0xA5A5A5A55A5A5A5Aull, 0}),
       make_case("RegistryUpload", MsgType::kRegistryUpload, vec),
@@ -206,6 +214,7 @@ TEST(CodecProperty, MutatedFramesFailTypedOrReencodeExactly) {
 /// header promises 2^26 - 1 plaintext values, which is 512 MiB as u64 to a
 /// decoder that allocates before it checks the bytes left.
 void decode_huge_sparse_update_under_limit() {
+  const he::PublicKey& key = session_keys().pub;
   constexpr rlim_t kLimit = rlim_t{512} << 20;
   const rlimit limit{kLimit, kLimit};
   if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(4);
@@ -217,7 +226,7 @@ void decode_huge_sparse_update_under_limit() {
   payload[17] = 1;
   try {
     (void)net::decode<net::ModelUpdateSparse>(
-        Frame{MsgType::kModelUpdateSparse, std::move(payload)});
+        Frame{MsgType::kModelUpdateSparse, std::move(payload)}, key);
   } catch (const net::WireError& e) {
     std::_Exit(e.code() == net::WireErrc::kBadPayload ? 0 : 1);
   } catch (...) {

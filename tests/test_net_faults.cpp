@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "core/registry.hpp"
 #include "net/codec.hpp"
+#include "net/engine.hpp"
 #include "net/fault.hpp"
 #include "net/node.hpp"
 #include "nn/builders.hpp"
@@ -246,7 +248,7 @@ TEST(NetFaults, PerSlotRegistryUploadIsBadCiphertext) {
         (void)link->receive();  // kServerHello
         const net::KeyMaterial keys = net::decode<net::KeyMaterial>(*link->receive());
         (void)link->receive();  // kRegistrationRequest
-        send(per_slot_registry(MsgType::kRegistryUpload, keys.pub, params));
+        send(per_slot_registry(MsgType::kRegistryUpload, keys.prv.public_key(), params));
         while (link->receive()) {
         }
       } catch (...) {
@@ -289,7 +291,7 @@ TEST(NetFaults, ClientRejectsPerSlotRegistryBroadcast) {
   bigint::Xoshiro256ss rng(12);
   const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
   send(net::encode<net::ServerHello>({1, 2, 0}));
-  send(net::encode<net::KeyMaterial>({kp.pub, kp.prv}));
+  send(net::encode<net::KeyMaterial>({kp.prv}));
   send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
   (void)server->receive();  // the client's packed kRegistryUpload
   send(per_slot_registry(MsgType::kRegistryBroadcast, kp.pub, params));
@@ -346,7 +348,7 @@ TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
     try {
       (void)server.link->receive();  // kClientHello
       server.send(net::encode<net::ServerHello>({1, 2, 0}));
-      server.send(net::encode<net::KeyMaterial>({kp.pub, kp.prv}));
+      server.send(net::encode<net::KeyMaterial>({kp.prv}));
       server.send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
       auto upload = server.link->receive();
       if (!upload) throw net::TransportError("client left before its registry upload");
@@ -396,6 +398,60 @@ TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
   } catch (const std::exception& e) {
     ADD_FAILURE() << "expected a WireError, got: " << e.what();
   }
+}
+
+TEST(NetFaults, CohortFrameSequenceSurvivesTheU16Wrap) {
+  // The aggregator end of the same rule, on the one implementation of the
+  // per-client sweeps (detail::CohortChild, which the flat server and every
+  // shard run). The cohort spends seq 0 on its kServerHello and the client
+  // spends 0 on its hello, so both counters wrap at round 65,535. A
+  // scripted client answers every kRoundBegin with its kParticipation: the
+  // cohort must stamp and accept the wrapped numbers with no quarantine,
+  // then quarantine a pre-wrap number as a replay.
+  constexpr std::uint64_t kRounds = 65540;
+  const auto params = make_params(1);
+  auto [agg, cli] = net::LoopbackTransport::make_pair();
+  std::atomic<bool> in_sequence{true};  // every cohort frame carried the next seq
+  std::thread client([&, link = cli] {
+    std::uint16_t send_seq = 0;
+    std::uint16_t recv_seq = 0;
+    try {
+      net::Frame hello = net::encode<net::ClientHello>({0, net::kWireVersion});
+      hello.seq = send_seq++;
+      link->send(hello);
+      while (auto f = link->receive()) {
+        if (f->seq != recv_seq++) in_sequence = false;
+        if (f->type != MsgType::kRoundBegin) continue;
+        const std::uint64_t round = net::decode<net::RoundBegin>(*f).round;
+        net::Frame part = net::encode<net::Participation>(
+            {0, round, std::vector<std::uint8_t>(params.H, 1)});
+        // The last round answers with round 65,534's number, from before the wrap.
+        part.seq = round == kRounds ? std::uint16_t{65535} : send_seq++;
+        link->send(part);
+      }
+    } catch (const net::TransportError&) {
+      in_sequence = false;  // the cohort closed the link mid-sweep
+    }
+  });
+  net::detail::CohortChild cohort(0, {0, 1}, 1, params);
+  const std::vector<std::shared_ptr<net::Transport>> links{agg};
+  cohort.hello(links, 7);
+  std::uint64_t clean = 0;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    cohort.post(net::ShardRoundBegin{r});
+    const net::PartialParticipation p = cohort.take_participation();
+    if (p.quarantined.empty() && p.entries.size() == 1 && p.entries[0].round == r) ++clean;
+  }
+  cohort.post(net::ShardRoundBegin{kRounds});
+  const net::PartialParticipation replayed = cohort.take_participation();
+  agg->close();
+  client.join();
+  EXPECT_EQ(clean, kRounds);
+  EXPECT_TRUE(in_sequence);
+  EXPECT_TRUE(replayed.entries.empty());
+  EXPECT_EQ(replayed.quarantined,
+            (std::vector<net::QuarantineRecord>{
+                {0, kRounds, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
 }
 
 TEST(NetFaults, PlanParserRoundTripsAndRejectsGarbage) {

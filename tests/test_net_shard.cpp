@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -205,25 +206,32 @@ std::vector<QuarantineRecord> sample_quarantines() {
           {7, 2, SessionPhase::kUpdate, QuarantineReason::kBadCiphertext}};
 }
 
+/// The session key of the codec cases: partial sums decode under it.
+const he::PublicKey& sample_key() {
+  static const he::PublicKey pk = [] {
+    bigint::Xoshiro256ss rng(77);
+    return he::Keypair::generate(rng, 128).pub;
+  }();
+  return pk;
+}
+
 /// A small packed partial sum for the codec cases.
 he::PackedEncryptedVector sample_sum() {
-  bigint::Xoshiro256ss rng(77);
-  const he::Keypair kp = he::Keypair::generate(rng, 128);
-  const he::PackedCodec codec(kp.pub.key_bits() - 1, 32);
-  return he::PackedEncryptedVector::encrypt(kp.pub, codec, std::vector<std::uint64_t>{3, 0, 9},
-                                            rng);
+  bigint::Xoshiro256ss rng(78);
+  const he::PackedCodec codec(sample_key().key_bits() - 1, 32);
+  return he::PackedEncryptedVector::encrypt(sample_key(), codec,
+                                            std::vector<std::uint64_t>{3, 0, 9}, rng);
 }
 
 /// The partials hold typed ciphertexts, so their round trip is checked the
 /// canonical way: parsing a frame and re-encoding it gives the same bytes.
 template <typename Partial>
-void expect_canonical(const Frame& f, Partial (*parse)(const Frame&),
-                      Frame (*make)(const Partial&)) {
-  EXPECT_EQ(make(parse(f)).payload, f.payload);
+void expect_canonical(const Frame& f) {
+  EXPECT_EQ(net::encode(net::decode<Partial>(f, sample_key())).payload, f.payload);
 }
 
 /// The packed vector has no operator==: two sums are equal when both are
-/// empty or their full serialized forms (key, geometry, ciphertexts) match.
+/// empty or their serialized forms (geometry, ciphertexts) match.
 void expect_same_sum(const he::PackedEncryptedVector& a, const he::PackedEncryptedVector& b) {
   ASSERT_EQ(a.ciphertext_count(), b.ciphertext_count());
   if (a.ciphertext_count() != 0) EXPECT_EQ(he::serialize(a), he::serialize(b));
@@ -271,13 +279,13 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pr.quarantined = sample_quarantines();
   pr.ciphertext = sample_sum();
   const Frame prf = net::encode<net::PartialRegistry>(pr);
-  expect_canonical(prf, net::decode<net::PartialRegistry>, net::encode<net::PartialRegistry>);
-  expect_same(net::decode<net::PartialRegistry>(prf), pr);
+  expect_canonical<net::PartialRegistry>(prf);
+  expect_same(net::decode<net::PartialRegistry>(prf, sample_key()), pr);
   pr.contributors = 0;
   pr.ciphertext = {};
   const Frame pr0f = net::encode<net::PartialRegistry>(pr);
-  expect_canonical(pr0f, net::decode<net::PartialRegistry>, net::encode<net::PartialRegistry>);
-  expect_same(net::decode<net::PartialRegistry>(pr0f), pr);
+  expect_canonical<net::PartialRegistry>(pr0f);
+  expect_same(net::decode<net::PartialRegistry>(pr0f, sample_key()), pr);
 
   net::PartialParticipation pp;
   pp.shard_id = 1;
@@ -298,8 +306,8 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pop.quarantined = sample_quarantines();
   pop.ciphertext = sample_sum();
   const Frame popf = net::encode<net::PartialPopulation>(pop);
-  expect_canonical(popf, net::decode<net::PartialPopulation>, net::encode<net::PartialPopulation>);
-  expect_same(net::decode<net::PartialPopulation>(popf), pop);
+  expect_canonical<net::PartialPopulation>(popf);
+  expect_same(net::decode<net::PartialPopulation>(popf, sample_key()), pop);
 
   const net::ShardUpdateBegin ub{3, {5, 9}, {1.5f, -2.25f, 0.0f}};
   EXPECT_EQ(net::decode<net::ShardUpdateBegin>(net::encode<net::ShardUpdateBegin>(ub)), ub);
@@ -311,8 +319,8 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pu0.quarantined = sample_quarantines();
   pu0.updates = {{9, {0.5f, 1.25f}}, {5, {-3.0f, 0.0f}}};  // recipient order
   const Frame pu0f = net::encode<net::PartialUpdate>(pu0);
-  expect_canonical(pu0f, net::decode<net::PartialUpdate>, net::encode<net::PartialUpdate>);
-  expect_same(net::decode<net::PartialUpdate>(pu0f), pu0);
+  expect_canonical<net::PartialUpdate>(pu0f);
+  expect_same(net::decode<net::PartialUpdate>(pu0f, sample_key()), pu0);
 
   net::PartialUpdate pu1;
   pu1.shard_id = 1;
@@ -323,8 +331,8 @@ TEST(ShardCodec, RoundTripsEveryMessage) {
   pu1.plain_sums = {10, 0, 77};
   pu1.ciphertext = sample_sum();
   const Frame puf = net::encode<net::PartialUpdate>(pu1);
-  expect_canonical(puf, net::decode<net::PartialUpdate>, net::encode<net::PartialUpdate>);
-  expect_same(net::decode<net::PartialUpdate>(puf), pu1);
+  expect_canonical<net::PartialUpdate>(puf);
+  expect_same(net::decode<net::PartialUpdate>(puf, sample_key()), pu1);
 
   // encrypted_payload_bytes skips each partial's variable-length prefix
   // (quarantine records, plain sums) and counts only the ciphertexts.
@@ -382,7 +390,7 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pr.contributors = 1;
   Frame garbled = net::encode<net::PartialRegistry>(pr);
   garbled.payload.push_back(0x00);  // trailing byte after the last ciphertext
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(garbled); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(garbled, sample_key()); }),
             WireErrc::kBadPayload);
 
   // Quarantine records with out-of-range enums are rejected on decode.
@@ -413,7 +421,9 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   pu.mode = 0;
   pu.updates = {{5, {1.0f}}, {5, {2.0f}}};
   EXPECT_EQ(
-      code_of([&] { (void)net::decode<net::PartialUpdate>(net::encode<net::PartialUpdate>(pu)); }),
+      code_of([&] {
+        (void)net::decode<net::PartialUpdate>(net::encode<net::PartialUpdate>(pu), sample_key());
+      }),
       WireErrc::kBadPayload);
 
   // An entry count the remaining bytes cannot hold is rejected before any
@@ -429,7 +439,7 @@ TEST(ShardCodec, RejectsInconsistentPartials) {
   huge_pu.payload.insert(huge_pu.payload.end(), {0, 0, 0, 0});
   huge_pu.payload.insert(huge_pu.payload.end(), huge_count.begin(), huge_count.end());
   ASSERT_EQ(huge_pu.payload.size(), 21u);
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(huge_pu); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(huge_pu, sample_key()); }),
             WireErrc::kBadPayload);
 
   // A drain report (round == kSetupRound) must not carry entries.
@@ -455,7 +465,7 @@ TEST(ShardCodec, DecodesManyForwardedUpdatesInNLogN) {
   const Frame f = net::encode(pu);
   ASSERT_EQ(f.payload.size(), 21u + 12u * pu.updates.size());
   const auto t0 = std::chrono::steady_clock::now();
-  const net::PartialUpdate back = net::decode<net::PartialUpdate>(f);
+  const net::PartialUpdate back = net::decode<net::PartialUpdate>(f, sample_key());
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(back.updates, pu.updates);
   EXPECT_LT(elapsed, std::chrono::seconds(2));
@@ -463,52 +473,187 @@ TEST(ShardCodec, DecodesManyForwardedUpdatesInNLogN) {
 
 TEST(ShardTree, RootRejectsWrongShapePartialSum) {
   // run_root_session validates every shard partial like a client upload:
-  // a ciphertext under a foreign key or with the wrong slot count is a
-  // fatal TransportError (shards are infrastructure, not churn). Simulate a
-  // buggy shard by speaking just enough of the protocol by hand.
+  // a ciphertext outside the session key's Z_{n^2} or a sum with the wrong
+  // slot count is a fatal TransportError (shards are infrastructure, not
+  // churn). Simulate a buggy shard by speaking just enough of the protocol
+  // by hand.
   const auto dataset = make_dataset(4);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   auto params = make_params(2, 1);
   params.evaluate = false;
-
-  auto [root_side, shard_side] = net::LoopbackTransport::make_pair();
-  std::vector<std::shared_ptr<net::Transport>> links{root_side};
-  std::thread rogue([&, shard = shard_side] {
-    try {
-      std::uint16_t seq = 0;
-      auto send = [&](Frame f) {
-        f.seq = seq++;
-        shard->send(f);
-      };
-      send(net::encode<net::ShardHello>({0, 1, 0, 4, 4, net::kWireVersion}));
-      (void)shard->receive();  // kServerHello
-      (void)shard->receive();  // kKeyMaterial
-      // A partial registry whose ciphertext is under a *fresh* key: parses
-      // fine, fails the session-key check at the root.
-      bigint::Xoshiro256ss rng(123);
-      const he::Keypair foreign = he::Keypair::generate(rng, params.secure.key_bits);
-      const core::RegistryCodec reg_codec(params.num_classes, params.reference_set);
-      const std::vector<std::uint64_t> vals(reg_codec.length(), 1);
-      const he::PackedCodec codec(params.secure.key_bits - 1,
-                                  params.secure.packing_slot_bits);
-      const auto enc =
-          he::PackedEncryptedVector::encrypt(foreign.pub, codec, vals, rng);
-      net::PartialRegistry pr;
-      pr.shard_id = 0;
-      pr.contributors = 4;
-      pr.ciphertext = enc;
-      send(net::encode<net::PartialRegistry>(pr));
-      while (shard->receive()) {
+  const std::size_t length =
+      core::RegistryCodec(params.num_classes, params.reference_set).length();
+  const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+  // The rogue partial registry sums, built under the session key the root
+  // dispatched.
+  const std::function<he::PackedEncryptedVector(const he::PublicKey&)> rogue_sums[] = {
+      // Every ciphertext equal to n^2: refused by the decode at the root.
+      [&](const he::PublicKey& pk) {
+        return he::PackedEncryptedVector(
+            pk, codec, length,
+            std::vector<he::Ciphertext>(codec.plaintexts_for(length), {pk.n_squared()}));
+      },
+      // One slot short: decodes, refused by the root's shape check.
+      [&](const he::PublicKey& pk) {
+        bigint::Xoshiro256ss rng(123);
+        const std::vector<std::uint64_t> vals(length - 1, 1);
+        return he::PackedEncryptedVector::encrypt(pk, codec, vals, rng);
+      },
+  };
+  for (const auto& rogue_sum : rogue_sums) {
+    auto [root_side, shard_side] = net::LoopbackTransport::make_pair();
+    std::vector<std::shared_ptr<net::Transport>> links{root_side};
+    std::thread rogue([&, shard = shard_side] {
+      try {
+        std::uint16_t seq = 0;
+        auto send = [&](Frame f) {
+          f.seq = seq++;
+          shard->send(f);
+        };
+        send(net::encode<net::ShardHello>({0, 1, 0, 4, 4, net::kWireVersion}));
+        (void)shard->receive();  // kServerHello
+        const auto keys = net::decode<net::KeyMaterial>(*shard->receive());
+        net::PartialRegistry pr;
+        pr.shard_id = 0;
+        pr.contributors = 4;
+        pr.ciphertext = rogue_sum(keys.prv.public_key());
+        send(net::encode<net::PartialRegistry>(pr));
+        while (shard->receive()) {
+        }
+      } catch (...) {
+        shard->close();
       }
+    });
+    EXPECT_THROW(
+        { (void)net::run_root_session(links, dataset, proto, params); },
+        net::TransportError);
+    root_side->close();
+    rogue.join();
+  }
+}
+
+TEST(ShardTree, ShardFrameSequencesSurviveTheU16Wrap) {
+  // serve_shard numbers two planes of links: its uplink to the root and one
+  // link per client. A scripted root drives 65,540 participation sweeps
+  // through a shard of two scripted clients, so every counter on both
+  // planes wraps. No sweep may quarantine anyone; then a client's pre-wrap
+  // number is a kReplay record in the next partial, and a pre-wrap number
+  // from the root is fatal to the shard (kReplayed).
+  constexpr std::uint64_t kRounds = 65540;
+  constexpr std::size_t N = 2;
+  const auto params = make_params(1);
+  bigint::Xoshiro256ss rng(5);
+  const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
+  const std::vector<std::uint64_t> registry(
+      core::RegistryCodec(params.num_classes, params.reference_set).length(), 0);
+  const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+  std::atomic<bool> in_sequence{true};  // every frame carried the next seq
+
+  // Client 1 answers round kRounds with round 65,533's number.
+  std::vector<std::shared_ptr<net::Transport>> client_links;
+  std::vector<std::thread> clients;
+  for (std::uint64_t id = 0; id < N; ++id) {
+    auto [shard_end, client_end] = net::LoopbackTransport::make_pair();
+    client_links.push_back(shard_end);
+    clients.emplace_back([&, id, link = client_end] {
+      std::uint16_t send_seq = 0;
+      std::uint16_t recv_seq = 0;
+      const auto send = [&](Frame f) {
+        f.seq = send_seq++;
+        link->send(f);
+      };
+      try {
+        send(net::encode<net::ClientHello>({id, net::kWireVersion}));
+        bigint::Xoshiro256ss upload_rng(id);
+        while (auto f = link->receive()) {
+          if (f->seq != recv_seq++) in_sequence = false;
+          if (f->type == MsgType::kRegistrationRequest) {
+            send(net::encode(MsgType::kRegistryUpload,
+                             he::PackedEncryptedVector::encrypt(kp.pub, codec, registry,
+                                                                upload_rng)));
+          } else if (f->type == MsgType::kRoundBegin) {
+            const std::uint64_t round = net::decode<net::RoundBegin>(*f).round;
+            Frame part = net::encode<net::Participation>(
+                {id, round, std::vector<std::uint8_t>(params.H, 1)});
+            if (id == 1 && round == kRounds) {
+              part.seq = 65535;
+              link->send(part);
+            } else {
+              send(part);
+            }
+          }
+        }
+      } catch (const net::TransportError&) {
+        // the shard closed this link
+      }
+    });
+  }
+  auto [root_end, uplink] = net::LoopbackTransport::make_pair();
+  std::exception_ptr shard_error;
+  std::thread shard([&, link = uplink] {
+    try {
+      net::serve_shard(*link, client_links, 0, 1, N, params);
     } catch (...) {
-      shard->close();
+      shard_error = std::current_exception();
     }
+    link->close();
   });
-  EXPECT_THROW(
-      { (void)net::run_root_session(links, dataset, proto, params); },
-      net::TransportError);
-  root_side->close();
-  rogue.join();
+
+  std::uint16_t send_seq = 0;
+  std::uint16_t recv_seq = 0;
+  const auto send = [&](Frame f) {
+    f.seq = send_seq++;
+    root_end->send(f);
+  };
+  const auto recv = [&](MsgType want) {
+    std::optional<Frame> f = root_end->receive();
+    if (!f || f->seq != recv_seq++ || f->type != want) in_sequence = false;
+    return f.value_or(Frame{want, {}});
+  };
+  std::uint64_t clean = 0;
+  net::PartialParticipation replayed;
+  try {
+    (void)recv(MsgType::kShardHello);
+    send(net::encode<net::ServerHello>({9, N, 0}));
+    send(net::encode<net::KeyMaterial>({kp.prv}));
+    const auto sum = net::decode<net::PartialRegistry>(recv(MsgType::kPartialRegistry), kp.pub);
+    EXPECT_EQ(sum.contributors, N);
+    send(net::encode(MsgType::kRegistryBroadcast, sum.ciphertext));
+    EXPECT_TRUE(
+        net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation))
+            .quarantined.empty());
+    // The sweeps are pipelined: the shard works through the queued begins.
+    for (std::uint64_t r = 0; r <= kRounds; ++r) send(net::encode(net::ShardRoundBegin{r}));
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      const auto p = net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation));
+      if (p.round == r && p.quarantined.empty() && p.entries.size() == N) ++clean;
+    }
+    replayed = net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation));
+    Frame stale = net::encode(net::ShardRoundBegin{kRounds + 1});
+    stale.seq = 65535;  // round 65,532's number, from before the wrap
+    root_end->send(stale);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "scripted root: " << e.what();
+  }
+  shard.join();
+  root_end->close();
+  for (const auto& link : client_links) link->close();
+  for (auto& t : clients) t.join();
+
+  EXPECT_TRUE(in_sequence);
+  EXPECT_EQ(clean, kRounds);
+  EXPECT_EQ(replayed.entries.size(), 1u);
+  EXPECT_EQ(replayed.quarantined,
+            (std::vector<QuarantineRecord>{
+                {1, kRounds, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
+  ASSERT_NE(shard_error, nullptr);
+  try {
+    std::rethrow_exception(shard_error);
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.code(), WireErrc::kReplayed);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a WireError, got: " << e.what();
+  }
 }
 
 TEST(ShardTree, RejectsInvalidTopologies) {

@@ -2,9 +2,10 @@
 // tests over randomized payloads of every message type, adversarial decodes
 // (truncation, bad magic/version/flags, corrupted CRC, oversized length
 // prefix) asserting *typed* failures, the incremental FrameReader, the
-// payload codecs (including bit-exact float transport and the
-// EncryptedVector / PackedEncryptedVector serialization round trips), and
-// the LoopbackTransport contract with exact byte accounting.
+// payload codecs (including bit-exact float transport, the
+// EncryptedVector / PackedEncryptedVector serialization round trips and the
+// packed decode's binding to the session key), and the LoopbackTransport
+// contract with exact byte accounting.
 
 #include <gtest/gtest.h>
 
@@ -321,10 +322,10 @@ class EncryptedPayloads : public ::testing::Test {
 };
 
 TEST_F(EncryptedPayloads, KeyMaterialRoundTrip) {
-  const Frame f = net::encode<net::KeyMaterial>({kp_.pub, kp_.prv});
-  EXPECT_EQ(net::frame_wire_size(f.payload.size()), net::wire_size(net::KeyMaterial{kp_.pub, kp_.prv}).frame);
+  const Frame f = net::encode<net::KeyMaterial>({kp_.prv});
+  EXPECT_EQ(net::frame_wire_size(f.payload.size()), net::wire_size(net::KeyMaterial{kp_.prv}).frame);
   const net::KeyMaterial parsed = net::decode<net::KeyMaterial>(f);
-  EXPECT_EQ(parsed.pub, kp_.pub);
+  EXPECT_EQ(parsed.prv.public_key(), kp_.pub);
   EXPECT_EQ(parsed.prv.p(), kp_.prv.p());
   EXPECT_EQ(parsed.prv.q(), kp_.prv.q());
 
@@ -333,11 +334,10 @@ TEST_F(EncryptedPayloads, KeyMaterialRoundTrip) {
   EXPECT_EQ(code_of([&] { (void)net::decode<net::KeyMaterial>(evil); }), WireErrc::kBadPayload);
 }
 
-/// A kKeyMaterial frame carrying n = p*q and the private (p, q) verbatim,
-/// built field by field because PrivateKey refuses degenerate primes.
+/// A kKeyMaterial frame carrying the private (p, q) verbatim, built field
+/// by field because PrivateKey refuses degenerate primes.
 Frame raw_key_material(const bigint::BigUint& p, const bigint::BigUint& q) {
-  std::vector<std::uint8_t> payload = he::serialize(he::PublicKey(p * q));
-  payload.push_back('S');
+  std::vector<std::uint8_t> payload{'S'};
   for (const bigint::BigUint* v : {&p, &q}) {
     const std::vector<std::uint8_t> mag = v->to_bytes_be();
     for (int shift = 24; shift >= 0; shift -= 8) {
@@ -392,7 +392,7 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   for (const MsgType type : {MsgType::kRegistryUpload, MsgType::kRegistryBroadcast,
                              MsgType::kDistributionUpload}) {
     const Frame f{type, per_slot};
-    EXPECT_EQ(code_of([&] { (void)net::decode<he::PackedEncryptedVector>(f, type); }),
+    EXPECT_EQ(code_of([&] { (void)net::decode<he::PackedEncryptedVector>(f, type, kp_.pub); }),
               WireErrc::kBadPayload);
     EXPECT_EQ(net::encrypted_payload_bytes(f), 0u);
   }
@@ -412,12 +412,13 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   pr.contributors = 2;
   pr.ciphertext = packed;
   const Frame reg = per_slot_tail(net::encode<net::PartialRegistry>(pr));
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(reg); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialRegistry>(reg, kp_.pub); }),
+            WireErrc::kBadPayload);
   net::PartialPopulation pop;
   pop.contributors = 2;
   pop.ciphertext = packed;
   const Frame popf = per_slot_tail(net::encode<net::PartialPopulation>(pop));
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialPopulation>(popf); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialPopulation>(popf, kp_.pub); }),
             WireErrc::kBadPayload);
   net::PartialUpdate pu;
   pu.mode = 1;
@@ -425,27 +426,83 @@ TEST_F(EncryptedPayloads, PerSlotFormIsATypedWireError) {
   pu.plain_sums = {7, 0};
   pu.ciphertext = packed;
   const Frame upd = per_slot_tail(net::encode<net::PartialUpdate>(pu));
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(upd); }), WireErrc::kBadPayload);
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::PartialUpdate>(upd, kp_.pub); }),
+            WireErrc::kBadPayload);
 }
 
-TEST_F(EncryptedPayloads, OversizedEmbeddedModulusIsATypedWireError) {
-  // Every packed upload embeds its own public key. A 1,048,576-bit modulus
-  // with one well-formed ciphertext under it is refused at the key field,
-  // before n^2 or a Montgomery context is built for it.
-  bigint::Xoshiro256ss rng(6);
-  const he::PackedCodec codec(kp_.pub.key_bits() - 1, 32);
-  const std::vector<std::uint64_t> values{3, 1, 4};
-  const auto packed = he::PackedEncryptedVector::encrypt(kp_.pub, codec, values, rng);
-  ASSERT_EQ(packed.ciphertext_count(), 1u);
+/// The packed decode is bound to the receiver's session key, a 2048-bit
+/// one here as in the paper's setup: each ciphertext must be exactly as
+/// wide as the key's and lie in its Z_{n^2}.
+const he::Keypair& session_keypair() {
+  static const he::Keypair kp = [] {
+    bigint::Xoshiro256ss rng(4096);
+    return he::Keypair::generate(rng, 2048);
+  }();
+  return kp;
+}
+
+/// A one-ciphertext distribution upload (10 values, 32-bit slots).
+Frame upload(const he::PublicKey& pk) {
+  bigint::Xoshiro256ss rng(9);
+  const he::PackedCodec codec(pk.key_bits() - 1, 32);
+  const std::vector<std::uint64_t> values(10, 7);
+  return net::encode(MsgType::kDistributionUpload,
+                     he::PackedEncryptedVector::encrypt(pk, codec, values, rng));
+}
+
+WireErrc decode_code(const Frame& f) {
+  return code_of([&] {
+    (void)net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload,
+                                                 session_keypair().pub);
+  });
+}
+
+TEST(KeyBoundDecode, UploadUnderANarrowerKeyIsBadPayload) {
+  const he::Keypair& session = session_keypair();
+  const Frame honest = upload(session.pub);
+  EXPECT_EQ(net::decode<he::PackedEncryptedVector>(honest, MsgType::kDistributionUpload,
+                                                   session.pub)
+                .decrypt(session.prv),
+            std::vector<std::uint64_t>(10, 7));
+  // 1024-bit ciphertexts are 256 bytes, the session's 512.
+  bigint::Xoshiro256ss rng(1024);
+  EXPECT_EQ(decode_code(upload(he::Keypair::generate(rng, 1024).pub)), WireErrc::kBadPayload);
+}
+
+TEST(KeyBoundDecode, CiphertextOutsideTheSessionZn2IsBadPayload) {
+  const he::PublicKey& pk = session_keypair().pub;
+  const he::PackedCodec codec(pk.key_bits() - 1, 32);
+  const auto with_ciphertext = [&](const bigint::BigUint& c) {
+    return Frame{MsgType::kDistributionUpload,
+                 he::serialize(he::PackedEncryptedVector(pk, codec, 10, {he::Ciphertext{c}}))};
+  };
+  const bigint::BigUint one{1};
+  EXPECT_EQ(decode_code(with_ciphertext(pk.n_squared())), WireErrc::kBadPayload);
+  // The largest value of the canonical width, 2^4096 - 1.
+  EXPECT_EQ(decode_code(with_ciphertext((one << (8 * pk.ciphertext_bytes())) - one)),
+            WireErrc::kBadPayload);
+  const Frame last = with_ciphertext(pk.n_squared() - one);
+  EXPECT_EQ(net::decode<he::PackedEncryptedVector>(last, MsgType::kDistributionUpload, pk)
+                .ciphertexts()[0]
+                .c,
+            pk.n_squared() - one);
+}
+
+TEST(KeyBoundDecode, V6EmbeddedModulusIsRefusedFast) {
+  // Wire v6 put the sender's public key between the 'K' header and the
+  // ciphertexts, and its decoder built n^2 and a Montgomery context for
+  // whatever modulus a client wrote there. The v6 layout with a
+  // 1,048,576-bit modulus and one ciphertext under it is refused from the
+  // payload length alone.
   const auto be32 = [](std::vector<std::uint8_t>& out, std::size_t v) {
     for (int shift = 24; shift >= 0; shift -= 8) {
       out.push_back(static_cast<std::uint8_t>(v >> shift));
     }
   };
   constexpr std::size_t kModulusBytes = 1048576 / 8;
-  const auto packed_bytes = he::serialize(packed);
-  std::vector<std::uint8_t> payload(packed_bytes.begin(),
-                                    packed_bytes.begin() + 17);  // 'K' + geometry
+  const Frame honest = upload(session_keypair().pub);
+  std::vector<std::uint8_t> payload(honest.payload.begin(),
+                                    honest.payload.begin() + 17);  // 'K' + geometry
   payload.push_back('P');
   be32(payload, kModulusBytes);
   payload.push_back(0x80);
@@ -455,10 +512,9 @@ TEST_F(EncryptedPayloads, OversizedEmbeddedModulusIsATypedWireError) {
   payload.insert(payload.end(), 2 * kModulusBytes - 1, 0x00);
   payload.push_back(0x01);  // the ciphertext 1 < n^2
   const Frame f{MsgType::kDistributionUpload, payload};
-  EXPECT_EQ(code_of([&] {
-              (void)net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload);
-            }),
-            WireErrc::kBadPayload);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(decode_code(f), WireErrc::kBadPayload);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(50));
 }
 
 TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
@@ -468,21 +524,22 @@ TEST_F(EncryptedPayloads, PackedEncryptedVectorRoundTrip) {
   const auto v = he::PackedEncryptedVector::encrypt(kp_.pub, codec, values, rng);
   const auto bytes = he::serialize(v);
   EXPECT_EQ(bytes.size(), he::serialized_size(kp_.pub, codec, values.size()));
-  const auto back = he::deserialize_packed_encrypted_vector(bytes);
+  const auto back = he::deserialize_packed_encrypted_vector(bytes, kp_.pub);
   EXPECT_EQ(back.logical_size(), values.size());
   EXPECT_EQ(back.ciphertexts(), v.ciphertexts());
   EXPECT_EQ(back.decrypt(kp_.prv), values);
   EXPECT_EQ(he::serialize(back), bytes);
 
   const Frame f = net::encode(MsgType::kDistributionUpload, v);
-  EXPECT_EQ(net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload).ciphertexts(),
+  EXPECT_EQ(net::decode<he::PackedEncryptedVector>(f, MsgType::kDistributionUpload, kp_.pub)
+                .ciphertexts(),
             v.ciphertexts());
   EXPECT_EQ(net::frame_wire_size(f.payload.size()),
             net::wire_size(net::packed_shape(kp_.pub, codec, values.size())).frame);
 
   auto evil = bytes;
   evil[6] ^= 0xFF;  // geometry field
-  EXPECT_THROW((void)he::deserialize_packed_encrypted_vector(evil), std::invalid_argument);
+  EXPECT_THROW((void)he::deserialize_packed_encrypted_vector(evil, kp_.pub), std::invalid_argument);
 }
 
 /// A representative kModelUpdateSparse: n = 12 coordinates, the top k = 4
@@ -527,7 +584,7 @@ TEST_F(SparseUpdatePayloads, RoundTripAndExactPredictedSize) {
   EXPECT_GT(net::encrypted_payload_bytes(f), 0u);
   EXPECT_LT(net::encrypted_payload_bytes(f), f.payload.size());
 
-  const net::ModelUpdateSparse back = net::decode<net::ModelUpdateSparse>(f);
+  const net::ModelUpdateSparse back = net::decode<net::ModelUpdateSparse>(f, kp_.pub);
   EXPECT_EQ(back.client_id, m.client_id);
   EXPECT_EQ(back.total_count, m.total_count);
   EXPECT_EQ(back.quant_bits, m.quant_bits);
@@ -549,27 +606,27 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
   // Truncated inside the bitmap.
   Frame evil = good;
   evil.payload.resize(17 + 1);
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Bitmap popcount disagrees with the declared encrypted count.
   evil = good;
   evil.payload[17] |= 0x01;  // coordinate 0 was plaintext; now 5 bits set
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Set a tail bit past n: bit 13 of a 12-coordinate bitmap must be clear.
   evil = good;
   evil.payload[18] ^= 0x24;  // clear bit 10 (in-mask), set bit 13 — popcount kept
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Encrypted count out of range (k > n).
   evil = good;
   evil.payload[15] = 13;  // k field is the BE u32 at offset 12
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // k = 0 is the plaintext path's job, never a sparse frame.
   evil = good;
   evil.payload[15] = 0;
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Slot-count mismatch: the packed section's logical size must equal k.
   net::ModelUpdateSparse wrong = m;
@@ -582,24 +639,18 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
             WireErrc::kBadPayload);
   evil = good;
   evil.payload[k_off + 4] = 3;  // lie about the embedded logical size instead
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Non-canonical ciphertext width: grow the first ciphertext's length
   // prefix and pad a leading zero byte — same value, different encoding.
   evil = good;
   {
-    const std::size_t pk_off = k_off + 17;
-    ASSERT_EQ(evil.payload[pk_off], 'P');
-    const std::size_t n_len = (std::size_t{evil.payload[pk_off + 1]} << 24) |
-                              (std::size_t{evil.payload[pk_off + 2]} << 16) |
-                              (std::size_t{evil.payload[pk_off + 3]} << 8) |
-                              std::size_t{evil.payload[pk_off + 4]};
-    const std::size_t ct_len_off = pk_off + 5 + n_len;
+    const std::size_t ct_len_off = k_off + 17;
     evil.payload[ct_len_off + 3] += 1;  // ciphertext lengths are < 255 here
     evil.payload.insert(evil.payload.begin() +
                             static_cast<std::ptrdiff_t>(ct_len_off + 4),
                         0x00);
-    EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+    EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
               WireErrc::kBadPayload);
     // The accounting peek must never throw, even on this hostile frame.
     EXPECT_NO_THROW((void)net::encrypted_payload_bytes(evil));
@@ -612,7 +663,7 @@ TEST_F(SparseUpdatePayloads, AdversarialDecodesFailTyped) {
   // Trailing garbage after the packed section.
   evil = good;
   evil.payload.push_back(0);
-  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil); }),
+  EXPECT_EQ(code_of([&] { (void)net::decode<net::ModelUpdateSparse>(evil, kp_.pub); }),
             WireErrc::kBadPayload);
   // Truncated frames yield 0 from the peek, not an exception.
   evil = good;
@@ -742,15 +793,6 @@ TEST(TcpFlood, MultiWorkerBackpressuredFloodDeliversEverything) {
   EXPECT_EQ(client_failures.load(), 0);
   EXPECT_EQ(consumer_failures.load(), 0);
   EXPECT_EQ(total_frames.load(), kConns * kFramesPerConn);
-}
-
-TEST(Loopback, LinkModelAccruesVirtualTime) {
-  auto [a, b] = net::LoopbackTransport::make_pair(
-      net::LinkModel{.latency_seconds = 0.010, .bytes_per_second = 1000.0});
-  a->send(Frame{MsgType::kShutdown, std::vector<std::uint8_t>(984)});  // 1000 wire bytes
-  EXPECT_EQ(b->receive()->payload.size(), 984u);
-  EXPECT_DOUBLE_EQ(a->simulated_seconds(), 0.010 + 1.0);
-  EXPECT_DOUBLE_EQ(b->simulated_seconds(), 0.0);
 }
 
 }  // namespace

@@ -60,14 +60,15 @@ fi
 
 # Portable-tier leg: DUBHE_CPU=portable masks every runtime capability, so
 # the release binaries must pass the net + dispatch + bigint + Paillier
-# suites (the key-holder encryption every client runs included) on
+# suites (the key-holder encryption every client runs, the packed vector
+# and the direct secure session included) on
 # slice-by-8 CRC, scalar GEMM, the C Montgomery row loop (with __int128,
 # unlike the *_portable suites) and the poll(2) event-loop backend. These
 # are the tiers a host without PCLMUL/AVX2/ADX/epoll would select, run
 # inside the AVX2 build; only the simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
 DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_codec|test_net_round|test_net_faults|test_net_shard|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random" \
+  -R "test_cpu|test_net_wire|test_net_codec|test_net_round|test_net_faults|test_net_shard|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random|test_packing|test_secure" \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 run_preset asan "$@"

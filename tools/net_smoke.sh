@@ -213,7 +213,7 @@ diff "$TMP/server_metrics.txt" "$TMP/selftest_metrics.txt"
 echo "net smoke OK: /metrics served mid-session, transcript still byte-identical"
 
 # Fifth leg: the aggregation tree as real processes — 1 root + 2 shard
-# aggregators + 4 clients (wire v6, --role root/shard). Each shard owns a
+# aggregators + 4 clients (wire v7, --role root/shard). Each shard owns a
 # contiguous half of the cohort: clients 0,1 dial shard 0; clients 2,3 dial
 # shard 1; the shards dial the root. The tree only re-parenthesizes the
 # homomorphic reductions, so the root's transcript must be byte-identical
