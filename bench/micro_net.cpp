@@ -66,8 +66,7 @@ void add_row(const char* what, Rate r) {
 }
 
 void print_net_table() {
-  std::printf("cpu: %s | crc32: %s\n", core::cpu::feature_string().c_str(),
-              net::crc32_backend_name());
+  std::printf("cpu: %s\n", core::cpu::feature_string().c_str());
   std::printf("== net layer throughput (%zu KiB payload frames) ==\n",
               kPayloadBytes / 1024);
   std::printf("%-36s %14s %12s\n", "path", "frames/sec", "MB/s");
@@ -349,17 +348,6 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536);
-
-/// The slice-by-8 tier on its own — the gap between this and BM_Crc32 is
-/// what the PCLMUL tier buys on this host.
-void BM_Crc32Portable(benchmark::State& state) {
-  const net::Frame frame = test_frame(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::crc32_portable(frame.payload));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Crc32Portable)->Arg(4096)->Arg(65536);
 
 void BM_WeightsCodec(benchmark::State& state) {
   net::WeightsMsg msg;

@@ -197,12 +197,16 @@ void print_compute_table() {
               kGemmN);
   std::printf("%-26s %-8s %8s %12s %12s\n", "kernel", "backend", "threads", "ms/op",
               "GFLOP/s");
-  const bool prev_simd = tensor::simd_enabled();
+  // The backend is picked through core::cpu, which the GEMM reads on every
+  // call: the scalar rows mask AVX2+FMA out of the enabled set.
+  const bool simd_allowed = tensor::simd_enabled();
+  const std::uint32_t prev_cpu = core::cpu::enabled();
   const std::size_t prev_threads = tensor::set_compute_threads(0);
   std::uint64_t round_seed = 0;
   for (const bool simd : {false, true}) {
-    if (simd && !tensor::simd_available()) continue;
-    tensor::set_simd_enabled(simd);
+    if (simd && !simd_allowed) continue;
+    core::cpu::set_enabled(simd ? prev_cpu
+                                : prev_cpu & ~(core::cpu::kAvx2 | core::cpu::kFma));
     const char* backend = tensor::simd_backend_name();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
@@ -225,11 +229,10 @@ void print_compute_table() {
                   threads, round_sec * 1e3, "-");
     }
   }
-  tensor::set_simd_enabled(prev_simd);
+  core::cpu::set_enabled(prev_cpu);
   tensor::set_compute_threads(prev_threads);
   std::printf("(runtime workers: %zu, simd compiled: %s)\n\n",
-              core::ParallelRuntime::instance().worker_count(),
-              tensor::simd_available() ? "avx2" : "no");
+              core::ParallelRuntime::instance().worker_count(), simd_allowed ? "avx2" : "no");
 }
 
 }  // namespace

@@ -33,20 +33,14 @@ std::uint32_t detect_cpu() {
   std::uint32_t mask = 0;
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return 0;
-  if ((ecx & bit_SSE4_1) != 0) mask |= kSse41;
-  if ((ecx & bit_SSE4_2) != 0) mask |= kSse42;
-  if ((ecx & bit_PCLMUL) != 0) mask |= kPclmul;
-
   const bool osxsave = (ecx & bit_OSXSAVE) != 0;
   const std::uint64_t xcr0 = osxsave ? read_xcr0() : 0;
-  const bool ymm_ok = (xcr0 & 0x6) == 0x6;           // XMM + YMM state
-  const bool zmm_ok = (xcr0 & 0xE6) == 0xE6;         // + opmask/ZMM state
+  const bool ymm_ok = (xcr0 & 0x6) == 0x6;  // XMM + YMM state
   if ((ecx & bit_FMA) != 0 && ymm_ok) mask |= kFma;
 
   unsigned eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
   if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) != 0) {
     if ((ebx7 & bit_AVX2) != 0 && ymm_ok) mask |= kAvx2;
-    if ((ebx7 & bit_AVX512F) != 0 && zmm_ok) mask |= kAvx512f;
     // General-purpose-register instructions: no OS state to check.
     if ((ebx7 & bit_BMI2) != 0) mask |= kBmi2;
     if ((ebx7 & bit_ADX) != 0) mask |= kAdx;
@@ -80,9 +74,7 @@ struct Token {
 };
 
 constexpr Token kTokens[] = {
-    {"sse4.1", kSse41}, {"sse4.2", kSse42},   {"pclmul", kPclmul}, {"fma", kFma},
-    {"avx2", kAvx2},    {"avx512f", kAvx512f}, {"avx512", kAvx512f}, {"bmi2", kBmi2},
-    {"adx", kAdx},      {"epoll", kEpoll},
+    {"fma", kFma}, {"avx2", kAvx2}, {"bmi2", kBmi2}, {"adx", kAdx}, {"epoll", kEpoll},
 };
 
 bool token_equals(const char* tok, std::size_t len, const char* name) {
@@ -158,11 +150,9 @@ std::string to_string(std::uint32_t mask) {
   if (mask == 0) return "portable";
   std::string out;
   for (const Token& t : kTokens) {
-    if (std::strcmp(t.name, "avx512") == 0) continue;  // alias, skip in output
     if ((mask & t.bit) != 0) {
       if (!out.empty()) out += ' ';
       out += t.name;
-      mask &= ~t.bit;  // avx512f printed once even with the alias bit set
     }
   }
   return out;

@@ -5,23 +5,23 @@
 
 // Runtime capability probe + dispatch facility. Sits at the very bottom of
 // the stack (std-only, like core/parallel): any layer that owns multiple
-// implementation tiers of the same kernel — the CRC32 tiers in net/wire,
-// the GEMM backends in tensor/, the Montgomery row tiers in bigint/, the
-// epoll-vs-poll event loop in net/tcp —
-// asks *this* facility which tier to run, instead of trusting compile-time
-// flags. A binary compiled with every tier still runs correctly on a
-// machine (or under an operator policy) that has none of them.
+// implementation tiers of the same kernel — the GEMM backends in tensor/,
+// the Montgomery row tiers in bigint/, the epoll-vs-poll event loop in
+// net/tcp — asks *this* facility which tier to run, on every call, instead
+// of trusting compile-time flags or caching its own switch. A binary
+// compiled with every tier still runs correctly on a machine (or under an
+// operator policy) that has none of them.
 //
 // Capabilities are detected once: CPU features via cpuid (including the
 // XGETBV check that the OS actually saves the wider register files), OS
-// facilities by probing (epoll). The `DUBHE_CPU` environment variable
-// narrows the detected set at startup:
+// facilities by probing (epoll). Only capabilities some kernel dispatches
+// on are probed. The `DUBHE_CPU` environment variable narrows the detected
+// set at startup:
 //
 //   DUBHE_CPU=portable            force the portable tier of everything
-//                                 (slice-by-8 CRC, scalar GEMM, C
-//                                 Montgomery rows, poll(2))
+//                                 (scalar GEMM, C Montgomery rows, poll(2))
 //   DUBHE_CPU=native              no restriction (the default)
-//   DUBHE_CPU=sse4.2,pclmul      allow only the listed capabilities
+//   DUBHE_CPU=avx2,fma            allow only the listed capabilities
 //
 // Tokens are case-insensitive; unknown tokens warn on stderr and are
 // ignored (a typo must not silently change the tier under a benchmark).
@@ -32,15 +32,11 @@ namespace dubhe::core::cpu {
 /// support for the register state they imply; kEpoll is an OS facility
 /// probed at startup (Linux only).
 enum Feature : std::uint32_t {
-  kSse41 = 1u << 0,
-  kSse42 = 1u << 1,
-  kPclmul = 1u << 2,
-  kFma = 1u << 3,
-  kAvx2 = 1u << 4,
-  kAvx512f = 1u << 5,
-  kEpoll = 1u << 6,
-  kBmi2 = 1u << 7,  // mulx
-  kAdx = 1u << 8,   // adcx / adox
+  kFma = 1u << 0,
+  kAvx2 = 1u << 1,
+  kBmi2 = 1u << 2,  // mulx
+  kAdx = 1u << 3,   // adcx / adox
+  kEpoll = 1u << 4,
 };
 
 /// What the machine offers: cpuid ∩ OS register-state support, plus probed
@@ -64,7 +60,7 @@ std::uint32_t set_enabled(std::uint32_t mask);
 [[nodiscard]] std::uint32_t parse_feature_list(const char* value,
                                                std::uint32_t detected_mask);
 
-/// "sse4.1 sse4.2 pclmul fma avx2 avx512f bmi2 adx epoll" for the given mask,
+/// "fma avx2 bmi2 adx epoll" for the given mask,
 /// "portable" for an empty one.
 [[nodiscard]] std::string to_string(std::uint32_t mask);
 

@@ -123,11 +123,7 @@ void DubheSelector::load_overall_registry(std::vector<std::uint64_t> overall,
 
 double DubheSelector::probability(std::size_t client, std::size_t K) const {
   if (client >= regs_.size()) throw std::out_of_range("probability: bad client");
-  const std::uint64_t cat_count = overall_.at(regs_[client].category_index);
-  if (cat_count == 0 || nnz_ == 0) return 0.0;
-  const double p = static_cast<double>(K) /
-                   (static_cast<double>(cat_count) * static_cast<double>(nnz_));
-  return std::min(1.0, p);
+  return proactive_probability(overall_, regs_[client].category_index, K);
 }
 
 std::vector<std::size_t> DubheSelector::select(std::size_t K, stats::Rng& rng) {

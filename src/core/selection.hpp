@@ -56,7 +56,7 @@ class GreedySelector final : public SelectionStrategy {
 /// Eq. 6 evaluated from the decrypted overall registry alone: the form a
 /// *client* computes after decrypting the registry broadcast — it needs only
 /// R_A, its own category index, and the round's K, nothing server-side.
-/// Bitwise identical to DubheSelector::probability, so client-drawn and
+/// DubheSelector::probability is this call, so client-drawn and
 /// server-drawn executions agree on every threshold.
 [[nodiscard]] double proactive_probability(std::span<const std::uint64_t> overall_registry,
                                            std::size_t category_index, std::size_t K);

@@ -1,7 +1,9 @@
 #include "net/fault.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace dubhe::net {
 
@@ -44,6 +46,17 @@ FaultKind parse_kind(const std::string& s) {
   throw std::invalid_argument("fault plan: unknown kind '" + s + "'");
 }
 
+/// A whole non-negative decimal field: no sign, no trailing characters.
+template <typename T>
+T parse_field(const std::string& s, const char* field) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || std::cmp_less(v, 0)) {
+    throw std::invalid_argument(std::string("fault plan: bad ") + field + " '" + s + "'");
+  }
+  return v;
+}
+
 const char* kind_name(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone: return "none";
@@ -63,19 +76,24 @@ FaultPlan parse_fault_plan(const std::string& spec) {
   FaultPlan plan;
   const std::size_t at = spec.find('@');
   if (at == std::string::npos) {
-    throw std::invalid_argument("fault plan: expected kind@phase[:nth][+delay_ms], got '" +
+    throw std::invalid_argument("fault plan: expected kind@phase[:nth][+delay_ms][*], got '" +
                                 spec + "'");
   }
   plan.kind = parse_kind(spec.substr(0, at));
   std::string rest = spec.substr(at + 1);
+  if (!rest.empty() && rest.back() == '*') {
+    plan.repeat = true;
+    rest.pop_back();
+  }
   const std::size_t plus = rest.find('+');
   if (plus != std::string::npos) {
-    plan.delay = std::chrono::milliseconds(std::stoll(rest.substr(plus + 1)));
+    plan.delay = std::chrono::milliseconds(
+        parse_field<std::chrono::milliseconds::rep>(rest.substr(plus + 1), "delay"));
     rest = rest.substr(0, plus);
   }
   const std::size_t colon = rest.find(':');
   if (colon != std::string::npos) {
-    plan.nth = static_cast<std::size_t>(std::stoull(rest.substr(colon + 1)));
+    plan.nth = parse_field<std::size_t>(rest.substr(colon + 1), "nth");
     rest = rest.substr(0, colon);
   }
   plan.phase = parse_phase(rest);

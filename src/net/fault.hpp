@@ -44,9 +44,11 @@ struct FaultPlan {
   bool operator==(const FaultPlan&) const = default;
 };
 
-/// Parses "kind@phase[:nth][+delay_ms]", e.g. "disconnect@participation:1"
-/// or "straggle@update+2000". Throws std::invalid_argument on a malformed
-/// spec — this backs `dubhe_node --fault-plan`.
+/// Parses "kind@phase[:nth][+delay_ms][*]", e.g. "disconnect@participation:1"
+/// or "straggle@update+2000*" (a trailing `*` sets `repeat`) — the form
+/// to_string writes. Throws std::invalid_argument on a malformed spec,
+/// including trailing characters after nth or delay and a negative delay —
+/// this backs `dubhe_node --fault-plan`.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& spec);
 [[nodiscard]] std::string to_string(const FaultPlan& plan);
 

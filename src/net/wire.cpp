@@ -2,19 +2,7 @@
 
 #include <algorithm>
 
-#include "core/cpu.hpp"
 #include "core/telemetry.hpp"
-
-// The PCLMUL tier needs carry-less multiply intrinsics. It is compiled only
-// in SIMD-enabled builds on x86 with a compiler that supports per-function
-// target attributes; the simd-off preset ships pure slice-by-8.
-#if defined(DUBHE_SIMD_ENABLED) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DUBHE_CRC32_PCLMUL 1
-#include <wmmintrin.h>
-#else
-#define DUBHE_CRC32_PCLMUL 0
-#endif
 
 namespace dubhe::net {
 
@@ -57,138 +45,6 @@ struct Crc32Tables {
   }
 };
 constexpr Crc32Tables kCrcTable;
-
-/// Slice-by-8 over raw (pre-inverted) CRC state: callers own the initial and
-/// final ~ inversions, so the hardware tier can hand this the tail bytes it
-/// did not fold without double-inverting in between.
-std::uint32_t slice8_update(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
-  const auto& t = kCrcTable.t;
-  // Bytes are composed into words explicitly (little-endian order, matching
-  // the reflected polynomial), so the hot loop is byte-order portable and
-  // free of alignment assumptions.
-  while (n >= 8) {
-    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
-                                  (static_cast<std::uint32_t>(p[1]) << 8) |
-                                  (static_cast<std::uint32_t>(p[2]) << 16) |
-                                  (static_cast<std::uint32_t>(p[3]) << 24));
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             (static_cast<std::uint32_t>(p[5]) << 8) |
-                             (static_cast<std::uint32_t>(p[6]) << 16) |
-                             (static_cast<std::uint32_t>(p[7]) << 24);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  for (; n != 0; --n) {
-    c = t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
-  }
-  return c;
-}
-
-#if DUBHE_CRC32_PCLMUL
-
-/// PCLMUL-folded CRC32 over the reflected IEEE polynomial (the classic
-/// "Fast CRC Computation Using PCLMULQDQ" construction). Folds four 128-bit
-/// lanes of input per iteration with carry-less multiplies, then reduces
-/// 512 -> 128 -> 64 -> 32 bits with Barrett reduction. Raw state in, raw
-/// state out, same convention as slice8_update. Requires n >= 64 and
-/// n % 16 == 0 — the dispatcher rounds the span down and slices the rest.
-__attribute__((target("pclmul,sse2"))) std::uint32_t pclmul_update(
-    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
-  // Folding constants for the reflected polynomial 0xEDB88320:
-  //   k1 = x^(4*128+32) mod P, k2 = x^(4*128-32) mod P   (4-lane fold)
-  //   k3 = x^(128+32)  mod P, k4 = x^(128-32)  mod P     (1-lane fold)
-  //   k5 = x^64 mod P                                     (final fold)
-  //   P' = reflected polynomial, u = x^64 / P             (Barrett)
-  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
-  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
-  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
-  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
-  const __m128i mask32 = _mm_set_epi32(0, ~0, 0, ~0);
-
-  const auto* q = reinterpret_cast<const __m128i*>(p);
-  __m128i x0 = _mm_loadu_si128(q + 0);
-  __m128i x1 = _mm_loadu_si128(q + 1);
-  __m128i x2 = _mm_loadu_si128(q + 2);
-  __m128i x3 = _mm_loadu_si128(q + 3);
-  x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(static_cast<int>(crc)));
-  q += 4;
-  n -= 64;
-
-  while (n >= 64) {
-    __m128i y0 = _mm_clmulepi64_si128(x0, k1k2, 0x00);
-    __m128i y1 = _mm_clmulepi64_si128(x1, k1k2, 0x00);
-    __m128i y2 = _mm_clmulepi64_si128(x2, k1k2, 0x00);
-    __m128i y3 = _mm_clmulepi64_si128(x3, k1k2, 0x00);
-    x0 = _mm_clmulepi64_si128(x0, k1k2, 0x11);
-    x1 = _mm_clmulepi64_si128(x1, k1k2, 0x11);
-    x2 = _mm_clmulepi64_si128(x2, k1k2, 0x11);
-    x3 = _mm_clmulepi64_si128(x3, k1k2, 0x11);
-    x0 = _mm_xor_si128(_mm_xor_si128(x0, y0), _mm_loadu_si128(q + 0));
-    x1 = _mm_xor_si128(_mm_xor_si128(x1, y1), _mm_loadu_si128(q + 1));
-    x2 = _mm_xor_si128(_mm_xor_si128(x2, y2), _mm_loadu_si128(q + 2));
-    x3 = _mm_xor_si128(_mm_xor_si128(x3, y3), _mm_loadu_si128(q + 3));
-    q += 4;
-    n -= 64;
-  }
-
-  // Fold the four lanes into one.
-  __m128i y = _mm_clmulepi64_si128(x0, k3k4, 0x00);
-  x0 = _mm_clmulepi64_si128(x0, k3k4, 0x11);
-  x1 = _mm_xor_si128(_mm_xor_si128(x1, y), x0);
-  y = _mm_clmulepi64_si128(x1, k3k4, 0x00);
-  x1 = _mm_clmulepi64_si128(x1, k3k4, 0x11);
-  x2 = _mm_xor_si128(_mm_xor_si128(x2, y), x1);
-  y = _mm_clmulepi64_si128(x2, k3k4, 0x00);
-  x2 = _mm_clmulepi64_si128(x2, k3k4, 0x11);
-  x3 = _mm_xor_si128(_mm_xor_si128(x3, y), x2);
-  __m128i x = x3;
-
-  // Fold any remaining whole 16-byte blocks.
-  while (n >= 16) {
-    y = _mm_clmulepi64_si128(x, k3k4, 0x00);
-    x = _mm_clmulepi64_si128(x, k3k4, 0x11);
-    x = _mm_xor_si128(_mm_xor_si128(x, y), _mm_loadu_si128(q));
-    ++q;
-    n -= 16;
-  }
-
-  // 128 -> 64 bits.
-  y = _mm_clmulepi64_si128(x, k3k4, 0x10);
-  x = _mm_srli_si128(x, 8);
-  x = _mm_xor_si128(x, y);
-
-  // 64 -> 32 bits.
-  y = _mm_srli_si128(x, 4);
-  x = _mm_and_si128(x, mask32);
-  x = _mm_clmulepi64_si128(x, k5, 0x00);
-  x = _mm_xor_si128(x, y);
-
-  // Barrett reduction to the final 32-bit remainder.
-  y = _mm_and_si128(x, mask32);
-  y = _mm_clmulepi64_si128(y, poly, 0x10);
-  y = _mm_and_si128(y, mask32);
-  y = _mm_clmulepi64_si128(y, poly, 0x00);
-  x = _mm_xor_si128(x, y);
-  return static_cast<std::uint32_t>(
-      _mm_cvtsi128_si32(_mm_srli_si128(x, 4)));
-}
-
-#endif  // DUBHE_CRC32_PCLMUL
-
-/// Large inputs only: PCLMUL's fixed fold/reduce preamble costs more than it
-/// saves below this size, and the folder itself needs >= 64 bytes.
-constexpr std::size_t kPclmulMinBytes = 64;
-
-bool pclmul_usable() {
-#if DUBHE_CRC32_PCLMUL
-  return core::cpu::has(core::cpu::kPclmul);
-#else
-  return false;
-#endif
-}
 
 /// Validates a complete 16-byte header and returns the payload length it
 /// promises. Truncation is the caller's concern: decode_frame treats
@@ -338,35 +194,33 @@ std::string to_string(SessionPhase phase) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static telemetry::Counter& slice8_calls =
-      telemetry::counter("dubhe_crc32_calls_total{tier=\"slice8\"}");
+  const auto& t = kCrcTable.t;
   std::uint32_t c = 0xFFFFFFFFu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-#if DUBHE_CRC32_PCLMUL
-  // The enabled-set check is per call (one relaxed atomic load), so tests
-  // and benches flipping tiers through core::cpu::set_enabled take effect
-  // immediately instead of fighting a cached function pointer.
-  if (n >= kPclmulMinBytes && pclmul_usable()) {
-    static telemetry::Counter& pclmul_calls =
-        telemetry::counter("dubhe_crc32_calls_total{tier=\"pclmul\"}");
-    const std::size_t chunk = n & ~std::size_t{15};  // whole 16-byte blocks
-    c = pclmul_update(c, p, chunk);
-    p += chunk;
-    n -= chunk;
-    pclmul_calls.inc();
-    return slice8_update(c, p, n) ^ 0xFFFFFFFFu;
+  // Bytes are composed into words explicitly (little-endian order, matching
+  // the reflected polynomial), so the hot loop is byte-order portable and
+  // free of alignment assumptions.
+  while (n >= 8) {
+    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
+                                  (static_cast<std::uint32_t>(p[1]) << 8) |
+                                  (static_cast<std::uint32_t>(p[2]) << 16) |
+                                  (static_cast<std::uint32_t>(p[3]) << 24));
+    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
+                             (static_cast<std::uint32_t>(p[5]) << 8) |
+                             (static_cast<std::uint32_t>(p[6]) << 16) |
+                             (static_cast<std::uint32_t>(p[7]) << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    p += 8;
+    n -= 8;
   }
-#endif
-  slice8_calls.inc();
-  return slice8_update(c, p, n) ^ 0xFFFFFFFFu;
+  for (; n != 0; --n) {
+    c = t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
 }
-
-std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes) {
-  return slice8_update(0xFFFFFFFFu, bytes.data(), bytes.size()) ^ 0xFFFFFFFFu;
-}
-
-const char* crc32_backend_name() { return pclmul_usable() ? "pclmul" : "slice8"; }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame, std::size_t max_payload) {
   const auto header = encode_frame_header(frame.type, frame.payload, frame.seq, max_payload);

@@ -208,22 +208,11 @@ struct QuarantineRecord {
 };
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), the integrity check
-/// carried by every frame. Dispatches at runtime through core::cpu: on
-/// hosts with carry-less multiply (PCLMULQDQ) large inputs run the folded
-/// hardware tier, everything else the portable slice-by-8 — same
-/// polynomial, bit-identical checksums, so frames encoded by any tier
-/// decode under any other. (The x86 SSE4.2 `crc32` instruction is *not* a
-/// tier: it hard-wires the Castagnoli polynomial, which would change every
-/// stored checksum.)
+/// carried by every frame, computed slice-by-8: eight table lookups per
+/// eight input bytes, portable to every host. (The x86 SSE4.2 `crc32`
+/// instruction is no substitute: it hard-wires the Castagnoli polynomial,
+/// which would change every stored checksum.)
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes);
-
-/// The portable slice-by-8 tier, always available — the reference the
-/// hardware tier is tested against, and what DUBHE_CPU=portable forces.
-[[nodiscard]] std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes);
-
-/// "pclmul" or "slice8" — the tier crc32() will use for large inputs
-/// under the current core::cpu::enabled() set.
-[[nodiscard]] const char* crc32_backend_name();
 
 /// Total on-wire size of a frame carrying `payload_bytes` of payload.
 [[nodiscard]] constexpr std::size_t frame_wire_size(std::size_t payload_bytes) {

@@ -25,10 +25,6 @@ constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 8;
 
 std::atomic<std::size_t> g_compute_threads{0};
-/// -1 = unresolved. Resolution is lazy (first simd_enabled() call), not
-/// static-init: the default must consult core::cpu, which reads the
-/// DUBHE_CPU environment override.
-std::atomic<int> g_simd_state{-1};
 
 /// Packs op(B) row-major into [k][n_pad] with the padding columns zeroed,
 /// normalizing the transpose. This is the scalar backend's layout: long
@@ -193,32 +189,18 @@ void store_block(const float* acc, std::size_t astride, float* c, std::size_t n,
 
 }  // namespace
 
-bool simd_available() {
+bool simd_enabled() {
 #if DUBHE_SIMD_AVX2
-  // Compiled in is necessary, not sufficient: the DUBHE_CPU policy must
-  // also allow AVX2+FMA, so DUBHE_CPU=portable keeps an AVX2 build on the
-  // scalar kernel. That does not make the binary run on a pre-AVX2 host:
-  // the whole library is compiled -mavx2 -mfma (see simd.hpp).
-  return core::cpu::has(core::cpu::kAvx2) && core::cpu::has(core::cpu::kFma);
+  // Compiled in is necessary, not sufficient: the DUBHE_CPU policy (and
+  // core::cpu::set_enabled) must also allow AVX2+FMA, so DUBHE_CPU=portable
+  // keeps an AVX2 build on the scalar kernel. That does not make the binary
+  // run on a pre-AVX2 host: the whole library is compiled -mavx2 -mfma (see
+  // simd.hpp).
+  constexpr std::uint32_t kNeed = core::cpu::kAvx2 | core::cpu::kFma;
+  return (core::cpu::enabled() & kNeed) == kNeed;
 #else
   return false;
 #endif
-}
-
-bool set_simd_enabled(bool on) {
-  const bool prev = simd_enabled();
-  g_simd_state.store((on && simd_available()) ? 1 : 0);
-  return prev;
-}
-
-bool simd_enabled() {
-  int s = g_simd_state.load();
-  if (s < 0) {
-    // Benign race: concurrent first calls resolve to the same value.
-    s = simd_available() ? 1 : 0;
-    g_simd_state.store(s);
-  }
-  return s != 0;
 }
 
 const char* simd_backend_name() { return simd_enabled() ? "avx2" : "scalar"; }

@@ -12,10 +12,10 @@
 // only the portable scalar kernels and has no AVX instructions: it is the
 // only build that runs on a pre-AVX2 x86 host.
 //
-// Which compiled-in kernel runs is decided through core::cpu at first use:
-// simd_available() additionally requires AVX2+FMA under the current
-// DUBHE_CPU policy, so DUBHE_CPU=portable exercises the scalar tier inside
-// an AVX2 build.
+// Which compiled-in kernel runs is decided through core::cpu on every GEMM
+// call: simd_enabled() additionally requires AVX2+FMA under the current
+// enabled set, so DUBHE_CPU=portable (or a core::cpu::set_enabled mask
+// without kAvx2 | kFma) runs the scalar tier inside an AVX2 build.
 
 #if defined(DUBHE_SIMD_ENABLED) && defined(__AVX2__) && defined(__FMA__)
 #define DUBHE_SIMD_AVX2 1
@@ -26,15 +26,9 @@
 namespace dubhe::tensor {
 
 /// True when the AVX2+FMA kernels were compiled into this binary AND the
-/// host offers (and DUBHE_CPU allows) AVX2+FMA — see core/cpu.hpp.
-bool simd_available();
-
-/// Runtime kill-switch over the compiled-in kernels, for benches and parity
-/// tests that compare the two backends in one process: set_simd_enabled(false)
-/// forces the scalar microkernel even when AVX2 is built. Enabling is a no-op
-/// when simd_available() is false. Returns the previous setting. Not
-/// synchronized with in-flight kernels — flip it only between operations.
-bool set_simd_enabled(bool on);
+/// host offers, and core::cpu currently allows, AVX2+FMA (core/cpu.hpp).
+/// Read once per gemm call, so a set_enabled mask takes effect at the next
+/// call.
 bool simd_enabled();
 
 /// "avx2" or "scalar" — the backend the next kernel call will use.

@@ -467,7 +467,24 @@ TEST(NetFaults, PlanParserRoundTripsAndRejectsGarbage) {
   EXPECT_EQ(b.delay.count(), 2000);
   EXPECT_EQ(net::parse_fault_plan(net::to_string(b)), b);
 
+  // A repeating plan round-trips through the `*` to_string writes, with and
+  // without a delay.
+  FaultPlan every = b;
+  every.repeat = true;
+  EXPECT_EQ(net::to_string(every), "straggle@update+2000*");
+  EXPECT_EQ(net::parse_fault_plan(net::to_string(every)), every);
+  FaultPlan every_second = a;
+  every_second.repeat = true;
+  EXPECT_EQ(net::to_string(every_second), "disconnect@participation:1*");
+  EXPECT_EQ(net::parse_fault_plan(net::to_string(every_second)), every_second);
+  EXPECT_TRUE(net::parse_fault_plan("straggle@update*").repeat);
+
   EXPECT_FALSE(FaultPlan{}.enabled());
+  // nth and delay are whole non-negative numbers.
+  EXPECT_THROW((void)net::parse_fault_plan("disconnect@participation:1junk"),
+               std::invalid_argument);
+  EXPECT_THROW((void)net::parse_fault_plan("straggle@update+2000ms"), std::invalid_argument);
+  EXPECT_THROW((void)net::parse_fault_plan("straggle@update+-500"), std::invalid_argument);
   EXPECT_THROW((void)net::parse_fault_plan("disconnect"), std::invalid_argument);
   EXPECT_THROW((void)net::parse_fault_plan("nonsense@update"), std::invalid_argument);
   EXPECT_THROW((void)net::parse_fault_plan("corrupt@nowhere"), std::invalid_argument);

@@ -6,7 +6,8 @@
 // localhost. Participation is drawn client-side (no kRegistrationInfo on
 // the wire), and the §6.4 byte accounting agrees per round between the
 // transports and (for the encrypted payload categories) with the
-// in-process session.
+// in-process session. The root's end of a shard link keeps its frame
+// sequence across the u16 wrap.
 
 #include <gtest/gtest.h>
 
@@ -18,16 +19,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cpu.hpp"
+#include "core/registry.hpp"
 #include "core/telemetry.hpp"
+#include "net/codec.hpp"
 #include "net/node.hpp"
+#include "net/shard.hpp"
 #include "net/tcp.hpp"
 #include "nn/builders.hpp"
+#include "paillier/packing.hpp"
 
 namespace dubhe {
 namespace {
@@ -305,6 +313,121 @@ TEST(NetRound, ThreeRoundPersistentSessionMatchesEverywhere) {
     EXPECT_EQ(tcp.rounds[r].ledger.messages(fl::MessageKind::kModelWeights,
                                             fl::Direction::kClientToServer),
               params.K);
+  }
+}
+
+TEST(NetRound, RootShardLinkSurvivesTheU16Wrap) {
+  // The root's end of a shard link (RemoteShard) stamps its own frames and
+  // checks the shard's. With one shard and H = 1 every round costs three
+  // frames each way (round begin, try, update), so 21,846 rounds wrap both
+  // counters: the root sends 3 setup frames + 65,538 round frames, then its
+  // kShutdown. A scripted shard queues every answer in sequence; the root
+  // must finish every round and reach the drain. The drain answer then
+  // carries a pre-wrap number, which is fatal to the root. (The client,
+  // CohortChild and serve_shard ends are pinned in test_net_faults.cpp and
+  // test_net_shard.cpp.)
+  constexpr std::size_t N = 2;
+  constexpr std::uint64_t kRounds = 21846;
+  const auto dataset = make_dataset(N);
+  // A tiny model: the transcript keeps every round's global weights.
+  const auto proto = nn::make_mlp(4, 2, 2, 7);
+  auto params = make_params(1, kRounds);
+  params.H = 1;
+  params.evaluate = false;
+  // A small key with all ten 6-bit classes in one ciphertext: one cheap
+  // population decrypt per round, also under the sanitizers.
+  params.secure.key_bits = 64;
+  params.secure.packing_slot_bits = 6;
+  const std::size_t length =
+      core::RegistryCodec(params.num_classes, params.reference_set).length();
+  const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+
+  auto [root_side, shard_side] = net::LoopbackTransport::make_pair();
+  std::atomic<bool> in_sequence{true};  // every root frame: the next seq, the expected type
+  std::atomic<std::uint64_t> root_frames{0};
+  std::thread shard([&, link = shard_side] {
+    std::uint16_t send_seq = 0;
+    std::uint16_t recv_seq = 0;
+    const auto send = [&](net::Frame f) {
+      f.seq = send_seq++;
+      link->send(f);
+    };
+    using net::MsgType;
+    const MsgType kRoundTypes[] = {MsgType::kShardRoundBegin, MsgType::kShardTryBegin,
+                                   MsgType::kShardUpdateBegin};
+    const auto receive = [&] {
+      std::optional<net::Frame> f = link->receive();
+      if (!f) return f;
+      const std::uint64_t i = root_frames++;
+      const MsgType want = i == 0                ? MsgType::kServerHello
+                           : i == 1              ? MsgType::kKeyMaterial
+                           : i == 2              ? MsgType::kRegistryBroadcast
+                           : i < 3 + 3 * kRounds ? kRoundTypes[(i - 3) % 3]
+                                                 : MsgType::kShutdown;
+      if (f->seq != recv_seq++ || f->type != want) in_sequence = false;
+      return f;
+    };
+    try {
+      send(net::encode<net::ShardHello>({0, 1, 0, N, N, net::kWireVersion}));
+      (void)receive();  // kServerHello
+      const he::PublicKey pk =
+          net::decode<net::KeyMaterial>(receive().value()).prv.public_key();
+      // Every answer the root will ask for, queued up front: the root then
+      // never waits on this thread, and nothing on the link orders a partial
+      // after the request it answers.
+      bigint::Xoshiro256ss rng(31);
+      net::PartialRegistry pr;
+      pr.contributors = N;
+      pr.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(length, 0), rng);
+      send(net::encode(pr));
+      const net::PartialParticipation flush{0, net::QuarantineRecord::kSetupRound, {}, {}};
+      send(net::encode(flush));
+      net::PartialPopulation population;  // K = 1: one contributor per try
+      population.contributors = 1;
+      population.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(params.num_classes, 1), rng);
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        net::PartialParticipation pp{0, r, {}, {}};
+        for (std::uint64_t id = 0; id < N; ++id) pp.entries.push_back({id, r, {1}});
+        send(net::encode(pp));
+        population.round = r;
+        send(net::encode(population));
+        net::PartialUpdate pu;
+        pu.round = r;
+        send(net::encode(pu));
+      }
+      net::Frame drain = net::encode(flush);
+      drain.seq = 65535;  // round 21,844's number, from before the wrap
+      link->send(drain);
+      while (receive()) {
+      }
+    } catch (const std::exception&) {
+      in_sequence = false;  // the root closed the link mid-session
+    }
+  });
+
+  const std::vector<std::shared_ptr<net::Transport>> links{root_side};
+  std::exception_ptr error;
+  try {
+    (void)net::run_root_session(links, dataset, proto, params);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  root_side->close();
+  shard.join();
+
+  EXPECT_TRUE(in_sequence);
+  // kServerHello, kKeyMaterial, kRegistryBroadcast, 3 per round, kShutdown.
+  EXPECT_EQ(root_frames.load(), 3 + 3 * kRounds + 1);
+  EXPECT_GE(root_frames.load(), 65540u);
+  ASSERT_NE(error, nullptr) << "the root accepted a pre-wrap sequence number";
+  try {
+    std::rethrow_exception(error);
+  } catch (const net::TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of sequence"), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a TransportError, got: " << e.what();
   }
 }
 

@@ -17,7 +17,6 @@
 #include <limits>
 #include <thread>
 
-#include "core/cpu.hpp"
 #include "core/selective.hpp"
 #include "net/codec.hpp"
 #include "net/tcp.hpp"
@@ -80,49 +79,6 @@ TEST(Crc32, SliceBy8MatchesBytewiseReference) {
     const std::span<const std::uint8_t> s{big.data() + off, big.size() - off};
     EXPECT_EQ(net::crc32(s), reference(s)) << "offset " << off;
   }
-}
-
-/// The dispatched CRC (PCLMUL folding where the host supports it) must equal
-/// the slice-by-8 reference bit for bit at every length 0..8 KiB and at every
-/// buffer offset, covering all fold-chunk / tail-residue combinations. On
-/// hosts without PCLMUL both sides are slice-by-8 and the test is a tautology
-/// — that is fine, the hardware tier is then never reachable anyway.
-TEST(Crc32, HardwareTierMatchesSliceBy8Everywhere) {
-  stats::Rng rng(44);
-  const auto big = random_payload(rng, 8192 + 16);
-  for (std::size_t len = 0; len <= 8192; ++len) {
-    const std::span<const std::uint8_t> s{big.data(), len};
-    ASSERT_EQ(net::crc32(s), net::crc32_portable(s)) << "len " << len;
-  }
-  // Unaligned starts: the PCLMUL kernel loads 16-byte vectors from whatever
-  // address the payload happens to live at.
-  for (std::size_t off = 0; off < 16; ++off) {
-    for (const std::size_t len : {std::size_t{63}, std::size_t{64}, std::size_t{65},
-                                  std::size_t{127}, std::size_t{1024},
-                                  std::size_t{4095}, std::size_t{8192}}) {
-      const std::span<const std::uint8_t> s{big.data() + off, len};
-      ASSERT_EQ(net::crc32(s), net::crc32_portable(s))
-          << "offset " << off << " len " << len;
-    }
-  }
-}
-
-/// Masking PCLMUL out of the enabled set must drop the dispatcher to the
-/// portable tier immediately (per-call dispatch), and the answers must not
-/// change.
-TEST(Crc32, RuntimeTierForcingIsTransparent) {
-  stats::Rng rng(45);
-  const auto payload = random_payload(rng, 4096 + 3);
-  const std::uint32_t want = net::crc32_portable(payload);
-  // "pclmul" iff the kernel is compiled in AND the host offers the feature;
-  // a simd-off build or a pre-PCLMUL machine natively reports "slice8".
-  const std::string native = net::crc32_backend_name();
-  const std::uint32_t prev = core::cpu::set_enabled(0);  // DUBHE_CPU=portable
-  EXPECT_STREQ(net::crc32_backend_name(), "slice8");
-  EXPECT_EQ(net::crc32(payload), want);
-  core::cpu::set_enabled(prev);
-  EXPECT_EQ(net::crc32(payload), want);
-  EXPECT_EQ(net::crc32_backend_name(), native);
 }
 
 TEST(WireFrame, RoundTripEveryTypeAndSize) {

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/cpu.hpp"
 #include "nn/conv.hpp"
 #include "stats/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -65,17 +66,29 @@ void expect_identical(const Tensor& got, const Tensor& want) {
   }
 }
 
-/// Runs fn under every backend compiled into this binary (scalar always;
-/// AVX2 when available), restoring the previous setting afterwards.
+constexpr std::uint32_t kSimdFeatures = core::cpu::kAvx2 | core::cpu::kFma;
+
+/// Narrows core::cpu's enabled set for one scope — the GEMM reads it on
+/// every call — and restores the previous set on exit.
+class ScopedCpuMask {
+ public:
+  explicit ScopedCpuMask(std::uint32_t mask) : prev_(core::cpu::set_enabled(mask)) {}
+  ~ScopedCpuMask() { core::cpu::set_enabled(prev_); }
+  ScopedCpuMask(const ScopedCpuMask&) = delete;
+  ScopedCpuMask& operator=(const ScopedCpuMask&) = delete;
+
+ private:
+  std::uint32_t prev_;
+};
+
+/// Runs fn under every backend this binary may use (scalar always; AVX2
+/// when compiled in and allowed by DUBHE_CPU).
 void for_each_backend(const std::function<void(const char*)>& fn) {
-  const bool prev = simd_enabled();
-  set_simd_enabled(false);
-  fn("scalar");
-  if (simd_available()) {
-    set_simd_enabled(true);
-    fn("avx2");
+  {
+    const ScopedCpuMask scalar(core::cpu::enabled() & ~kSimdFeatures);
+    fn("scalar");
   }
-  set_simd_enabled(prev);
+  if (simd_enabled()) fn("avx2");
 }
 
 // m, k, n triplets hitting the microkernel edges: sub-tile, exact-tile,
@@ -121,11 +134,13 @@ TEST(SimdGemm, ZeroSizedDimensions) {
 }
 
 TEST(SimdGemm, ScalarAndSimdBackendsAgree) {
-  if (!simd_available()) GTEST_SKIP() << "scalar-only build";
+  if (!simd_enabled()) GTEST_SKIP() << "scalar-only build";
   const Tensor a = random_tensor({33, 47}, 4), b = random_tensor({47, 29}, 5);
-  set_simd_enabled(false);
-  const Tensor scalar = matmul(a, b);
-  set_simd_enabled(true);
+  Tensor scalar;
+  {
+    const ScopedCpuMask mask(core::cpu::enabled() & ~kSimdFeatures);
+    scalar = matmul(a, b);
+  }
   const Tensor simd = matmul(a, b);
   // FMA contraction changes rounding, not values: tolerance scaled by k.
   expect_near(simd, scalar, 1e-4f * 47);
@@ -229,15 +244,32 @@ TEST(SimdGemm, ConvThreadCountInvariance) {
 }
 
 TEST(SimdGemm, BackendIntrospection) {
-  const bool prev = simd_enabled();
-  set_simd_enabled(false);
-  EXPECT_STREQ(simd_backend_name(), "scalar");
-  EXPECT_FALSE(simd_enabled());
-  const bool was = set_simd_enabled(true);
-  EXPECT_FALSE(was);
-  EXPECT_EQ(simd_enabled(), simd_available());
-  EXPECT_STREQ(simd_backend_name(), simd_available() ? "avx2" : "scalar");
-  set_simd_enabled(prev);
+  const bool native = simd_enabled();
+  {
+    const ScopedCpuMask mask(core::cpu::enabled() & ~core::cpu::kFma);
+    EXPECT_FALSE(simd_enabled());
+    EXPECT_STREQ(simd_backend_name(), "scalar");
+  }
+  {
+    const ScopedCpuMask mask(0);
+    EXPECT_FALSE(simd_enabled());
+  }
+  EXPECT_EQ(simd_enabled(), native);
+  EXPECT_STREQ(simd_backend_name(), native ? "avx2" : "scalar");
+}
+
+TEST(SimdGemm, CpuMaskReachesAWarmGemm) {
+  // core::cpu is the only tier switch: a mask applied after the GEMM has
+  // run must reach the very next call, not a choice cached by the first.
+  if (!simd_enabled()) GTEST_SKIP() << "AVX2 GEMM not compiled in or not allowed";
+  const Tensor a = random_tensor({9, 11}, 10), b = random_tensor({11, 13}, 11);
+  (void)matmul(a, b);
+  {
+    const ScopedCpuMask mask(core::cpu::enabled() & ~core::cpu::kAvx2);
+    EXPECT_STREQ(simd_backend_name(), "scalar");
+    expect_near(matmul(a, b), naive_matmul(a, b, false, false), 1e-4f * 11);
+  }
+  EXPECT_STREQ(simd_backend_name(), "avx2");
 }
 
 TEST(SimdGemm, ReluMaskReuseKeepsSemantics) {

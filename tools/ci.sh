@@ -2,19 +2,18 @@
 # Tier-1 verification: configure + build + ctest in Release, then repeat
 # under ASan/UBSan to catch carry-propagation UB and lifetime bugs in the
 # bigint kernels and the shared core::ParallelRuntime pool, then once more
-# with DUBHE_SIMD=OFF so the portable scalar GEMM / slice-by-8 CRC fallback
-# stays green (the only build with no AVX instructions, so the only one
-# that runs on a pre-AVX2 x86 host). The release leg additionally runs the
+# with DUBHE_SIMD=OFF so the portable scalar GEMM fallback stays green
+# (the only build with no AVX instructions, so the only one that runs on a
+# pre-AVX2 x86 host). The release leg additionally runs the
 # multi-process net smoke (tools/net_smoke.sh: dubhe_node server + 3 client
 # processes over localhost, plus a 1-root + 2-shard + 4-client
 # aggregation-tree leg, every transcript diffed against the in-process
 # selftest) and a DUBHE_CPU=portable pass of the dispatch-sensitive suites
-# (slice-by-8 CRC, scalar GEMM, C Montgomery rows, poll(2) backend — the
-# scalar tiers inside the AVX2 build). Data races
+# (ctest label portable_tier: scalar GEMM, C Montgomery rows, poll(2)
+# backend — the scalar tiers inside the AVX2 build). Data races
 # are a separate tool's job: a final ThreadSanitizer pass builds the
-# thread-invariance and transport suites (test_parallel_crypto +
-# test_tensor_simd + test_net_wire + test_net_round + test_net_faults +
-# test_net_shard + test_telemetry + test_prime_random) under the `tsan`
+# thread-invariance and transport suites (ctest label tsan, build target
+# tsan_suites; both lists live in CMakeLists.txt) under the `tsan`
 # preset and runs them, so a racy edit to the pool, the compute kernels, the
 # TCP event loop, the quarantine/deadline machinery, the aggregation tree
 # (client and shard threads driving the shared pool at once), the sharded
@@ -60,15 +59,14 @@ fi
 
 # Portable-tier leg: DUBHE_CPU=portable masks every runtime capability, so
 # the release binaries must pass the net + dispatch + bigint + Paillier
-# suites (the key-holder encryption every client runs, the packed vector
-# and the direct secure session included) on
-# slice-by-8 CRC, scalar GEMM, the C Montgomery row loop (with __int128,
-# unlike the *_portable suites) and the poll(2) event-loop backend. These
-# are the tiers a host without PCLMUL/AVX2/ADX/epoll would select, run
-# inside the AVX2 build; only the simd-off leg below runs on such a host.
+# suites (label portable_tier: the key-holder encryption every client runs,
+# the packed vector and the direct secure session included) on scalar
+# GEMM, the C Montgomery row loop (with __int128, unlike the *_portable
+# suites) and the poll(2) event-loop backend. These are the tiers a host
+# without AVX2/ADX/epoll would select, run inside the AVX2 build; only the
+# simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
-DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_codec|test_net_round|test_net_faults|test_net_shard|test_tensor_simd|test_montgomery|test_biguint_gmp|test_limb64|test_paillier|test_parallel_crypto|test_key_serialization|test_prime_random|test_packing|test_secure" \
+DUBHE_CPU=portable ctest --preset release -L portable_tier \
   --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 run_preset asan "$@"
@@ -76,12 +74,7 @@ run_preset simd-off "$@"
 
 echo "== thread-invariance under TSan =="
 cmake --preset tsan "$@"
-cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" \
-  --target test_parallel_crypto --target test_tensor_simd \
-  --target test_net_wire --target test_net_round --target test_net_faults \
-  --target test_net_shard --target test_telemetry --target test_prime_random
-ctest --preset tsan \
-  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_telemetry|test_prime_random$" \
-  --no-tests=error --timeout "$CTEST_TIMEOUT"
+cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" --target tsan_suites
+ctest --preset tsan -L tsan --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 echo "CI OK"

@@ -79,8 +79,9 @@ Common options (must match across all processes of one session):
   --he-rate X    fraction of model-update coordinates shipped encrypted
                  (top-k by |global weight|; default 0 = plaintext updates)
 Fault injection (churn testing — see src/net/README.md "Failure model"):
-  --fault-plan S scripted misbehavior "kind@phase[:nth][+delay_ms]", e.g.
-                 disconnect@participation:1 or straggle@update+2000.
+  --fault-plan S scripted misbehavior "kind@phase[:nth][+delay_ms][*]", e.g.
+                 disconnect@participation:1 or straggle@update+2000*
+                 (a trailing * repeats the fault on every later match).
                  On --client: this client runs the plan (its own death is
                  expected and exits 0). On --selftest: the plan is given to
                  client --fault-client and the loopback/TCP transcripts —
@@ -276,51 +277,15 @@ bool write_file(const std::string& path, const std::string& content) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;  // atomic publish
 }
 
-int run_server(const Options& opt) {
-  const auto dataset = make_dataset(opt);
-  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
-  net::TcpServer server(static_cast<std::uint16_t>(opt.port), opt.workers);
-  std::printf(
-      "dubhe_node server: listening on 127.0.0.1:%u (%s backend, %zu worker%s), "
-      "waiting for %zu clients\n",
-      server.port(), server.backend_name(), server.worker_count(),
-      server.worker_count() == 1 ? "" : "s", opt.clients);
-  if (!opt.port_file.empty() &&
-      !write_file(opt.port_file, std::to_string(server.port()) + "\n")) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.port_file.c_str());
-    return 1;
-  }
-  if (opt.metrics_port >= 0) {
-    telemetry::set_enabled(true);  // an admin endpoint implies collection
-    const std::uint16_t mp =
-        server.serve_metrics(static_cast<std::uint16_t>(opt.metrics_port));
-    std::printf("dubhe_node server: metrics on http://127.0.0.1:%u/metrics\n", mp);
-    if (!opt.metrics_port_file.empty() &&
-        !write_file(opt.metrics_port_file, std::to_string(mp) + "\n")) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.metrics_port_file.c_str());
-      return 1;
-    }
-  }
-  std::vector<std::shared_ptr<net::Transport>> links;
-  links.reserve(opt.clients);
-  for (std::size_t i = 0; i < opt.clients; ++i) {
-    auto link = server.accept();
-    if (link == nullptr) return 1;
-    std::printf("dubhe_node server: client connected from %s\n",
-                link->peer_name().c_str());
-    links.push_back(std::move(link));
-  }
-  fl::ChannelAccountant channel;
-  const auto t =
-      net::run_server_session(links, dataset, proto, make_params(opt), &channel);
-  const std::string text = net::format_transcript(t);
-  std::fputs(text.c_str(), stdout);
-  std::printf("channel: %llu messages, %llu bytes on the wire\n",
-              static_cast<unsigned long long>(channel.total_messages()),
-              static_cast<unsigned long long>(channel.total_bytes()));
-  if (!opt.transcript_path.empty() && !write_file(opt.transcript_path, text)) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.transcript_path.c_str());
-    return 1;
+/// Waits for a port file to appear (another process publishes it atomically)
+/// and reads the port out of it. Returns 0 on timeout.
+int wait_for_port(const std::string& path, std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
+  int port = 0;
+  while (Clock::now() < deadline) {
+    std::ifstream in(path);
+    if (in && (in >> port) && port > 0) return port;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   return 0;
 }
@@ -337,12 +302,7 @@ int run_client(const Options& opt) {
   const auto deadline = Clock::now() + std::chrono::seconds(30);
   int port = opt.port;
   if (!opt.port_file.empty()) {
-    port = 0;
-    while (Clock::now() < deadline) {
-      std::ifstream in(opt.port_file);
-      if (in && (in >> port) && port > 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    port = wait_for_port(opt.port_file, deadline);
     if (port <= 0) {
       std::fprintf(stderr, "error: no port appeared in %s\n", opt.port_file.c_str());
       return 1;
@@ -380,38 +340,39 @@ int run_client(const Options& opt) {
   return 0;
 }
 
-/// Waits for a port file to appear (another process publishes it atomically)
-/// and reads the port out of it. Returns 0 on timeout.
-int wait_for_port(const std::string& path, std::chrono::steady_clock::time_point deadline) {
-  using Clock = std::chrono::steady_clock;
-  int port = 0;
-  while (Clock::now() < deadline) {
-    std::ifstream in(path);
-    if (in && (in >> port) && port > 0) return port;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return 0;
-}
-
-int run_root(const Options& opt) {
+/// The flat server and the tree root: listen, publish the port (and the
+/// metrics endpoint), accept one link per child — a client of the flat
+/// cohort, or a shard aggregator of the tree — run the session over them,
+/// then print and write the transcript.
+int run_aggregator(const Options& opt, bool root) {
+  const char* role = root ? "root" : "server";
+  const std::size_t children = root ? opt.shards : opt.clients;
   const auto dataset = make_dataset(opt);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   net::TcpServer server(static_cast<std::uint16_t>(opt.port), opt.workers);
-  std::printf(
-      "dubhe_node root: listening on 127.0.0.1:%u (%s backend), waiting for %zu "
-      "shard aggregator%s over %zu clients\n",
-      server.port(), server.backend_name(), opt.shards, opt.shards == 1 ? "" : "s",
-      opt.clients);
+  if (root) {
+    std::printf(
+        "dubhe_node root: listening on 127.0.0.1:%u (%s backend), waiting for %zu "
+        "shard aggregator%s over %zu clients\n",
+        server.port(), server.backend_name(), opt.shards, opt.shards == 1 ? "" : "s",
+        opt.clients);
+  } else {
+    std::printf(
+        "dubhe_node server: listening on 127.0.0.1:%u (%s backend, %zu worker%s), "
+        "waiting for %zu clients\n",
+        server.port(), server.backend_name(), server.worker_count(),
+        server.worker_count() == 1 ? "" : "s", opt.clients);
+  }
   if (!opt.port_file.empty() &&
       !write_file(opt.port_file, std::to_string(server.port()) + "\n")) {
     std::fprintf(stderr, "error: cannot write %s\n", opt.port_file.c_str());
     return 1;
   }
   if (opt.metrics_port >= 0) {
-    telemetry::set_enabled(true);
+    telemetry::set_enabled(true);  // an admin endpoint implies collection
     const std::uint16_t mp =
         server.serve_metrics(static_cast<std::uint16_t>(opt.metrics_port));
-    std::printf("dubhe_node root: metrics on http://127.0.0.1:%u/metrics\n", mp);
+    std::printf("dubhe_node %s: metrics on http://127.0.0.1:%u/metrics\n", role, mp);
     if (!opt.metrics_port_file.empty() &&
         !write_file(opt.metrics_port_file, std::to_string(mp) + "\n")) {
       std::fprintf(stderr, "error: cannot write %s\n", opt.metrics_port_file.c_str());
@@ -419,18 +380,22 @@ int run_root(const Options& opt) {
     }
   }
   std::vector<std::shared_ptr<net::Transport>> links;
-  links.reserve(opt.shards);
-  for (std::size_t i = 0; i < opt.shards; ++i) {
+  links.reserve(children);
+  for (std::size_t i = 0; i < children; ++i) {
     auto link = server.accept();
     if (link == nullptr) return 1;
-    std::printf("dubhe_node root: shard connected from %s\n", link->peer_name().c_str());
+    std::printf("dubhe_node %s: %s connected from %s\n", role, root ? "shard" : "client",
+                link->peer_name().c_str());
     links.push_back(std::move(link));
   }
   fl::ChannelAccountant channel;
-  const auto t = net::run_root_session(links, dataset, proto, make_params(opt), &channel);
+  const auto t =
+      root ? net::run_root_session(links, dataset, proto, make_params(opt), &channel)
+           : net::run_server_session(links, dataset, proto, make_params(opt), &channel);
   const std::string text = net::format_transcript(t);
   std::fputs(text.c_str(), stdout);
-  std::printf("channel (root<->shards): %llu messages, %llu bytes on the wire\n",
+  std::printf("%s: %llu messages, %llu bytes on the wire\n",
+              root ? "channel (root<->shards)" : "channel",
               static_cast<unsigned long long>(channel.total_messages()),
               static_cast<unsigned long long>(channel.total_bytes()));
   if (!opt.transcript_path.empty() && !write_file(opt.transcript_path, text)) {
@@ -548,10 +513,10 @@ int main(int argc, char** argv) {
   int rc = 2;
   try {
     switch (opt.mode) {
-      case Options::Mode::kServer: rc = run_server(opt); break;
+      case Options::Mode::kServer: rc = run_aggregator(opt, false); break;
       case Options::Mode::kClient: rc = run_client(opt); break;
       case Options::Mode::kSelftest: rc = run_selftest(opt); break;
-      case Options::Mode::kRoot: rc = run_root(opt); break;
+      case Options::Mode::kRoot: rc = run_aggregator(opt, true); break;
       case Options::Mode::kShard: rc = run_shard(opt); break;
       case Options::Mode::kNone: break;
     }
