@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/parallel.hpp"
 #include "net/schema.hpp"
 #include "stats/rng.hpp"
 
@@ -170,30 +169,23 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   const std::size_t N = dists.size();
   const std::size_t wire_bytes = encrypted_registry_bytes();
 
-  // Client-side encryption over the shared core::ParallelRuntime
-  // (cfg_.encrypt_threads shards, no private pool). Every client uses its
+  // Client-side encryption, one client after another. Every client uses its
   // own seed-derived randomness (registration_seed(k) — the same stream a
-  // transport-backed client receives in its request frame), so running this
-  // serially or across threads (the deployment reality: clients are separate
-  // machines) yields identical ciphertexts. encrypt_seconds accumulates the
+  // transport-backed client receives in its request frame), so the
+  // ciphertexts do not depend on where or in what order clients encrypt (in
+  // deployment they are separate machines). encrypt_seconds accumulates the
   // *summed client-side* cost.
-  std::vector<double> durations(N, 0.0);
-  // Pre-runtime configs treated encrypt_threads <= 1 as serial; keep that
-  // (the runtime itself reads 0 as "all workers").
-  const std::size_t encrypt_shards = cfg_.encrypt_threads == 0 ? 1 : cfg_.encrypt_threads;
   require_slot_capacity(cfg_.packing_slot_bits, num_clients_, "registry counts");
   const he::PackedCodec packed = packed_codec();
   std::vector<he::PackedEncryptedVector> cts(N);
-  parallel_for(N, encrypt_shards, [&](std::size_t k) {
+  for (std::size_t k = 0; k < N; ++k) {
     bigint::Xoshiro256ss client_rng(registration_seed(k));
     const auto tk = Clock::now();
     cts[k] = he::PackedEncryptedVector::encrypt(
         keypair_.pub, packed, to_onehot(codec_, out.registrations[k]), client_rng);
-    durations[k] = seconds_since(tk);
-  });
+    timings_.encrypt_seconds += seconds_since(tk);
+  }
   out.overall_registry = reduce_registry(cts);
-
-  for (const double d : durations) timings_.encrypt_seconds += d;
   timings_.vectors_encrypted += N;
   if (channel_ != nullptr) {
     const std::size_t ct_bytes = registry_ciphertext_bytes();

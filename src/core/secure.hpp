@@ -27,15 +27,6 @@ struct SecureConfig {
   std::size_t packing_slot_bits = 32;
   /// Fixed-point scale for encrypting real-valued label distributions.
   std::uint64_t fixed_point_scale = 1'000'000;
-  /// Shard cap forwarded to the shared core::ParallelRuntime for the
-  /// registration encryption (no private pool is created). Encryption
-  /// happens on the clients, which are independent machines in deployment
-  /// (paper §6.4: "the encryption is operated in parallel on clients");
-  /// > 1 simulates that. <= 1 stays serial, exactly as before the shared
-  /// runtime. Results are identical for any value: every client encrypts
-  /// under its own seed-derived randomness (and each slot under a per-slot
-  /// derived stream — see he::BatchOptions).
-  std::size_t encrypt_threads = 1;
   /// Fraction of model-update coordinates shipped encrypted (top-k by
   /// global-weight magnitude, see core/selective.hpp). 0 keeps today's
   /// plaintext kModelUpdate path bit-for-bit; 1 encrypts every coordinate

@@ -36,9 +36,6 @@ class FederatedDataset {
   /// Client k's label distribution (what the client itself can compute and
   /// what Dubhe's registration consumes).
   [[nodiscard]] const stats::Distribution& client_distribution(std::size_t k) const;
-  [[nodiscard]] const stats::Distribution& global_distribution() const {
-    return partition_.global_realized;
-  }
   [[nodiscard]] const std::vector<Sample>& test_samples() const { return test_; }
 
   /// Materializes a batch: X is batch x feature_dim row-major, y gets the

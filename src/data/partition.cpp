@@ -54,12 +54,6 @@ std::vector<std::size_t> round_exact(const std::vector<double>& exact, std::size
 
 }  // namespace
 
-std::vector<std::size_t> round_counts(const stats::Distribution& p, std::size_t total) {
-  std::vector<double> exact(p.size());
-  for (std::size_t c = 0; c < p.size(); ++c) exact[c] = p[c] * static_cast<double>(total);
-  return round_exact(exact, total);
-}
-
 std::vector<std::size_t> round_counts_feedback(const stats::Distribution& p,
                                                std::size_t total,
                                                std::vector<double>& residual) {

@@ -52,15 +52,13 @@ struct Partition {
 /// std::invalid_argument for emd_avg outside [0, 2) or rho < 1.
 Partition make_partition(const PartitionConfig& cfg);
 
-/// Largest-remainder (Hamilton) rounding of `p * total` to integers summing
-/// exactly to `total`. Exposed for reuse and testing.
-std::vector<std::size_t> round_counts(const stats::Distribution& p, std::size_t total);
-
-/// Largest-remainder rounding with error feedback: rounds `p * total +
-/// residual` and updates `residual` with the leftover rounding error. Used
-/// across a client sequence so that per-client quantization does not
-/// systematically starve minority classes (keeps the realized global
-/// distribution within O(C) samples of the configured profile).
+/// Largest-remainder (Hamilton) rounding with error feedback: rounds
+/// `p * total + residual` to integers summing exactly to `total` and updates
+/// `residual` with the leftover rounding error (an all-zero residual gives
+/// the plain largest-remainder split). Used across a client sequence so that
+/// per-client quantization does not systematically starve minority classes
+/// (keeps the realized global distribution within O(C) samples of the
+/// configured profile).
 std::vector<std::size_t> round_counts_feedback(const stats::Distribution& p,
                                                std::size_t total,
                                                std::vector<double>& residual);

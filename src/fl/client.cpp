@@ -24,7 +24,6 @@ std::vector<float> Client::train(const nn::Sequential& prototype,
   if (samples_.empty()) return {global_weights.begin(), global_weights.end()};
   nn::Sequential model = prototype;  // deep copy
   model.set_weights(global_weights);
-  model.set_training(true);
 
   std::unique_ptr<nn::Optimizer> opt;
   if (cfg.use_adam) {
@@ -83,7 +82,6 @@ double Client::local_loss(const nn::Sequential& prototype,
   if (samples_.empty()) return 0.0;
   nn::Sequential model = prototype;
   model.set_weights(global_weights);
-  model.set_training(false);
   const std::size_t F = dataset_->feature_dim();
   const std::size_t n = std::min(max_samples, samples_.size());
   tensor::Tensor X{{n, F}};

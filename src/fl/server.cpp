@@ -34,7 +34,6 @@ void Server::aggregate(std::span<const std::vector<float>> updates) {
 std::vector<double> Server::evaluate_per_class(const data::FederatedDataset& dataset,
                                                std::size_t batch_size) {
   model_.set_weights(weights_);
-  model_.set_training(false);
   const auto& test = dataset.test_samples();
   const std::size_t F = dataset.feature_dim();
   const std::size_t C = dataset.num_classes();
@@ -65,7 +64,6 @@ std::vector<double> Server::evaluate_per_class(const data::FederatedDataset& dat
 
 double Server::evaluate(const data::FederatedDataset& dataset, std::size_t batch_size) {
   model_.set_weights(weights_);
-  model_.set_training(false);
   const auto& test = dataset.test_samples();
   const std::size_t F = dataset.feature_dim();
   std::size_t correct_weighted = 0, total = 0;

@@ -46,10 +46,6 @@ class Layer {
   virtual std::span<float> params() { return {}; }
   virtual std::span<float> grads() { return {}; }
 
-  /// Train/eval mode toggle. Only stochastic layers (Dropout) care; the
-  /// default is a no-op so deterministic layers stay oblivious.
-  virtual void set_training(bool /*training*/) {}
-
   [[nodiscard]] virtual std::string name() const = 0;
   /// Deep copy (used to clone the global model into per-client replicas).
   [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;

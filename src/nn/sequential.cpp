@@ -42,10 +42,6 @@ void Sequential::backward(const Tensor& grad_out) {
   for (std::size_t i = layers_.size(); i-- > 0;) cur = layers_[i]->backward(cur);
 }
 
-void Sequential::set_training(bool training) {
-  for (auto& l : layers_) l->set_training(training);
-}
-
 std::size_t Sequential::num_params() const {
   std::size_t n = 0;
   for (const auto& l : layers_) {

@@ -36,9 +36,6 @@ class Sequential {
   /// Loads flattened parameters; size must equal num_params().
   void set_weights(std::span<const float> w);
 
-  /// Puts every layer in train or eval mode (Dropout et al.).
-  void set_training(bool training);
-
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 

@@ -11,7 +11,7 @@ namespace dubhe::nn {
 /// Scratch-buffer arena shared by the layers of one model replica.
 ///
 /// Every forward/backward temporary that used to be allocated per step —
-/// im2col column matrices, ReLU/dropout masks, row-major gradient staging
+/// im2col column matrices, ReLU masks, row-major gradient staging
 /// buffers, cached inputs — lives here instead, keyed by (owning layer,
 /// slot) and resized in place, so after the first step of a client round
 /// the training loop performs no per-step heap allocation for scratch.

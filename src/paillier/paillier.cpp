@@ -71,8 +71,6 @@ PublicKey::PublicKey(BigUint n)
 
 std::size_t PublicKey::ciphertext_bytes() const { return (2 * key_bits() + 7) / 8; }
 
-std::size_t PublicKey::plaintext_bytes() const { return (key_bits() + 7) / 8; }
-
 Ciphertext PublicKey::encrypt_deterministic(const BigUint& m) const {
   if (m >= n_) throw std::out_of_range("Paillier: plaintext must be < n");
   // g^m with g = n+1: (1 + m*n) mod n^2 — a single multiplication. The
@@ -106,10 +104,6 @@ Ciphertext PublicKey::add(const Ciphertext& a, const Ciphertext& b) const {
   adds.inc();
   telemetry::ScopedTimer timer(hist);
   return Ciphertext{a.c.mul_mod(b.c, n_sq_)};
-}
-
-Ciphertext PublicKey::add_plain(const Ciphertext& a, const BigUint& m) const {
-  return add(a, encrypt_deterministic(m % n_));
 }
 
 Ciphertext PublicKey::mul_plain(const Ciphertext& a, const BigUint& k) const {

@@ -46,8 +46,6 @@ class PublicKey {
   [[nodiscard]] std::size_t key_bits() const { return n_.bit_length(); }
   /// Exact serialized size of one ciphertext in bytes: ceil(2*key_bits/8).
   [[nodiscard]] std::size_t ciphertext_bytes() const;
-  /// Exact serialized size of one plaintext in bytes: ceil(key_bits/8).
-  [[nodiscard]] std::size_t plaintext_bytes() const;
 
   /// Encrypts m in [0, n). Throws std::out_of_range otherwise.
   /// c = (1 + m*n) * r^n mod n^2 with r uniform in Z*_n. This is the
@@ -60,8 +58,6 @@ class PublicKey {
 
   /// Homomorphic addition: Dec(add(a, b)) = Dec(a) + Dec(b) mod n.
   [[nodiscard]] Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
-  /// Adds a plaintext constant: Dec(add_plain(a, m)) = Dec(a) + m mod n.
-  [[nodiscard]] Ciphertext add_plain(const Ciphertext& a, const BigUint& m) const;
   /// Scalar multiplication: Dec(mul_plain(a, k)) = k * Dec(a) mod n.
   [[nodiscard]] Ciphertext mul_plain(const Ciphertext& a, const BigUint& k) const;
   /// Re-randomizes a ciphertext (multiplies by a fresh encryption of zero),

@@ -168,20 +168,13 @@ void kernel_avx2(std::size_t k, const float* ap, const float* bp, float* acc) {
 /// differ only in the accumulation itself (FMA rounding).
 void store_block(const float* acc, std::size_t astride, float* c, std::size_t n,
                  std::size_t i0, std::size_t vm, std::size_t j0, std::size_t vn,
-                 const float* bias, bool relu, float* relu_mask) {
+                 const float* bias) {
   for (std::size_t ii = 0; ii < vm; ++ii) {
     float* crow = c + (i0 + ii) * n + j0;
     const float* arow = acc + ii * astride;
     for (std::size_t jj = 0; jj < vn; ++jj) {
       float v = arow[jj];
       if (bias != nullptr) v += bias[j0 + jj];
-      if (relu) {
-        const bool live = v > 0.0f;
-        if (relu_mask != nullptr) {
-          relu_mask[(i0 + ii) * n + j0 + jj] = live ? 1.0f : 0.0f;
-        }
-        v = live ? v : 0.0f;
-      }
       crow[jj] = v;
     }
   }
@@ -213,7 +206,7 @@ std::size_t compute_threads() { return g_compute_threads.load(); }
 
 void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           std::size_t lda, bool ta, const float* b, std::size_t ldb, bool tb,
-          float* c, const float* bias, bool relu, float* relu_mask) {
+          float* c, const float* bias) {
   if (m == 0 || n == 0) return;
 
   const std::size_t n_pad = ((n + kNr - 1) / kNr) * kNr;
@@ -253,8 +246,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
       alignas(32) float acc[kMr * kNr];
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         kernel_avx2(k, ap_buf.data(), bp + (j0 / kNr) * k * kNr, acc);
-        store_block(acc, kNr, c, n, i0, vm, j0, std::min(kNr, n - j0), bias, relu,
-                    relu_mask);
+        store_block(acc, kNr, c, n, i0, vm, j0, std::min(kNr, n - j0), bias);
       }
       return;
     }
@@ -262,7 +254,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
     thread_local std::vector<float> acc_buf;
     acc_buf.resize(std::max<std::size_t>(1, kMr * n_pad));
     kernel_scalar_panel(k, n_pad, ap_buf.data(), bp, acc_buf.data());
-    store_block(acc_buf.data(), n_pad, c, n, i0, vm, 0, n, bias, relu, relu_mask);
+    store_block(acc_buf.data(), n_pad, c, n, i0, vm, 0, n, bias);
   });
 }
 

@@ -32,39 +32,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose
   return c;
 }
 
-Tensor matmul_bias(const Tensor& a, const Tensor& b, std::span<const float> bias,
-                   bool transpose_a, bool transpose_b) {
-  const GemmShape s = check_matmul(a, b, transpose_a, transpose_b);
-  if (bias.size() != s.n) throw std::invalid_argument("matmul_bias: bias size mismatch");
-  Tensor c{{s.m, s.n}};
-  gemm(s.m, s.n, s.k, a.data(), a.dim(1), transpose_a, b.data(), b.dim(1),
-       transpose_b, c.data(), bias.data());
-  return c;
-}
-
-Tensor matmul_bias_relu(const Tensor& a, const Tensor& b, std::span<const float> bias,
-                        Tensor& relu_mask, bool transpose_a, bool transpose_b) {
-  const GemmShape s = check_matmul(a, b, transpose_a, transpose_b);
-  if (bias.size() != s.n) {
-    throw std::invalid_argument("matmul_bias_relu: bias size mismatch");
-  }
-  Tensor c{{s.m, s.n}};
-  relu_mask.resize({s.m, s.n});
-  gemm(s.m, s.n, s.k, a.data(), a.dim(1), transpose_a, b.data(), b.dim(1),
-       transpose_b, c.data(), bias.data(), /*relu=*/true, relu_mask.data());
-  return c;
-}
-
-void add_bias_rows(Tensor& x, std::span<const float> bias) {
-  if (x.rank() != 2 || x.dim(1) != bias.size()) {
-    throw std::invalid_argument("add_bias_rows: shape mismatch");
-  }
-  float* data = x.data();
-  for (std::size_t i = 0; i < x.dim(0); ++i) {
-    for (std::size_t j = 0; j < bias.size(); ++j) data[i * bias.size() + j] += bias[j];
-  }
-}
-
 void sum_rows(const Tensor& x, std::span<float> out) {
   if (x.rank() != 2 || x.dim(1) != out.size()) {
     throw std::invalid_argument("sum_rows: shape mismatch");
@@ -74,12 +41,6 @@ void sum_rows(const Tensor& x, std::span<float> out) {
   for (std::size_t i = 0; i < x.dim(0); ++i) {
     for (std::size_t j = 0; j < out.size(); ++j) out[j] += data[i * out.size() + j];
   }
-}
-
-Tensor relu_inplace(Tensor& x) {
-  Tensor mask;
-  relu_inplace(x, mask);
-  return mask;
 }
 
 void relu_inplace(Tensor& x, Tensor& mask) {
@@ -96,12 +57,6 @@ void relu_inplace(Tensor& x, Tensor& mask) {
   }
 }
 
-Tensor relu_backward(const Tensor& grad_out, const Tensor& mask) {
-  Tensor g = grad_out;
-  relu_backward_inplace(g, mask);
-  return g;
-}
-
 void relu_backward_inplace(Tensor& grad, const Tensor& mask) {
   if (grad.size() != mask.size()) {
     throw std::invalid_argument("relu_backward: size mismatch");
@@ -109,13 +64,6 @@ void relu_backward_inplace(Tensor& grad, const Tensor& mask) {
   float* d = grad.data();
   const float* m = mask.data();
   for (std::size_t i = 0; i < grad.size(); ++i) d[i] *= m[i];
-}
-
-void axpy(Tensor& a, float s, const Tensor& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("axpy: size mismatch");
-  float* ad = a.data();
-  const float* bd = b.data();
-  for (std::size_t i = 0; i < a.size(); ++i) ad[i] += s * bd[i];
 }
 
 }  // namespace dubhe::tensor

@@ -15,34 +15,13 @@ namespace dubhe::tensor {
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
               bool transpose_b = false);
 
-/// matmul with the bias row broadcast fused into the GEMM epilogue:
-/// C = A @ B + bias (bias length n, added to every row).
-Tensor matmul_bias(const Tensor& a, const Tensor& b, std::span<const float> bias,
-                   bool transpose_a = false, bool transpose_b = false);
-
-/// Fully fused dense-layer forward: C = relu(A @ B + bias). `relu_mask` is
-/// resized to [m, n] and receives the 0/1 backward mask (1 where the
-/// pre-clamp value was > 0), matching relu_inplace's convention.
-Tensor matmul_bias_relu(const Tensor& a, const Tensor& b,
-                        std::span<const float> bias, Tensor& relu_mask,
-                        bool transpose_a = false, bool transpose_b = false);
-
-/// y += row broadcast over the batch dimension: x is [batch, n], bias is n.
-void add_bias_rows(Tensor& x, std::span<const float> bias);
-
 /// Column sums of a [batch, n] tensor into `out` (size n) — the bias grad.
 void sum_rows(const Tensor& x, std::span<float> out);
 
-/// In-place ReLU; returns a 0/1 mask tensor for the backward pass.
-Tensor relu_inplace(Tensor& x);
-/// Allocation-reusing variant: `mask` is resized to x's shape in place.
+/// In-place ReLU; `mask` is resized to x's shape and receives the 0/1 mask
+/// for the backward pass (1 where x was > 0).
 void relu_inplace(Tensor& x, Tensor& mask);
-/// grad_in = grad_out * mask (elementwise).
-Tensor relu_backward(const Tensor& grad_out, const Tensor& mask);
-/// In-place variant: grad *= mask.
+/// In-place backward: grad *= mask (elementwise).
 void relu_backward_inplace(Tensor& grad, const Tensor& mask);
-
-/// a += s * b (elementwise, flattened). Sizes must match.
-void axpy(Tensor& a, float s, const Tensor& b);
 
 }  // namespace dubhe::tensor

@@ -4,8 +4,6 @@
 
 #include <set>
 
-#include "data/virtual_clients.hpp"
-
 namespace dubhe::data {
 namespace {
 
@@ -82,77 +80,6 @@ TEST(FederatedDataset, ClientDistributionAccessor) {
     EXPECT_EQ(ds.client_distribution(k), ds.partition().client_dists[k]);
   }
   EXPECT_THROW((void)ds.client_distribution(999), std::out_of_range);
-}
-
-// ---------------------------------------------------------------------------
-// FedVC virtual client splitting
-// ---------------------------------------------------------------------------
-
-std::vector<Sample> make_samples(std::size_t cls, std::size_t n) {
-  std::vector<Sample> v;
-  for (std::size_t i = 0; i < n; ++i) v.push_back(Sample{cls, i});
-  return v;
-}
-
-TEST(VirtualClients, LargeClientIsSplit) {
-  stats::Rng rng(3);
-  const std::vector<std::vector<Sample>> clients{make_samples(0, 100)};
-  const VirtualSplit split = split_virtual_clients(clients, 32, rng);
-  EXPECT_EQ(split.virtual_clients.size(), 4u);  // ceil(100/32)
-  for (const auto& vc : split.virtual_clients) EXPECT_EQ(vc.size(), 32u);
-  for (const std::size_t o : split.origin) EXPECT_EQ(o, 0u);
-}
-
-TEST(VirtualClients, SmallClientDuplicatesSamples) {
-  stats::Rng rng(4);
-  const std::vector<std::vector<Sample>> clients{make_samples(1, 10)};
-  const VirtualSplit split = split_virtual_clients(clients, 32, rng);
-  ASSERT_EQ(split.virtual_clients.size(), 1u);
-  EXPECT_EQ(split.virtual_clients[0].size(), 32u);
-  // Every sample must come from the client's own pool.
-  for (const Sample& s : split.virtual_clients[0]) {
-    EXPECT_EQ(s.cls, 1u);
-    EXPECT_LT(s.instance, 10u);
-  }
-}
-
-TEST(VirtualClients, ExactMultipleNoDuplicates) {
-  stats::Rng rng(5);
-  const std::vector<std::vector<Sample>> clients{make_samples(2, 64)};
-  const VirtualSplit split = split_virtual_clients(clients, 32, rng);
-  ASSERT_EQ(split.virtual_clients.size(), 2u);
-  std::set<std::uint64_t> seen;
-  for (const auto& vc : split.virtual_clients) {
-    for (const Sample& s : vc) seen.insert(s.instance);
-  }
-  EXPECT_EQ(seen.size(), 64u);  // a clean split covers every sample once
-}
-
-TEST(VirtualClients, EmptyClientContributesNothing) {
-  stats::Rng rng(6);
-  const std::vector<std::vector<Sample>> clients{{}, make_samples(0, 5)};
-  const VirtualSplit split = split_virtual_clients(clients, 8, rng);
-  ASSERT_EQ(split.virtual_clients.size(), 1u);
-  EXPECT_EQ(split.origin[0], 1u);
-}
-
-TEST(VirtualClients, ZeroNvcThrows) {
-  stats::Rng rng(7);
-  EXPECT_THROW(split_virtual_clients({}, 0, rng), std::invalid_argument);
-}
-
-TEST(VirtualClients, MixedPopulationOriginTracking) {
-  stats::Rng rng(8);
-  const std::vector<std::vector<Sample>> clients{
-      make_samples(0, 70), make_samples(1, 16), make_samples(2, 33)};
-  const VirtualSplit split = split_virtual_clients(clients, 32, rng);
-  // 70 -> 3 pieces, 16 -> 1, 33 -> 2.
-  EXPECT_EQ(split.virtual_clients.size(), 6u);
-  std::vector<std::size_t> per_origin(3, 0);
-  for (const std::size_t o : split.origin) ++per_origin[o];
-  EXPECT_EQ(per_origin[0], 3u);
-  EXPECT_EQ(per_origin[1], 1u);
-  EXPECT_EQ(per_origin[2], 2u);
 }
 
 }  // namespace

@@ -44,7 +44,6 @@ TEST_F(FullRound, Figure3Walkthrough) {
   fl::ChannelAccountant channel;
   core::SecureConfig scfg;
   scfg.key_bits = 256;
-  scfg.encrypt_threads = 4;  // clients encrypt in parallel
   bigint::Xoshiro256ss he_rng(5);
   core::SecureSelectionSession session(codec, sigma, scfg, N, he_rng, &channel);
   auto reg = session.run_registration(dists);

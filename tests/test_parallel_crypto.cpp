@@ -266,33 +266,6 @@ TEST(KeyHolderEncrypt, ConcurrentCallersShareThePool) {
 
 // --- secure session over the shared runtime ----------------------------------
 
-TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
-  data::PartitionConfig pcfg;
-  pcfg.num_classes = 10;
-  pcfg.num_clients = 15;
-  pcfg.samples_per_client = 64;
-  pcfg.rho = 5;
-  pcfg.emd_avg = 1.2;
-  pcfg.seed = 3;
-  const auto dists = data::make_partition(pcfg).client_dists;
-  const core::RegistryCodec codec(10, {1, 2, 10});
-
-  std::vector<std::uint64_t> reference;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    core::SecureConfig cfg;
-    cfg.key_bits = 256;
-    cfg.encrypt_threads = threads;
-    bigint::Xoshiro256ss rng(2024);
-    core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, cfg, dists.size(), rng);
-    const auto outcome = session.run_registration(dists);
-    if (reference.empty()) {
-      reference = outcome.overall_registry;
-    } else {
-      EXPECT_EQ(outcome.overall_registry, reference) << "threads=" << threads;
-    }
-  }
-}
-
 TEST(SecureSessionRuntime, DefaultConfigAgreesWithPlaintext) {
   data::PartitionConfig pcfg;
   pcfg.num_classes = 10;

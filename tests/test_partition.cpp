@@ -7,9 +7,16 @@
 namespace dubhe::data {
 namespace {
 
+// An all-zero residual makes round_counts_feedback the plain
+// largest-remainder split.
+std::vector<std::size_t> round_once(const stats::Distribution& p, std::size_t total) {
+  std::vector<double> residual(p.size(), 0.0);
+  return round_counts_feedback(p, total, residual);
+}
+
 TEST(RoundCounts, SumsExactlyToTotal) {
   const stats::Distribution p{0.33, 0.33, 0.34};
-  const auto counts = round_counts(p, 100);
+  const auto counts = round_once(p, 100);
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::size_t{0}), 100u);
   EXPECT_EQ(counts[0], 33u);
   EXPECT_EQ(counts[1], 33u);
@@ -19,13 +26,13 @@ TEST(RoundCounts, SumsExactlyToTotal) {
 TEST(RoundCounts, HandlesSpikyDistributions) {
   stats::Distribution p(10, 0.0);
   p[3] = 1.0;
-  const auto counts = round_counts(p, 128);
+  const auto counts = round_once(p, 128);
   EXPECT_EQ(counts[3], 128u);
 }
 
 TEST(RoundCounts, ZeroDistributionStillSumsToTotal) {
   const stats::Distribution p(4, 0.0);
-  const auto counts = round_counts(p, 7);
+  const auto counts = round_once(p, 7);
   std::size_t total = 0;
   for (const auto c : counts) total += c;
   EXPECT_EQ(total, 7u);

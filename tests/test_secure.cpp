@@ -150,24 +150,6 @@ TEST(SecureSession, CohortSizeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(SecureSession, ParallelEncryptionMatchesSerial) {
-  // Per-client seed-derived randomness: thread count must not change the
-  // decrypted aggregate (and the same session seed gives the same result).
-  const auto dists = make_cohort(30);
-  const RegistryCodec codec(10, {1, 2, 10});
-  SecureConfig serial_cfg = test_config();
-  SecureConfig parallel_cfg = test_config();
-  parallel_cfg.encrypt_threads = 8;
-  bigint::Xoshiro256ss rng_a(99), rng_b(99);
-  SecureSelectionSession serial(codec, {0.7, 0.1, 0.0}, serial_cfg, dists.size(), rng_a);
-  SecureSelectionSession parallel(codec, {0.7, 0.1, 0.0}, parallel_cfg, dists.size(),
-                                  rng_b);
-  const auto a = serial.run_registration(dists);
-  const auto b = parallel.run_registration(dists);
-  EXPECT_EQ(a.overall_registry, b.overall_registry);
-  EXPECT_EQ(parallel.timings().vectors_encrypted, 30u);
-}
-
 TEST(SecureSession, SigmaArityValidated) {
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(50);

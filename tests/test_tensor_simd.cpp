@@ -2,8 +2,8 @@
 // run under ASan and TSan presets). Pins three properties: (1) the packed
 // microkernel GEMM matches a naive double-accumulator reference on awkward
 // shapes and every transpose combination, for whichever backends this build
-// carries; (2) the fused bias/ReLU epilogues equal their unfused
-// compositions bit-for-bit; (3) matmul and Conv2d forward/backward are
+// carries; (2) the fused bias epilogue Linear and Conv2d call equals the
+// unfused composition bit-for-bit; (3) matmul and Conv2d forward/backward are
 // byte-identical for any thread count (1/2/7), the contract the contiguous
 // partitioning of core::ParallelRuntime guarantees.
 
@@ -63,6 +63,25 @@ void expect_identical(const Tensor& got, const Tensor& want) {
   ASSERT_EQ(got.shape(), want.shape());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got.flat()[i], want.flat()[i]) << "index " << i;
+  }
+}
+
+/// C = op(A) @ op(B) + bias through the GEMM's fused bias epilogue — the
+/// call nn::Linear and nn::Conv2d make.
+Tensor gemm_bias(const Tensor& a, const Tensor& b, const std::vector<float>& bias,
+                 bool ta = false, bool tb = false) {
+  const std::size_t m = ta ? a.dim(1) : a.dim(0);
+  const std::size_t k = ta ? a.dim(0) : a.dim(1);
+  const std::size_t n = tb ? b.dim(0) : b.dim(1);
+  Tensor c{{m, n}};
+  gemm(m, n, k, a.data(), a.dim(1), ta, b.data(), b.dim(1), tb, c.data(), bias.data());
+  return c;
+}
+
+/// x[i, j] += bias[j], applied after the GEMM as a separate pass.
+void add_bias(Tensor& x, const std::vector<float>& bias) {
+  for (std::size_t i = 0; i < x.dim(0); ++i) {
+    for (std::size_t j = 0; j < x.dim(1); ++j) x(i, j) += bias[j];
   }
 }
 
@@ -155,29 +174,11 @@ TEST(SimdGemm, FusedBiasEqualsUnfused) {
     for (float& v : bias) v = static_cast<float>(rng.normal());
 
     Tensor unfused = matmul(a, b);
-    add_bias_rows(unfused, bias);
-    const Tensor fused = matmul_bias(a, b, bias);
+    add_bias(unfused, bias);
+    const Tensor fused = gemm_bias(a, b, bias);
     // The epilogue adds the identical bias to the identical accumulator, so
     // the fused path is bit-identical, not merely close.
     expect_identical(fused, unfused);
-
-    EXPECT_THROW(matmul_bias(a, b, std::vector<float>(5)), std::invalid_argument);
-  });
-}
-
-TEST(SimdGemm, FusedBiasReluEqualsComposition) {
-  for_each_backend([&](const char* backend) {
-    SCOPED_TRACE(backend);
-    const Tensor a = random_tensor({9, 15}, 9), b = random_tensor({15, 11}, 10);
-    std::vector<float> bias(11, 0.1f);
-
-    Tensor reference = matmul_bias(a, b, bias);
-    const Tensor ref_mask = relu_inplace(reference);
-
-    Tensor mask;
-    const Tensor fused = matmul_bias_relu(a, b, bias, mask);
-    expect_identical(fused, reference);
-    expect_identical(mask, ref_mask);
   });
 }
 
@@ -189,8 +190,8 @@ TEST(SimdGemm, TransposeFlagsWithFusedEpilogue) {
     const Tensor bt = random_tensor({n, k}, 12);
     std::vector<float> bias(n, -0.05f);
     Tensor reference = naive_matmul(at, bt, true, true);
-    add_bias_rows(reference, bias);
-    const Tensor got = matmul_bias(at, bt, bias, true, true);
+    add_bias(reference, bias);
+    const Tensor got = gemm_bias(at, bt, bias, true, true);
     expect_near(got, reference, 1e-4f * k);
   });
 }
@@ -273,8 +274,8 @@ TEST(SimdGemm, CpuMaskReachesAWarmGemm) {
 }
 
 TEST(SimdGemm, ReluMaskReuseKeepsSemantics) {
-  // The allocation-reusing relu_inplace overload must behave like the
-  // returning one even when the mask arrives with a stale larger shape.
+  // relu_inplace reuses the caller's mask: one that arrives with a stale
+  // larger shape must come out resized and fully overwritten.
   Tensor mask{{4, 4}};
   mask.fill(9.0f);
   Tensor x{{1, 3}};

@@ -13,11 +13,14 @@
 // transcript through the direct and loopback paths in one process, which is
 // what tools/net_smoke.sh diffs against the multi-process run.
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -117,8 +120,35 @@ Telemetry (any mode; see src/net/README.md "Telemetry"):
                  Collection is otherwise off unless DUBHE_TELEMETRY=on.
 )";
 
+// Checked numeric flag values. Bare strtoull reads "2junk" as 2 and "" as 0
+// and wraps "-1" to 2^64-1; bare strtod passes "nan". These reject each.
+template <typename T>
+bool parse_unsigned(const char* v, T& out, std::uint64_t max = std::numeric_limits<T>::max()) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t x = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE || x > max) return false;
+  out = static_cast<T>(x);
+  return true;
+}
+
+// A TCP port in [0, 65535]; with `allow_off`, also -1 (no endpoint).
+bool parse_port(const char* v, int& out, bool allow_off = false) {
+  const bool off = allow_off && std::string(v) == "-1";
+  if (off) out = -1;
+  return off || parse_unsigned(v, out, 65535);
+}
+
+bool parse_rate(const char* v, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(v, &end);
+  return end != v && *end == '\0' && errno != ERANGE && std::isfinite(out);
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   bool missing_value = false;
+  bool ok = true;  // false once a numeric flag's value fails its check
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "error: %s needs a value\n", argv[i]);
@@ -147,20 +177,20 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (a == "--shards" && (v = need_value(i))) {
-      opt.shards = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.shards);
     } else if (a == "--shard-id" && (v = need_value(i))) {
-      opt.shard_id = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.shard_id);
     } else if (a == "--shard-of" && (v = need_value(i))) {
       opt.shard_of = v;
     } else if (a == "--help" || a == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
     } else if (a == "--clients" && (v = need_value(i))) {
-      opt.clients = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.clients);
     } else if (a == "--id" && (v = need_value(i))) {
-      opt.id = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.id);
     } else if (a == "--port" && (v = need_value(i))) {
-      opt.port = std::atoi(v);
+      ok = parse_port(v, opt.port);
     } else if (a == "--host" && (v = need_value(i))) {
       opt.host = v;
     } else if (a == "--port-file" && (v = need_value(i))) {
@@ -168,25 +198,25 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--transcript" && (v = need_value(i))) {
       opt.transcript_path = v;
     } else if (a == "--key-bits" && (v = need_value(i))) {
-      opt.key_bits = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.key_bits);
     } else if (a == "--k" && (v = need_value(i))) {
-      opt.K = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.K);
     } else if (a == "--h" && (v = need_value(i))) {
-      opt.H = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.H);
     } else if (a == "--rounds" && (v = need_value(i))) {
-      opt.rounds = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.rounds);
     } else if (a == "--seed" && (v = need_value(i))) {
-      opt.seed = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.seed);
     } else if (a == "--he-rate" && (v = need_value(i))) {
-      opt.he_rate = std::strtod(v, nullptr);
+      ok = parse_rate(v, opt.he_rate);
     } else if (a == "--workers" && (v = need_value(i))) {
-      opt.workers = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.workers);
     } else if (a == "--fault-plan" && (v = need_value(i))) {
       opt.fault_plan = v;
     } else if (a == "--fault-client" && (v = need_value(i))) {
-      opt.fault_client = std::strtoull(v, nullptr, 10);
+      ok = parse_unsigned(v, opt.fault_client);
     } else if (a == "--metrics-port" && (v = need_value(i))) {
-      opt.metrics_port = std::atoi(v);
+      ok = parse_port(v, opt.metrics_port, /*allow_off=*/true);
     } else if (a == "--metrics-port-file" && (v = need_value(i))) {
       opt.metrics_port_file = v;
     } else if (a == "--trace-out" && (v = need_value(i))) {
@@ -195,6 +225,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
       // A matched flag that failed need_value lands here too with v null —
       // the missing-value message already printed, don't call it unknown.
       if (!missing_value) std::fprintf(stderr, "error: unknown flag %s\n", a.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "error: bad %s\n", a.c_str());
       return false;
     }
   }
@@ -267,14 +301,19 @@ net::SessionParams make_params(const Options& opt) {
   return p;
 }
 
+/// Publishes `content` at `path` atomically (temp file, then rename). An
+/// empty path writes nothing; a failure is reported on stderr.
 bool write_file(const std::string& path, const std::string& content) {
+  if (path.empty()) return true;
   const std::string tmp = path + ".tmp";
+  bool ok = false;
   {
     std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << content;
+    ok = out && (out << content);
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;  // atomic publish
+  if (ok && std::rename(tmp.c_str(), path.c_str()) == 0) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
 }
 
 /// Waits for a port file to appear (another process publishes it atomically)
@@ -363,21 +402,13 @@ int run_aggregator(const Options& opt, bool root) {
         server.port(), server.backend_name(), server.worker_count(),
         server.worker_count() == 1 ? "" : "s", opt.clients);
   }
-  if (!opt.port_file.empty() &&
-      !write_file(opt.port_file, std::to_string(server.port()) + "\n")) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.port_file.c_str());
-    return 1;
-  }
+  if (!write_file(opt.port_file, std::to_string(server.port()) + "\n")) return 1;
   if (opt.metrics_port >= 0) {
     telemetry::set_enabled(true);  // an admin endpoint implies collection
     const std::uint16_t mp =
         server.serve_metrics(static_cast<std::uint16_t>(opt.metrics_port));
     std::printf("dubhe_node %s: metrics on http://127.0.0.1:%u/metrics\n", role, mp);
-    if (!opt.metrics_port_file.empty() &&
-        !write_file(opt.metrics_port_file, std::to_string(mp) + "\n")) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.metrics_port_file.c_str());
-      return 1;
-    }
+    if (!write_file(opt.metrics_port_file, std::to_string(mp) + "\n")) return 1;
   }
   std::vector<std::shared_ptr<net::Transport>> links;
   links.reserve(children);
@@ -398,11 +429,7 @@ int run_aggregator(const Options& opt, bool root) {
               root ? "channel (root<->shards)" : "channel",
               static_cast<unsigned long long>(channel.total_messages()),
               static_cast<unsigned long long>(channel.total_bytes()));
-  if (!opt.transcript_path.empty() && !write_file(opt.transcript_path, text)) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.transcript_path.c_str());
-    return 1;
-  }
-  return 0;
+  return write_file(opt.transcript_path, text) ? 0 : 1;
 }
 
 int run_shard(const Options& opt) {
@@ -412,11 +439,7 @@ int run_shard(const Options& opt) {
       "dubhe_node shard %zu/%zu: listening on 127.0.0.1:%u, waiting for clients "
       "[%zu, %zu)\n",
       opt.shard_id, opt.shards, server.port(), range.first, range.first + range.count);
-  if (!opt.port_file.empty() &&
-      !write_file(opt.port_file, std::to_string(server.port()) + "\n")) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.port_file.c_str());
-    return 1;
-  }
+  if (!write_file(opt.port_file, std::to_string(server.port()) + "\n")) return 1;
   std::vector<std::shared_ptr<net::Transport>> links;
   links.reserve(range.count);
   for (std::size_t i = 0; i < range.count; ++i) {
@@ -472,11 +495,7 @@ int run_selftest(const Options& opt) {
     std::fputs(text.c_str(), stdout);
     std::printf("selftest: loopback == tcp under fault plan %s (client %zu)\n",
                 opt.fault_plan.c_str(), opt.fault_client);
-    if (!opt.transcript_path.empty() && !write_file(opt.transcript_path, text)) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.transcript_path.c_str());
-      return 1;
-    }
-    return 0;
+    return write_file(opt.transcript_path, text) ? 0 : 1;
   }
   const auto direct = net::run_session_direct(dataset, proto, params);
   const auto loopback = net::run_loopback_session(dataset, proto, params);
@@ -489,11 +508,7 @@ int run_selftest(const Options& opt) {
   }
   std::fputs(text.c_str(), stdout);
   std::printf("selftest: direct == loopback, bit for bit\n");
-  if (!opt.transcript_path.empty() && !write_file(opt.transcript_path, text)) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.transcript_path.c_str());
-    return 1;
-  }
-  return 0;
+  return write_file(opt.transcript_path, text) ? 0 : 1;
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Multi-process smoke for the net layer: one dubhe_node aggregator plus
-# three client processes complete a persistent 3-round secure session
-# (registration once, then round-begin / proactive participation /
-# selection / training per round) over localhost sockets, and the resulting
-# session transcript must be byte-identical to the in-process --selftest
-# transcript (which itself asserts direct == loopback).
+# Multi-process smoke for the net layer. After a flag-rejection check, one
+# dubhe_node aggregator plus three client processes complete a persistent
+# 3-round secure session (registration once, then round-begin / proactive
+# participation / selection / training per round) over localhost sockets,
+# and the resulting session transcript must be byte-identical to the
+# in-process --selftest transcript (which itself asserts direct == loopback).
 # Usage: tools/net_smoke.sh [build-dir]
 set -eu
 
@@ -32,6 +32,32 @@ cleanup() {
   rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
+
+# Flag rejection: a malformed numeric value must stop dubhe_node before it
+# opens a socket, with exit 2 (usage error) and no port file published.
+# Each value below is one that a bare strtoull/atoi/strtod read used to
+# accept: trailing junk, NaN, a port past 65535, a non-number, a negative id.
+# A value that slips through would leave a server waiting for clients, so
+# each case runs under a 10 s bound when coreutils timeout is available.
+echo "== dubhe_node flag rejection (bad numeric values exit 2, no port file) =="
+BOUND=""
+command -v timeout >/dev/null 2>&1 && BOUND="timeout 10"
+reject() {
+  rm -f "$TMP/reject.port"
+  rc=0
+  $BOUND "$NODE" "$@" --port-file "$TMP/reject.port" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != 2 ] || [ -e "$TMP/reject.port" ]; then
+    echo "error: dubhe_node $* exited $rc (want 2 and no port file)" >&2
+    exit 1
+  fi
+}
+reject --server --clients 3 --port 0 --k 2junk
+reject --server --clients 3 --port 0 --he-rate nan
+reject --server --clients 3 --port 70000
+reject --role shard --shards 2 --shard-id junk --clients 3 --port 0 \
+       --shard-of "$TMP/root.port"
+reject --client --id -1 --clients 3
+echo "net smoke OK: malformed numeric flags are rejected before any socket opens"
 
 echo "== dubhe_node multi-process smoke (1 server + 3 clients, $ROUNDS rounds over localhost) =="
 # --workers 2 shards the three connections across two event-loop workers;
