@@ -37,8 +37,7 @@ int main() {
     fl::FederatedTrainer trainer(dataset,
                                  nn::make_mlp(dataset.feature_dim(), 64, 10, 5),
                                  {.batch_size = 8, .epochs = 1, .lr = 1e-3,
-                                  .use_adam = true},
-                                 0);
+                                  .use_adam = true});
     stats::Rng rng(7);
     for (std::size_t round = 0; round < rounds; ++round) {
       trainer.run_round(selector->select(20, rng), round + 1, false);

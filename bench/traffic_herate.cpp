@@ -80,7 +80,6 @@ int main() {
     params.H = 3;
     params.rounds = R;
     params.train = {.batch_size = 8, .epochs = 1, .lr = 1e-3, .use_adam = true};
-    params.train_threads = 4;
 
     fl::ChannelAccountant channel;
     const auto transcript = net::run_session_direct(dataset, proto, params, &channel);

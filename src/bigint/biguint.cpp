@@ -366,12 +366,6 @@ std::uint64_t BigUint::mod_u64(std::uint64_t d) const {
   return rem;
 }
 
-BigUint BigUint::add_mod(const BigUint& o, const BigUint& m) const {
-  BigUint s = *this + o;
-  if (s >= m) s -= m;
-  return s;
-}
-
 BigUint BigUint::mul_mod(const BigUint& o, const BigUint& m) const {
   return (*this * o) % m;
 }

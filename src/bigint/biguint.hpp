@@ -100,8 +100,6 @@ class BigUint {
   /// Throws std::domain_error on d == 0.
   [[nodiscard]] std::uint64_t mod_u64(std::uint64_t d) const;
 
-  /// (this + o) % m, assuming both inputs already reduced mod m.
-  [[nodiscard]] BigUint add_mod(const BigUint& o, const BigUint& m) const;
   /// (this * o) % m.
   [[nodiscard]] BigUint mul_mod(const BigUint& o, const BigUint& m) const;
   /// this^e % m. Uses Montgomery exponentiation when m is odd, generic

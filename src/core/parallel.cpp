@@ -153,8 +153,8 @@ void ParallelRuntime::parallel_for(std::size_t n, std::size_t threads,
 
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn) {
-  // Serial requests never touch (or lazily spawn) the pool: the default
-  // BatchOptions{threads = 1} path stays a plain loop on the caller.
+  // Serial requests never touch (or lazily spawn) the pool: threads == 1
+  // stays a plain loop on the caller.
   if (n <= 1 || threads == 1 || t_in_worker) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

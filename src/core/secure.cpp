@@ -89,10 +89,6 @@ std::uint64_t distribution_stream_seed(std::uint64_t session_seed,
   return stats::derive_seed(session_seed, num_clients * (try_slot + 1) + client_id);
 }
 
-std::uint64_t SecureSelectionSession::registration_seed(std::size_t k) const {
-  return registration_stream_seed(session_seed_, k);
-}
-
 std::uint64_t participation_seed(std::uint64_t session_seed, std::uint64_t round,
                                  std::uint64_t client_id) {
   // Two-level split: a per-round master (top bit set — the encryption
@@ -102,11 +98,6 @@ std::uint64_t participation_seed(std::uint64_t session_seed, std::uint64_t round
   const std::uint64_t round_master =
       stats::derive_seed(session_seed, (std::uint64_t{1} << 63) | round);
   return stats::derive_seed(round_master, client_id);
-}
-
-std::uint64_t SecureSelectionSession::distribution_seed(std::size_t try_slot,
-                                                        std::size_t k) const {
-  return distribution_stream_seed(session_seed_, num_clients_, try_slot, k);
 }
 
 std::size_t SecureSelectionSession::encrypted_registry_bytes() const {
@@ -170,7 +161,7 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   const std::size_t wire_bytes = encrypted_registry_bytes();
 
   // Client-side encryption, one client after another. Every client uses its
-  // own seed-derived randomness (registration_seed(k) — the same stream a
+  // own seed-derived randomness (registration_stream_seed — the same stream a
   // transport-backed client receives in its request frame), so the
   // ciphertexts do not depend on where or in what order clients encrypt (in
   // deployment they are separate machines). encrypt_seconds accumulates the
@@ -179,7 +170,7 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   const he::PackedCodec packed = packed_codec();
   std::vector<he::PackedEncryptedVector> cts(N);
   for (std::size_t k = 0; k < N; ++k) {
-    bigint::Xoshiro256ss client_rng(registration_seed(k));
+    bigint::Xoshiro256ss client_rng(registration_stream_seed(session_seed_, k));
     const auto tk = Clock::now();
     cts[k] = he::PackedEncryptedVector::encrypt(
         keypair_.pub, packed, to_onehot(codec_, out.registrations[k]), client_rng);

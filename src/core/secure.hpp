@@ -33,15 +33,8 @@ struct SecureConfig {
   /// (the fully-encrypted bound); anything in between ships the top
   /// ceil(rate * n) coordinates as packed ciphertexts and the rest as
   /// quantized plaintext behind an index bitmap (kModelUpdateSparse).
+  /// Both portions quantize at core::kUpdateQuantBits / kUpdateQuantScale.
   double update_he_rate = 0.0;
-  /// Quantization width of each update coordinate when update_he_rate > 0
-  /// (both the encrypted and the plaintext portion quantize identically,
-  /// so the merged model is the same for every rate > 0). Range [2, 32].
-  std::size_t update_quant_bits = 16;
-  /// Fixed-point scale for update quantization: a weight delta d encodes
-  /// as round(d * scale) clamped to the signed quant_bits range. 65536
-  /// with 16 bits covers deltas in (-0.5, 0.5) at ~1.5e-5 resolution.
-  double update_quant_scale = 65536.0;
 };
 
 /// Fixed-point quantization of a label distribution (§5.3): round each
@@ -57,8 +50,8 @@ std::vector<std::uint64_t> quantize_distribution(const stats::Distribution& d,
 /// (session seed, round, client id) — that shared derivation is what keeps
 /// transcripts byte-identical across execution modes. The top bit
 /// domain-separates the per-round master from every encryption-stream index
-/// (registration_seed / distribution_seed), so a participation stream can
-/// never collide with an encryption stream.
+/// (registration_stream_seed / distribution_stream_seed), so a participation
+/// stream can never collide with an encryption stream.
 [[nodiscard]] std::uint64_t participation_seed(std::uint64_t session_seed,
                                                std::uint64_t round,
                                                std::uint64_t client_id);
@@ -66,7 +59,9 @@ std::vector<std::uint64_t> quantize_distribution(const stats::Distribution& d,
 /// The encryption-stream seed derivations as free functions, so a shard
 /// aggregator (which never constructs a SecureSelectionSession — it holds no
 /// keypair of its own) can validate client uploads against the same streams
-/// the root and the clients use. The member functions below delegate here.
+/// the root and the clients use. A distribution upload's `try_slot` is
+/// round * H + h, so every try of every round gets a disjoint stream, and
+/// all of them are disjoint from every registration stream.
 [[nodiscard]] std::uint64_t registration_stream_seed(std::uint64_t session_seed,
                                                      std::uint64_t client_id);
 [[nodiscard]] std::uint64_t distribution_stream_seed(std::uint64_t session_seed,
@@ -142,13 +137,6 @@ class SecureSelectionSession {
 
   /// Master seed the per-client encryption streams derive from.
   [[nodiscard]] std::uint64_t session_seed() const { return session_seed_; }
-  /// Encryption-stream seed for client k's registration upload.
-  [[nodiscard]] std::uint64_t registration_seed(std::size_t k) const;
-  /// Encryption-stream seed for client k's distribution upload in global
-  /// try slot `try_slot` (the multi-round session passes
-  /// round * H + h, so every try of every round gets a disjoint stream —
-  /// and all of them are disjoint from every registration seed).
-  [[nodiscard]] std::uint64_t distribution_seed(std::size_t try_slot, std::size_t k) const;
 
   /// Agent half of §5.1: homomorphically sums the uploaded registries and
   /// decrypts R_A (timed into timings()). Throws std::invalid_argument on an

@@ -25,6 +25,14 @@ namespace dubhe::core {
 /// rate trades bandwidth and crypto cost against *privacy*, while the
 /// accuracy delta against he_rate = 0 measures quantization alone.
 
+/// The update quantizer both ends of the wire share (encrypted and
+/// plaintext portions alike): a weight delta d encodes as round(d * scale)
+/// clamped to the signed 16-bit range, which covers deltas in (-0.5, 0.5)
+/// at ~1.5e-5 resolution. kModelUpdateSparse still carries the width in
+/// its quant_bits byte, and the aggregator rejects any other value.
+inline constexpr std::size_t kUpdateQuantBits = 16;
+inline constexpr double kUpdateQuantScale = 65536.0;
+
 /// Coordinates encrypted for an n-coordinate update: 0 when rate <= 0
 /// (the plaintext kModelUpdate path), otherwise ceil(rate * n) clamped to
 /// [1, n].

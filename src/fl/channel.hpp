@@ -57,9 +57,6 @@ struct ChannelLedger {
   [[nodiscard]] std::uint64_t total_messages() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
   [[nodiscard]] std::uint64_t total_encrypted_bytes() const;
-  [[nodiscard]] std::uint64_t total_plaintext_bytes() const {
-    return total_bytes() - total_encrypted_bytes();
-  }
 
   bool operator==(const ChannelLedger&) const = default;
 };

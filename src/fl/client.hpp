@@ -41,7 +41,6 @@ class Client {
          const data::FederatedDataset* dataset);
 
   [[nodiscard]] std::size_t id() const { return id_; }
-  [[nodiscard]] std::size_t num_samples() const { return samples_.size(); }
   /// The client's own label distribution — the only statistic Dubhe's
   /// registration consumes, and it never leaves the client unencrypted.
   [[nodiscard]] const stats::Distribution& label_distribution() const { return dist_; }

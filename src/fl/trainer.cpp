@@ -9,12 +9,8 @@ namespace dubhe::fl {
 
 FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
                                    nn::Sequential prototype, TrainConfig cfg,
-                                   std::size_t threads, ChannelAccountant* channel)
-    : dataset_(dataset),
-      cfg_(cfg),
-      server_(std::move(prototype)),
-      threads_(threads),
-      channel_(channel) {
+                                   ChannelAccountant* channel)
+    : dataset_(dataset), cfg_(cfg), server_(std::move(prototype)), channel_(channel) {
   clients_.reserve(dataset.num_clients());
   for (std::size_t k = 0; k < dataset.num_clients(); ++k) {
     const auto samples = dataset.client_samples(k);
@@ -31,12 +27,12 @@ RoundResult FederatedTrainer::run_round(std::span<const std::size_t> selected,
   const std::vector<float>& global = server_.global_weights();
   const nn::Sequential& proto = server_.prototype();
 
-  // One client per index on the shared runtime. Each client's training is
-  // seeded by (round, client id) alone, so results are identical for any
-  // shard count; the intra-client GEMMs are nested inside the round's
-  // shards (worker- and caller-side alike) and therefore run inline,
-  // keeping the process at exactly one pool's worth of threads.
-  core::parallel_for(K, threads_, [&](std::size_t i) {
+  // One client per index on every worker of the shared runtime. Each
+  // client's training is seeded by (round, client id) alone, so results are
+  // identical for any shard count; the intra-client GEMMs are nested inside
+  // the round's shards (worker- and caller-side alike) and therefore run
+  // inline, keeping the process at exactly one pool's worth of threads.
+  core::parallel_for(K, 0, [&](std::size_t i) {
     const Client& c = clients_.at(selected[i]);
     updates[i] =
         c.train(proto, global, cfg_, stats::derive_seed(round_seed, c.id() + 1));

@@ -27,11 +27,8 @@ struct RoundResult {
 /// traffic on the channel.
 class FederatedTrainer {
  public:
-  /// `threads` caps the shards per round handed to the shared runtime:
-  /// 0 uses every worker, 1 trains clients serially on the caller.
   FederatedTrainer(const data::FederatedDataset& dataset, nn::Sequential prototype,
-                   TrainConfig cfg, std::size_t threads = 0,
-                   ChannelAccountant* channel = nullptr);
+                   TrainConfig cfg, ChannelAccountant* channel = nullptr);
 
   [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
   [[nodiscard]] const Client& client(std::size_t k) const { return clients_.at(k); }
@@ -48,7 +45,6 @@ class FederatedTrainer {
   TrainConfig cfg_;
   Server server_;
   std::vector<Client> clients_;
-  std::size_t threads_;
   ChannelAccountant* channel_;
 };
 

@@ -255,8 +255,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
           for (std::size_t j = 0; j < plan.k; ++j) sums[plan.mask[j]] = enc_sums[j];
           telemetry::ScopedTimer fedavg_timer(fedavg_hist);
           server.set_global_weights(core::merge_quantized_updates(
-              global, sums, m, params.secure.update_quant_bits,
-              params.secure.update_quant_scale));
+              global, sums, m, core::kUpdateQuantBits, core::kUpdateQuantScale));
         }
       } else {
         std::vector<std::vector<float>> collected(N);
@@ -364,8 +363,8 @@ SparseUpdatePlan sparse_plan(std::span<const float> global, const core::SecureCo
   for (std::uint32_t i = 0; i < plan.n; ++i) {
     if ((plan.bitmap[i / 8] & (1u << (i % 8))) == 0) plan.plain_idx.push_back(i);
   }
-  plan.codec = he::PackedCodec(sc.key_bits - 1,
-                               core::update_slot_bits(sc.update_quant_bits, num_clients));
+  plan.codec =
+      he::PackedCodec(sc.key_bits - 1, core::update_slot_bits(core::kUpdateQuantBits, num_clients));
   return plan;
 }
 
@@ -555,7 +554,7 @@ void CohortChild::post(const UpdateRequest& update) {
     std::optional<SparseUpdatePlan> own;
     if (update.plan == nullptr) own = sparse_plan(update.weights, params_.secure, total_);
     const SparseUpdatePlan& plan = update.plan != nullptr ? *update.plan : *own;
-    const auto qb = static_cast<std::uint8_t>(params_.secure.update_quant_bits);
+    constexpr auto qb = static_cast<std::uint8_t>(core::kUpdateQuantBits);
     std::vector<std::uint64_t> sums(plan.plain_idx.size(), 0);
     for (const std::uint64_t k : recipients) {
       const std::size_t i = local(k);

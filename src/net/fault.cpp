@@ -107,9 +107,9 @@ std::string to_string(const FaultPlan& plan) {
   std::string out = kind_name(plan.kind);
   out += '@';
   out += to_string(plan.phase);
-  if (plan.nth != 0) out += ":" + std::to_string(plan.nth);
-  if (plan.delay.count() != 0) out += "+" + std::to_string(plan.delay.count());
-  if (plan.repeat) out += "*";
+  if (plan.nth != 0) out.append(1, ':').append(std::to_string(plan.nth));
+  if (plan.delay.count() != 0) out.append(1, '+').append(std::to_string(plan.delay.count()));
+  if (plan.repeat) out += '*';
   return out;
 }
 

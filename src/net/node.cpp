@@ -44,14 +44,13 @@ Frame encrypt_upload(MsgType type, const he::PrivateKey& prv, const he::PackedCo
 /// frame the rest as plaintext behind the bitmap.
 Frame make_sparse_update(std::uint64_t client_id, const SparseUpdatePlan& plan,
                          std::span<const std::uint64_t> quantized,
-                         const he::PrivateKey& prv, std::uint8_t quant_bits,
-                         std::uint64_t seed) {
+                         const he::PrivateKey& prv, std::uint64_t seed) {
   std::vector<std::uint64_t> enc_vals(plan.k);
   for (std::size_t j = 0; j < plan.k; ++j) enc_vals[j] = quantized[plan.mask[j]];
   ModelUpdateSparse m;
   m.client_id = client_id;
   m.total_count = static_cast<std::uint32_t>(plan.n);
-  m.quant_bits = quant_bits;
+  m.quant_bits = static_cast<std::uint8_t>(core::kUpdateQuantBits);
   m.bitmap = plan.bitmap;
   m.plain_values.resize(plan.plain_idx.size());
   for (std::size_t j = 0; j < plan.plain_idx.size(); ++j) {
@@ -316,13 +315,10 @@ void serve_client(Transport& link, std::size_t client_id,
           const std::uint64_t round = next_round - 1;
           const SparseUpdatePlan plan =
               sparse_plan(down.weights, params.secure, dataset.num_clients());
-          const auto q =
-              core::quantize_update(down.weights, trained, params.secure.update_quant_bits,
-                                    params.secure.update_quant_scale);
-          send(make_sparse_update(
-              static_cast<std::uint64_t>(client_id), plan, q, prv,
-              static_cast<std::uint8_t>(params.secure.update_quant_bits),
-              core::update_encryption_seed(session_seed, round, client_id)));
+          const auto q = core::quantize_update(down.weights, trained, core::kUpdateQuantBits,
+                                               core::kUpdateQuantScale);
+          send(make_sparse_update(static_cast<std::uint64_t>(client_id), plan, q, prv,
+                                  core::update_encryption_seed(session_seed, round, client_id)));
         } else {
           WeightsMsg up;
           up.seed = client_id;
@@ -373,8 +369,7 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
         t.overall_registry, reg.registrations[k].category_index, params.K);
   }
 
-  fl::FederatedTrainer trainer(dataset, prototype, params.train, params.train_threads,
-                               &acct);
+  fl::FederatedTrainer trainer(dataset, prototype, params.train, &acct);
   stats::Rng sel_rng(params.select_seed);
   std::vector<std::size_t> everyone(N);
   std::iota(everyone.begin(), everyone.end(), std::size_t{0});
@@ -407,24 +402,23 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
       const std::uint64_t round_seed = stats::derive_seed(params.round_seed, r);
       const std::size_t m = rec.selected.size();
       std::vector<std::vector<std::uint64_t>> qs(m);
-      core::parallel_for(m, params.train_threads, [&](std::size_t i) {
+      core::parallel_for(m, 0, [&](std::size_t i) {
         const fl::Client& c = trainer.client(rec.selected[i]);
         const auto trained = c.train(prototype, global, params.train,
                                      stats::derive_seed(round_seed, c.id() + 1));
-        qs[i] = core::quantize_update(global, trained, params.secure.update_quant_bits,
-                                      params.secure.update_quant_scale);
+        qs[i] = core::quantize_update(global, trained, core::kUpdateQuantBits,
+                                      core::kUpdateQuantScale);
       });
       std::vector<std::uint64_t> sums(plan.n, 0);
       for (const auto& q : qs) {
         for (std::size_t i = 0; i < plan.n; ++i) sums[i] += q[i];
       }
       trainer.server().set_global_weights(core::merge_quantized_updates(
-          global, sums, m, params.secure.update_quant_bits,
-          params.secure.update_quant_scale));
+          global, sums, m, core::kUpdateQuantBits, core::kUpdateQuantScale));
       const std::size_t down_bytes = wire_size(WeightsMsg{0, global}).frame;
       const WireSize up = wire_size(ModelUpdateSparse{
           0, static_cast<std::uint32_t>(plan.n),
-          static_cast<std::uint8_t>(params.secure.update_quant_bits), {}, {},
+          static_cast<std::uint8_t>(core::kUpdateQuantBits), {}, {},
           packed_shape(session.public_key(), plan.codec, plan.k)});
       acct.record(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient,
                   down_bytes * m, m);

@@ -45,7 +45,6 @@ struct SessionParams {
   std::uint64_t he_seed = 5;      // keygen + session entropy
   std::uint64_t select_seed = 9;  // the server's replenish/trim stream
   std::uint64_t round_seed = 1;   // per-(round, client) training seeds derive from this
-  std::size_t train_threads = 1;  // shards for the direct path's round loop
   bool evaluate = true;
   SessionTimeouts timeouts;  // server-side per-phase receive deadlines
 };

@@ -224,10 +224,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame, std::size_t max_payload) {
   const auto header = encode_frame_header(frame.type, frame.payload, frame.seq, max_payload);
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + frame.payload.size());
-  out.insert(out.end(), header.begin(), header.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + frame.payload.size());
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(frame.payload.begin(), frame.payload.end(), out.begin() + kFrameHeaderBytes);
   return out;
 }
 

@@ -11,14 +11,9 @@ EncryptedVector::EncryptedVector(PublicKey pk, std::vector<Ciphertext> slots)
 
 EncryptedVector EncryptedVector::encrypt(const PublicKey& pk,
                                          std::span<const std::uint64_t> values,
-                                         bigint::EntropySource& rng,
-                                         const BatchOptions& opt) {
-  // A full 256-bit stream state drawn per slot (serially, so the draw order
-  // is fixed) keeps slot randomizations independently seeded at the
-  // generator's native width even when the source is real entropy.
+                                         bigint::EntropySource& rng) {
   const std::vector<BigUint> ms(values.begin(), values.end());
-  return EncryptedVector(pk,
-                         pk.encrypt_batch(ms, detail::draw_stream_states(rng, values.size()), opt));
+  return EncryptedVector(pk, detail::encrypt_each(pk, ms, rng));
 }
 
 EncryptedVector EncryptedVector::zeros(const PublicKey& pk, std::size_t size) {
@@ -39,12 +34,10 @@ EncryptedVector& EncryptedVector::operator+=(const EncryptedVector& o) {
   return *this;
 }
 
-std::vector<std::uint64_t> EncryptedVector::decrypt(const PrivateKey& prv,
-                                                    const BatchOptions& opt) const {
-  const std::vector<BigUint> ms = prv.decrypt_batch(slots_, opt);
+std::vector<std::uint64_t> EncryptedVector::decrypt(const PrivateKey& prv) const {
   std::vector<std::uint64_t> out;
-  out.reserve(ms.size());
-  for (const BigUint& m : ms) out.push_back(m.to_u64());
+  out.reserve(slots_.size());
+  for (const Ciphertext& ct : slots_) out.push_back(prv.decrypt(ct).to_u64());
   return out;
 }
 

@@ -17,16 +17,13 @@ class EncryptedVector {
   EncryptedVector() = default;
   EncryptedVector(PublicKey pk, std::vector<Ciphertext> slots);
 
-  /// Encrypts each value into its own ciphertext slot via
-  /// PublicKey::encrypt_batch: four words drawn from `rng` per slot (in
-  /// slot order) seed that slot's own 256-bit randomization stream, so the
-  /// result is byte-identical for any opt.threads (see BatchOptions).
-  /// Consumes exactly 4 * values.size() generator words — part of the
-  /// seeded-reproducibility contract.
+  /// Encrypts each value into its own ciphertext slot: four words drawn
+  /// from `rng` per slot (in slot order) seed that slot's own 256-bit
+  /// randomization stream. Consumes exactly 4 * values.size() generator
+  /// words — part of the seeded-reproducibility contract.
   static EncryptedVector encrypt(const PublicKey& pk,
                                  std::span<const std::uint64_t> values,
-                                 bigint::EntropySource& rng,
-                                 const BatchOptions& opt = {});
+                                 bigint::EntropySource& rng);
   /// All-zeros encrypted vector (deterministic encryptions of 0, suitable
   /// as the identity for += aggregation on the server).
   static EncryptedVector zeros(const PublicKey& pk, std::size_t size);
@@ -41,8 +38,7 @@ class EncryptedVector {
 
   /// Decrypts every slot. Slot sums must stay below n (always true for the
   /// counters Dubhe transports).
-  [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv,
-                                                   const BatchOptions& opt = {}) const;
+  [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv) const;
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] const PublicKey& public_key() const { return pk_; }

@@ -69,34 +69,20 @@ PackedEncryptedVector::PackedEncryptedVector(PublicKey pk, PackedCodec codec,
   }
 }
 
-namespace {
-
-/// Packs `values` and encrypts each plaintext under `key` (a PublicKey or a
-/// PrivateKey), one full 256-bit stream state per ciphertext.
-template <class Key>
-std::vector<Ciphertext> encrypt_packed(const Key& key, const PackedCodec& codec,
-                                       std::span<const std::uint64_t> values,
-                                       bigint::EntropySource& rng, const BatchOptions& opt) {
-  const std::vector<BigUint> pts = codec.encode(values);
-  return key.encrypt_batch(pts, detail::draw_stream_states(rng, pts.size()), opt);
-}
-
-}  // namespace
-
-PackedEncryptedVector PackedEncryptedVector::encrypt(
-    const PublicKey& pk, const PackedCodec& codec,
-    std::span<const std::uint64_t> values, bigint::EntropySource& rng,
-    const BatchOptions& opt) {
+PackedEncryptedVector PackedEncryptedVector::encrypt(const PublicKey& pk,
+                                                     const PackedCodec& codec,
+                                                     std::span<const std::uint64_t> values,
+                                                     bigint::EntropySource& rng) {
   return PackedEncryptedVector(pk, codec, values.size(),
-                               encrypt_packed(pk, codec, values, rng, opt));
+                               detail::encrypt_each(pk, codec.encode(values), rng));
 }
 
-PackedEncryptedVector PackedEncryptedVector::encrypt(
-    const PrivateKey& prv, const PackedCodec& codec,
-    std::span<const std::uint64_t> values, bigint::EntropySource& rng,
-    const BatchOptions& opt) {
+PackedEncryptedVector PackedEncryptedVector::encrypt(const PrivateKey& prv,
+                                                     const PackedCodec& codec,
+                                                     std::span<const std::uint64_t> values,
+                                                     bigint::EntropySource& rng) {
   return PackedEncryptedVector(prv.public_key(), codec, values.size(),
-                               encrypt_packed(prv, codec, values, rng, opt));
+                               detail::encrypt_each(prv, codec.encode(values), rng));
 }
 
 PackedEncryptedVector& PackedEncryptedVector::operator+=(const PackedEncryptedVector& o) {
@@ -113,9 +99,11 @@ PackedEncryptedVector& PackedEncryptedVector::operator+=(const PackedEncryptedVe
   return *this;
 }
 
-std::vector<std::uint64_t> PackedEncryptedVector::decrypt(
-    const PrivateKey& prv, const BatchOptions& opt) const {
-  return codec_.decode(prv.decrypt_batch(cts_, opt), count_);
+std::vector<std::uint64_t> PackedEncryptedVector::decrypt(const PrivateKey& prv) const {
+  std::vector<BigUint> pts;
+  pts.reserve(cts_.size());
+  for (const Ciphertext& ct : cts_) pts.push_back(prv.decrypt(ct));
+  return codec_.decode(pts, count_);
 }
 
 std::size_t PackedEncryptedVector::byte_size() const {

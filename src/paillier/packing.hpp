@@ -54,26 +54,22 @@ class PackedEncryptedVector {
   PackedEncryptedVector(PublicKey pk, PackedCodec codec, std::size_t logical_size,
                         std::vector<Ciphertext> cts);
 
-  /// Packs and encrypts via PublicKey::encrypt_batch; like
-  /// EncryptedVector::encrypt, the ciphertexts are byte-identical for any
-  /// opt.threads.
+  /// Packs and encrypts with EncryptedVector::encrypt's stream contract:
+  /// four words drawn from `rng` per ciphertext, in order.
   static PackedEncryptedVector encrypt(const PublicKey& pk, const PackedCodec& codec,
                                        std::span<const std::uint64_t> values,
-                                       bigint::EntropySource& rng,
-                                       const BatchOptions& opt = {});
-  /// Key-holder variant (PrivateKey::encrypt_batch, CRT noise): the same
+                                       bigint::EntropySource& rng);
+  /// Key-holder variant (PrivateKey::encrypt, CRT noise): the same
   /// stream-state draw, so the vector serializes byte-equal to the
   /// PublicKey overload's for the same `rng` state — only faster. For the
   /// parties that hold p and q (clients, agent), never the aggregator.
   static PackedEncryptedVector encrypt(const PrivateKey& prv, const PackedCodec& codec,
                                        std::span<const std::uint64_t> values,
-                                       bigint::EntropySource& rng,
-                                       const BatchOptions& opt = {});
+                                       bigint::EntropySource& rng);
 
   PackedEncryptedVector& operator+=(const PackedEncryptedVector& o);
 
-  [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv,
-                                                   const BatchOptions& opt = {}) const;
+  [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv) const;
 
   [[nodiscard]] std::size_t logical_size() const { return count_; }
   [[nodiscard]] std::size_t ciphertext_count() const { return cts_.size(); }

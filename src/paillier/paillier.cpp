@@ -45,23 +45,6 @@ BigUint crt_combine(const BigUint& a, const BigUint& b, const BigUint& m1,
   return b + m2 * diff.mul_mod(m2_inv, m1);
 }
 
-/// The batch loop shared by PublicKey and PrivateKey: item i encrypts under
-/// its own stream seeded with states[i].
-template <class Key>
-std::vector<Ciphertext> encrypt_each(const Key& key, std::span<const BigUint> ms,
-                                     std::span<const PublicKey::StreamState> states,
-                                     const BatchOptions& opt) {
-  if (states.size() != ms.size()) {
-    throw std::invalid_argument("encrypt_batch: one stream state per message required");
-  }
-  std::vector<Ciphertext> out(ms.size());
-  core::parallel_for(ms.size(), opt.threads, [&](std::size_t i) {
-    bigint::Xoshiro256ss stream(states[i]);
-    out[i] = key.encrypt(ms[i], stream);
-  });
-  return out;
-}
-
 }  // namespace
 
 PublicKey::PublicKey(BigUint n)
@@ -89,12 +72,6 @@ Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) cons
 Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const {
   const BigUint rn = mont_n2_->pow(draw_unit(rng, n_), n_);
   return Ciphertext{a.c.mul_mod(rn, n_sq_)};
-}
-
-std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
-                                                 std::span<const StreamState> states,
-                                                 const BatchOptions& opt) const {
-  return encrypt_each(*this, ms, states, opt);
 }
 
 Ciphertext PublicKey::add(const Ciphertext& a, const Ciphertext& b) const {
@@ -188,12 +165,6 @@ Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) con
   return Ciphertext{gm.c.mul_mod(rn, pub_.n_squared())};
 }
 
-std::vector<Ciphertext> PrivateKey::encrypt_batch(
-    std::span<const BigUint> ms, std::span<const PublicKey::StreamState> states,
-    const BatchOptions& opt) const {
-  return encrypt_each(*this, ms, states, opt);
-}
-
 BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
   static telemetry::Counter& decrypts =
       telemetry::counter("dubhe_paillier_decrypt_total");
@@ -219,14 +190,6 @@ BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
   });
   // CRT recombination: m = mq + q * ((mp - mq) * q^{-1} mod p).
   return crt_combine(mp, mq, p_, q_, q_inv_p_);
-}
-
-std::vector<BigUint> PrivateKey::decrypt_batch(std::span<const Ciphertext> cts,
-                                               const BatchOptions& opt) const {
-  std::vector<BigUint> out(cts.size());
-  core::parallel_for(cts.size(), opt.threads,
-                     [&](std::size_t i) { out[i] = decrypt(cts[i]); });
-  return out;
 }
 
 BigUint PrivateKey::decrypt_textbook(const Ciphertext& ct) const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -21,15 +20,6 @@ struct Ciphertext {
   BigUint c;
 
   bool operator==(const Ciphertext&) const = default;
-};
-
-/// Options for the batch APIs. `threads` caps the shards handed to the
-/// shared core::ParallelRuntime: 1 (the default) runs serially on the
-/// caller, 0 uses every pool worker. Batch results are byte-identical for
-/// any thread count — each item draws from its own independently seeded
-/// RNG stream (an explicit per-item StreamState), never from a shared one.
-struct BatchOptions {
-  std::size_t threads = 1;
 };
 
 /// Paillier public key with g = n + 1 (the standard "simple variant", also
@@ -63,19 +53,6 @@ class PublicKey {
   /// Re-randomizes a ciphertext (multiplies by a fresh encryption of zero),
   /// unlinking it from its origin without changing the plaintext.
   [[nodiscard]] Ciphertext rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const;
-
-  /// Per-item RNG stream state for the batch APIs: a full 256-bit
-  /// xoshiro256** state, so each item's randomization carries the caller's
-  /// entropy at the generator's native width (no 64-bit bottleneck).
-  using StreamState = std::array<std::uint64_t, 4>;
-
-  /// Batch encryption: one ciphertext per message, item i randomized from
-  /// its own stream seeded with states[i] (states.size() must equal
-  /// ms.size(); throws std::invalid_argument otherwise). See BatchOptions
-  /// for the thread-count-invariance contract.
-  [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
-      std::span<const BigUint> ms, std::span<const StreamState> states,
-      const BatchOptions& opt = {}) const;
 
   bool operator==(const PublicKey& o) const { return n_ == o.n_; }
 
@@ -120,20 +97,9 @@ class PrivateKey {
   /// dubhe_paillier_encrypt_*{mode="plain"} series.
   /// Throws std::out_of_range unless m < n.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
-  /// Batch key-holder encryption with PublicKey::encrypt_batch's per-item
-  /// stream contract: item i is byte-identical to
-  /// public_key().encrypt_batch(ms, states)[i] for any opt.threads.
-  [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
-      std::span<const BigUint> ms, std::span<const PublicKey::StreamState> states,
-      const BatchOptions& opt = {}) const;
-
   /// CRT decryption; the p and q halves run as two parallel_for shards
   /// (inline when already inside a parallel region).
   [[nodiscard]] BigUint decrypt(const Ciphertext& ct) const;
-  /// Batch CRT decryption over the shared runtime. Deterministic for any
-  /// thread count (decryption consumes no randomness).
-  [[nodiscard]] std::vector<BigUint> decrypt_batch(std::span<const Ciphertext> cts,
-                                                   const BatchOptions& opt = {}) const;
   /// Textbook decryption: L(c^lambda mod n^2) * mu mod n.
   [[nodiscard]] BigUint decrypt_textbook(const Ciphertext& ct) const;
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -9,15 +10,35 @@
 
 namespace dubhe::he::detail {
 
-/// One full 256-bit stream state per item, drawn serially in item order —
-/// the per-ciphertext seeding both vector forms use on the public-key and
-/// the key-holder path alike, so the two paths consume identical words and
-/// produce byte-identical ciphertexts.
-inline std::vector<PublicKey::StreamState> draw_stream_states(bigint::EntropySource& rng,
-                                                              std::size_t count) {
-  std::vector<PublicKey::StreamState> states(count);
+/// Per-item RNG stream state: a full 256-bit xoshiro256** state, so each
+/// item's randomization carries the caller's entropy at the generator's
+/// native width (no 64-bit bottleneck).
+using StreamState = std::array<std::uint64_t, 4>;
+
+/// One stream state per item, drawn serially in item order.
+inline std::vector<StreamState> draw_stream_states(bigint::EntropySource& rng,
+                                                   std::size_t count) {
+  std::vector<StreamState> states(count);
   for (auto& s : states) s = {rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
   return states;
+}
+
+/// The per-ciphertext stream contract of both vector forms: ciphertext i is
+/// key.encrypt(ms[i], Xoshiro256ss(state_i)), where state_i is words
+/// 4i..4i+3 of `rng`, which advances by exactly 4 * ms.size() words. `key`
+/// is a PublicKey or a PrivateKey; the two consume identical words and
+/// produce byte-identical ciphertexts.
+template <class Key>
+std::vector<Ciphertext> encrypt_each(const Key& key, std::span<const BigUint> ms,
+                                     bigint::EntropySource& rng) {
+  const std::vector<StreamState> states = draw_stream_states(rng, ms.size());
+  std::vector<Ciphertext> out;
+  out.reserve(ms.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    bigint::Xoshiro256ss stream(states[i]);
+    out.push_back(key.encrypt(ms[i], stream));
+  }
+  return out;
 }
 
 /// Big-endian u32 field helpers shared by the paillier wire forms

@@ -1,6 +1,7 @@
 #include "sim/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace dubhe::sim {
@@ -27,7 +28,6 @@ usage: dubhe_run [flags]
   --auto-sigma     run parameter search for the thresholds
   --resample       fresh local data every round (paper 4.1)
   --eval-every N   test-set evaluation cadence               (default 10)
-  --threads N      training threads (0 = hardware)           (default 0)
   --seed N         master seed                               (default 1)
   --csv PATH       write round curves as CSV
   --population-csv PATH  write the mean population distribution
@@ -37,10 +37,12 @@ usage: dubhe_run [flags]
 
 namespace {
 
+/// A finite real: nan and inf would flow into the partition and the
+/// optimizer unchecked.
 bool parse_double(const std::string& s, double& out) {
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty();
+  return end != nullptr && *end == '\0' && !s.empty() && std::isfinite(out);
 }
 
 bool parse_size(const std::string& s, std::size_t& out) {
@@ -131,13 +133,14 @@ CliOptions parse_cli(std::span<const std::string> args) {
     } else if (flag == "--batch") {
       if (!parse_size(value, cfg.train.batch_size)) return fail("bad --batch");
     } else if (flag == "--dropout") {
-      if (!parse_double(value, cfg.dropout_prob)) return fail("bad --dropout");
+      if (!parse_double(value, cfg.dropout_prob) || cfg.dropout_prob < 0 ||
+          cfg.dropout_prob > 1) {
+        return fail("bad --dropout (a probability in [0, 1])");
+      }
     } else if (flag == "--prox-mu") {
       if (!parse_double(value, cfg.train.prox_mu)) return fail("bad --prox-mu");
     } else if (flag == "--eval-every") {
       if (!parse_size(value, cfg.eval_every)) return fail("bad --eval-every");
-    } else if (flag == "--threads") {
-      if (!parse_size(value, cfg.threads)) return fail("bad --threads");
     } else if (flag == "--seed") {
       std::size_t seed = 0;
       if (!parse_size(value, seed)) return fail("bad --seed");

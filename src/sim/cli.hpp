@@ -27,7 +27,7 @@ std::string cli_usage();
 /// Flags: --dataset mnist|cifar|femnist, --method random|greedy|dubhe|poc,
 /// --clients N, --samples N, --rho X, --emd X, --rounds N, --k N, --h N,
 /// --seed N, --lr X, --epochs N, --batch N, --dropout X, --prox-mu X,
-/// --auto-sigma, --resample, --threads N, --eval-every N,
+/// --auto-sigma, --resample, --eval-every N,
 /// --csv PATH, --population-csv PATH, --help.
 CliOptions parse_cli(std::span<const std::string> args);
 

@@ -92,8 +92,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   result.sigma_used = sigma;
 
   fl::FederatedTrainer trainer(
-      dataset, nn::make_mlp(dataset.feature_dim(), cfg.hidden, C, cfg.seed), cfg.train,
-      cfg.threads);
+      dataset, nn::make_mlp(dataset.feature_dim(), cfg.hidden, C, cfg.seed), cfg.train);
   std::unique_ptr<core::SelectionStrategy> selector;
   if (cfg.method == Method::kPowerOfChoice) {
     selector = std::make_unique<core::PowerOfChoiceSelector>(&trainer, cfg.poc_candidates);

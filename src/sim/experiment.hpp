@@ -41,7 +41,6 @@ struct ExperimentConfig {
   std::size_t multi_time_h = 1;
   /// Evaluate test accuracy every this many rounds (1 = every round).
   std::size_t eval_every = 1;
-  std::size_t threads = 0;
   std::uint64_t seed = 1;
   /// Dubhe codec: reference set G (empty = {1, 2, C}) and thresholds
   /// (empty = default_sigma, or parameter search when auto_param_search).

@@ -26,8 +26,6 @@ class Rng {
   /// Standard normal via Box–Muller (one value per call; no caching so the
   /// stream is position-independent).
   double normal();
-  /// Half-normal |N(0, sigma^2)|.
-  double half_normal(double sigma) { return std::abs(normal() * sigma); }
 
   /// Index sampled from unnormalized non-negative weights. Throws
   /// std::invalid_argument if all weights are zero or the span is empty.

@@ -31,10 +31,4 @@ std::vector<double> VectorStat::means() const {
   return out;
 }
 
-std::vector<double> VectorStat::stddevs() const {
-  std::vector<double> out(stats_.size());
-  for (std::size_t i = 0; i < stats_.size(); ++i) out[i] = stats_[i].stddev();
-  return out;
-}
-
 }  // namespace dubhe::stats

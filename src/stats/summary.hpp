@@ -32,7 +32,6 @@ class VectorStat {
   explicit VectorStat(std::size_t dims) : stats_(dims) {}
   void add(const std::vector<double>& x);
   [[nodiscard]] std::vector<double> means() const;
-  [[nodiscard]] std::vector<double> stddevs() const;
   [[nodiscard]] std::size_t dims() const { return stats_.size(); }
 
  private:

@@ -17,8 +17,6 @@ class Tensor {
   explicit Tensor(std::vector<std::size_t> shape);
   Tensor(std::initializer_list<std::size_t> shape);
 
-  [[nodiscard]] static Tensor zeros_like(const Tensor& o) { return Tensor(o.shape_); }
-
   [[nodiscard]] const std::vector<std::size_t>& shape() const { return shape_; }
   [[nodiscard]] std::size_t rank() const { return shape_.size(); }
   [[nodiscard]] std::size_t dim(std::size_t i) const { return shape_.at(i); }

@@ -190,12 +190,6 @@ TEST(BigUint, Pow2) {
   EXPECT_EQ(BigUint::pow2(200).bit_length(), 201u);
 }
 
-TEST(BigUint, AddMod) {
-  const BigUint m{100};
-  EXPECT_EQ(BigUint{70}.add_mod(BigUint{50}, m).to_u64(), 20u);
-  EXPECT_EQ(BigUint{10}.add_mod(BigUint{20}, m).to_u64(), 30u);
-}
-
 TEST(BigUint, PowModMatchesIteratedMultiplication) {
   // 5^117 mod 19 computed both ways.
   std::uint64_t expect = 1;

@@ -30,7 +30,7 @@ TEST(Cli, ParsesFullCommandLine) {
                                 "--emd", "1.0", "--rounds", "42", "--k", "10",
                                 "--h", "7", "--lr", "0.01", "--epochs", "3",
                                 "--batch", "16", "--dropout", "0.2", "--prox-mu",
-                                "0.05", "--eval-every", "6", "--threads", "2",
+                                "0.05", "--eval-every", "6",
                                 "--seed", "99", "--csv", "/tmp/x.csv"});
   ASSERT_TRUE(opt.valid) << opt.error;
   EXPECT_EQ(opt.config.spec.name, "cifar10-like");
@@ -48,7 +48,6 @@ TEST(Cli, ParsesFullCommandLine) {
   EXPECT_DOUBLE_EQ(opt.config.dropout_prob, 0.2);
   EXPECT_DOUBLE_EQ(opt.config.train.prox_mu, 0.05);
   EXPECT_EQ(opt.config.eval_every, 6u);
-  EXPECT_EQ(opt.config.threads, 2u);
   EXPECT_EQ(opt.config.seed, 99u);
   EXPECT_EQ(opt.csv_path, "/tmp/x.csv");
 }
@@ -84,8 +83,25 @@ TEST(Cli, Rejections) {
   EXPECT_FALSE(parse({"--clients", "10", "--k", "20"}).valid);  // K > N
   EXPECT_FALSE(parse({"--eval-every", "0"}).valid);
   EXPECT_FALSE(parse({"--rounds", "0"}).valid);
+  EXPECT_FALSE(parse({"--threads", "2"}).valid);   // training uses the whole pool
   const CliOptions bad = parse({"--rho", "abc"});
   EXPECT_FALSE(bad.error.empty());
+}
+
+TEST(Cli, RejectsNonFiniteReals) {
+  for (const char* flag : {"--rho", "--emd", "--lr", "--dropout", "--prox-mu"}) {
+    for (const char* value : {"nan", "inf", "-inf", "NaN", "1e999"}) {
+      EXPECT_FALSE(parse({flag, value}).valid) << flag << " " << value;
+    }
+  }
+}
+
+TEST(Cli, DropoutIsAProbability) {
+  EXPECT_FALSE(parse({"--dropout", "2"}).valid);
+  EXPECT_FALSE(parse({"--dropout", "-1"}).valid);
+  EXPECT_FALSE(parse({"--dropout", "1.0001"}).valid);
+  EXPECT_DOUBLE_EQ(parse({"--dropout", "0"}).config.dropout_prob, 0.0);
+  EXPECT_DOUBLE_EQ(parse({"--dropout", "1"}).config.dropout_prob, 1.0);
 }
 
 TEST(Csv, CurveRoundTrip) {

@@ -111,7 +111,7 @@ TEST(LocalLoss, EmptyClientIsZero) {
 TEST(PowerOfChoice, SelectsKDistinctAndCountsEvaluations) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   fl::FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 16, 10, 5),
-                               fl::TrainConfig{}, 2);
+                               fl::TrainConfig{});
   core::PowerOfChoiceSelector poc(&trainer, /*candidate_pool=*/20);
   stats::Rng rng(3);
   const auto s = poc.select(8, rng);
@@ -131,7 +131,7 @@ TEST(PowerOfChoice, PrefersHighLossClients) {
   const data::FederatedDataset ds(data::mnist_like(), small_config(12));
   fl::FederatedTrainer trainer(
       ds, nn::make_mlp(ds.feature_dim(), 16, 10, 5),
-      fl::TrainConfig{.batch_size = 8, .epochs = 8, .lr = 1e-3, .use_adam = true}, 2);
+      fl::TrainConfig{.batch_size = 8, .epochs = 8, .lr = 1e-3, .use_adam = true});
   const std::vector<std::size_t> only_zero{0};
   for (int round = 0; round < 5; ++round) {
     trainer.run_round(only_zero, static_cast<std::uint64_t>(round), false);

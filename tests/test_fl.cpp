@@ -7,6 +7,7 @@
 #include "fl/trainer.hpp"
 #include "net/codec.hpp"
 #include "nn/builders.hpp"
+#include "stats/rng.hpp"
 
 namespace dubhe::fl {
 namespace {
@@ -47,7 +48,6 @@ TEST(Client, LabelDistributionMatchesSamples) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   const auto samples = ds.client_samples(3);
   const Client client(3, {samples.begin(), samples.end()}, &ds);
-  EXPECT_EQ(client.num_samples(), samples.size());
   EXPECT_EQ(client.label_distribution(), ds.client_distribution(3));
   EXPECT_THROW(Client(0, {}, nullptr), std::invalid_argument);
 }
@@ -104,8 +104,7 @@ TEST(Server, SetGlobalWeightsValidatesSize) {
 
 TEST(Trainer, RoundPopulationMatchesSelectedClients) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
-  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 16, 10, 5),
-                           TrainConfig{}, 2);
+  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 16, 10, 5), TrainConfig{});
   const std::vector<std::size_t> sel{0, 1, 2};
   const RoundResult rr = trainer.run_round(sel, 1, /*evaluate=*/false);
   stats::Distribution expect(10, 0.0);
@@ -120,14 +119,14 @@ TEST(Trainer, RoundPopulationMatchesSelectedClients) {
 
 TEST(Trainer, EmptySelectionThrows) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
-  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{}, 2);
+  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{});
   EXPECT_THROW(trainer.run_round({}, 1), std::invalid_argument);
 }
 
 TEST(Trainer, ChannelAccountsModelTraffic) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   ChannelAccountant channel;
-  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{}, 2,
+  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{},
                            &channel);
   const std::vector<std::size_t> sel{0, 1, 2, 3};
   trainer.run_round(sel, 1, false);
@@ -150,8 +149,7 @@ TEST(Trainer, TrainingImprovesAccuracyOnEasyData) {
   // FEMNIST configuration so rounds make visible progress.
   FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 32, 10, 5),
                            TrainConfig{.batch_size = 8, .epochs = 5, .lr = 1e-3,
-                                       .use_adam = true},
-                           4);
+                                       .use_adam = true});
   stats::Rng rng(3);
   double first = 0, last = 0;
   for (int round = 0; round < 25; ++round) {
@@ -164,17 +162,27 @@ TEST(Trainer, TrainingImprovesAccuracyOnEasyData) {
   EXPECT_GT(last, 0.75);
 }
 
-TEST(Trainer, ParallelAndSerialRoundsAgree) {
-  // Thread count must not change results: per-client work is independent
-  // and aggregation order is fixed by the updates vector.
+TEST(Trainer, PooledRoundMatchesASerialReference) {
+  // Sharding a round on the pool must not change results: per-client work
+  // is seeded by (round, client id) alone and aggregation order is fixed by
+  // the selection. The reference trains each selected client in turn on
+  // this thread, then aggregates.
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   const nn::Sequential proto = nn::make_mlp(ds.feature_dim(), 16, 10, 5);
-  FederatedTrainer serial(ds, proto, TrainConfig{}, 1);
-  FederatedTrainer parallel(ds, proto, TrainConfig{}, 8);
+  FederatedTrainer trainer(ds, proto, TrainConfig{});
   const std::vector<std::size_t> sel{0, 5, 10, 15, 20};
-  serial.run_round(sel, 7, false);
-  parallel.run_round(sel, 7, false);
-  EXPECT_EQ(serial.server().global_weights(), parallel.server().global_weights());
+  trainer.run_round(sel, 7, false);
+
+  Server reference(proto);
+  std::vector<std::vector<float>> updates;
+  for (const std::size_t k : sel) {
+    const auto samples = ds.client_samples(k);
+    const Client c(k, {samples.begin(), samples.end()}, &ds);
+    updates.push_back(c.train(reference.prototype(), reference.global_weights(), TrainConfig{},
+                              stats::derive_seed(7, k + 1)));
+  }
+  reference.aggregate(updates);
+  EXPECT_EQ(trainer.server().global_weights(), reference.global_weights());
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST_F(FullRound, Figure3Walkthrough) {
   // --- Training + aggregation + evaluation. ---
   fl::FederatedTrainer trainer(
       *dataset_, nn::make_mlp(dataset_->feature_dim(), 32, 10, 7),
-      {.batch_size = 8, .epochs = 2, .lr = 1e-3, .use_adam = true}, 4, &channel);
+      {.batch_size = 8, .epochs = 2, .lr = 1e-3, .use_adam = true}, &channel);
   const auto w_before = trainer.server().global_weights();
   const fl::RoundResult rr = trainer.run_round(participants, 1, /*evaluate=*/true);
   EXPECT_NE(trainer.server().global_weights(), w_before);

@@ -1,8 +1,8 @@
-// The shared crypto runtime: core::ParallelRuntime determinism, the batch
-// Paillier APIs' thread-count invariance (byte-identical ciphertexts for any
-// shard count, each item from its own 256-bit stream state), and the
-// key-holder CRT encryption path (byte-identical to the public-key path,
-// its two halves on the shared pool, nested and concurrent use).
+// The shared crypto runtime: core::ParallelRuntime determinism, the vector
+// encrypt stream contract (each ciphertext from its own 256-bit stream
+// state, four words of the caller's source per item), and the key-holder
+// CRT encryption path (byte-identical to the public-key path, its two
+// halves on the shared pool, nested and concurrent use).
 // tools/ci.sh runs this suite under Release, ASan/UBSan (lifetime and UB
 // bugs), and a dedicated ThreadSanitizer pass (data races in the pool —
 // ASan cannot see those).
@@ -90,7 +90,7 @@ TEST(DeriveSeed, StatsConventionMatchesBigintConvention) {
   EXPECT_NE(bigint::derive_seed(1, 0), bigint::derive_seed(2, 0));
 }
 
-// --- batch Paillier APIs -----------------------------------------------------
+// --- vector encryption -----------------------------------------------------
 
 const he::Keypair& test_keypair() {
   static const he::Keypair kp = [] {
@@ -106,56 +106,50 @@ std::vector<std::uint64_t> test_values() {
   return v;
 }
 
-/// Per-item stream states drawn the way both vector forms draw them.
-std::vector<he::PublicKey::StreamState> stream_states(std::uint64_t seed, std::size_t count) {
-  bigint::Xoshiro256ss rng(seed);
-  return he::detail::draw_stream_states(rng, count);
-}
-
-TEST(BatchPaillier, EncryptBatchIsThreadCountInvariant) {
-  const he::Keypair& kp = test_keypair();
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  const auto states = stream_states(77, ms.size());
-
-  const auto serial = kp.pub.encrypt_batch(ms, states, {.threads = 1});
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}, std::size_t{0}}) {
-    const auto parallel = kp.pub.encrypt_batch(ms, states, {.threads = threads});
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
+/// Checks the vector encrypt stream contract: cts[i] is
+/// key.encrypt(pts[i], Xoshiro256ss(state_i)) with state_i words 4i..4i+3
+/// of a fresh Xoshiro256ss(seed), and `used` (the caller's source after the
+/// encrypt) stands exactly 4 * pts.size() words ahead of it.
+template <class Key>
+void expect_stream_contract(const Key& key, std::span<const BigUint> pts,
+                            std::span<const he::Ciphertext> cts, std::uint64_t seed,
+                            bigint::Xoshiro256ss& used) {
+  ASSERT_EQ(cts.size(), pts.size());
+  bigint::Xoshiro256ss source(seed);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    bigint::Xoshiro256ss stream(he::detail::StreamState{
+        source.next_u64(), source.next_u64(), source.next_u64(), source.next_u64()});
+    EXPECT_EQ(cts[i], key.encrypt(pts[i], stream)) << "item " << i;
   }
-  // Different stream states must change the randomization.
-  EXPECT_NE(serial, kp.pub.encrypt_batch(ms, stream_states(78, ms.size()), {.threads = 1}));
-  // And every ciphertext decrypts to its message.
-  const auto decrypted = kp.prv.decrypt_batch(serial, {.threads = 4});
-  ASSERT_EQ(decrypted.size(), ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(decrypted[i], ms[i]);
+  EXPECT_EQ(used.next_u64(), source.next_u64()) << "source not 4 words per item ahead";
 }
 
-TEST(BatchPaillier, EncryptedVectorBytesAreThreadCountInvariant) {
+TEST(StreamContract, CiphertextIUsesWordsFourIOfTheCallersSource) {
   const he::Keypair& kp = test_keypair();
   const auto values = test_values();
-
-  bigint::Xoshiro256ss rng1(55), rng2(55), rng7(55);
-  const auto v1 = he::EncryptedVector::encrypt(kp.pub, values, rng1, {.threads = 1});
-  const auto v2 = he::EncryptedVector::encrypt(kp.pub, values, rng2, {.threads = 2});
-  const auto v7 = he::EncryptedVector::encrypt(kp.pub, values, rng7, {.threads = 7});
-  EXPECT_EQ(v1.serialize_bytes(), v2.serialize_bytes());
-  EXPECT_EQ(v1.serialize_bytes(), v7.serialize_bytes());
-  EXPECT_EQ(v1.decrypt(kp.prv, {.threads = 3}), values);
-}
-
-TEST(BatchPaillier, PackedEncryptIsThreadCountInvariant) {
-  const he::Keypair& kp = test_keypair();
+  const std::vector<BigUint> slot_pts(values.begin(), values.end());
   const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
-  const auto values = test_values();
+  const std::vector<BigUint> packed_pts = codec.encode(values);
+  ASSERT_GT(packed_pts.size(), 1u);
 
-  bigint::Xoshiro256ss rng1(56), rng7(56);
-  auto a = he::PackedEncryptedVector::encrypt(kp.pub, codec, values, rng1,
-                                              {.threads = 1});
-  auto b = he::PackedEncryptedVector::encrypt(kp.pub, codec, values, rng7,
-                                              {.threads = 7});
-  EXPECT_EQ(a.decrypt(kp.prv), b.decrypt(kp.prv));
-  EXPECT_EQ(a.decrypt(kp.prv, {.threads = 5}), values);
+  bigint::Xoshiro256ss r1(55);
+  const auto slots = he::EncryptedVector::encrypt(kp.pub, values, r1);
+  expect_stream_contract(kp.pub, slot_pts, slots.slots(), 55, r1);
+  EXPECT_EQ(slots.decrypt(kp.prv), values);
+
+  bigint::Xoshiro256ss r2(56);
+  const auto packed_pub = he::PackedEncryptedVector::encrypt(kp.pub, codec, values, r2);
+  expect_stream_contract(kp.pub, packed_pts, packed_pub.ciphertexts(), 56, r2);
+  EXPECT_EQ(packed_pub.decrypt(kp.prv), values);
+
+  bigint::Xoshiro256ss r3(57);
+  const auto packed_prv = he::PackedEncryptedVector::encrypt(kp.prv, codec, values, r3);
+  expect_stream_contract(kp.prv, packed_pts, packed_prv.ciphertexts(), 57, r3);
+  EXPECT_EQ(packed_prv.decrypt(kp.prv), values);
+
+  // A different source changes the randomization.
+  bigint::Xoshiro256ss other(58);
+  EXPECT_NE(he::EncryptedVector::encrypt(kp.pub, values, other).slots(), slots.slots());
 }
 
 // --- key-holder CRT encryption -----------------------------------------------
@@ -192,32 +186,12 @@ TEST(KeyHolderEncrypt, VectorsSerializeByteEqualToPublicKeyOverloads) {
   const he::Keypair& kp = test_keypair();
   const auto values = test_values();
   const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    bigint::Xoshiro256ss r3(58), r4(58);
-    const auto packed_pub =
-        he::PackedEncryptedVector::encrypt(kp.pub, codec, values, r3, {.threads = threads});
-    const auto packed_prv =
-        he::PackedEncryptedVector::encrypt(kp.prv, codec, values, r4, {.threads = threads});
-    EXPECT_EQ(he::serialize(packed_prv), he::serialize(packed_pub)) << "threads=" << threads;
-    EXPECT_EQ(r3.next_u64(), r4.next_u64());
-    EXPECT_EQ(packed_prv.decrypt(kp.prv), values);
-  }
-}
-
-TEST(KeyHolderEncrypt, BatchIsThreadCountInvariant) {
-  const he::Keypair& kp = test_keypair();
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  std::vector<he::PublicKey::StreamState> states(ms.size());
-  for (std::size_t i = 0; i < states.size(); ++i) states[i] = {i, 2 * i + 1, 3, 4};
-
-  const auto reference = kp.pub.encrypt_batch(ms, states, {.threads = 1});
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    EXPECT_EQ(kp.prv.encrypt_batch(ms, states, {.threads = threads}), reference)
-        << "threads=" << threads;
-  }
-  EXPECT_THROW((void)kp.prv.encrypt_batch(ms, std::span(states).first(3)),
-               std::invalid_argument);
+  bigint::Xoshiro256ss r3(58), r4(58);
+  const auto packed_pub = he::PackedEncryptedVector::encrypt(kp.pub, codec, values, r3);
+  const auto packed_prv = he::PackedEncryptedVector::encrypt(kp.prv, codec, values, r4);
+  EXPECT_EQ(he::serialize(packed_prv), he::serialize(packed_pub));
+  EXPECT_EQ(r3.next_u64(), r4.next_u64());
+  EXPECT_EQ(packed_prv.decrypt(kp.prv), values);
 }
 
 TEST(KeyHolderEncrypt, HalvesRoundTripInsideAnOuterParallelFor) {

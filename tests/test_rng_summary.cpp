@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "stats/rng.hpp"
@@ -27,19 +26,6 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
   for (int i = 0; i < 20000; ++i) stat.add(rng.normal());
   EXPECT_NEAR(stat.mean(), 0.0, 0.05);
   EXPECT_NEAR(stat.stddev(), 1.0, 0.05);
-}
-
-TEST(Rng, HalfNormalIsNonNegativeWithCorrectScale) {
-  Rng rng(124);
-  RunningStat stat;
-  const double sigma = 2.0;
-  for (int i = 0; i < 20000; ++i) {
-    const double v = rng.half_normal(sigma);
-    EXPECT_GE(v, 0.0);
-    stat.add(v);
-  }
-  // E|N(0, sigma^2)| = sigma * sqrt(2/pi).
-  EXPECT_NEAR(stat.mean(), sigma * std::sqrt(2.0 / M_PI), 0.05);
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -140,9 +126,6 @@ TEST(VectorStat, PerDimension) {
   const auto means = vs.means();
   EXPECT_DOUBLE_EQ(means[0], 2.0);
   EXPECT_DOUBLE_EQ(means[1], 20.0);
-  const auto sds = vs.stddevs();
-  EXPECT_DOUBLE_EQ(sds[0], 1.0);
-  EXPECT_DOUBLE_EQ(sds[1], 10.0);
   EXPECT_THROW(vs.add({1.0}), std::invalid_argument);
 }
 

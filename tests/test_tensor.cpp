@@ -36,12 +36,10 @@ TEST(Tensor, ReshapeValidation) {
   EXPECT_THROW(t.reshaped({5, 2}), std::invalid_argument);
 }
 
-TEST(Tensor, FillAndZerosLike) {
+TEST(Tensor, Fill) {
   Tensor t{{2, 2}};
   t.fill(3.5f);
   for (const float v : t.flat()) EXPECT_EQ(v, 3.5f);
-  const Tensor z = Tensor::zeros_like(t);
-  for (const float v : z.flat()) EXPECT_EQ(v, 0.0f);
 }
 
 /// Naive triple-loop reference for differential matmul testing.

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,15 @@ int main(int argc, char** argv) {
               cfg.part.num_clients, cfg.K, cfg.part.rho, cfg.part.emd_avg, cfg.rounds,
               cfg.multi_time_h, static_cast<unsigned long long>(cfg.seed));
 
-  const sim::ExperimentResult result = sim::run_experiment(cfg);
+  // The partition and the selector setup reject what the parser cannot
+  // check alone: --rho below 1, --emd outside [0, 2), zero --samples.
+  sim::ExperimentResult result;
+  try {
+    result = sim::run_experiment(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\nsee dubhe_run --help\n", e.what());
+    return 2;
+  }
 
   sim::Table table({"round", "test accuracy"});
   for (const auto& [round, acc] : result.accuracy_curve) {

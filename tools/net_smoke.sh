@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Multi-process smoke for the net layer. After a flag-rejection check, one
-# dubhe_node aggregator plus three client processes complete a persistent
-# 3-round secure session (registration once, then round-begin / proactive
-# participation / selection / training per round) over localhost sockets,
-# and the resulting session transcript must be byte-identical to the
-# in-process --selftest transcript (which itself asserts direct == loopback).
+# Multi-process smoke for the net layer. After flag-rejection checks for
+# dubhe_node and dubhe_run, one dubhe_node aggregator plus three client
+# processes complete a persistent 3-round secure session (registration
+# once, then round-begin / proactive participation / selection / training
+# per round) over localhost sockets, and the resulting session transcript
+# must be byte-identical to the in-process --selftest transcript (which
+# itself asserts direct == loopback).
 # Usage: tools/net_smoke.sh [build-dir]
 set -eu
 
@@ -58,6 +59,27 @@ reject --role shard --shards 2 --shard-id junk --clients 3 --port 0 \
        --shard-of "$TMP/root.port"
 reject --client --id -1 --clients 3
 echo "net smoke OK: malformed numeric flags are rejected before any socket opens"
+
+# dubhe_run rejects the same way: a non-finite real, a dropout outside
+# [0, 1], or a configuration the partition cannot build (rho below 1, emd
+# outside [0, 2), zero samples) exits 2, never runs to completion or aborts.
+RUN="$BUILD/dubhe_run"
+[ -x "$RUN" ] || { echo "error: $RUN not built" >&2; exit 1; }
+echo "== dubhe_run flag rejection (bad reals and unbuildable configs exit 2) =="
+reject_run() {
+  rc=0
+  $BOUND "$RUN" --clients 20 --k 2 --rounds 1 --samples 16 "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "error: dubhe_run $* exited $rc (want 2)" >&2
+    exit 1
+  fi
+}
+reject_run --rho nan
+reject_run --lr inf
+reject_run --dropout 2
+reject_run --emd -3
+reject_run --samples 0
+echo "net smoke OK: dubhe_run rejects bad reals and unbuildable configs with exit 2"
 
 echo "== dubhe_node multi-process smoke (1 server + 3 clients, $ROUNDS rounds over localhost) =="
 # --workers 2 shards the three connections across two event-loop workers;
