@@ -12,14 +12,19 @@
 // This binary measures the same quantities with the from-scratch Paillier
 // (CRT decryption, g = n+1 encryption) and additionally quantifies the
 // BatchCrypt-style packed registry, which fits a whole registry into one
-// ciphertext.
+// ciphertext. The communication table is the ledger of one secure session
+// run through net::run_session_direct, which prices every frame the wire
+// would carry at its exact size; the session's crypto time is read from the
+// dubhe_paillier_{encrypt,decrypt}_seconds telemetry histograms.
 
 #include <chrono>
 
 #include "bench_common.hpp"
 #include "bigint/limb.hpp"
 #include "bigint/montgomery.hpp"
-#include "core/secure.hpp"
+#include "core/telemetry.hpp"
+#include "net/node.hpp"
+#include "nn/builders.hpp"
 #include "paillier/encrypted_vector.hpp"
 
 using namespace dubhe;
@@ -101,7 +106,6 @@ int main() {
   std::cout << "\nCommunication accounting (measured on a secure session, N = 50, "
                "K = 10, H = 5):\n";
   const std::size_t N = 50, K = 10, H = 5;
-  const core::RegistryCodec codec(10, {1, 2, 10});
   data::PartitionConfig pc;
   pc.num_classes = 10;
   pc.num_clients = N;
@@ -109,34 +113,30 @@ int main() {
   pc.rho = 10;
   pc.emd_avg = 1.5;
   pc.seed = 3;
-  const auto part = data::make_partition(pc);
+  const data::FederatedDataset dataset(data::mnist_like(), pc);
 
+  net::SessionParams params;
+  params.secure.key_bits = 256;  // counts are key-size independent
+  params.K = K;
+  params.H = H;
+  params.evaluate = false;
   fl::ChannelAccountant channel;
-  core::SecureConfig scfg;
-  scfg.key_bits = 256;  // counts are key-size independent
-  bigint::Xoshiro256ss srng(7);
-  core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, scfg, N, srng, &channel);
-  auto outcome = session.run_registration(part.client_dists);
+  telemetry::reset_all();
+  telemetry::set_enabled(true);
+  (void)net::run_session_direct(dataset, nn::make_mlp(dataset.feature_dim(), 16, 10, 7),
+                                params, &channel);
+  telemetry::set_enabled(false);
+  const fl::ChannelLedger ledger = channel.snapshot();
 
-  core::DubheSelector selector(&codec, {0.7, 0.1, 0.0});
-  selector.load_overall_registry(std::move(outcome.overall_registry),
-                                 std::move(outcome.registrations));
-  stats::Rng rng2(9);
-  for (std::size_t h = 0; h < H; ++h) {
-    const auto sel = selector.select(K, rng2);
-    session.aggregate_population(part.client_dists, sel);
-  }
-
-  // The per-kind byte column now splits into ciphertext material versus
-  // everything else (framing, length prefixes, public-key echoes) — the
-  // ledger's encrypted_bytes accounting introduced with wire v3.
+  // The per-kind byte column splits into ciphertext material versus
+  // everything else (framing, length prefixes, key material).
   sim::Table comm({"message kind", "count", "bytes", "encrypted", "plaintext",
                   "paper count"});
   const auto split_row = [&](const char* name, fl::MessageKind kind,
                              const std::string& paper) {
-    const auto total = channel.bytes(kind);
-    const auto enc = channel.encrypted_bytes(kind);
-    comm.add_row({name, std::to_string(channel.messages(kind)),
+    const auto total = ledger.bytes(kind);
+    const auto enc = ledger.encrypted_bytes(kind);
+    comm.add_row({name, std::to_string(ledger.messages(kind)),
                   sim::fmt_bytes(static_cast<double>(total)),
                   sim::fmt_bytes(static_cast<double>(enc)),
                   sim::fmt_bytes(static_cast<double>(total - enc)), paper});
@@ -148,11 +148,12 @@ int main() {
             "~HK = " + std::to_string(H * K));
   comm.print(std::cout);
 
+  const auto& enc_hist = telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
+  const auto& dec_hist = telemetry::histogram("dubhe_paillier_decrypt_seconds");
   std::cout << "\nCrypto time inside the session: encrypt "
-            << sim::fmt(session.timings().encrypt_seconds, 2) << " s over "
-            << session.timings().vectors_encrypted << " vectors, decrypt "
-            << sim::fmt(session.timings().decrypt_seconds, 2) << " s over "
-            << session.timings().vectors_decrypted << " vectors.\n"
+            << sim::fmt(enc_hist.sum(), 2) << " s over " << enc_hist.count()
+            << " ciphertexts, decrypt " << sim::fmt(dec_hist.sum(), 2) << " s over "
+            << dec_hist.count() << " ciphertexts.\n"
             << "Registries and p_l are KBs versus model weights in MBs "
                "(paper's point: the selection overhead is negligible, and the "
                "packed registry is ~50x smaller still).\n";

@@ -96,9 +96,10 @@ int main() {
                             std::chrono::steady_clock::now() - s0)
                             .count();
     const bool ok = same_answer(tree, flat) && same_answer(tcp, flat);
+    const fl::ChannelLedger up = uplink.snapshot();
     table.add_row({std::to_string(shards), std::to_string(loop_ms),
-                   std::to_string(tcp_ms), std::to_string(uplink.total_messages()),
-                   std::to_string(uplink.total_bytes()), ok ? "yes" : "NO"});
+                   std::to_string(tcp_ms), std::to_string(up.total_messages()),
+                   std::to_string(up.total_bytes()), ok ? "yes" : "NO"});
     if (!ok) {
       std::cerr << "FATAL: tree transcript diverged from flat at A=" << shards
                 << "\n";

@@ -66,7 +66,7 @@ int main() {
   auto t0 = Clock::now();
   const he::Keypair kp = he::Keypair::generate(krng, 2048);
   std::cout << "keygen (2048-bit modulus): " << sim::fmt(secs(t0), 2) << " s\n\n";
-  const std::size_t slot_bits = core::update_slot_bits(16, N);
+  const std::size_t slot_bits = core::update_slot_bits(N);
   const he::PackedCodec codec(kp.pub.key_bits() - 1, slot_bits);
 
   sim::Table table({"he_rate", "enc coords", "bytes/round", "encrypted", "plaintext",
@@ -85,8 +85,9 @@ int main() {
     const auto transcript = net::run_session_direct(dataset, proto, params, &channel);
 
     // Model-update channel traffic, averaged per round (up + down).
-    const auto total = channel.bytes(fl::MessageKind::kModelWeights);
-    const auto enc = channel.encrypted_bytes(fl::MessageKind::kModelWeights);
+    const fl::ChannelLedger ledger = channel.snapshot();
+    const auto total = ledger.bytes(fl::MessageKind::kModelWeights);
+    const auto enc = ledger.encrypted_bytes(fl::MessageKind::kModelWeights);
     const double per_round = static_cast<double>(total) / static_cast<double>(R);
     const double enc_round = static_cast<double>(enc) / static_cast<double>(R);
 

@@ -9,7 +9,9 @@
 
 #include "core/secure.hpp"
 #include "core/selection.hpp"
+#include "core/telemetry.hpp"
 #include "data/partition.hpp"
+#include "net/schema.hpp"
 
 int main() {
   using namespace dubhe;
@@ -42,21 +44,22 @@ int main() {
                 reg.category.size() > 3 ? ",..." : "", reg.category_index);
   }
 
-  // --- The full encrypted round-trip, with the channel metered.
-  fl::ChannelAccountant channel;
+  // --- The full encrypted round-trip, with the crypto timed by telemetry.
+  telemetry::set_enabled(true);
   core::SecureConfig scfg;
   scfg.key_bits = 512;  // demo key; the paper (and bench/overhead_sec64) use 2048
   bigint::Xoshiro256ss rng(7);
-  core::SecureSelectionSession session(codec, sigma, scfg, pc.num_clients, rng,
-                                       &channel);
+  core::SecureSelectionSession session(codec, sigma, scfg, pc.num_clients, rng);
   std::printf("\nagent generated a %zu-bit Paillier key and dispatched it to %zu "
               "clients\n",
               session.public_key().key_bits(), pc.num_clients);
 
   auto outcome = session.run_registration(part.client_dists);
-  std::printf("each client uploaded an encrypted registry of %zu bytes; the "
+  const he::PackedCodec packed(scfg.key_bits - 1, scfg.packing_slot_bits);
+  std::printf("each client uploaded an encrypted registry frame of %zu bytes; the "
               "server summed ciphertexts only\n",
-              session.encrypted_registry_bytes());
+              net::wire_size(net::packed_shape(session.public_key(), packed, codec.length()))
+                  .frame);
 
   // What the cohort learns: the aggregate R_A — and nothing per-client.
   std::printf("\ndecrypted overall registry R_A (only non-zero slots):\n  ");
@@ -80,11 +83,8 @@ int main() {
     std::printf("  client %zu: P = %.3f\n", k, selector.probability(k, 4));
   }
 
-  std::printf("\nchannel totals: %llu messages, %llu bytes "
-              "(key material + registries)\n",
-              static_cast<unsigned long long>(channel.total_messages()),
-              static_cast<unsigned long long>(channel.total_bytes()));
-  std::printf("crypto time: %.3f s encrypting, %.3f s decrypting\n",
-              session.timings().encrypt_seconds, session.timings().decrypt_seconds);
+  std::printf("\ncrypto time: %.3f s encrypting, %.3f s decrypting\n",
+              telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}").sum(),
+              telemetry::histogram("dubhe_paillier_decrypt_seconds").sum());
   return 0;
 }

@@ -1,21 +1,13 @@
 #include "core/secure.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
-#include "net/schema.hpp"
 #include "stats/rng.hpp"
 
 namespace dubhe::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// Bits needed to hold `v` without overflow during homomorphic summation.
 std::size_t bits_for(std::uint64_t v) {
@@ -49,29 +41,17 @@ std::vector<std::uint64_t> quantize_distribution(const stats::Distribution& d,
 SecureSelectionSession::SecureSelectionSession(const RegistryCodec& codec,
                                                std::vector<double> sigma, SecureConfig cfg,
                                                std::size_t num_clients,
-                                               bigint::EntropySource& rng,
-                                               fl::ChannelAccountant* channel)
+                                               bigint::EntropySource& rng)
     : codec_(codec),
       sigma_(std::move(sigma)),
       cfg_(cfg),
       num_clients_(num_clients),
-      rng_(rng),
-      channel_(channel) {
+      rng_(rng) {
   if (sigma_.size() != codec_.reference_set().size()) {
     throw std::invalid_argument("SecureSelectionSession: sigma size must match |G|");
   }
-  const auto t0 = Clock::now();
   keypair_ = he::Keypair::generate(rng_, cfg_.key_bits);
-  timings_.keygen_seconds += seconds_since(t0);
   session_seed_ = rng_.next_u64();
-  if (channel_ != nullptr) {
-    // The agent dispatches the keypair to every other client (paper §5.1):
-    // one kKeyMaterial frame per recipient, recorded at its exact wire size.
-    const std::size_t key_bytes =
-        net::wire_size(net::KeyMaterial{keypair_.prv}).frame;
-    channel_->record(fl::MessageKind::kKeyMaterial, fl::Direction::kServerToClient,
-                     key_bytes * num_clients_, num_clients_);
-  }
 }
 
 std::uint64_t registration_stream_seed(std::uint64_t session_seed,
@@ -100,41 +80,15 @@ std::uint64_t participation_seed(std::uint64_t session_seed, std::uint64_t round
   return stats::derive_seed(round_master, client_id);
 }
 
-std::size_t SecureSelectionSession::encrypted_registry_bytes() const {
-  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.length())).frame;
-}
-
-std::size_t SecureSelectionSession::encrypted_distribution_bytes() const {
-  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.num_classes()))
-      .frame;
-}
-
-std::size_t SecureSelectionSession::registry_ciphertext_bytes() const {
-  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.length()))
-      .ciphertext;
-}
-
-std::size_t SecureSelectionSession::distribution_ciphertext_bytes() const {
-  return net::wire_size(net::packed_shape(keypair_.pub, packed_codec(), codec_.num_classes()))
-      .ciphertext;
-}
-
 std::vector<std::uint64_t> SecureSelectionSession::reduce_registry(
     std::span<const he::PackedEncryptedVector> cts) {
   if (cts.empty()) throw std::invalid_argument("reduce_registry: empty cohort");
-  auto decrypt_timed = [&](const he::PackedEncryptedVector& v) {
-    const auto t0 = Clock::now();
-    auto out = v.decrypt(keypair_.prv);
-    timings_.decrypt_seconds += seconds_since(t0);
-    ++timings_.vectors_decrypted;
-    return out;
-  };
   // Callers that streamed their own homomorphic sum pass it as a singleton
   // span — decrypt in place, no copy.
-  if (cts.size() == 1) return decrypt_timed(cts[0]);
+  if (cts.size() == 1) return cts[0].decrypt(keypair_.prv);
   he::PackedEncryptedVector sum = cts[0];
   for (std::size_t k = 1; k < cts.size(); ++k) sum += cts[k];  // server side
-  return decrypt_timed(sum);
+  return sum.decrypt(keypair_.prv);
 }
 
 stats::Distribution SecureSelectionSession::reduce_population(
@@ -158,33 +112,21 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   }
 
   const std::size_t N = dists.size();
-  const std::size_t wire_bytes = encrypted_registry_bytes();
 
   // Client-side encryption, one client after another. Every client uses its
   // own seed-derived randomness (registration_stream_seed — the same stream a
   // transport-backed client receives in its request frame), so the
   // ciphertexts do not depend on where or in what order clients encrypt (in
-  // deployment they are separate machines). encrypt_seconds accumulates the
-  // *summed client-side* cost.
+  // deployment they are separate machines).
   require_slot_capacity(cfg_.packing_slot_bits, num_clients_, "registry counts");
   const he::PackedCodec packed = packed_codec();
   std::vector<he::PackedEncryptedVector> cts(N);
   for (std::size_t k = 0; k < N; ++k) {
     bigint::Xoshiro256ss client_rng(registration_stream_seed(session_seed_, k));
-    const auto tk = Clock::now();
     cts[k] = he::PackedEncryptedVector::encrypt(
         keypair_.pub, packed, to_onehot(codec_, out.registrations[k]), client_rng);
-    timings_.encrypt_seconds += seconds_since(tk);
   }
   out.overall_registry = reduce_registry(cts);
-  timings_.vectors_encrypted += N;
-  if (channel_ != nullptr) {
-    const std::size_t ct_bytes = registry_ciphertext_bytes();
-    channel_->record(fl::MessageKind::kRegistry, fl::Direction::kClientToServer,
-                     wire_bytes * N, N, ct_bytes * N);
-    channel_->record(fl::MessageKind::kRegistry, fl::Direction::kServerToClient,
-                     wire_bytes * N, N, ct_bytes * N);
-  }
   return out;
 }
 
@@ -192,8 +134,6 @@ stats::Distribution SecureSelectionSession::aggregate_population(
     std::span<const stats::Distribution> dists, std::span<const std::size_t> selected) {
   if (selected.empty()) throw std::invalid_argument("aggregate_population: empty set");
   const std::size_t C = codec_.num_classes();
-  const std::size_t wire_bytes = encrypted_distribution_bytes();
-  const std::size_t ct_bytes = distribution_ciphertext_bytes();
 
   // Clients quantize p_l to fixed point and encrypt; the server folds each
   // ciphertext into a running sum (one vector alive at a time, as before
@@ -205,25 +145,14 @@ stats::Distribution SecureSelectionSession::aggregate_population(
   he::PackedEncryptedVector sum;
   bool first = true;
   for (const std::size_t k : selected) {
-    const auto t0 = Clock::now();
     auto ct = he::PackedEncryptedVector::encrypt(
         keypair_.pub, packed, quantize_distribution(dists[k], cfg_.fixed_point_scale), rng_);
-    timings_.encrypt_seconds += seconds_since(t0);
-    ++timings_.vectors_encrypted;
-    if (channel_ != nullptr) {
-      channel_->record(fl::MessageKind::kDistribution, fl::Direction::kClientToServer,
-                       wire_bytes, 1, ct_bytes);
-    }
     if (first) {
       sum = std::move(ct);
       first = false;
     } else {
       sum += ct;
     }
-  }
-  if (channel_ != nullptr) {  // server -> agent
-    channel_->record(fl::MessageKind::kDistribution, fl::Direction::kServerToClient,
-                     wire_bytes, 1, ct_bytes);
   }
   const stats::Distribution po = reduce_population({&sum, 1});
   if (po.size() != C) throw std::logic_error("aggregate_population: size drift");

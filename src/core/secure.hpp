@@ -6,7 +6,6 @@
 
 #include "core/registration.hpp"
 #include "core/registry.hpp"
-#include "fl/channel.hpp"
 #include "paillier/packing.hpp"
 #include "stats/distribution.hpp"
 
@@ -69,29 +68,20 @@ std::vector<std::uint64_t> quantize_distribution(const stats::Distribution& d,
                                                      std::uint64_t try_slot,
                                                      std::uint64_t client_id);
 
-/// Accumulated wall-clock spent inside cryptographic primitives.
-struct CryptoTimings {
-  double keygen_seconds = 0;
-  double encrypt_seconds = 0;
-  double decrypt_seconds = 0;
-  std::size_t vectors_encrypted = 0;
-  std::size_t vectors_decrypted = 0;
-};
-
 /// The secure counterpart of the plaintext selection pipeline: a full
 /// Paillier session implementing the paper's §5.1 registration round-trip
-/// and §5.3 encrypted population aggregation, with every transfer accounted
-/// on the FL channel. The agent role (keygen, final decryption on behalf of
-/// the cohort) is played inside this class; the "server" only ever touches
+/// and §5.3 encrypted population aggregation. It only computes: the
+/// transports (or net::run_session_direct) price its traffic, and the
+/// dubhe_paillier_* telemetry histograms time its crypto. The agent role
+/// (keygen, final decryption on behalf of the cohort) is played inside
+/// this class; the "server" only ever touches
 /// ciphertexts — tests assert that the plaintext never appears server-side.
 class SecureSelectionSession {
  public:
-  /// Generates the session keypair (timed into timings().keygen_seconds)
-  /// and accounts its dispatch to `num_clients` clients.
+  /// Generates the session keypair for a cohort of `num_clients`.
   SecureSelectionSession(const RegistryCodec& codec, std::vector<double> sigma,
                          SecureConfig cfg, std::size_t num_clients,
-                         bigint::EntropySource& rng,
-                         fl::ChannelAccountant* channel = nullptr);
+                         bigint::EntropySource& rng);
 
   struct RegistrationOutcome {
     std::vector<std::uint64_t> overall_registry;  // R_A, decrypted
@@ -110,22 +100,11 @@ class SecureSelectionSession {
   stats::Distribution aggregate_population(std::span<const stats::Distribution> dists,
                                            std::span<const std::size_t> selected);
 
-  [[nodiscard]] const CryptoTimings& timings() const { return timings_; }
   [[nodiscard]] const he::PublicKey& public_key() const { return keypair_.pub; }
   /// The whole session keypair — what the agent dispatches to the cohort
   /// (paper §5.1) and what the transport-backed driver puts in its
   /// kKeyMaterial frames.
   [[nodiscard]] const he::Keypair& keypair() const { return keypair_; }
-  /// Exact wire size (full frame, header included) of one client's encrypted
-  /// registry — what the channel accounting records per registry message.
-  [[nodiscard]] std::size_t encrypted_registry_bytes() const;
-  /// Exact wire size of one client's encrypted label distribution frame.
-  [[nodiscard]] std::size_t encrypted_distribution_bytes() const;
-  /// Ciphertext-material share of those frames (the ledger's
-  /// encrypted_bytes column) — what net::encrypted_payload_bytes measures
-  /// on the real frame, predicted without building it.
-  [[nodiscard]] std::size_t registry_ciphertext_bytes() const;
-  [[nodiscard]] std::size_t distribution_ciphertext_bytes() const;
 
   /// --- the split halves the transport-backed driver runs on --------------
   /// The in-process flows above are composed from these: per-client
@@ -139,7 +118,7 @@ class SecureSelectionSession {
   [[nodiscard]] std::uint64_t session_seed() const { return session_seed_; }
 
   /// Agent half of §5.1: homomorphically sums the uploaded registries and
-  /// decrypts R_A (timed into timings()). Throws std::invalid_argument on an
+  /// decrypts R_A. Throws std::invalid_argument on an
   /// empty span.
   std::vector<std::uint64_t> reduce_registry(
       std::span<const he::PackedEncryptedVector> cts);
@@ -157,9 +136,7 @@ class SecureSelectionSession {
   SecureConfig cfg_;
   std::size_t num_clients_;
   bigint::EntropySource& rng_;
-  fl::ChannelAccountant* channel_;
   he::Keypair keypair_;
-  CryptoTimings timings_;
   /// Per-client encryption randomness derives from this, so serial and
   /// parallel registration produce identical ciphertexts.
   std::uint64_t session_seed_ = 0;

@@ -10,16 +10,6 @@
 
 namespace dubhe::core {
 
-namespace {
-
-void check_quant_bits(std::size_t quant_bits) {
-  if (quant_bits < 2 || quant_bits > 32) {
-    throw std::invalid_argument("selective encryption: quant_bits outside [2, 32]");
-  }
-}
-
-}  // namespace
-
 std::size_t update_encrypted_count(std::size_t n, double he_rate) {
   if (he_rate <= 0.0 || n == 0) return 0;
   if (he_rate >= 1.0) return n;
@@ -58,29 +48,25 @@ std::vector<std::uint8_t> make_update_bitmap(std::span<const std::uint32_t> indi
   return bitmap;
 }
 
-std::size_t update_slot_bits(std::size_t quant_bits, std::size_t cohort_bound) {
-  check_quant_bits(quant_bits);
+std::size_t update_slot_bits(std::size_t cohort_bound) {
   if (cohort_bound == 0) {
     throw std::invalid_argument("update_slot_bits: empty cohort bound");
   }
-  // A slot sums m <= cohort_bound values each < 2^quant_bits, so
-  // quant_bits + bit_width(cohort_bound) bits can never overflow.
-  return quant_bits + std::bit_width(static_cast<std::uint64_t>(cohort_bound));
+  // A slot sums m <= cohort_bound values each < 2^kUpdateQuantBits, so
+  // kUpdateQuantBits + bit_width(cohort_bound) bits can never overflow.
+  return kUpdateQuantBits + std::bit_width(static_cast<std::uint64_t>(cohort_bound));
 }
 
 std::vector<std::uint64_t> quantize_update(std::span<const float> global,
-                                           std::span<const float> trained,
-                                           std::size_t quant_bits, double scale) {
-  check_quant_bits(quant_bits);
+                                           std::span<const float> trained) {
   if (global.size() != trained.size()) {
     throw std::invalid_argument("quantize_update: size mismatch");
   }
-  if (!(scale > 0.0)) throw std::invalid_argument("quantize_update: scale must be > 0");
-  const auto bias = std::int64_t{1} << (quant_bits - 1);
+  constexpr auto bias = std::int64_t{1} << (kUpdateQuantBits - 1);
   std::vector<std::uint64_t> out(global.size());
   for (std::size_t i = 0; i < global.size(); ++i) {
     const double delta = static_cast<double>(trained[i]) - static_cast<double>(global[i]);
-    const auto q = static_cast<std::int64_t>(std::llround(delta * scale));
+    const auto q = static_cast<std::int64_t>(std::llround(delta * kUpdateQuantScale));
     const std::int64_t clamped = std::clamp(q, -bias, bias - 1);
     out[i] = static_cast<std::uint64_t>(clamped + bias);
   }
@@ -89,15 +75,13 @@ std::vector<std::uint64_t> quantize_update(std::span<const float> global,
 
 std::vector<float> merge_quantized_updates(std::span<const float> global,
                                            std::span<const std::uint64_t> sums,
-                                           std::size_t m, std::size_t quant_bits,
-                                           double scale) {
-  check_quant_bits(quant_bits);
+                                           std::size_t m) {
   if (global.size() != sums.size()) {
     throw std::invalid_argument("merge_quantized_updates: size mismatch");
   }
   if (m == 0) throw std::invalid_argument("merge_quantized_updates: empty cohort");
-  const double bias = static_cast<double>(std::int64_t{1} << (quant_bits - 1));
-  const double denom = static_cast<double>(m) * scale;
+  constexpr auto bias = static_cast<double>(std::int64_t{1} << (kUpdateQuantBits - 1));
+  const double denom = static_cast<double>(m) * kUpdateQuantScale;
   std::vector<float> out(global.size());
   for (std::size_t i = 0; i < global.size(); ++i) {
     const double mean_delta =

@@ -18,10 +18,11 @@ namespace dubhe::core {
 /// the global model it broadcast.)
 ///
 /// Quantization is identical on both portions: delta = trained - global,
-/// q = clamp(round(delta * scale)) to the signed quant_bits range, then
-/// biased to unsigned (u = q + 2^(quant_bits-1)) so Paillier slots stay
-/// non-negative. Because encrypted and plaintext coordinates quantize the
-/// same way, the merged model is identical for every he_rate > 0 — the
+/// q = clamp(round(delta * kUpdateQuantScale)) to the signed
+/// kUpdateQuantBits range, then biased to unsigned
+/// (u = q + 2^(kUpdateQuantBits-1)) so Paillier slots stay non-negative.
+/// Because encrypted and plaintext coordinates quantize the same way, the
+/// merged model is identical for every he_rate > 0 — the
 /// rate trades bandwidth and crypto cost against *privacy*, while the
 /// accuracy delta against he_rate = 0 measures quantization alone.
 
@@ -48,31 +49,25 @@ inline constexpr double kUpdateQuantScale = 65536.0;
 [[nodiscard]] std::vector<std::uint8_t> make_update_bitmap(
     std::span<const std::uint32_t> indices, std::size_t n);
 
-/// Packed-slot width for update ciphertexts: quant_bits plus headroom for
-/// a cohort_bound-client sum, so homomorphic addition can never overflow a
-/// slot. Both ends must pass the same cohort_bound (the session's client
-/// count N >= any per-round cohort). Throws std::invalid_argument unless
-/// quant_bits is in [2, 32].
-[[nodiscard]] std::size_t update_slot_bits(std::size_t quant_bits,
-                                           std::size_t cohort_bound);
+/// Packed-slot width for update ciphertexts: kUpdateQuantBits plus
+/// headroom for a cohort_bound-client sum, so homomorphic addition can
+/// never overflow a slot. Both ends must pass the same cohort_bound (the
+/// session's client count N >= any per-round cohort).
+[[nodiscard]] std::size_t update_slot_bits(std::size_t cohort_bound);
 
 /// Quantizes a trained model against the global it started from:
 /// biased-unsigned values u_i = clamp(round((trained_i - global_i) *
-/// scale)) + 2^(quant_bits-1), each < 2^quant_bits.
+/// kUpdateQuantScale)) + 2^(kUpdateQuantBits-1), each < 2^kUpdateQuantBits.
 [[nodiscard]] std::vector<std::uint64_t> quantize_update(std::span<const float> global,
-                                                         std::span<const float> trained,
-                                                         std::size_t quant_bits,
-                                                         double scale);
+                                                         std::span<const float> trained);
 
 /// FedAvg merge of m quantized updates from their per-coordinate sums
 /// (encrypted portion decrypted, plaintext portion plain-summed — the
 /// caller scatters both into one array): new_global_i = global_i +
-/// (sums_i - m * bias) / (m * scale).
+/// (sums_i - m * bias) / (m * kUpdateQuantScale).
 [[nodiscard]] std::vector<float> merge_quantized_updates(std::span<const float> global,
                                                          std::span<const std::uint64_t> sums,
-                                                         std::size_t m,
-                                                         std::size_t quant_bits,
-                                                         double scale);
+                                                         std::size_t m);
 
 /// Seed of client k's update-encryption stream for one global round.
 /// Domain-separated from participation_seed (top bit) and from every

@@ -27,58 +27,17 @@ void ChannelAccountant::record(MessageKind kind, Direction dir, std::size_t byte
   cell.encrypted_bytes.fetch_add(encrypted_bytes, std::memory_order_relaxed);
 }
 
-std::uint64_t ChannelAccountant::messages(MessageKind kind, Direction dir) const {
-  return cells_.at(static_cast<std::size_t>(kind))
-      .at(static_cast<std::size_t>(dir))
-      .messages.load(std::memory_order_relaxed);
+std::uint64_t ChannelLedger::messages(MessageKind kind) const {
+  return messages(kind, Direction::kClientToServer) + messages(kind, Direction::kServerToClient);
 }
 
-std::uint64_t ChannelAccountant::bytes(MessageKind kind, Direction dir) const {
-  return cells_.at(static_cast<std::size_t>(kind))
-      .at(static_cast<std::size_t>(dir))
-      .bytes.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ChannelAccountant::messages(MessageKind kind) const {
-  return messages(kind, Direction::kClientToServer) +
-         messages(kind, Direction::kServerToClient);
-}
-
-std::uint64_t ChannelAccountant::bytes(MessageKind kind) const {
+std::uint64_t ChannelLedger::bytes(MessageKind kind) const {
   return bytes(kind, Direction::kClientToServer) + bytes(kind, Direction::kServerToClient);
 }
 
-std::uint64_t ChannelAccountant::encrypted_bytes(MessageKind kind, Direction dir) const {
-  return cells_.at(static_cast<std::size_t>(kind))
-      .at(static_cast<std::size_t>(dir))
-      .encrypted_bytes.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ChannelAccountant::encrypted_bytes(MessageKind kind) const {
+std::uint64_t ChannelLedger::encrypted_bytes(MessageKind kind) const {
   return encrypted_bytes(kind, Direction::kClientToServer) +
          encrypted_bytes(kind, Direction::kServerToClient);
-}
-
-std::uint64_t ChannelAccountant::total_messages() const {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) total += messages(static_cast<MessageKind>(k));
-  return total;
-}
-
-std::uint64_t ChannelAccountant::total_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) total += bytes(static_cast<MessageKind>(k));
-  return total;
-}
-
-std::uint64_t ChannelAccountant::total_encrypted_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    for (std::size_t d = 0; d < kDirs; ++d) {
-      total += encrypted_bytes(static_cast<MessageKind>(k), static_cast<Direction>(d));
-    }
-  }
-  return total;
 }
 
 std::uint64_t ChannelLedger::total_messages() const {
@@ -124,8 +83,8 @@ ChannelLedger ledger_delta(const ChannelLedger& after, const ChannelLedger& befo
 
 ChannelLedger ChannelAccountant::snapshot() const {
   ChannelLedger out;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    for (std::size_t d = 0; d < kDirs; ++d) {
+  for (std::size_t k = 0; k < kMessageKinds; ++k) {
+    for (std::size_t d = 0; d < kDirections; ++d) {
       out.cells[k][d] = {cells_[k][d].messages.load(std::memory_order_relaxed),
                          cells_[k][d].bytes.load(std::memory_order_relaxed),
                          cells_[k][d].encrypted_bytes.load(std::memory_order_relaxed)};
@@ -135,23 +94,13 @@ ChannelLedger ChannelAccountant::snapshot() const {
 }
 
 void ChannelAccountant::add(const ChannelLedger& ledger) {
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    for (std::size_t d = 0; d < kDirs; ++d) {
+  for (std::size_t k = 0; k < kMessageKinds; ++k) {
+    for (std::size_t d = 0; d < kDirections; ++d) {
       const auto& cell = ledger.cells[k][d];
       if (cell.messages != 0 || cell.bytes != 0) {
         record(static_cast<MessageKind>(k), static_cast<Direction>(d), cell.bytes,
                cell.messages, cell.encrypted_bytes);
       }
-    }
-  }
-}
-
-void ChannelAccountant::reset() {
-  for (auto& kind_row : cells_) {
-    for (auto& cell : kind_row) {
-      cell.messages.store(0, std::memory_order_relaxed);
-      cell.bytes.store(0, std::memory_order_relaxed);
-      cell.encrypted_bytes.store(0, std::memory_order_relaxed);
     }
   }
 }

@@ -54,6 +54,10 @@ struct ChannelLedger {
   [[nodiscard]] std::uint64_t encrypted_bytes(MessageKind kind, Direction dir) const {
     return at(kind, dir).encrypted_bytes;
   }
+  /// Both directions of one kind.
+  [[nodiscard]] std::uint64_t messages(MessageKind kind) const;
+  [[nodiscard]] std::uint64_t bytes(MessageKind kind) const;
+  [[nodiscard]] std::uint64_t encrypted_bytes(MessageKind kind) const;
   [[nodiscard]] std::uint64_t total_messages() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
   [[nodiscard]] std::uint64_t total_encrypted_bytes() const;
@@ -67,25 +71,17 @@ struct ChannelLedger {
 [[nodiscard]] ChannelLedger ledger_delta(const ChannelLedger& after,
                                          const ChannelLedger& before);
 
-/// Thread-safe accounting of everything that crosses the (simulated)
-/// network. The FL loop and Dubhe's secure flows record every transfer here,
-/// so the §6.4 communication-overhead table is measured, not estimated.
+/// Thread-safe accounting of everything that crosses the network. The
+/// transports record every frame they carry here (and the direct reference
+/// path records the frames it would have sent), so the §6.4
+/// communication-overhead table is measured, not estimated. Queries go
+/// through snapshot().
 class ChannelAccountant {
  public:
   /// `encrypted_bytes` is the ciphertext-material share of `bytes` (see
   /// ChannelLedger::Cell); callers that ship no ciphertext leave it 0.
   void record(MessageKind kind, Direction dir, std::size_t bytes, std::size_t count = 1,
               std::size_t encrypted_bytes = 0);
-
-  [[nodiscard]] std::uint64_t messages(MessageKind kind) const;
-  [[nodiscard]] std::uint64_t bytes(MessageKind kind) const;
-  [[nodiscard]] std::uint64_t messages(MessageKind kind, Direction dir) const;
-  [[nodiscard]] std::uint64_t bytes(MessageKind kind, Direction dir) const;
-  [[nodiscard]] std::uint64_t encrypted_bytes(MessageKind kind) const;
-  [[nodiscard]] std::uint64_t encrypted_bytes(MessageKind kind, Direction dir) const;
-  [[nodiscard]] std::uint64_t total_messages() const;
-  [[nodiscard]] std::uint64_t total_bytes() const;
-  [[nodiscard]] std::uint64_t total_encrypted_bytes() const;
 
   /// Copies every cell out under relaxed loads (exact between protocol
   /// phases, when no transport thread is mid-record).
@@ -94,17 +90,13 @@ class ChannelAccountant {
   /// accounting is merged into a caller-supplied channel at the end.
   void add(const ChannelLedger& ledger);
 
-  void reset();
-
  private:
-  static constexpr std::size_t kKinds = kMessageKinds;
-  static constexpr std::size_t kDirs = kDirections;
   struct Cell {
     std::atomic<std::uint64_t> messages{0};
     std::atomic<std::uint64_t> bytes{0};
     std::atomic<std::uint64_t> encrypted_bytes{0};
   };
-  std::array<std::array<Cell, kDirs>, kKinds> cells_;
+  std::array<std::array<Cell, kDirections>, kMessageKinds> cells_;
 };
 
 }  // namespace dubhe::fl

@@ -1,11 +1,11 @@
-#include "core/loss_selection.hpp"
+#include "fl/loss_selection.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
-namespace dubhe::core {
+namespace dubhe::fl {
 
-PowerOfChoiceSelector::PowerOfChoiceSelector(fl::FederatedTrainer* trainer,
+PowerOfChoiceSelector::PowerOfChoiceSelector(FederatedTrainer* trainer,
                                              std::size_t candidate_pool,
                                              std::size_t loss_samples)
     : trainer_(trainer), d_(candidate_pool), loss_samples_(loss_samples) {
@@ -37,4 +37,4 @@ std::vector<std::size_t> PowerOfChoiceSelector::select(std::size_t K, stats::Rng
   return out;
 }
 
-}  // namespace dubhe::core
+}  // namespace dubhe::fl

@@ -5,7 +5,7 @@
 #include "core/selection.hpp"
 #include "fl/trainer.hpp"
 
-namespace dubhe::core {
+namespace dubhe::fl {
 
 /// Power-of-choice client selection (Cho, Wang & Joshi 2020 — the loss-based
 /// family the paper contrasts Dubhe against in §2.1/§3): sample a candidate
@@ -19,11 +19,11 @@ namespace dubhe::core {
 /// with their data distribution (a privacy cost Dubhe avoids). The selector
 /// reads the live global model from the trainer, so it only works inside a
 /// training loop, unlike the distribution-only strategies.
-class PowerOfChoiceSelector final : public SelectionStrategy {
+class PowerOfChoiceSelector final : public core::SelectionStrategy {
  public:
   /// `trainer` must outlive the selector. candidate_pool is the paper's d;
   /// it is clamped to [K, N] at selection time.
-  PowerOfChoiceSelector(fl::FederatedTrainer* trainer, std::size_t candidate_pool,
+  PowerOfChoiceSelector(FederatedTrainer* trainer, std::size_t candidate_pool,
                         std::size_t loss_samples = 64);
 
   std::vector<std::size_t> select(std::size_t K, stats::Rng& rng) override;
@@ -33,10 +33,10 @@ class PowerOfChoiceSelector final : public SelectionStrategy {
   [[nodiscard]] std::uint64_t loss_evaluations() const { return evaluations_; }
 
  private:
-  fl::FederatedTrainer* trainer_;
+  FederatedTrainer* trainer_;
   std::size_t d_;
   std::size_t loss_samples_;
   std::uint64_t evaluations_ = 0;
 };
 
-}  // namespace dubhe::core
+}  // namespace dubhe::fl

@@ -3,14 +3,12 @@
 #include <stdexcept>
 
 #include "core/parallel.hpp"
-#include "net/schema.hpp"
 
 namespace dubhe::fl {
 
 FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
-                                   nn::Sequential prototype, TrainConfig cfg,
-                                   ChannelAccountant* channel)
-    : dataset_(dataset), cfg_(cfg), server_(std::move(prototype)), channel_(channel) {
+                                   nn::Sequential prototype, TrainConfig cfg)
+    : dataset_(dataset), cfg_(cfg), server_(std::move(prototype)) {
   clients_.reserve(dataset.num_clients());
   for (std::size_t k = 0; k < dataset.num_clients(); ++k) {
     const auto samples = dataset.client_samples(k);
@@ -38,18 +36,6 @@ RoundResult FederatedTrainer::run_round(std::span<const std::size_t> selected,
         c.train(proto, global, cfg_, stats::derive_seed(round_seed, c.id() + 1));
   });
   server_.aggregate(updates);
-
-  if (channel_ != nullptr) {
-    // One model down + one update up per participant, at the exact encoded
-    // frame size (kModelDown and kModelUpdate frames are the same width —
-    // see net::WeightsMsg), so the ledger matches what a Transport carries
-    // byte for byte.
-    const std::size_t model_bytes = net::wire_size(net::WeightsMsg{0, global}).frame;
-    channel_->record(MessageKind::kModelWeights, Direction::kServerToClient,
-                     model_bytes * K, K);
-    channel_->record(MessageKind::kModelWeights, Direction::kClientToServer,
-                     model_bytes * K, K);
-  }
 
   RoundResult result;
   result.population.assign(dataset_.num_classes(), 0.0);

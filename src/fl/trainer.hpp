@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "fl/channel.hpp"
 #include "fl/client.hpp"
 #include "fl/server.hpp"
 
@@ -23,12 +22,11 @@ struct RoundResult {
 /// Glue that runs FL rounds: materializes one Client per dataset client,
 /// trains the selected subset concurrently on the shared
 /// core::ParallelRuntime pool (the paper runs participants as parallel
-/// processes), aggregates with equal weights, and accounts the model
-/// traffic on the channel.
+/// processes), and aggregates with equal weights.
 class FederatedTrainer {
  public:
   FederatedTrainer(const data::FederatedDataset& dataset, nn::Sequential prototype,
-                   TrainConfig cfg, ChannelAccountant* channel = nullptr);
+                   TrainConfig cfg);
 
   [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
   [[nodiscard]] const Client& client(std::size_t k) const { return clients_.at(k); }
@@ -45,7 +43,6 @@ class FederatedTrainer {
   TrainConfig cfg_;
   Server server_;
   std::vector<Client> clients_;
-  ChannelAccountant* channel_;
 };
 
 }  // namespace dubhe::fl

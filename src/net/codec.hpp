@@ -45,10 +45,13 @@ std::size_t min_entry_size(const Entry& entry) {
   return s.payload;
 }
 
-/// Big-endian writer into a buffer reserved once, at the Sizer's count.
+/// Big-endian writer into a buffer sized once, at the Sizer's count, and
+/// filled through a cursor. Writing past that count, or take() before the
+/// cursor reaches it, means the Sizer and the Writer disagree on a field
+/// list: std::logic_error.
 class Writer {
  public:
-  explicit Writer(std::size_t bytes) { out_.reserve(bytes); }
+  explicit Writer(std::size_t bytes) : out_(bytes) {}
 
   template <class... T>
   void operator()(const T&... f) {
@@ -63,13 +66,22 @@ class Writer {
     for (const T& e : list) entry(*this, e);
   }
   void implied(const auto&, const auto&) {}
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  std::vector<std::uint8_t> take() {
+    if (pos_ != out_.size()) throw std::logic_error("Writer: payload short of its Sizer count");
+    return std::move(out_);
+  }
 
  private:
+  /// The next `n` bytes of the buffer, advancing the cursor past them.
+  std::uint8_t* claim(std::size_t n) {
+    if (n > out_.size() - pos_) throw std::logic_error("Writer: payload overruns its Sizer count");
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
   void put(std::uint64_t bits, std::size_t width) {
-    for (std::size_t b = width; b-- > 0;) {
-      out_.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
-    }
+    std::uint8_t* p = claim(width);
+    for (std::size_t b = width; b-- > 0;) *p++ = static_cast<std::uint8_t>(bits >> (8 * b));
   }
   void count(std::size_t n) {
     if (n > std::size_t{0xFFFFFFFF}) throw bad_payload("list length exceeds u32");
@@ -91,10 +103,11 @@ class Writer {
   template <class Paillier>
   void field(const Paillier& x) {
     const std::vector<std::uint8_t> bytes = he::serialize(x);
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    std::copy(bytes.begin(), bytes.end(), claim(bytes.size()));
   }
 
   std::vector<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// The key of a decode whose payload has no packed field.

@@ -42,8 +42,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
   const he::PackedCodec packed(params.secure.key_bits - 1, params.secure.packing_slot_bits);
 
   bigint::Xoshiro256ss he_rng(params.he_seed);
-  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng,
-                                       nullptr);
+  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng);
 
   SessionTranscript t;
   if (telemetry::enabled()) {
@@ -254,8 +253,7 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
           const std::vector<std::uint64_t> enc_sums = session.reduce_registry({&enc_sum, 1});
           for (std::size_t j = 0; j < plan.k; ++j) sums[plan.mask[j]] = enc_sums[j];
           telemetry::ScopedTimer fedavg_timer(fedavg_hist);
-          server.set_global_weights(core::merge_quantized_updates(
-              global, sums, m, core::kUpdateQuantBits, core::kUpdateQuantScale));
+          server.set_global_weights(core::merge_quantized_updates(global, sums, m));
         }
       } else {
         std::vector<std::vector<float>> collected(N);
@@ -363,8 +361,7 @@ SparseUpdatePlan sparse_plan(std::span<const float> global, const core::SecureCo
   for (std::uint32_t i = 0; i < plan.n; ++i) {
     if ((plan.bitmap[i / 8] & (1u << (i % 8))) == 0) plan.plain_idx.push_back(i);
   }
-  plan.codec =
-      he::PackedCodec(sc.key_bits - 1, core::update_slot_bits(core::kUpdateQuantBits, num_clients));
+  plan.codec = he::PackedCodec(sc.key_bits - 1, core::update_slot_bits(num_clients));
   return plan;
 }
 

@@ -315,8 +315,7 @@ void serve_client(Transport& link, std::size_t client_id,
           const std::uint64_t round = next_round - 1;
           const SparseUpdatePlan plan =
               sparse_plan(down.weights, params.secure, dataset.num_clients());
-          const auto q = core::quantize_update(down.weights, trained, core::kUpdateQuantBits,
-                                               core::kUpdateQuantScale);
+          const auto q = core::quantize_update(down.weights, trained);
           send(make_sparse_update(static_cast<std::uint64_t>(client_id), plan, q, prv,
                                   core::update_encryption_seed(session_seed, round, client_id)));
         } else {
@@ -347,16 +346,32 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
   const core::RegistryCodec codec(params.num_classes, params.reference_set);
   const auto& dists = dataset.partition().client_dists;
   bigint::Xoshiro256ss he_rng(params.he_seed);
-  // The session-local accountant mirrors the transport-backed driver: it
-  // exists regardless of `channel`, carries the per-round deltas, and is
-  // merged into the caller's channel at the end.
+  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng);
+
+  // The frames the transports would carry, priced at their exact wire
+  // sizes into a session-local accountant that mirrors run_server_session's:
+  // it carries the per-round deltas and is merged into the caller's channel
+  // at the end.
   fl::ChannelAccountant acct;
-  core::SecureSelectionSession session(codec, params.sigma, params.secure, N, he_rng,
-                                       &acct);
+  const auto price = [&acct](fl::MessageKind kind, fl::Direction dir, const WireSize& size,
+                             std::size_t count) {
+    acct.record(kind, dir, size.frame * count, count, size.ciphertext * count);
+  };
+  const he::PackedCodec packed(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+  const WireSize registry_frame =
+      wire_size(packed_shape(session.public_key(), packed, codec.length()));
+  const WireSize distribution_frame =
+      wire_size(packed_shape(session.public_key(), packed, codec.num_classes()));
 
   SessionTranscript t;
   auto reg = session.run_registration(dists);
   t.overall_registry = std::move(reg.overall_registry);
+  // Setup: the agent's key dispatch to every client, every client's
+  // registry upload, and the registry broadcast back.
+  price(fl::MessageKind::kKeyMaterial, fl::Direction::kServerToClient,
+        wire_size(KeyMaterial{session.keypair().prv}), N);
+  price(fl::MessageKind::kRegistry, fl::Direction::kClientToServer, registry_frame, N);
+  price(fl::MessageKind::kRegistry, fl::Direction::kServerToClient, registry_frame, N);
   t.setup_ledger = acct.snapshot();
 
   // The client half of §5.2, simulated in-process: every client's Eq. 6
@@ -369,7 +384,7 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
         t.overall_registry, reg.registrations[k].category_index, params.K);
   }
 
-  fl::FederatedTrainer trainer(dataset, prototype, params.train, &acct);
+  fl::FederatedTrainer trainer(dataset, prototype, params.train);
   stats::Rng sel_rng(params.select_seed);
   std::vector<std::size_t> everyone(N);
   std::iota(everyone.begin(), everyone.end(), std::size_t{0});
@@ -387,43 +402,43 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
                                  return resolve_try(draws, everyone, h, params.K, sel_rng);
                                },
                                [&](std::size_t, std::span<const std::size_t> sel) {
+                                 // One upload per selected client; the sum
+                                 // reaches the agent without a frame.
+                                 price(fl::MessageKind::kDistribution,
+                                       fl::Direction::kClientToServer, distribution_frame,
+                                       sel.size());
                                  return session.aggregate_population(dists, sel);
                                }));
+    const std::size_t m = rec.selected.size();
+    // kModelDown and kModelUpdate frames are the same width (WeightsMsg).
+    const WireSize down = wire_size(WeightsMsg{0, trainer.server().global_weights()});
+    WireSize up = down;
     if (params.secure.update_he_rate > 0.0) {
       // Reference path for selective encryption. Paillier decryption of a
       // homomorphic sum is exact (update_slot_bits guarantees no slot
       // overflow for up to N additions), so decrypt(sum(encrypt(q_i)))
       // == sum(q_i) and the direct path computes the u64 sums without
       // doing the crypto — value-identical to the wire paths by
-      // construction. Traffic is recorded predictively at the exact frame
-      // sizes and ciphertext shares the transports would measure.
+      // construction.
       const std::vector<float> global = trainer.server().global_weights();
       const SparseUpdatePlan plan = sparse_plan(global, params.secure, N);
       const std::uint64_t round_seed = stats::derive_seed(params.round_seed, r);
-      const std::size_t m = rec.selected.size();
       std::vector<std::vector<std::uint64_t>> qs(m);
       core::parallel_for(m, 0, [&](std::size_t i) {
         const fl::Client& c = trainer.client(rec.selected[i]);
         const auto trained = c.train(prototype, global, params.train,
                                      stats::derive_seed(round_seed, c.id() + 1));
-        qs[i] = core::quantize_update(global, trained, core::kUpdateQuantBits,
-                                      core::kUpdateQuantScale);
+        qs[i] = core::quantize_update(global, trained);
       });
       std::vector<std::uint64_t> sums(plan.n, 0);
       for (const auto& q : qs) {
         for (std::size_t i = 0; i < plan.n; ++i) sums[i] += q[i];
       }
-      trainer.server().set_global_weights(core::merge_quantized_updates(
-          global, sums, m, core::kUpdateQuantBits, core::kUpdateQuantScale));
-      const std::size_t down_bytes = wire_size(WeightsMsg{0, global}).frame;
-      const WireSize up = wire_size(ModelUpdateSparse{
+      trainer.server().set_global_weights(core::merge_quantized_updates(global, sums, m));
+      up = wire_size(ModelUpdateSparse{
           0, static_cast<std::uint32_t>(plan.n),
           static_cast<std::uint8_t>(core::kUpdateQuantBits), {}, {},
           packed_shape(session.public_key(), plan.codec, plan.k)});
-      acct.record(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient,
-                  down_bytes * m, m);
-      acct.record(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer,
-                  up.frame * m, m, up.ciphertext * m);
       rec.global_weights = trainer.server().global_weights();
       if (params.evaluate) rec.accuracy = trainer.server().evaluate(dataset);
     } else {
@@ -432,6 +447,8 @@ SessionTranscript run_session_direct(const data::FederatedDataset& dataset,
       rec.global_weights = trainer.server().global_weights();
       if (params.evaluate) rec.accuracy = rr.test_accuracy;
     }
+    price(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient, down, m);
+    price(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer, up, m);
     rec.ledger = fl::ledger_delta(acct.snapshot(), before);
     t.rounds.push_back(std::move(rec));
   }

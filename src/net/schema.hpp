@@ -13,10 +13,7 @@ namespace dubhe::net {
 
 /// The payload schema: one struct per payload, each listing its fields
 /// once, in wire order, in `static void fields(auto& v, auto& m)`. The codec
-/// (net/codec.hpp) and the Sizer below are visitors over these lists. Only
-/// the frame format and the paillier layer sit below this header, so `core`
-/// and `fl` can price their traffic exactly without the rest of `net`
-/// (codec/transport/node sit *above* them — see the README layering note).
+/// (net/codec.hpp) and the Sizer below are visitors over these lists.
 ///
 /// Field kinds: scalars (u8, u32, u64, u8 enums, bool as one 0/1 byte, f32
 /// as its IEEE-754 bit pattern, so weights round-trip bit-exactly, NaNs

@@ -49,7 +49,7 @@ constexpr Crc32Tables kCrcTable;
 /// Validates a complete 16-byte header and returns the payload length it
 /// promises. Truncation is the caller's concern: decode_frame treats
 /// missing payload bytes as an error, FrameReader as "wait for more".
-std::size_t check_header(std::span<const std::uint8_t> h, std::size_t max_payload) {
+std::size_t check_header(std::span<const std::uint8_t> h) {
   if (!std::equal(kMagic.begin(), kMagic.end(), h.begin())) {
     throw WireError(WireErrc::kBadMagic, "frame does not start with DUBH");
   }
@@ -64,10 +64,10 @@ std::size_t check_header(std::span<const std::uint8_t> h, std::size_t max_payloa
   // Bytes 6..7 carry the frame sequence (any value is valid); the session
   // driver, not the codec, enforces monotonicity.
   const std::size_t len = get_u32(h.data() + 8);
-  if (len > max_payload) {
+  if (len > kMaxPayload) {
     throw WireError(WireErrc::kOversized, "payload length " + std::to_string(len) +
                                               " exceeds limit " +
-                                              std::to_string(max_payload));
+                                              std::to_string(kMaxPayload));
   }
   return len;
 }
@@ -133,7 +133,6 @@ const char* errc_label(WireErrc code) {
     case WireErrc::kBadMagic: return "bad_magic";
     case WireErrc::kBadVersion: return "bad_version";
     case WireErrc::kBadType: return "bad_type";
-    case WireErrc::kBadFlags: return "bad_flags";
     case WireErrc::kOversized: return "oversized";
     case WireErrc::kTruncated: return "truncated";
     case WireErrc::kBadCrc: return "bad_crc";
@@ -159,7 +158,6 @@ std::string to_string(WireErrc code) {
     case WireErrc::kBadMagic: return "bad magic";
     case WireErrc::kBadVersion: return "bad version";
     case WireErrc::kBadType: return "bad message type";
-    case WireErrc::kBadFlags: return "bad flags";
     case WireErrc::kOversized: return "oversized frame";
     case WireErrc::kTruncated: return "truncated frame";
     case WireErrc::kBadCrc: return "crc mismatch";
@@ -222,8 +220,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame, std::size_t max_payload) {
-  const auto header = encode_frame_header(frame.type, frame.payload, frame.seq, max_payload);
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  const auto header = encode_frame_header(frame.type, frame.payload, frame.seq);
   std::vector<std::uint8_t> out(kFrameHeaderBytes + frame.payload.size());
   std::copy(header.begin(), header.end(), out.begin());
   std::copy(frame.payload.begin(), frame.payload.end(), out.begin() + kFrameHeaderBytes);
@@ -231,12 +229,11 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame, std::size_t max_paylo
 }
 
 std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
-    MsgType type, std::span<const std::uint8_t> payload, std::uint16_t seq,
-    std::size_t max_payload) {
+    MsgType type, std::span<const std::uint8_t> payload, std::uint16_t seq) {
   if (!is_valid(type)) {
     throw WireError(WireErrc::kBadType, "refusing to encode an unknown message type");
   }
-  if (payload.size() > max_payload || payload.size() > std::size_t{0xFFFFFFFF}) {
+  if (payload.size() > kMaxPayload) {
     throw WireError(WireErrc::kOversized,
                     "payload of " + std::to_string(payload.size()) + " bytes");
   }
@@ -251,12 +248,12 @@ std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
   return out;
 }
 
-Frame decode_frame(std::span<const std::uint8_t> bytes, std::size_t max_payload) {
+Frame decode_frame(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kFrameHeaderBytes) {
     throw WireError(WireErrc::kShortBuffer,
                     std::to_string(bytes.size()) + " bytes is smaller than a header");
   }
-  const std::size_t len = check_header(bytes.first(kFrameHeaderBytes), max_payload);
+  const std::size_t len = check_header(bytes.first(kFrameHeaderBytes));
   if (bytes.size() < kFrameHeaderBytes + len) {
     throw WireError(WireErrc::kTruncated,
                     "header promises " + std::to_string(len) + " payload bytes, " +
@@ -285,7 +282,7 @@ std::optional<Frame> FrameReader::next() {
   const std::size_t avail = buf_.size() - pos_;
   if (avail < kFrameHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buf_.data() + pos_;
-  const std::size_t len = check_header({h, kFrameHeaderBytes}, max_payload_);
+  const std::size_t len = check_header({h, kFrameHeaderBytes});
   if (avail < kFrameHeaderBytes + len) return std::nullopt;
   // Slice the payload straight out of the buffer (the header was just
   // validated; re-running decode_frame would copy the payload twice on

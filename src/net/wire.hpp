@@ -60,10 +60,11 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'D', 'U', 'B', 'H'};
 /// session key. A version-6 peer is refused at the first frame.
 inline constexpr std::uint8_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-/// Decoder-side ceiling on a single frame's payload. Frames whose length
-/// prefix exceeds this are rejected before any allocation, so a corrupted
-/// (or hostile) length field cannot make the receiver reserve gigabytes.
-inline constexpr std::size_t kDefaultMaxPayload = std::size_t{1} << 26;  // 64 MiB
+/// Ceiling on a single frame's payload, enforced by encoder and decoder
+/// alike. Frames whose length prefix exceeds this are rejected before any
+/// allocation, so a corrupted (or hostile) length field cannot make the
+/// receiver reserve gigabytes.
+inline constexpr std::size_t kMaxPayload = std::size_t{1} << 26;  // 64 MiB
 
 /// Every message the client <-> aggregator protocol exchanges. Values are
 /// wire-stable: append new types, never renumber. Retired values stay
@@ -110,8 +111,7 @@ enum class WireErrc {
   kBadMagic,
   kBadVersion,
   kBadType,
-  kBadFlags,   // retired in version 4 (the field carries the sequence now)
-  kOversized,  // length prefix exceeds the decoder's max payload
+  kOversized,  // payload or length prefix exceeds kMaxPayload
   kTruncated,  // header promises more payload bytes than are present
   kBadCrc,
   kBadPayload,  // frame intact, payload malformed for its type
@@ -220,24 +220,21 @@ struct QuarantineRecord {
 }
 
 /// Encodes one frame. Throws WireError{kOversized} if the payload exceeds
-/// `max_payload` (senders enforce the same ceiling receivers do, so an
+/// kMaxPayload (senders enforce the same ceiling receivers do, so an
 /// oversized message fails loudly at the producer instead of poisoning the
 /// stream).
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(
-    const Frame& frame, std::size_t max_payload = kDefaultMaxPayload);
+[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Encodes only the 16-byte header for `payload` (same validation and
 /// CRC as encode_frame). The scatter-gather transports send this header
 /// and the payload as two iovecs of one writev, so a frame goes out in a
 /// single syscall without ever being copied into one contiguous buffer.
 [[nodiscard]] std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
-    MsgType type, std::span<const std::uint8_t> payload, std::uint16_t seq = 0,
-    std::size_t max_payload = kDefaultMaxPayload);
+    MsgType type, std::span<const std::uint8_t> payload, std::uint16_t seq = 0);
 
 /// One-shot decode of a buffer holding exactly one frame (trailing bytes are
 /// rejected as kBadPayload). Throws WireError on any malformation.
-[[nodiscard]] Frame decode_frame(std::span<const std::uint8_t> bytes,
-                                 std::size_t max_payload = kDefaultMaxPayload);
+[[nodiscard]] Frame decode_frame(std::span<const std::uint8_t> bytes);
 
 /// Incremental decoder for a byte stream: feed() whatever the socket
 /// delivered, then drain next() until it returns nullopt. Malformed input
@@ -245,9 +242,6 @@ struct QuarantineRecord {
 /// stream is unrecoverable — the connection must be dropped).
 class FrameReader {
  public:
-  explicit FrameReader(std::size_t max_payload = kDefaultMaxPayload)
-      : max_payload_(max_payload) {}
-
   void feed(std::span<const std::uint8_t> bytes);
   /// Next complete frame, or nullopt if more bytes are needed.
   std::optional<Frame> next();
@@ -256,7 +250,6 @@ class FrameReader {
  private:
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
-  std::size_t max_payload_;
 };
 
 }  // namespace dubhe::net

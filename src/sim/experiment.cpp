@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/loss_selection.hpp"
+#include "fl/loss_selection.hpp"
 #include "nn/builders.hpp"
 
 namespace dubhe::sim {
@@ -95,7 +95,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       dataset, nn::make_mlp(dataset.feature_dim(), cfg.hidden, C, cfg.seed), cfg.train);
   std::unique_ptr<core::SelectionStrategy> selector;
   if (cfg.method == Method::kPowerOfChoice) {
-    selector = std::make_unique<core::PowerOfChoiceSelector>(&trainer, cfg.poc_candidates);
+    selector = std::make_unique<fl::PowerOfChoiceSelector>(&trainer, cfg.poc_candidates);
   } else {
     selector = make_selector(cfg.method, dists, &codec, sigma);
   }

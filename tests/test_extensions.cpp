@@ -8,8 +8,8 @@
 #include <cmath>
 #include <set>
 
-#include "core/loss_selection.hpp"
 #include "data/drift.hpp"
+#include "fl/loss_selection.hpp"
 #include "nn/builders.hpp"
 #include "sim/experiment.hpp"
 
@@ -112,7 +112,7 @@ TEST(PowerOfChoice, SelectsKDistinctAndCountsEvaluations) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   fl::FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 16, 10, 5),
                                fl::TrainConfig{});
-  core::PowerOfChoiceSelector poc(&trainer, /*candidate_pool=*/20);
+  fl::PowerOfChoiceSelector poc(&trainer, /*candidate_pool=*/20);
   stats::Rng rng(3);
   const auto s = poc.select(8, rng);
   EXPECT_EQ(s.size(), 8u);
@@ -122,7 +122,7 @@ TEST(PowerOfChoice, SelectsKDistinctAndCountsEvaluations) {
   EXPECT_EQ(poc.loss_evaluations(), 40u);
   EXPECT_EQ(poc.name(), "power-of-choice");
   EXPECT_THROW(poc.select(1000, rng), std::invalid_argument);
-  EXPECT_THROW(core::PowerOfChoiceSelector(nullptr, 10), std::invalid_argument);
+  EXPECT_THROW(fl::PowerOfChoiceSelector(nullptr, 10), std::invalid_argument);
 }
 
 TEST(PowerOfChoice, PrefersHighLossClients) {
@@ -136,7 +136,7 @@ TEST(PowerOfChoice, PrefersHighLossClients) {
   for (int round = 0; round < 5; ++round) {
     trainer.run_round(only_zero, static_cast<std::uint64_t>(round), false);
   }
-  core::PowerOfChoiceSelector poc(&trainer, /*candidate_pool=*/12);
+  fl::PowerOfChoiceSelector poc(&trainer, /*candidate_pool=*/12);
   stats::Rng rng(4);
   const auto s = poc.select(6, rng);  // half the cohort; client 0 should miss
   EXPECT_EQ(std::count(s.begin(), s.end(), 0u), 0);

@@ -5,7 +5,6 @@
 #include "fl/client.hpp"
 #include "fl/server.hpp"
 #include "fl/trainer.hpp"
-#include "net/codec.hpp"
 #include "nn/builders.hpp"
 #include "stats/rng.hpp"
 
@@ -25,18 +24,27 @@ data::PartitionConfig small_config() {
 
 TEST(Channel, RecordsPerKindAndDirection) {
   ChannelAccountant ch;
+  EXPECT_EQ(ch.snapshot(), ChannelLedger{});
   ch.record(MessageKind::kRegistry, Direction::kClientToServer, 100);
-  ch.record(MessageKind::kRegistry, Direction::kServerToClient, 50, 2);
+  ch.record(MessageKind::kRegistry, Direction::kServerToClient, 50, 2, 40);
   ch.record(MessageKind::kModelWeights, Direction::kClientToServer, 1000);
-  EXPECT_EQ(ch.messages(MessageKind::kRegistry), 3u);
-  EXPECT_EQ(ch.bytes(MessageKind::kRegistry), 150u);
-  EXPECT_EQ(ch.messages(MessageKind::kRegistry, Direction::kClientToServer), 1u);
-  EXPECT_EQ(ch.bytes(MessageKind::kModelWeights), 1000u);
-  EXPECT_EQ(ch.total_messages(), 4u);
-  EXPECT_EQ(ch.total_bytes(), 1150u);
-  ch.reset();
-  EXPECT_EQ(ch.total_messages(), 0u);
-  EXPECT_EQ(ch.total_bytes(), 0u);
+  const ChannelLedger ledger = ch.snapshot();
+  EXPECT_EQ(ledger.messages(MessageKind::kRegistry), 3u);
+  EXPECT_EQ(ledger.bytes(MessageKind::kRegistry), 150u);
+  EXPECT_EQ(ledger.encrypted_bytes(MessageKind::kRegistry), 40u);
+  EXPECT_EQ(ledger.messages(MessageKind::kRegistry, Direction::kClientToServer), 1u);
+  EXPECT_EQ(ledger.bytes(MessageKind::kModelWeights), 1000u);
+  EXPECT_EQ(ledger.total_messages(), 4u);
+  EXPECT_EQ(ledger.total_bytes(), 1150u);
+  EXPECT_EQ(ledger.total_encrypted_bytes(), 40u);
+  EXPECT_THROW(ch.record(MessageKind::kControl, Direction::kClientToServer, 1, 1, 2),
+               std::invalid_argument);
+  // add() merges a ledger cell by cell.
+  ChannelAccountant sum;
+  sum.add(ledger);
+  sum.add(ledger);
+  EXPECT_EQ(sum.snapshot().bytes(MessageKind::kRegistry), 300u);
+  EXPECT_EQ(ledger_delta(sum.snapshot(), ledger), ledger);
 }
 
 TEST(Channel, KindNames) {
@@ -121,22 +129,6 @@ TEST(Trainer, EmptySelectionThrows) {
   const data::FederatedDataset ds(data::mnist_like(), small_config());
   FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{});
   EXPECT_THROW(trainer.run_round({}, 1), std::invalid_argument);
-}
-
-TEST(Trainer, ChannelAccountsModelTraffic) {
-  const data::FederatedDataset ds(data::mnist_like(), small_config());
-  ChannelAccountant channel;
-  FederatedTrainer trainer(ds, nn::make_mlp(ds.feature_dim(), 8, 10, 5), TrainConfig{},
-                           &channel);
-  const std::vector<std::size_t> sel{0, 1, 2, 3};
-  trainer.run_round(sel, 1, false);
-  EXPECT_EQ(channel.messages(MessageKind::kModelWeights, Direction::kServerToClient), 4u);
-  EXPECT_EQ(channel.messages(MessageKind::kModelWeights, Direction::kClientToServer), 4u);
-  // Exact encoded frame size (header + seed/id + count + f32 payload), not
-  // the bare float-payload estimate — what a net::Transport would carry.
-  const std::size_t model_bytes =
-      net::wire_size(net::WeightsMsg{0, trainer.server().global_weights()}).frame;
-  EXPECT_EQ(channel.bytes(MessageKind::kModelWeights), 2 * 4 * model_bytes);
 }
 
 TEST(Trainer, TrainingImprovesAccuracyOnEasyData) {

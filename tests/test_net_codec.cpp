@@ -129,7 +129,7 @@ std::vector<Case> every_message_type() {
   sparse.bitmap = core::make_update_bitmap(mask, 12);
   sparse.plain_values = {7, 65535, 0, 32768, 1, 2, 3, 4};
   sparse.encrypted = he::PackedEncryptedVector::encrypt(
-      kp.pub, he::PackedCodec(kp.pub.key_bits() - 1, core::update_slot_bits(16, 8)),
+      kp.pub, he::PackedCodec(kp.pub.key_bits() - 1, core::update_slot_bits(8)),
       std::vector<std::uint64_t>{40000, 1, 65535, 12345}, rng);
 
   const net::WeightsMsg weights{99,

@@ -5,9 +5,9 @@
 // calls, a LoopbackTransport pair per client, or real TCP sockets on
 // localhost. Participation is drawn client-side (no kRegistrationInfo on
 // the wire), and the §6.4 byte accounting agrees per round between the
-// transports and (for the encrypted payload categories) with the
-// in-process session. The root's end of a shard link keeps its frame
-// sequence across the u16 wrap.
+// transports and (for every payload category) with the frames the direct
+// path prices. The root's end of a shard link keeps its frame sequence
+// across the u16 wrap.
 
 #include <gtest/gtest.h>
 
@@ -84,16 +84,16 @@ void expect_same_transcript(const net::SessionTranscript& a,
   EXPECT_EQ(net::format_transcript(a), net::format_transcript(b));
 }
 
-/// The encrypted payload categories must agree between the in-process
-/// session and the frames that actually crossed a transport. (Distribution
-/// downlink and control framing exist only where an agent/wire is
-/// materialized — see src/net/README.md.)
+/// The encrypted payload categories must agree between the frames the
+/// direct path prices and the frames that actually crossed a transport.
+/// (Control framing exists only where a wire is materialized — see
+/// src/net/README.md.)
 void expect_encrypted_categories_equal(const fl::ChannelLedger& direct,
                                        const fl::ChannelLedger& wire) {
   using fl::Direction;
   using fl::MessageKind;
-  for (const auto kind :
-       {MessageKind::kKeyMaterial, MessageKind::kRegistry, MessageKind::kModelWeights}) {
+  for (const auto kind : {MessageKind::kKeyMaterial, MessageKind::kRegistry,
+                          MessageKind::kDistribution, MessageKind::kModelWeights}) {
     EXPECT_EQ(direct.at(kind, Direction::kServerToClient),
               wire.at(kind, Direction::kServerToClient))
         << to_string(kind);
@@ -101,8 +101,6 @@ void expect_encrypted_categories_equal(const fl::ChannelLedger& direct,
               wire.at(kind, Direction::kClientToServer))
         << to_string(kind);
   }
-  EXPECT_EQ(direct.at(MessageKind::kDistribution, Direction::kClientToServer),
-            wire.at(MessageKind::kDistribution, Direction::kClientToServer));
 }
 
 TEST(NetRound, LoopbackMatchesDirectBitForBit) {
@@ -120,23 +118,49 @@ TEST(NetRound, LoopbackMatchesDirectBitForBit) {
   ASSERT_EQ(direct.rounds[0].selected.size(), 3u);
   EXPECT_GT(direct.rounds[0].accuracy, 0.05);
 
-  // Exact-byte agreement between the in-process session's ledger and the
-  // frames that actually crossed the transports, category by category —
-  // both on the aggregate accountants and on the per-phase ledgers the
-  // transcript carries.
-  expect_encrypted_categories_equal(direct_channel.snapshot(), loop_channel.snapshot());
-  EXPECT_EQ(direct.setup_ledger.at(fl::MessageKind::kRegistry,
-                                   fl::Direction::kClientToServer),
-            loopback.setup_ledger.at(fl::MessageKind::kRegistry,
-                                     fl::Direction::kClientToServer));
+  // The §6.4 counts on the direct ledger (N = 8, K = 3, H = 3, one round):
+  // N key dispatches, N registry frames each way, H·K distribution
+  // uploads and no distribution frame back, m model frames each way.
+  using fl::Direction;
+  using fl::MessageKind;
+  const std::size_t N = dataset.num_clients();
+  const std::size_t HK = params.H * params.K;
+  const std::size_t m = direct.rounds[0].selected.size();
+  const fl::ChannelLedger d = direct_channel.snapshot();
+  EXPECT_EQ(d.messages(MessageKind::kKeyMaterial, Direction::kServerToClient), N);
+  EXPECT_EQ(d.messages(MessageKind::kKeyMaterial, Direction::kClientToServer), 0u);
+  // Frame sizes depend on the key's width, never its value.
+  bigint::Xoshiro256ss key_rng(1);
+  const he::Keypair kp = he::Keypair::generate(key_rng, params.secure.key_bits);
+  const core::RegistryCodec codec(params.num_classes, params.reference_set);
+  const net::WireSize registry_frame = net::wire_size(net::packed_shape(
+      kp.pub, he::PackedCodec(params.secure.key_bits - 1, params.secure.packing_slot_bits),
+      codec.length()));
+  for (const auto dir : {Direction::kClientToServer, Direction::kServerToClient}) {
+    EXPECT_EQ(d.messages(MessageKind::kRegistry, dir), N);
+    EXPECT_EQ(d.bytes(MessageKind::kRegistry, dir), N * registry_frame.frame);
+    EXPECT_EQ(d.encrypted_bytes(MessageKind::kRegistry, dir), N * registry_frame.ciphertext);
+    EXPECT_EQ(d.messages(MessageKind::kModelWeights, dir), m);
+  }
+  EXPECT_EQ(d.messages(MessageKind::kDistribution, Direction::kClientToServer), HK);
+  EXPECT_EQ(d.messages(MessageKind::kDistribution, Direction::kServerToClient), 0u);
+  EXPECT_EQ(d.messages(MessageKind::kControl), 0u);
+
+  // Exact-byte agreement between the direct path's ledger and the frames
+  // that actually crossed the transports, category by category — both on
+  // the aggregate accountants and on the per-phase ledgers the transcript
+  // carries.
+  const fl::ChannelLedger loop = loop_channel.snapshot();
+  expect_encrypted_categories_equal(d, loop);
+  expect_encrypted_categories_equal(direct.setup_ledger, loopback.setup_ledger);
   expect_encrypted_categories_equal(direct.rounds[0].ledger, loopback.rounds[0].ledger);
   // The transports saw real control traffic; the direct path has none.
-  EXPECT_GT(loop_channel.messages(fl::MessageKind::kControl), 0u);
+  EXPECT_GT(loop.messages(MessageKind::kControl), 0u);
   // The proactive check-in (kRoundBegin down, kParticipation up) is control
   // traffic: one frame per client per round in each direction at least.
-  EXPECT_GE(loopback.rounds[0].ledger.messages(fl::MessageKind::kControl,
-                                               fl::Direction::kClientToServer),
-            dataset.num_clients());
+  EXPECT_GE(loopback.rounds[0].ledger.messages(MessageKind::kControl,
+                                               Direction::kClientToServer),
+            N);
 }
 
 TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
@@ -238,7 +262,7 @@ TEST(NetRound, EncryptedUpdateBytesGrowWithHeRate) {
     params.evaluate = false;
     fl::ChannelAccountant channel;
     const auto t = net::run_session_direct(dataset, proto, params, &channel);
-    const std::uint64_t enc = channel.encrypted_bytes(
+    const std::uint64_t enc = channel.snapshot().encrypted_bytes(
         fl::MessageKind::kModelWeights, fl::Direction::kClientToServer);
     if (rate == 0.0) {
       EXPECT_EQ(enc, 0u);

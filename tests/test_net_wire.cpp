@@ -153,9 +153,15 @@ TEST(WireFrame, AdversarialDecodesFailTyped) {
     EXPECT_EQ(net::decode_frame(seq_bytes), seqd);
     EXPECT_NE(net::decode_frame(seq_bytes), good);  // seq participates in ==
   }
-  // Oversized length prefix (decoder limit).
-  EXPECT_EQ(code_of([&] { (void)net::decode_frame(bytes, /*max_payload=*/16); }),
-            WireErrc::kOversized);
+  // Oversized length prefix: 2^26 + 1 is refused before the payload is
+  // looked for.
+  bad = bytes;
+  bad[8] = 0x04;
+  bad[9] = 0x00;
+  bad[10] = 0x00;
+  bad[11] = 0x01;
+  static_assert(net::kMaxPayload == (std::size_t{1} << 26));
+  EXPECT_EQ(code_of([&] { (void)net::decode_frame(bad); }), WireErrc::kOversized);
   // Truncated payload.
   EXPECT_EQ(code_of([&] { (void)net::decode_frame({bytes.data(), bytes.size() - 1}); }),
             WireErrc::kTruncated);
@@ -173,8 +179,8 @@ TEST(WireFrame, AdversarialDecodesFailTyped) {
   EXPECT_EQ(code_of([&] { (void)net::decode_frame(bad); }), WireErrc::kBadPayload);
   // Oversized at the encoder.
   EXPECT_EQ(code_of([&] {
-              (void)net::encode_frame(Frame{MsgType::kShutdown, std::vector<std::uint8_t>(32)},
-                                      /*max_payload=*/16);
+              (void)net::encode_frame(
+                  Frame{MsgType::kShutdown, std::vector<std::uint8_t>(net::kMaxPayload + 1)});
             }),
             WireErrc::kOversized);
 
@@ -517,7 +523,7 @@ class SparseUpdatePayloads : public EncryptedPayloads {
   }
   he::PackedCodec codec(std::size_t logical = 4) const {
     (void)logical;
-    return he::PackedCodec(kp_.pub.key_bits() - 1, core::update_slot_bits(16, 8));
+    return he::PackedCodec(kp_.pub.key_bits() - 1, core::update_slot_bits(8));
   }
   static constexpr std::size_t kN = 12;
   static constexpr std::uint32_t kMaskArr[4] = {1, 3, 6, 10};
@@ -651,11 +657,12 @@ TEST(Loopback, OrderedDeliveryCloseAndAccounting) {
   EXPECT_THROW(server_end->send(down), net::TransportError);
 
   // Exact frame sizes, aggregator perspective, request/response directions.
-  EXPECT_EQ(channel.bytes(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient),
+  const fl::ChannelLedger ledger = channel.snapshot();
+  EXPECT_EQ(ledger.bytes(fl::MessageKind::kModelWeights, fl::Direction::kServerToClient),
             net::frame_wire_size(4096));
-  EXPECT_EQ(channel.bytes(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer),
+  EXPECT_EQ(ledger.bytes(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer),
             net::frame_wire_size(2048));
-  EXPECT_EQ(channel.messages(fl::MessageKind::kControl, fl::Direction::kClientToServer), 1u);
+  EXPECT_EQ(ledger.messages(fl::MessageKind::kControl, fl::Direction::kClientToServer), 1u);
 }
 
 /// c10k-path stress: 32 client connections sharded over 4 event-loop workers,

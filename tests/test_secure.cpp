@@ -76,50 +76,6 @@ TEST(SecureSession, AggregatePopulationMatchesPlaintext) {
   }
 }
 
-TEST(SecureSession, ChannelAccountingCounts) {
-  const auto dists = make_cohort(12);
-  const RegistryCodec codec(10, {1, 2, 10});
-  bigint::Xoshiro256ss rng(45);
-  fl::ChannelAccountant channel;
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(), dists.size(),
-                                 rng, &channel);
-  // Key dispatch: one message per client.
-  EXPECT_EQ(channel.messages(fl::MessageKind::kKeyMaterial), 12u);
-
-  session.run_registration(dists);
-  // Registration: N uplinks + N downlinks of the aggregated registry
-  // ("whenever there is a requirement of new registration, it requires N
-  // times of communication", paper §6.4).
-  EXPECT_EQ(
-      channel.messages(fl::MessageKind::kRegistry, fl::Direction::kClientToServer), 12u);
-  EXPECT_EQ(
-      channel.messages(fl::MessageKind::kRegistry, fl::Direction::kServerToClient), 12u);
-  EXPECT_EQ(channel.bytes(fl::MessageKind::kRegistry, fl::Direction::kClientToServer),
-            12u * session.encrypted_registry_bytes());
-
-  const std::vector<std::size_t> selected{0, 1, 2};
-  session.aggregate_population(dists, selected);
-  EXPECT_EQ(channel.messages(fl::MessageKind::kDistribution,
-                             fl::Direction::kClientToServer),
-            3u);
-  EXPECT_EQ(channel.messages(fl::MessageKind::kDistribution,
-                             fl::Direction::kServerToClient),
-            1u);  // aggregated result to the agent
-}
-
-TEST(SecureSession, TimingsAreAccumulated) {
-  const auto dists = make_cohort(8);
-  const RegistryCodec codec(10, {1, 2, 10});
-  bigint::Xoshiro256ss rng(46);
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(), dists.size(), rng);
-  EXPECT_GT(session.timings().keygen_seconds, 0.0);
-  session.run_registration(dists);
-  EXPECT_GT(session.timings().encrypt_seconds, 0.0);
-  EXPECT_GT(session.timings().decrypt_seconds, 0.0);
-  EXPECT_EQ(session.timings().vectors_encrypted, 8u);
-  EXPECT_EQ(session.timings().vectors_decrypted, 1u);
-}
-
 TEST(SecureSession, DubheSelectorConsumesSecureRegistry) {
   // End-to-end §5.1 -> §5.2: selection probabilities computed from the
   // securely aggregated registry equal the plaintext ones.

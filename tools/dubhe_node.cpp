@@ -425,10 +425,11 @@ int run_aggregator(const Options& opt, bool root) {
            : net::run_server_session(links, dataset, proto, make_params(opt), &channel);
   const std::string text = net::format_transcript(t);
   std::fputs(text.c_str(), stdout);
+  const fl::ChannelLedger ledger = channel.snapshot();
   std::printf("%s: %llu messages, %llu bytes on the wire\n",
               root ? "channel (root<->shards)" : "channel",
-              static_cast<unsigned long long>(channel.total_messages()),
-              static_cast<unsigned long long>(channel.total_bytes()));
+              static_cast<unsigned long long>(ledger.total_messages()),
+              static_cast<unsigned long long>(ledger.total_bytes()));
   return write_file(opt.transcript_path, text) ? 0 : 1;
 }
 
