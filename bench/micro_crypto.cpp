@@ -13,13 +13,15 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <string_view>
+#include <regex>
+#include <string>
 #include <vector>
 
 #include "bigint/montgomery.hpp"
 #include "bigint/prime.hpp"
 #include "core/cpu.hpp"
 #include "core/parallel.hpp"
+#include "core/selective.hpp"
 #include "core/telemetry.hpp"
 #include "paillier/encrypted_vector.hpp"
 #include "paillier/packing.hpp"
@@ -176,7 +178,7 @@ void BM_PaillierEncrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng));
   }
 }
-BENCHMARK(BM_PaillierEncrypt)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PaillierEncrypt)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_PaillierDecryptCrt(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
@@ -187,7 +189,7 @@ void BM_PaillierDecryptCrt(benchmark::State& state) {
     benchmark::DoNotOptimize(kp.prv.decrypt(ct));
   }
 }
-BENCHMARK(BM_PaillierDecryptCrt)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PaillierDecryptCrt)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_PaillierDecryptTextbook(benchmark::State& state) {
   // CRT-vs-textbook decryption ablation.
@@ -211,6 +213,41 @@ void BM_HomomorphicAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HomomorphicAdd);
+
+/// The secure-update-tcp update shape: a 2048-bit key, 19-bit slots
+/// (core::update_slot_bits(4)) and 1,381 quantized values, so 13 packed
+/// ciphertexts — what one client encrypts and the agent decrypts per round.
+struct UpdateShape {
+  const he::Keypair& kp = keypair(2048);
+  const he::PackedCodec codec{kp.pub.key_bits() - 1, core::update_slot_bits(4)};
+  std::vector<std::uint64_t> values = std::vector<std::uint64_t>(1381, 0x2AAAA);
+};
+
+void BM_PackedUpdateEncrypt(benchmark::State& state) {
+  // The client's key-holder encrypt: 13 items pooled over the runtime.
+  const UpdateShape shape;
+  bigint::Xoshiro256ss rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        he::PackedEncryptedVector::encrypt(shape.kp.prv, shape.codec, shape.values, rng));
+  }
+  state.counters["ciphertexts"] =
+      static_cast<double>(shape.codec.plaintexts_for(shape.values.size()));
+}
+BENCHMARK(BM_PackedUpdateEncrypt)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_PackedUpdateDecrypt(benchmark::State& state) {
+  // The agent's decrypt of the update sum: 26 CRT halves pooled.
+  const UpdateShape shape;
+  bigint::Xoshiro256ss rng(12);
+  const auto sum =
+      he::PackedEncryptedVector::encrypt(shape.kp.prv, shape.codec, shape.values, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sum.decrypt(shape.kp.prv));
+  }
+  state.counters["ciphertexts"] = static_cast<double>(sum.ciphertext_count());
+}
+BENCHMARK(BM_PackedUpdateDecrypt)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_RegistryEncryptPerSlot(benchmark::State& state) {
   // One 56-slot registry, one ciphertext per slot (the paper's layout).
@@ -509,17 +546,26 @@ void print_packed_table() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // The headline table costs a 2048-bit keygen plus ~3 s of timing loops;
-  // skip it when the caller is iterating on one filtered benchmark.
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).starts_with("--benchmark_filter")) filtered = true;
-  }
-  if (!filtered) {
-    print_ops_table();
-    print_telemetry_overhead_table();
-    print_batch_table();
-    print_packed_table();
+  // Each headline table answers to a name that --benchmark_filter matches
+  // the way it matches rows (a POSIX extended regex searched in the name, a
+  // leading '-' negates): "table/telemetry" prints that table alone, and no
+  // row matches it.
+  struct Table {
+    const char* name;
+    void (*print)();
+  };
+  const Table tables[] = {
+      {"table/ops", print_ops_table},
+      {"table/telemetry", print_telemetry_overhead_table},
+      {"table/batch", print_batch_table},
+      {"table/packed", print_packed_table},
+  };
+  std::string filter = benchmark::GetBenchmarkFilter();
+  if (filter.empty() || filter == "all") filter = ".";
+  const bool negated = filter.front() == '-';
+  const std::regex re(negated ? filter.substr(1) : filter, std::regex::extended);
+  for (const Table& table : tables) {
+    if (std::regex_search(table.name, re) != negated) table.print();
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

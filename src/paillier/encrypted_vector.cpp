@@ -35,9 +35,10 @@ EncryptedVector& EncryptedVector::operator+=(const EncryptedVector& o) {
 }
 
 std::vector<std::uint64_t> EncryptedVector::decrypt(const PrivateKey& prv) const {
+  const std::vector<BigUint> pts = prv.decrypt(slots_);
   std::vector<std::uint64_t> out;
-  out.reserve(slots_.size());
-  for (const Ciphertext& ct : slots_) out.push_back(prv.decrypt(ct).to_u64());
+  out.reserve(pts.size());
+  for (const BigUint& m : pts) out.push_back(m.to_u64());
   return out;
 }
 

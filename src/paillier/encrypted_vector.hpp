@@ -36,8 +36,8 @@ class EncryptedVector {
     return a;
   }
 
-  /// Decrypts every slot. Slot sums must stay below n (always true for the
-  /// counters Dubhe transports).
+  /// Decrypts every slot in one pooled PrivateKey::decrypt call. Slot sums
+  /// must stay below n (always true for the counters Dubhe transports).
   [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv) const;
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }

@@ -100,10 +100,7 @@ PackedEncryptedVector& PackedEncryptedVector::operator+=(const PackedEncryptedVe
 }
 
 std::vector<std::uint64_t> PackedEncryptedVector::decrypt(const PrivateKey& prv) const {
-  std::vector<BigUint> pts;
-  pts.reserve(cts_.size());
-  for (const Ciphertext& ct : cts_) pts.push_back(prv.decrypt(ct));
-  return codec_.decode(pts, count_);
+  return codec_.decode(prv.decrypt(cts_), count_);
 }
 
 std::size_t PackedEncryptedVector::byte_size() const {

@@ -69,6 +69,8 @@ class PackedEncryptedVector {
 
   PackedEncryptedVector& operator+=(const PackedEncryptedVector& o);
 
+  /// Decrypts every ciphertext in one pooled PrivateKey::decrypt call, then
+  /// unpacks the logical values.
   [[nodiscard]] std::vector<std::uint64_t> decrypt(const PrivateKey& prv) const;
 
   [[nodiscard]] std::size_t logical_size() const { return count_; }

@@ -142,10 +142,11 @@ Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) con
   const Ciphertext gm = pub_.encrypt_deterministic(m);
   const BigUint& n = pub_.n();
   const BigUint r = draw_unit(rng, n);
-  // r^n mod n^2 from its residues mod p^2 and q^2, one per core. For a
-  // prime d in {p, q}, r^n lies in the order-(d-1) subgroup of Z*_{d^2}
-  // (it is (r^d)^(n/d), and (r^d)^(d-1) = 1), and the only element of that
-  // subgroup congruent to b mod d is b^d mod d^2. So r^n mod d^2 is
+  // r^n mod n^2 from its residues mod p^2 and q^2, one per core at and
+  // above kParallelKeyBitsCutoff. For a prime d in {p, q}, r^n lies in the
+  // order-(d-1) subgroup of Z*_{d^2} (it is (r^d)^(n/d), and
+  // (r^d)^(d-1) = 1), and the only element of that subgroup congruent to
+  // b mod d is b^d mod d^2. So r^n mod d^2 is
   // b^d mod d^2 for b = r^(n mod (d-1)) mod d (Fermat): a half-width
   // exponentiation mod d, then a half-length one mod d^2 — ~1.6x cheaper
   // than raising r to the full n mod d^2.
@@ -154,7 +155,7 @@ Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) con
     return mod_d2.pow(mod_d.pow(r, n_mod_d1), d);
   };
   BigUint rn_p, rn_q;
-  core::parallel_for(2, 2, [&](std::size_t half) {
+  core::parallel_for(2, paillier_threads(pub_.key_bits()), [&](std::size_t half) {
     if (half == 0) {
       rn_p = residue(*mont_p_, *mont_p2_, n_mod_p1_, p_);
     } else {
@@ -165,31 +166,41 @@ Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) con
   return Ciphertext{gm.c.mul_mod(rn, pub_.n_squared())};
 }
 
-BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
+std::vector<BigUint> PrivateKey::decrypt(std::span<const Ciphertext> cts) const {
   static telemetry::Counter& decrypts =
       telemetry::counter("dubhe_paillier_decrypt_total");
   static telemetry::Histogram& hist =
       telemetry::histogram("dubhe_paillier_decrypt_seconds");
-  decrypts.inc();
+  decrypts.inc(cts.size());
   telemetry::ScopedTimer timer(hist);
-  if (ct.c >= pub_.n_squared()) {
-    throw std::out_of_range("Paillier: ciphertext out of range");
-  }
-  // One CRT half: m mod d = L_d(c^{d-1} mod d^2) * h_d mod d, for d = p, q.
-  const auto residue = [&ct](const bigint::Montgomery& mont, const BigUint& d,
-                             const BigUint& d_sq, const BigUint& h) {
-    return (l_function(mont.pow(ct.c % d_sq, d - BigUint{1}), d) % d).mul_mod(h, d);
-  };
-  BigUint mp, mq;
-  core::parallel_for(2, 2, [&](std::size_t half) {
-    if (half == 0) {
-      mp = residue(*mont_p2_, p_, p_sq_, hp_);
-    } else {
-      mq = residue(*mont_q2_, q_, q_sq_, hq_);
+  for (const Ciphertext& ct : cts) {
+    if (ct.c >= pub_.n_squared()) {
+      throw std::out_of_range("Paillier: ciphertext out of range");
     }
+  }
+  // Half 2i is ciphertext i's p half, 2i + 1 its q half:
+  // m mod d = L_d(c^{d-1} mod d^2) * h_d mod d, for d = p, q.
+  std::vector<BigUint> halves(2 * cts.size());
+  core::parallel_for(halves.size(), paillier_threads(pub_.key_bits()), [&](std::size_t h) {
+    const BigUint& c = cts[h / 2].c;
+    const bool p_half = h % 2 == 0;
+    const bigint::Montgomery& mont = p_half ? *mont_p2_ : *mont_q2_;
+    const BigUint& d = p_half ? p_ : q_;
+    const BigUint& d_sq = p_half ? p_sq_ : q_sq_;
+    const BigUint& h_d = p_half ? hp_ : hq_;
+    halves[h] = (l_function(mont.pow(c % d_sq, d - BigUint{1}), d) % d).mul_mod(h_d, d);
   });
   // CRT recombination: m = mq + q * ((mp - mq) * q^{-1} mod p).
-  return crt_combine(mp, mq, p_, q_, q_inv_p_);
+  std::vector<BigUint> out;
+  out.reserve(cts.size());
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    out.push_back(crt_combine(halves[2 * i], halves[2 * i + 1], p_, q_, q_inv_p_));
+  }
+  return out;
+}
+
+BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
+  return std::move(decrypt(std::span<const Ciphertext>(&ct, 1)).front());
 }
 
 BigUint PrivateKey::decrypt_textbook(const Ciphertext& ct) const {

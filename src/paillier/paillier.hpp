@@ -62,6 +62,21 @@ class PublicKey {
   std::shared_ptr<const bigint::Montgomery> mont_n2_;
 };
 
+/// Minimum modulus width, in bits, at which Paillier work goes to the shared
+/// core::parallel_for pool. Below it every site runs inline on the caller:
+/// at 256 bits the pool saves little or nothing on one ciphertext in a
+/// Release build, and under a sanitizer a pool round-trip costs more than
+/// the work. Sized from BM_PaillierDecryptCrt and the key-holder encrypt at
+/// 256/512/1024 bits (docs/benchmarks.md).
+inline constexpr std::size_t kParallelKeyBitsCutoff = 512;
+
+/// The core::parallel_for thread cap for Paillier work under a
+/// `key_bits`-bit key: 0 (every worker) at or above kParallelKeyBitsCutoff,
+/// 1 (inline) below it. Results never depend on it, only wall-clock does.
+[[nodiscard]] constexpr std::size_t paillier_threads(std::size_t key_bits) {
+  return key_bits >= kParallelKeyBitsCutoff ? 0 : 1;
+}
+
 /// Paillier private key. Decryption uses the CRT over p^2 and q^2, which is
 /// ~4x faster than the textbook lambda/mu route; the textbook route is kept
 /// as decrypt_textbook() and cross-checked in tests.
@@ -69,9 +84,13 @@ class PublicKey {
 /// The key also offers key-holder encryption: whoever holds p and q — in
 /// Dubhe the agent and every client, which receive the whole keypair
 /// (paper §5.1), never the aggregator or the shards — can compute r^n
-/// modulo p^2 and q^2 separately instead of modulo n^2. The two halves run
-/// on two cores of the shared pool. Decryption splits its two CRT halves the
-/// same way. The noise model does not change.
+/// modulo p^2 and q^2 separately instead of modulo n^2. The noise model
+/// does not change.
+///
+/// Both directions pool their halves on the shared runtime for keys of at
+/// least kParallelKeyBitsCutoff bits: one encrypt runs its p and q halves
+/// on two cores, and a decrypt of n ciphertexts runs all 2n CRT halves as
+/// one parallel_for over every worker. Narrower keys run inline.
 class PrivateKey {
  public:
   PrivateKey() = default;
@@ -95,10 +114,19 @@ class PrivateKey {
   /// public path's, so ciphertexts are byte-identical for the same stream —
   /// but no exponentiation runs modulo n^2. Counted under the
   /// dubhe_paillier_encrypt_*{mode="plain"} series.
+  /// The two halves run inline below kParallelKeyBitsCutoff and inside an
+  /// enclosing parallel region (a vector encrypt pools its items instead).
   /// Throws std::out_of_range unless m < n.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
-  /// CRT decryption; the p and q halves run as two parallel_for shards
-  /// (inline when already inside a parallel region).
+  /// CRT decryption of every ciphertext in `cts`, in order. All are
+  /// range-checked first (std::out_of_range if one is not below n^2, before
+  /// any work starts); then the 2 * cts.size() CRT halves run as one
+  /// parallel_for over every worker (inline below kParallelKeyBitsCutoff or
+  /// inside an enclosing parallel region), and each pair is recombined on
+  /// the caller. Adds cts.size() to dubhe_paillier_decrypt_total and one
+  /// observation per call to dubhe_paillier_decrypt_seconds.
+  [[nodiscard]] std::vector<BigUint> decrypt(std::span<const Ciphertext> cts) const;
+  /// One-ciphertext decrypt: the span decrypt's n = 1 case.
   [[nodiscard]] BigUint decrypt(const Ciphertext& ct) const;
   /// Textbook decryption: L(c^lambda mod n^2) * mu mod n.
   [[nodiscard]] BigUint decrypt_textbook(const Ciphertext& ct) const;
