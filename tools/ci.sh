@@ -62,7 +62,8 @@ fi
 # suites (label portable_tier: the key-holder encryption every client runs,
 # the packed vector and the direct secure session included) on scalar
 # GEMM, the C Montgomery row loop (with __int128, unlike the *_portable
-# suites) and the poll(2) event-loop backend. These are the tiers a host
+# suites) and the poll(2) event-loop backend, and test_transcript_golden's
+# pinned transcript digests must still match. These are the tiers a host
 # without AVX2/ADX/epoll would select, run inside the AVX2 build; only the
 # simd-off leg below runs on such a host.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
