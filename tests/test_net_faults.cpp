@@ -169,6 +169,45 @@ TEST(NetFaults, ReplayedParticipationTripsSequenceCheck) {
                     QuarantineReason::kReplay, make_params(4));
 }
 
+TEST(NetFaults, ClientHelloOutOfSequenceIsReplay) {
+  // A connection's first frame carries seq 0. A client whose hello carries
+  // 1 is a replay before it has an id: its link is closed, the record names
+  // no client, and the session goes on over the other clients.
+  const std::size_t N = 3;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(2);
+  std::vector<std::shared_ptr<net::Transport>> server_side;
+  std::vector<std::thread> clients;
+  for (std::size_t id = 0; id < N; ++id) {
+    auto [agg, cli] = net::LoopbackTransport::make_pair();
+    server_side.push_back(agg);
+    clients.emplace_back([&, id, link = cli] {
+      try {
+        if (id != 2) {
+          net::serve_client(*link, id, dataset, proto, params);
+          return;
+        }
+        net::Frame hello = net::encode<net::ClientHello>({id, net::kWireVersion});
+        hello.seq = 1;
+        link->send(hello);
+        while (link->receive()) {
+        }
+      } catch (...) {
+        link->close();
+      }
+    });
+  }
+  const auto t = net::run_server_session(server_side, dataset, proto, params);
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(t.rounds.size(), params.rounds);
+  const std::string text = net::format_transcript(t);
+  EXPECT_NE(text.find("quarantined=client:? round:setup phase:hello reason:replay\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(t.quarantined.size(), 1u) << text;
+}
+
 TEST(NetFaults, StragglerPastDeadlineTimesOut) {
   // The straggle delay (2000 ms) dwarfs the participation deadline (250 ms)
   // by 8x, so the timeout classification is stable under sanitizer
