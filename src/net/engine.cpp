@@ -23,6 +23,23 @@ namespace {
 /// keeps churn transcripts identical across transports and tree shapes.
 struct RestartRound {};
 
+/// What a failed receive on a client link costs that client: the one map
+/// from the exception in flight (call only from a catch block) to a
+/// quarantine reason. A WireError is the Link's sequence check or
+/// transport-level decode garbage (bad CRC, framing cut mid-stream).
+QuarantineReason receive_failure() {
+  try {
+    throw;
+  } catch (const TransportTimeout&) {
+    return QuarantineReason::kTimeout;
+  } catch (const TransportError&) {
+    return QuarantineReason::kDisconnect;
+  } catch (const WireError& e) {
+    return e.code() == WireErrc::kReplayed ? QuarantineReason::kReplay
+                                           : QuarantineReason::kBadFrame;
+  }
+}
+
 /// Folds `v` into the running homomorphic sum of `terms` earlier vectors.
 /// Paillier addition is ciphertext multiplication mod n² — associative and
 /// commutative — so any parenthesization gives the same integers.
@@ -403,30 +420,25 @@ CohortChild::CohortChild(std::uint32_t id, ShardRange range, std::size_t total_c
 void CohortChild::hello(std::span<const std::shared_ptr<Transport>> links,
                         std::uint64_t session_seed) {
   session_seed_ = session_seed;
-  for (const auto& link : links) {
+  for (const auto& t : links) {
+    Link link(*t);
     QuarantineReason bad = QuarantineReason::kBadFrame;
     try {
-      auto frame = link->receive(params_.timeouts.registration);
+      auto frame = link.receive(params_.timeouts.registration);
       if (!frame) {
         bad = QuarantineReason::kDisconnect;
-      } else if (frame->seq != 0) {
-        bad = QuarantineReason::kReplay;
       } else if (frame->type == MsgType::kClientHello) {
         const ClientHello h = decode<ClientHello>(*frame);
         if (h.protocol == kWireVersion && owns(h.client_id) &&
             !alive(h.client_id - range().first)) {
-          links_[h.client_id - range().first] = {link, 0, 1};  // hello was seq 0
+          links_[h.client_id - range().first] = link;
           continue;
         }
       }
-    } catch (const TransportTimeout&) {
-      bad = QuarantineReason::kTimeout;
-    } catch (const TransportError&) {
-      bad = QuarantineReason::kDisconnect;
-    } catch (const WireError&) {
-      bad = QuarantineReason::kBadFrame;
+    } catch (const std::exception&) {
+      bad = receive_failure();
     }
-    link->close();
+    t->close();
     quarantine(kUnknown, kSetup, SessionPhase::kHello, bad);
   }
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -630,21 +642,19 @@ void CohortChild::quarantine(std::size_t i, std::uint64_t round, SessionPhase ph
   if (i < links_.size() && alive(i)) {
     // Close immediately: a quarantined client's late frames must never be
     // read (they would desynchronize the per-phase receive sweeps).
-    links_[i].t->close();
-    links_[i].t = nullptr;
+    links_[i]->transport().close();
+    links_[i].reset();
   }
 }
 
 bool CohortChild::send(std::size_t i, Frame frame, std::uint64_t round, SessionPhase phase) {
   if (!alive(i)) return false;
-  frame.seq = links_[i].send_seq;
   try {
-    links_[i].t->send(frame);
+    links_[i]->send(std::move(frame));
   } catch (const TransportError&) {
     quarantine(i, round, phase, QuarantineReason::kDisconnect);
     return false;
   }
-  ++links_[i].send_seq;
   return true;
 }
 
@@ -654,22 +664,14 @@ std::optional<Frame> CohortChild::recv(std::size_t i, MsgType want,
   if (!alive(i)) return std::nullopt;
   QuarantineReason bad = QuarantineReason::kBadFrame;
   try {
-    auto frame = links_[i].t->receive(deadline);
+    auto frame = links_[i]->receive(deadline);
     if (!frame) {
       bad = QuarantineReason::kDisconnect;
-    } else if (frame->seq != links_[i].recv_seq) {
-      bad = QuarantineReason::kReplay;
-    } else {
-      ++links_[i].recv_seq;
-      if (frame->type == want) return frame;
+    } else if (frame->type == want) {
+      return frame;
     }
-  } catch (const TransportTimeout&) {
-    bad = QuarantineReason::kTimeout;
-  } catch (const TransportError&) {
-    bad = QuarantineReason::kDisconnect;
-  } catch (const WireError&) {
-    // Transport-level decode garbage (bad CRC, framing cut mid-stream).
-    bad = QuarantineReason::kBadFrame;
+  } catch (const std::exception&) {
+    bad = receive_failure();
   }
   quarantine(i, round, phase, bad);
   return std::nullopt;
@@ -702,18 +704,14 @@ std::optional<he::PackedEncryptedVector> CohortChild::recv_upload(
 
 void CohortChild::drain(std::size_t i) {
   if (!alive(i)) return;
+  Transport& t = links_[i]->transport();
   try {
-    while (links_[i].t->receive(params_.timeouts.drain)) {
-      // sequence rules no longer matter: discard stragglers until the peer closes
+    while (t.receive(params_.timeouts.drain)) {
     }
-    links_[i].t->close();
-    links_[i].t = nullptr;
-  } catch (const TransportTimeout&) {
-    quarantine(i, kSetup, SessionPhase::kShutdown, QuarantineReason::kTimeout);
-  } catch (const TransportError&) {
-    quarantine(i, kSetup, SessionPhase::kShutdown, QuarantineReason::kDisconnect);
-  } catch (const WireError&) {
-    quarantine(i, kSetup, SessionPhase::kShutdown, QuarantineReason::kBadFrame);
+    t.close();
+    links_[i].reset();
+  } catch (const std::exception&) {
+    quarantine(i, kSetup, SessionPhase::kShutdown, receive_failure());
   }
 }
 

@@ -140,12 +140,12 @@ class Child {
 
 /// A child made of client links: the one implementation of every
 /// per-client sweep. Any per-client failure — timeout, disconnect,
-/// malformed frame, sequence violation, an upload that does not match the
-/// session — drops that client (typed record in global client ids, link
-/// closed) instead of aborting the session. Each post runs the whole sweep
-/// and the matching take hands back its partial, so the frames every
-/// client sees (payload, per-link sequence number, send order) are the
-/// same whether the engine or a root drives the sweep.
+/// malformed frame, a replay its Link reports, an upload that does not
+/// match the session — drops that client (typed record in global client
+/// ids, link closed) instead of aborting the session. Each post runs the
+/// whole sweep and the matching take hands back its partial, so the frames
+/// every client sees (payload, per-link sequence number, send order) are
+/// the same whether the engine or a root drives the sweep.
 class CohortChild final : public Child {
  public:
   /// The clients `range` of `total_clients`; `id` is the shard id the
@@ -156,8 +156,8 @@ class CohortChild final : public Child {
 
   /// The client-facing hello: binds each of the unbound `links` to the id
   /// its kClientHello announces, then answers every bound client with its
-  /// kServerHello. A link without a valid hello has no id yet: it is
-  /// closed and recorded under kUnknownClient.
+  /// kServerHello. A link without a valid hello (its first frame, so seq 0)
+  /// has no id yet: it is closed and recorded under kUnknownClient.
   void hello(std::span<const std::shared_ptr<Transport>> links, std::uint64_t session_seed);
 
   void post(const KeyMaterial& keys) override;
@@ -173,24 +173,18 @@ class CohortChild final : public Child {
   PartialUpdate take_update() override { return std::move(update_); }
 
  private:
-  struct Link {
-    std::shared_ptr<Transport> t;
-    std::uint16_t send_seq = 0;
-    std::uint16_t recv_seq = 0;
-  };
-
-  [[nodiscard]] bool alive(std::size_t i) const { return links_[i].t != nullptr; }
+  [[nodiscard]] bool alive(std::size_t i) const { return links_[i].has_value(); }
   /// Local index of a client the driver named; a client this cohort does
   /// not own is the driver's bug, never churn.
   [[nodiscard]] std::size_t local(std::uint64_t client) const;
   void quarantine(std::size_t i, std::uint64_t round, SessionPhase phase,
                   QuarantineReason reason);
-  /// Sends with the link's next sequence number; a dead channel
-  /// quarantines the client (kDisconnect) and returns false.
+  /// Sends on the client's link; a dead channel quarantines the client
+  /// (kDisconnect) and returns false.
   bool send(std::size_t i, Frame frame, std::uint64_t round, SessionPhase phase);
-  /// One frame of the expected type under the phase deadline, enforcing
-  /// the monotonic-sequence rule (a replayed frame is a typed quarantine,
-  /// never a silent duplicate). Any failure quarantines and returns nullopt.
+  /// One frame of the expected type under the phase deadline. Any failure
+  /// quarantines and returns nullopt; a replayed frame is kReplay, never a
+  /// silent duplicate.
   std::optional<Frame> recv(std::size_t i, MsgType want, std::chrono::milliseconds deadline,
                             std::uint64_t round, SessionPhase phase);
   /// recv() of a packed-vector upload, validated against the session: a
@@ -202,13 +196,14 @@ class CohortChild final : public Child {
                                                        std::size_t logical,
                                                        std::uint64_t round,
                                                        SessionPhase phase);
-  /// The zombie guard: reads and discards until the peer closes or the
-  /// drain deadline expires.
+  /// The zombie guard: reads the raw transport and discards until the peer
+  /// closes or the drain deadline expires (a straggler's sequence number no
+  /// longer matters).
   void drain(std::size_t i);
   /// The quarantine records since the previous partial.
   std::vector<QuarantineRecord> flush();
 
-  std::vector<Link> links_;
+  std::vector<std::optional<Link>> links_;  // nullopt once quarantined
   std::uint32_t id_;
   std::size_t total_;
   const SessionParams& params_;

@@ -17,7 +17,7 @@ namespace dubhe::net {
 
 namespace {
 
-enum class Link { kLoopback, kTcp };
+enum class Medium { kLoopback, kTcp };
 
 /// One aggregator's listening side for `children` child links. accept()
 /// hands the aggregator its ends, connect(i) hands child i the other end,
@@ -27,8 +27,8 @@ enum class Link { kLoopback, kTcp };
 /// ids, which is why it cannot move a transcript).
 class Listener {
  public:
-  Listener(Link link, std::size_t children, std::size_t workers) : children_(children) {
-    if (link == Link::kTcp) {
+  Listener(Medium medium, std::size_t children, std::size_t workers) : children_(children) {
+    if (medium == Medium::kTcp) {
       server_ = std::make_unique<TcpServer>(0, workers);
       return;
     }
@@ -75,7 +75,7 @@ class Listener {
   std::vector<std::shared_ptr<Transport>> ends_, peers_;
 };
 
-/// Flat (`shards` empty) or tree session over `link`. Error discipline:
+/// Flat (`shards` empty) or tree session over `medium`. Error discipline:
 /// every endpoint traps its exception and closes its own links; a client
 /// running an enabled fault plan is expected to die, so its exception is
 /// swallowed (the quarantine record is the observable outcome). A failing
@@ -84,7 +84,7 @@ class Listener {
 /// own exception; otherwise shard errors are rethrown before client errors.
 SessionTranscript run_harness(const char* name, const data::FederatedDataset& dataset,
                               const nn::Sequential& prototype, const SessionParams& params,
-                              std::optional<std::size_t> shards, Link link,
+                              std::optional<std::size_t> shards, Medium medium,
                               std::size_t workers, std::span<const FaultPlan> plans,
                               fl::ChannelAccountant* channel) {
   const std::size_t N = dataset.num_clients();
@@ -99,11 +99,11 @@ SessionTranscript run_harness(const char* name, const data::FederatedDataset& da
   // Every listener exists before any thread dials one. The top aggregator
   // (flat server or root) has N clients or A shards as children; shard s
   // has its slice of the cohort.
-  Listener top(link, shards ? A : N, workers);
+  Listener top(medium, shards ? A : N, workers);
   std::vector<std::unique_ptr<Listener>> shard_listeners;
   for (std::size_t s = 0; s < A; ++s) {
     shard_listeners.push_back(
-        std::make_unique<Listener>(link, shard_range(N, A, s).count, workers));
+        std::make_unique<Listener>(medium, shard_range(N, A, s).count, workers));
   }
 
   std::vector<std::exception_ptr> errors(A + N);  // shards first, then clients
@@ -180,7 +180,7 @@ SessionTranscript run_loopback_session(const data::FederatedDataset& dataset,
                                        std::span<const FaultPlan> plans,
                                        fl::ChannelAccountant* channel) {
   return run_harness("run_loopback_session", dataset, prototype, params, std::nullopt,
-                     Link::kLoopback, 1, plans, channel);
+                     Medium::kLoopback, 1, plans, channel);
 }
 
 SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
@@ -188,7 +188,7 @@ SessionTranscript run_tcp_session(const data::FederatedDataset& dataset,
                                   const SessionParams& params, std::size_t workers,
                                   std::span<const FaultPlan> plans,
                                   fl::ChannelAccountant* channel) {
-  return run_harness("run_tcp_session", dataset, prototype, params, std::nullopt, Link::kTcp,
+  return run_harness("run_tcp_session", dataset, prototype, params, std::nullopt, Medium::kTcp,
                      workers, plans, channel);
 }
 
@@ -198,7 +198,7 @@ SessionTranscript run_tree_session(const data::FederatedDataset& dataset,
                                    std::span<const FaultPlan> plans,
                                    fl::ChannelAccountant* channel) {
   return run_harness("run_tree_session", dataset, prototype, params, num_shards,
-                     Link::kLoopback, 1, plans, channel);
+                     Medium::kLoopback, 1, plans, channel);
 }
 
 SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
@@ -207,7 +207,7 @@ SessionTranscript run_tree_tcp_session(const data::FederatedDataset& dataset,
                                        std::size_t workers, std::span<const FaultPlan> plans,
                                        fl::ChannelAccountant* channel) {
   return run_harness("run_tree_tcp_session", dataset, prototype, params, num_shards,
-                     Link::kTcp, workers, plans, channel);
+                     Medium::kTcp, workers, plans, channel);
 }
 
 }  // namespace dubhe::net

@@ -199,18 +199,10 @@ void serve_client(Transport& link, std::size_t client_id,
   const he::PackedCodec session_packed(params.secure.key_bits - 1,
                                        params.secure.packing_slot_bits);
 
-  // Frame sequencing (wire v4): every outbound frame carries this
-  // connection's next sequence number, and every inbound frame must carry
-  // the exact successor of the last one seen — a duplicated or reordered
-  // server frame is a replay, never a silently accepted repeat.
-  std::uint16_t send_seq = 0;
-  std::uint16_t recv_seq = 0;
-  auto send = [&](Frame f) {
-    f.seq = send_seq++;
-    link.send(f);
-  };
-
-  send(encode<ClientHello>({static_cast<std::uint64_t>(client_id), kWireVersion}));
+  // A duplicated or reordered server frame is a replay: the link throws
+  // WireError{kReplayed} and this endpoint lets it propagate.
+  Link server(link);
+  server.send(encode<ClientHello>({static_cast<std::uint64_t>(client_id), kWireVersion}));
 
   he::PrivateKey prv;
   bool have_key = false;
@@ -221,16 +213,12 @@ void serve_client(Transport& link, std::size_t client_id,
   bool have_registry = false;
   std::uint64_t next_round = 0;
   for (;;) {
-    auto frame = link.receive();
+    auto frame = server.receive();
     if (!frame) {
       // The session ends with an explicit kShutdown; a bare EOF means the
       // aggregator died mid-session and must not look like success.
       throw TransportError("serve_client: server vanished before shutdown");
     }
-    if (frame->seq != recv_seq) {
-      throw WireError(WireErrc::kReplayed, "serve_client: server frame out of sequence");
-    }
-    ++recv_seq;
     switch (frame->type) {
       case MsgType::kServerHello: {
         const ServerHello hello = decode<ServerHello>(*frame);
@@ -261,8 +249,8 @@ void serve_client(Transport& link, std::size_t client_id,
       case MsgType::kRegistrationRequest: {
         if (!have_key) throw TransportError("serve_client: registration before keys");
         const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kRegistrationRequest);
-        send(encrypt_upload(MsgType::kRegistryUpload, prv, session_packed,
-                            core::to_onehot(codec, reg), req.seed));
+        server.send(encrypt_upload(MsgType::kRegistryUpload, prv, session_packed,
+                                   core::to_onehot(codec, reg), req.seed));
         break;
       }
       case MsgType::kRegistryBroadcast: {
@@ -288,7 +276,7 @@ void serve_client(Transport& link, std::size_t client_id,
                                std::to_string(next_round) + ")");
         }
         ++next_round;
-        send(encode<Participation>(
+        server.send(encode<Participation>(
             {static_cast<std::uint64_t>(client_id), rb.round,
              proactive_draws(session_seed, rb.round, client_id, probability, params.H)}));
         break;
@@ -296,7 +284,7 @@ void serve_client(Transport& link, std::size_t client_id,
       case MsgType::kDistributionRequest: {
         if (!have_key) throw TransportError("serve_client: distribution before keys");
         const SeedRequest req = decode<SeedRequest>(*frame, MsgType::kDistributionRequest);
-        send(encrypt_upload(
+        server.send(encrypt_upload(
             MsgType::kDistributionUpload, prv, session_packed,
             core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
         break;
@@ -316,13 +304,14 @@ void serve_client(Transport& link, std::size_t client_id,
           const SparseUpdatePlan plan =
               sparse_plan(down.weights, params.secure, dataset.num_clients());
           const auto q = core::quantize_update(down.weights, trained);
-          send(make_sparse_update(static_cast<std::uint64_t>(client_id), plan, q, prv,
-                                  core::update_encryption_seed(session_seed, round, client_id)));
+          server.send(
+              make_sparse_update(static_cast<std::uint64_t>(client_id), plan, q, prv,
+                                 core::update_encryption_seed(session_seed, round, client_id)));
         } else {
           WeightsMsg up;
           up.seed = client_id;
           up.weights = std::move(trained);
-          send(encode(MsgType::kModelUpdate, up));
+          server.send(encode(MsgType::kModelUpdate, up));
         }
         break;
       }

@@ -22,22 +22,31 @@ void count_partial(const char* label) {
       .inc();
 }
 
+/// The root's receive on a shard link. Shards are infrastructure, so every
+/// failure — timeout, close, sequence violation, a malformed or mistyped
+/// frame — is a fatal TransportError, never a quarantine.
+template <typename Msg, typename... Key>
+Msg take(Link& link, std::chrono::milliseconds deadline, const Key&... key) {
+  try {
+    if (std::optional<Frame> f = link.receive(deadline)) return decode<Msg>(*f, key...);
+  } catch (const TransportTimeout&) {
+    throw TransportError("run_root_session: shard did not answer in time");
+  } catch (const WireError& e) {
+    throw TransportError(std::string("run_root_session: bad shard frame: ") + e.what());
+  }
+  throw TransportError("run_root_session: shard link closed mid-session");
+}
+
 /// A shard aggregator one link away: the root's child. Each post encodes
 /// the request as its shard-plane frame; each take receives, parses (a
 /// partial sum under the session key the root dispatched) and checks the
-/// partial answering it. Shards are infrastructure, so every
-/// failure — timeout, sequence violation, unexpected type, a malformed or
-/// mislabelled partial — is a fatal TransportError, never a quarantine.
+/// partial answering it.
 class RemoteShard final : public detail::Child {
  public:
-  RemoteShard(std::shared_ptr<Transport> t, std::uint32_t id, ShardRange range,
-              const SessionParams& params)
-      : Child(range), t_(std::move(t)), id_(id), params_(params) {}
+  RemoteShard(Link link, std::uint32_t id, ShardRange range, const SessionParams& params)
+      : Child(range), link_(link), id_(id), params_(params) {}
 
-  void send(Frame f) {
-    f.seq = send_seq_++;
-    t_->send(f);
-  }
+  void send(Frame f) { link_.send(std::move(f)); }
 
   void post(const KeyMaterial& keys) override {
     expect(kSetup, params_.timeouts.registration);
@@ -69,27 +78,27 @@ class RemoteShard final : public detail::Child {
   }
 
   PartialRegistry take_registry() override {
-    PartialRegistry m = take<PartialRegistry>();
+    PartialRegistry m = take<PartialRegistry>(link_, deadline_, key_);
     check(m.shard_id == id_, "partial registry from the wrong shard");
     return m;
   }
   PartialParticipation take_participation() override {
-    PartialParticipation m = take<PartialParticipation>();
+    PartialParticipation m = take<PartialParticipation>(link_, deadline_, key_);
     check(m.shard_id == id_ && m.round == round_, "partial participation for the wrong round");
     for (const Participation& e : m.entries) {
       check(owns(e.client_id) && e.draws.size() == params_.H, "invalid participation entry");
     }
-    if (draining_) t_->close();
+    if (draining_) link_.transport().close();
     return m;
   }
   PartialPopulation take_population() override {
-    PartialPopulation m = take<PartialPopulation>();
+    PartialPopulation m = take<PartialPopulation>(link_, deadline_, key_);
     check(m.shard_id == id_ && m.round == round_ && m.try_index == try_index_,
           "partial population for the wrong try");
     return m;
   }
   PartialUpdate take_update() override {
-    PartialUpdate m = take<PartialUpdate>();
+    PartialUpdate m = take<PartialUpdate>(link_, deadline_, key_);
     const std::uint8_t mode = params_.secure.update_he_rate > 0.0 ? 1 : 0;
     check(m.shard_id == id_ && m.round == round_ && m.mode == mode, "bad partial update");
     for (const ShardUpdateEntry& e : m.updates) check(owns(e.client_id), "foreign update entry");
@@ -106,34 +115,14 @@ class RemoteShard final : public detail::Child {
     deadline_ = phase_deadline * static_cast<std::int64_t>(range().count + 1);
   }
 
-  template <typename Partial>
-  Partial take() {
-    std::optional<Frame> f;
-    try {
-      f = t_->receive(deadline_);
-    } catch (const TransportTimeout&) {
-      throw TransportError("run_root_session: shard did not answer in time");
-    }
-    check(f.has_value(), "shard link closed mid-session");
-    check(f->seq == recv_seq_++, "shard frame out of sequence");
-    check(f->type == kTypesOf<Partial>[0], "shard sent an unexpected message");
-    try {
-      return decode<Partial>(*f, key_);
-    } catch (const WireError& e) {
-      throw TransportError(std::string("run_root_session: malformed partial: ") + e.what());
-    }
-  }
-
   static void check(bool ok, const char* what) {
     if (!ok) throw TransportError(std::string("run_root_session: ") + what);
   }
 
-  std::shared_ptr<Transport> t_;
+  Link link_;  // the shard's hello (seq 0) was already received on it
   std::uint32_t id_;
   const SessionParams& params_;
   he::PublicKey key_;
-  std::uint16_t send_seq_ = 0;
-  std::uint16_t recv_seq_ = 1;  // the shard hello (seq 0) was already consumed
   std::uint64_t round_ = kSetup;
   std::uint32_t try_index_ = 0;
   std::chrono::milliseconds deadline_{0};
@@ -149,13 +138,9 @@ std::vector<std::unique_ptr<detail::Child>> bind_shards(
     const SessionParams& params, std::uint64_t session_seed) {
   const std::size_t A = links.size();
   std::vector<std::unique_ptr<RemoteShard>> shards(A);
-  for (const auto& link : links) {
-    auto frame = link->receive(params.timeouts.registration);
-    if (!frame) throw TransportError("run_root_session: shard closed before hello");
-    if (frame->seq != 0) {
-      throw TransportError("run_root_session: shard hello out of sequence");
-    }
-    const ShardHello hello = decode<ShardHello>(*frame);
+  for (const auto& t : links) {
+    Link link(*t);
+    const ShardHello hello = take<ShardHello>(link, params.timeouts.registration);
     if (hello.protocol != kWireVersion) {
       throw TransportError("run_root_session: shard speaks wire v" +
                            std::to_string(hello.protocol) + ", want v" +
@@ -229,21 +214,13 @@ void serve_shard(Transport& uplink,
     throw std::invalid_argument("serve_shard: client link count does not match range");
   }
 
-  // Uplink discipline mirrors serve_client: stamped sequence numbers both
-  // ways, and any root-side anomaly is fatal (the root is this process's
-  // whole reason to exist).
-  std::uint16_t up_send = 0;
-  std::uint16_t up_recv = 0;
-  auto send_up = [&](Frame f) {
-    f.seq = up_send++;
-    uplink.send(f);
-  };
+  // Uplink discipline mirrors serve_client: any root-side anomaly, a replay
+  // (WireError{kReplayed} from the link) included, is fatal — the root is
+  // this process's whole reason to exist.
+  Link root(uplink);
   auto recv_up = [&](std::optional<MsgType> want = std::nullopt) {
-    auto f = uplink.receive();
+    auto f = root.receive();
     if (!f) throw TransportError("serve_shard: root vanished before shutdown");
-    if (f->seq != up_recv++) {
-      throw WireError(WireErrc::kReplayed, "serve_shard: root frame out of sequence");
-    }
     if (want && f->type != *want) {
       throw WireError(WireErrc::kBadPayload,
                       "serve_shard: root sent unexpected " + to_string(f->type));
@@ -251,8 +228,8 @@ void serve_shard(Transport& uplink,
     return *std::move(f);
   };
 
-  send_up(encode<ShardHello>({shard_id, num_shards, range.first, range.count,
-                              total_clients, kWireVersion}));
+  root.send(encode<ShardHello>(
+      {shard_id, num_shards, range.first, range.count, total_clients, kWireVersion}));
   const ServerHello root_hello = decode<ServerHello>(recv_up(MsgType::kServerHello));
   if (root_hello.cohort_index != shard_id || root_hello.num_clients != total_clients) {
     throw TransportError("serve_shard: root bound us to the wrong shard");
@@ -269,10 +246,10 @@ void serve_shard(Transport& uplink,
     telemetry::Span reg_span("phase:registration",
                              &detail::phase_hist(SessionPhase::kRegistration));
     cohort.post(decode<KeyMaterial>(recv_up(MsgType::kKeyMaterial)));
-    send_up(encode(cohort.take_registry()));
+    root.send(encode(cohort.take_registry()));
     count_partial("partial_registry");
     cohort.post(recv_up(MsgType::kRegistryBroadcast));
-    send_up(encode(cohort.take_participation()));
+    root.send(encode(cohort.take_participation()));
     count_partial("setup_flush");
   }
 
@@ -285,7 +262,7 @@ void serve_shard(Transport& uplink,
         telemetry::Span span("phase:participation",
                              &detail::phase_hist(SessionPhase::kParticipation));
         cohort.post(decode<ShardRoundBegin>(f));
-        send_up(encode(cohort.take_participation()));
+        root.send(encode(cohort.take_participation()));
         count_partial("partial_participation");
         break;
       }
@@ -293,7 +270,7 @@ void serve_shard(Transport& uplink,
         telemetry::Span span("phase:distribution",
                              &detail::phase_hist(SessionPhase::kDistribution));
         cohort.post(decode<ShardTryBegin>(f));
-        send_up(encode(cohort.take_population()));
+        root.send(encode(cohort.take_population()));
         count_partial("partial_population");
         break;
       }
@@ -301,14 +278,14 @@ void serve_shard(Transport& uplink,
         telemetry::Span span("phase:update", &detail::phase_hist(SessionPhase::kUpdate));
         const ShardUpdateBegin begin = decode<ShardUpdateBegin>(f);
         cohort.post(UpdateRequest{begin.round, begin.recipients, begin.weights});
-        send_up(encode(cohort.take_update()));
+        root.send(encode(cohort.take_update()));
         count_partial("partial_update");
         break;
       }
       case MsgType::kShutdown: {
         telemetry::Span span("phase:drain", &detail::phase_hist(SessionPhase::kShutdown));
         cohort.post_shutdown();
-        send_up(encode(cohort.take_participation()));
+        root.send(encode(cohort.take_participation()));
         count_partial("drain_flush");
         uplink.close();
         return;

@@ -5,6 +5,22 @@
 
 namespace dubhe::net {
 
+void Link::send(Frame frame) {
+  frame.seq = send_seq_++;
+  t_->send(frame);
+}
+
+std::optional<Frame> Link::receive(std::chrono::milliseconds deadline) {
+  std::optional<Frame> frame = t_->receive(deadline);
+  if (frame && frame->seq != recv_seq_) {
+    throw WireError(WireErrc::kReplayed, "frame " + std::to_string(frame->seq) +
+                                             " out of sequence (expected " +
+                                             std::to_string(recv_seq_) + ")");
+  }
+  if (frame) ++recv_seq_;
+  return frame;
+}
+
 void Transport::set_accountant(fl::ChannelAccountant* accountant, fl::Direction outbound) {
   accountant_ = accountant;
   outbound_ = outbound;

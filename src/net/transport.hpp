@@ -76,6 +76,28 @@ class Transport {
   fl::Direction outbound_ = fl::Direction::kServerToClient;
 };
 
+/// The one owner of wire v4's sequencing rule: every frame carries the next
+/// u16 of its connection and direction (0, 1, 2, ..., wrapping at 2^16).
+/// send() stamps it before the transport sees the frame; receive() returns
+/// the next frame (nullopt once the peer closed), or throws
+/// WireError{kReplayed} for one that is not the successor. Both counters
+/// start at 0, so a connection's hello must carry seq 0. What a replay costs
+/// (a quarantine, a fatal error) is the endpoint's policy. Non-owning: `t`
+/// must outlive the link.
+class Link {
+ public:
+  explicit Link(Transport& t) : t_(&t) {}
+
+  void send(Frame frame);
+  std::optional<Frame> receive(std::chrono::milliseconds deadline = kNoDeadline);
+  [[nodiscard]] Transport& transport() const { return *t_; }
+
+ private:
+  Transport* t_;
+  std::uint16_t send_seq_ = 0;
+  std::uint16_t recv_seq_ = 0;
+};
+
 /// The deterministic in-process transport: a pair of endpoints joined by two
 /// mutex/condvar frame queues (single producer, single consumer per
 /// direction — uncontended in practice, and race-checked under the TSan
