@@ -22,19 +22,10 @@ MultiTimeOutcome multi_time_select(SelectionStrategy& strategy,
                                    std::size_t K, std::size_t H, stats::Rng& rng) {
   if (client_dists.empty()) throw std::invalid_argument("multi_time_select: no clients");
   return multi_time_select(
-      strategy, client_dists[0].size(), K, H, rng,
+      client_dists[0].size(), H, [&](std::size_t) { return strategy.select(K, rng); },
       [&](std::size_t, std::span<const std::size_t> s) {
         return population_of(client_dists, s);
       });
-}
-
-MultiTimeOutcome multi_time_select(
-    SelectionStrategy& strategy, std::size_t num_classes, std::size_t K, std::size_t H,
-    stats::Rng& rng,
-    const std::function<stats::Distribution(std::size_t, std::span<const std::size_t>)>&
-        aggregate) {
-  return multi_time_select(
-      num_classes, H, [&](std::size_t) { return strategy.select(K, rng); }, aggregate);
 }
 
 MultiTimeOutcome multi_time_select(

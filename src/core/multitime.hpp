@@ -31,25 +31,14 @@ MultiTimeOutcome multi_time_select(SelectionStrategy& strategy,
                                    std::span<const stats::Distribution> client_dists,
                                    std::size_t K, std::size_t H, stats::Rng& rng);
 
-/// The same determination loop with the aggregation step supplied by the
-/// caller — the single authoritative copy of the §5.3.1 argmin rule
-/// (first-minimum tie-break included). The secure paths (in-process session
-/// and the net round driver) pass their Paillier reduction here, so the
-/// plaintext, direct-secure, and wire executions cannot drift apart.
-/// `aggregate` receives (try index h, the try's selection) and returns
-/// p_{o,h} with `num_classes` entries.
-MultiTimeOutcome multi_time_select(
-    SelectionStrategy& strategy, std::size_t num_classes, std::size_t K, std::size_t H,
-    stats::Rng& rng,
-    const std::function<stats::Distribution(std::size_t, std::span<const std::size_t>)>&
-        aggregate);
-
-/// The fully-callback form both other overloads reduce to: the per-try
-/// selection is supplied too. This is what the deployment-faithful paths
-/// use — `select(h)` returns try h's participant set (client-side Bernoulli
-/// draws resolved by the server's replenish stream), `aggregate(h, sel)`
-/// returns p_{o,h}; the argmin rule (first-minimum tie-break) stays in this
-/// single authoritative loop.
+/// The fully-callback form the overload above reduces to, and the single
+/// authoritative copy of the §5.3.1 argmin rule (first-minimum tie-break
+/// included). The secure paths (the net layer's aggregator engine and its
+/// direct reference, run_session_direct) call it with their Paillier
+/// reduction, so the plaintext, direct-secure and wire executions cannot
+/// drift apart: `select(h)` returns try h's participant set (client-side
+/// Bernoulli draws resolved by the server's replenish stream), and
+/// `aggregate(h, sel)` returns p_{o,h} with `num_classes` entries.
 MultiTimeOutcome multi_time_select(
     std::size_t num_classes, std::size_t H,
     const std::function<std::vector<std::size_t>(std::size_t)>& select,
