@@ -198,8 +198,16 @@ TEST(NetFaults, ClientHelloOutOfSequenceIsReplay) {
       }
     });
   }
-  const auto t = net::run_server_session(server_side, dataset, proto, params);
+  net::SessionTranscript t;
+  std::string error;
+  try {
+    t = net::run_server_session(server_side, dataset, proto, params);
+  } catch (const std::exception& e) {
+    error = e.what();
+    for (const auto& link : server_side) link->close();
+  }
   for (auto& th : clients) th.join();
+  ASSERT_EQ(error, "");
   EXPECT_EQ(t.rounds.size(), params.rounds);
   const std::string text = net::format_transcript(t);
   EXPECT_NE(text.find("quarantined=client:? round:setup phase:hello reason:replay\n"),
