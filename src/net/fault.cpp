@@ -144,7 +144,7 @@ void FaultyTransport::send(const Frame& frame) {
     case FaultKind::kReplay:
       // Same frame, same sequence number, twice: an ordered channel
       // delivers the duplicate right behind the original, which is exactly
-      // what the driver's monotonic-sequence rule exists to catch.
+      // what the receiver's net::Link sequence check exists to catch.
       inner_->send(frame);
       inner_->send(frame);
       return;

@@ -61,8 +61,8 @@ std::size_t check_header(std::span<const std::uint8_t> h) {
   if (!is_valid(static_cast<MsgType>(h[5]))) {
     throw WireError(WireErrc::kBadType, "unknown message type " + std::to_string(h[5]));
   }
-  // Bytes 6..7 carry the frame sequence (any value is valid); the session
-  // driver, not the codec, enforces monotonicity.
+  // Bytes 6..7 carry the frame sequence (any value is valid); net::Link,
+  // not the codec, enforces the successor rule.
   const std::size_t len = get_u32(h.data() + 8);
   if (len > kMaxPayload) {
     throw WireError(WireErrc::kOversized, "payload length " + std::to_string(len) +

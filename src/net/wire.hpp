@@ -36,7 +36,7 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'D', 'U', 'B', 'H'};
 /// refused at the first frame (kBadVersion).
 /// Version 4: the reserved flags field becomes a per-connection frame
 /// sequence number (u16, wraps). Each endpoint numbers its outbound frames
-/// 0, 1, 2, ... per connection; the session driver rejects any frame whose
+/// 0, 1, 2, ... per connection; its net::Link rejects any frame whose
 /// sequence is not the expected successor (kReplayed), so a replayed
 /// kParticipation or model-update frame is a typed quarantine, never a
 /// silent duplicate merge. A version-3 peer is refused at the first frame.
@@ -116,7 +116,7 @@ enum class WireErrc {
   kBadCrc,
   kBadPayload,  // frame intact, payload malformed for its type
   kReplayed,    // frame sequence is not the expected successor (replay /
-                // reordering on an ordered channel — session driver check)
+                // reordering on an ordered channel — net::Link's check)
 };
 
 [[nodiscard]] std::string to_string(WireErrc code);
@@ -144,10 +144,10 @@ class WireError : public std::runtime_error {
 /// One decoded message: type tag, opaque payload bytes, and the
 /// per-connection sequence number. The payload codecs in net/codec.hpp give
 /// these a typed meaning. `seq` travels in the header's former flags field;
-/// the session driver assigns it on send (0, 1, 2, ... per connection and
-/// direction, wrapping at 2^16) and verifies it on receive. It sits last so
-/// codecs can keep aggregate-initializing `{type, payload}` (seq is a
-/// connection concern, stamped at the send boundary).
+/// net::Link (net/transport.hpp) assigns it on send (0, 1, 2, ... per
+/// connection and direction, wrapping at 2^16) and checks it on receive —
+/// no other endpoint code touches it. It sits last so codecs can keep
+/// aggregate-initializing `{type, payload}`.
 struct Frame {
   MsgType type = MsgType::kShutdown;
   std::vector<std::uint8_t> payload;
