@@ -490,24 +490,17 @@ void CohortChild::post(const ShardRoundBegin& begin) {
   }
   participation_ = {id_, round_, {}, {}};
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    auto f = recv(i, MsgType::kParticipation, params_.timeouts.upload, round_,
-                  SessionPhase::kParticipation);
-    if (!f) continue;
-    Participation part;
-    try {
-      part = decode<Participation>(*f);
-    } catch (const WireError&) {
-      quarantine(i, round_, SessionPhase::kParticipation, QuarantineReason::kBadFrame);
-      continue;
-    }
+    auto part = recv_msg<Participation>(i, MsgType::kParticipation, params_.timeouts.upload,
+                                        round_, SessionPhase::kParticipation);
+    if (!part) continue;
     // A parsable frame but nonsensical volunteering — wrong (client, round)
     // binding or wrong try count — is its own category.
-    if (part.client_id != range().first + i || part.round != round_ ||
-        part.draws.size() != params_.H) {
+    if (part->client_id != range().first + i || part->round != round_ ||
+        part->draws.size() != params_.H) {
       quarantine(i, round_, SessionPhase::kParticipation, QuarantineReason::kBadParticipation);
       continue;
     }
-    participation_.entries.push_back(std::move(part));
+    participation_.entries.push_back(*std::move(part));
   }
   participation_.quarantined = flush();
 }
@@ -567,22 +560,16 @@ void CohortChild::post(const UpdateRequest& update) {
     std::vector<std::uint64_t> sums(plan.plain_idx.size(), 0);
     for (const std::uint64_t k : recipients) {
       const std::size_t i = local(k);
-      auto f = recv(i, MsgType::kModelUpdateSparse, deadline, round_, SessionPhase::kUpdate);
-      if (!f) continue;
-      ModelUpdateSparse up;
-      try {
-        up = decode<ModelUpdateSparse>(*f, key_);
-      } catch (const WireError&) {
+      auto up = recv_msg<ModelUpdateSparse>(i, MsgType::kModelUpdateSparse, deadline, round_,
+                                            SessionPhase::kUpdate, key_);
+      if (!up) continue;
+      if (up->client_id != k) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
         continue;
       }
-      if (up.client_id != k) {
-        quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-        continue;
-      }
-      bool ok = up.total_count == plan.n && up.quant_bits == qb && up.bitmap == plan.bitmap;
+      bool ok = up->total_count == plan.n && up->quant_bits == qb && up->bitmap == plan.bitmap;
       try {
-        if (ok) check_encrypted(up.encrypted, plan.k, plan.codec);
+        if (ok) check_encrypted(up->encrypted, plan.k, plan.codec);
       } catch (const WireError&) {
         ok = false;
       }
@@ -590,27 +577,21 @@ void CohortChild::post(const UpdateRequest& update) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadCiphertext);
         continue;
       }
-      for (std::size_t j = 0; j < sums.size(); ++j) sums[j] += up.plain_values[j];
-      fold(update_.ciphertext, update_.contributors, std::move(up.encrypted));
+      for (std::size_t j = 0; j < sums.size(); ++j) sums[j] += up->plain_values[j];
+      fold(update_.ciphertext, update_.contributors, std::move(up->encrypted));
     }
     if (update_.contributors > 0) update_.plain_sums = std::move(sums);
   } else {
     for (const std::uint64_t k : recipients) {
       const std::size_t i = local(k);
-      auto f = recv(i, MsgType::kModelUpdate, deadline, round_, SessionPhase::kUpdate);
-      if (!f) continue;
-      WeightsMsg up;
-      try {
-        up = decode<WeightsMsg>(*f, MsgType::kModelUpdate);
-      } catch (const WireError&) {
+      auto up = recv_msg<WeightsMsg>(i, MsgType::kModelUpdate, deadline, round_,
+                                     SessionPhase::kUpdate);
+      if (!up) continue;
+      if (up->seed != k) {
         quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
         continue;
       }
-      if (up.seed != k) {
-        quarantine(i, round_, SessionPhase::kUpdate, QuarantineReason::kBadFrame);
-        continue;
-      }
-      update_.updates.push_back({k, std::move(up.weights)});
+      update_.updates.push_back({k, std::move(up->weights)});
     }
   }
   update_.quarantined = flush();
@@ -675,6 +656,20 @@ std::optional<Frame> CohortChild::recv(std::size_t i, MsgType want,
   }
   quarantine(i, round, phase, bad);
   return std::nullopt;
+}
+
+template <class M, class Key>
+std::optional<M> CohortChild::recv_msg(std::size_t i, MsgType want,
+                                       std::chrono::milliseconds deadline, std::uint64_t round,
+                                       SessionPhase phase, const Key& key) {
+  auto f = recv(i, want, deadline, round, phase);
+  if (!f) return std::nullopt;
+  try {
+    return decode<M>(*f, want, key);
+  } catch (const WireError&) {
+    quarantine(i, round, phase, QuarantineReason::kBadFrame);
+    return std::nullopt;
+  }
 }
 
 std::optional<he::PackedEncryptedVector> CohortChild::recv_upload(

@@ -187,6 +187,10 @@ class CohortChild final : public Child {
   /// silent duplicate.
   std::optional<Frame> recv(std::size_t i, MsgType want, std::chrono::milliseconds deadline,
                             std::uint64_t round, SessionPhase phase);
+  /// recv() decoded as M: a frame that does not parse is kBadFrame.
+  template <class M, class Key = NoKey>
+  std::optional<M> recv_msg(std::size_t i, MsgType want, std::chrono::milliseconds deadline,
+                            std::uint64_t round, SessionPhase phase, const Key& key = {});
   /// recv() of a packed-vector upload, validated against the session: a
   /// payload that is not a packed vector at all is kBadCiphertext, a packed
   /// vector that does not parse under the session key kBadFrame, one of the
