@@ -501,6 +501,48 @@ TEST(NetFaults, CohortFrameSequenceSurvivesTheU16Wrap) {
                 {0, kRounds, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
 }
 
+TEST(NetFaults, SkippedSequenceNumberIsReplay) {
+  // A frame numbered one past the successor (as if the frame before it were
+  // lost) breaks the sequence as surely as a duplicate does. The scripted
+  // client answers round 0 in sequence and skips a number in round 1.
+  const auto params = make_params(1);
+  auto [agg, cli] = net::LoopbackTransport::make_pair();
+  std::thread client([&, link = cli] {
+    std::uint16_t send_seq = 0;
+    try {
+      net::Frame hello = net::encode<net::ClientHello>({0, net::kWireVersion});
+      hello.seq = send_seq++;
+      link->send(hello);
+      while (auto f = link->receive()) {
+        if (f->type != MsgType::kRoundBegin) continue;
+        const std::uint64_t round = net::decode<net::RoundBegin>(*f).round;
+        net::Frame part = net::encode<net::Participation>(
+            {0, round, std::vector<std::uint8_t>(params.H, 1)});
+        if (round == 1) ++send_seq;
+        part.seq = send_seq++;
+        link->send(part);
+      }
+    } catch (const net::TransportError&) {
+      // the cohort closed the link after the quarantine
+    }
+  });
+  net::detail::CohortChild cohort(0, {0, 1}, 1, params);
+  const std::vector<std::shared_ptr<net::Transport>> links{agg};
+  cohort.hello(links, 7);
+  cohort.post(net::ShardRoundBegin{0});
+  const net::PartialParticipation in_sequence = cohort.take_participation();
+  cohort.post(net::ShardRoundBegin{1});
+  const net::PartialParticipation skipped = cohort.take_participation();
+  agg->close();
+  client.join();
+  EXPECT_EQ(in_sequence.entries.size(), 1u);
+  EXPECT_TRUE(in_sequence.quarantined.empty());
+  EXPECT_TRUE(skipped.entries.empty());
+  EXPECT_EQ(skipped.quarantined,
+            (std::vector<net::QuarantineRecord>{
+                {0, 1, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
+}
+
 TEST(NetFaults, PlanParserRoundTripsAndRejectsGarbage) {
   const FaultPlan a = net::parse_fault_plan("disconnect@participation:1");
   EXPECT_EQ(a.kind, FaultKind::kDisconnect);
