@@ -421,7 +421,7 @@ void print_batch_table() {
 
 /// The telemetry contract on the crypto hot path: the per-op counters and
 /// histograms in paillier.cpp must cost <2% on a 2048-bit encrypt whether
-/// collection is off (the default, one relaxed load) or on (sharded atomic
+/// collection is off (the default, one relaxed load) or on (relaxed atomic
 /// adds). One off/on pair cannot resolve 2% on a host that drifts more than
 /// that between runs, so this times kPairs pairs, flipping which side runs
 /// first in each, and prints the median per-pair ratio with its spread.

@@ -136,8 +136,8 @@ void print_net_table() {
 /// Telemetry-overhead row: the same single-thread encode loop (which passes
 /// through the instrumented crc32 tier dispatch) with collection off vs on.
 /// The contract is <2% on this hot path — a disabled site costs one relaxed
-/// atomic-bool load, an enabled one a relaxed fetch_add on a per-thread
-/// shard. The DUBHE_TELEMETRY env var flips the same runtime toggle.
+/// atomic-bool load, an enabled one a relaxed fetch_add on the counter.
+/// The DUBHE_TELEMETRY env var flips the same runtime toggle.
 void print_telemetry_overhead_table() {
   const bool was_enabled = telemetry::enabled();
   const net::Frame frame = test_frame(kPayloadBytes);

@@ -44,29 +44,14 @@ std::uint64_t now_us() {
 
 void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
-// --- Counter -----------------------------------------------------------------
-
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Counter::reset() {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
 // --- Histogram ---------------------------------------------------------------
 
 Histogram::Histogram(std::span<const double> bounds)
-    : bounds_(bounds.begin(), bounds.end()) {
+    : bounds_(bounds.begin(), bounds.end()), buckets_(bounds_.size() + 1) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     if (bounds_[i] <= bounds_[i - 1]) {
       throw std::invalid_argument("Histogram: bucket bounds must ascend");
     }
-  }
-  for (auto& s : shards_) {
-    s.buckets = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
   }
 }
 
@@ -74,38 +59,37 @@ void Histogram::observe(double v) {
   if (!enabled()) return;
   std::size_t b = 0;
   while (b < bounds_.size() && v > bounds_[b]) ++b;
-  Shard& s = shards_[detail::shard_index()];
-  s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-  // Sum kept as integer nanoseconds: associative merge, no atomic<double>.
+  buckets_[b].fetch_add(1, std::memory_order_relaxed);
+  // Sum kept as integer nanoseconds: exact addition, no atomic<double>.
   const auto nanos = static_cast<std::uint64_t>(std::llround(v * 1e9));
-  s.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
+  sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot out;
   out.bounds = bounds_;
-  out.counts.assign(bounds_.size() + 1, 0);
-  std::uint64_t nanos = 0;
-  for (const auto& s : shards_) {
-    for (std::size_t b = 0; b < out.counts.size(); ++b) {
-      out.counts[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
-    nanos += s.sum_nanos.load(std::memory_order_relaxed);
+  out.counts.reserve(buckets_.size());
+  for (const auto& b : buckets_) {
+    out.counts.push_back(b.load(std::memory_order_relaxed));
+    out.count += out.counts.back();
   }
-  out.sum = static_cast<double>(nanos) * 1e-9;
-  for (const std::uint64_t c : out.counts) out.count += c;
+  out.sum = sum();
   return out;
 }
 
-std::uint64_t Histogram::count() const { return snapshot().count; }
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+  return total;
+}
 
-double Histogram::sum() const { return snapshot().sum; }
+double Histogram::sum() const {
+  return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) * 1e-9;
+}
 
 void Histogram::reset() {
-  for (auto& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.sum_nanos.store(0, std::memory_order_relaxed);
-  }
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_nanos_.store(0, std::memory_order_relaxed);
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -274,42 +258,6 @@ std::string Registry::render_prometheus() const {
     }
   }
   return out;
-}
-
-std::string Registry::render_json() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::string counters, gauges, histograms;
-  for (const auto& [name, e] : impl_->metrics) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        if (!counters.empty()) counters += ',';
-        counters += '"' + json_escape(name) + "\":" + std::to_string(e.c->value());
-        break;
-      case Kind::kGauge:
-        if (!gauges.empty()) gauges += ',';
-        gauges += '"' + json_escape(name) + "\":" + std::to_string(e.g->value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram::Snapshot s = e.h->snapshot();
-        if (!histograms.empty()) histograms += ',';
-        histograms += '"' + json_escape(name) + "\":{\"count\":" +
-                      std::to_string(s.count) + ",\"sum\":" + fmt_double(s.sum) +
-                      ",\"buckets\":[";
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < s.counts.size(); ++b) {
-          cum += s.counts[b];
-          if (b != 0) histograms += ',';
-          const std::string le =
-              b < s.bounds.size() ? '"' + fmt_double(s.bounds[b]) + '"' : "\"+Inf\"";
-          histograms += '[' + le + ',' + std::to_string(cum) + ']';
-        }
-        histograms += "]}";
-        break;
-      }
-    }
-  }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
 }
 
 std::string Registry::render_summary() const {

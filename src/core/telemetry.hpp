@@ -19,10 +19,11 @@ namespace dubhe::telemetry {
 /// decision, so session transcripts are byte-identical with telemetry on or
 /// off (asserted by tests/test_net_round.cpp).
 ///
-/// Hot-path contract: every mutation is a relaxed atomic on a per-thread
-/// shard (round-robin thread -> slot assignment, cache-line padded), merged
-/// only on read — increments from 10k connections across N event-loop
-/// workers never contend and are clean under ThreadSanitizer
+/// Hot-path contract: every mutation is one relaxed atomic add on the
+/// metric itself; reads load the same atomics. The processes that collect
+/// run a handful of threads (a few clients, at most a couple of event-loop
+/// workers, the parallel_for pool), so there is nothing to shard, and the
+/// atomics keep every count exact and clean under ThreadSanitizer
 /// (tests/test_telemetry.cpp runs in the TSan CI leg).
 ///
 /// Runtime toggle: collection is OFF by default — a plain `dubhe_node` run
@@ -31,23 +32,13 @@ namespace dubhe::telemetry {
 /// set_enabled(true), or implicitly through `dubhe_node --metrics-port` /
 /// `--trace-out`. The metric name catalog lives in src/net/README.md.
 
-/// Number of per-thread slots each metric shards its state across. Threads
-/// are assigned slots round-robin at first use; 16 covers the worker counts
-/// this codebase runs (listener + event-loop workers + parallel_for pool)
-/// with near-zero collision probability.
-inline constexpr std::size_t kShards = 16;
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 /// Stable small integer for the calling thread (assigned at first use;
 /// also the "tid" recorded in trace events).
 std::uint32_t thread_index();
-inline std::size_t shard_index() { return thread_index() % kShards; }
 /// Microseconds since process start on the steady clock.
 std::uint64_t now_us();
-struct alignas(64) PaddedU64 {
-  std::atomic<std::uint64_t> v{0};
-};
 }  // namespace detail
 
 /// Whether instrumentation sites record anything. Reading this is the whole
@@ -55,18 +46,18 @@ struct alignas(64) PaddedU64 {
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on);
 
-/// Monotone event count. Sharded per thread; value() merges on read.
+/// Monotone event count: one relaxed atomic.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
     if (!enabled()) return;
-    shards_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t value() const;
-  void reset();
+  [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<detail::PaddedU64, kShards> shards_{};
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Instantaneous signed level (live connections, queue depth). Last-writer
@@ -93,9 +84,8 @@ class Gauge {
 inline constexpr std::array<double, 8> kLatencyBuckets{1e-6, 1e-5, 1e-4, 1e-3,
                                                        1e-2, 0.1,  1.0,  10.0};
 
-/// Fixed-bucket histogram: cumulative bucket counts + sum, per-thread
-/// sharded like Counter. Bucket bounds are fixed at registration (upper
-/// bounds, `le` semantics) so merging is index-wise addition.
+/// Fixed-bucket histogram: one relaxed atomic per bucket plus the sum.
+/// Bucket bounds are fixed at registration (upper bounds, `le` semantics).
 class Histogram {
  public:
   explicit Histogram(std::span<const double> bounds);
@@ -114,12 +104,9 @@ class Histogram {
   void reset();
 
  private:
-  struct alignas(64) Shard {
-    std::vector<std::atomic<std::uint64_t>> buckets;  // bounds.size()+1
-    std::atomic<std::uint64_t> sum_nanos{0};          // sum in integer ns
-  };
   std::vector<double> bounds_;
-  std::array<Shard, kShards> shards_;
+  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size()+1
+  std::atomic<std::uint64_t> sum_nanos_{0};          // sum in integer ns
 };
 
 /// Process-wide metric registry. Lookups take a mutex — call sites cache the
@@ -151,9 +138,6 @@ class Registry {
   /// series sorted by full name, histogram series expanded to
   /// `_bucket{le=...}` / `_sum` / `_count`.
   [[nodiscard]] std::string render_prometheus() const;
-  /// The same data as one JSON object: {"counters":{},"gauges":{},
-  /// "histograms":{name:{"count":c,"sum":s,"buckets":[[le,cum],...]}}}.
-  [[nodiscard]] std::string render_json() const;
   /// Human-readable table of every non-zero metric — the post-session /
   /// post-bench summary.
   [[nodiscard]] std::string render_summary() const;
