@@ -1,49 +1,27 @@
 #include "net/metrics_http.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
-#include <map>
+#include <chrono>
 #include <string>
-#include <vector>
 
 #include "core/telemetry.hpp"
-#include "net/poller.hpp"
-#include "net/transport.hpp"
+#include "net/tcp.hpp"
 
 namespace dubhe::net {
 
 namespace {
 
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw TransportError(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl(O_NONBLOCK)");
-  }
-}
-
 /// A scrape request fits in one line; anything larger than this is not a
 /// request this endpoint answers.
 constexpr std::size_t kMaxRequestBytes = 4096;
-
-/// One in-flight scrape: request bytes accumulate until the blank line,
-/// then the response drains and the connection closes (HTTP/1.0 semantics,
-/// `Connection: close` — curl and Prometheus both speak this).
-struct Client {
-  std::string in;
-  std::string out;
-  std::size_t out_off = 0;
-  bool responding = false;
-};
+/// How long one connection may take to send its request and take its
+/// response. A loopback scrape needs milliseconds; a client that sends
+/// nothing is closed unanswered when this runs out.
+constexpr std::chrono::milliseconds kConnectionDeadline{1000};
 
 std::string make_response(int status, const char* reason, const char* content_type,
                           std::string body) {
@@ -57,71 +35,41 @@ std::string make_response(int status, const char* reason, const char* content_ty
   return r;
 }
 
-/// Parses `GET <path> ...` out of the request head and renders the
-/// registry. Only GET is served — this endpoint reads state, never writes.
+/// Answers from the request line `<method> <path>[ <version>]`. Only GET
+/// is served — this endpoint reads state, never writes.
 std::string respond(const std::string& head) {
-  const std::size_t sp1 = head.find(' ');
-  const std::size_t line_end = head.find("\r\n");
-  if (sp1 == std::string::npos || head.compare(0, sp1, "GET") != 0) {
-    return make_response(405, "Method Not Allowed", "text/plain; charset=utf-8",
-                         "only GET is served\n");
+  const char* text = "text/plain; charset=utf-8";
+  if (head.size() > kMaxRequestBytes) {
+    return make_response(400, "Bad Request", text, "request too large\n");
   }
-  std::size_t sp2 = head.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos || (line_end != std::string::npos && sp2 > line_end)) {
-    sp2 = line_end;  // "GET /path\r\n" without an HTTP-version token
+  const std::string line = head.substr(0, head.find("\r\n"));
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string::npos) {
+    return make_response(400, "Bad Request", text, "malformed request line\n");
   }
-  if (sp2 == std::string::npos) {
-    return make_response(400, "Bad Request", "text/plain; charset=utf-8",
-                         "malformed request line\n");
+  if (line.compare(0, sp1, "GET") != 0) {
+    return make_response(405, "Method Not Allowed", text, "only GET is served\n");
   }
-  const std::string path = head.substr(sp1 + 1, sp2 - sp1 - 1);
-  auto& reg = telemetry::Registry::global();
-  if (path == "/metrics") {
+  const std::size_t sp2 = line.find(' ', sp1 + 1);  // npos: no version token
+  if (line.substr(sp1 + 1, sp2 - sp1 - 1) == "/metrics") {
     return make_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
-                         reg.render_prometheus());
+                         telemetry::Registry::global().render_prometheus());
   }
-  if (path == "/metrics.json") {
-    return make_response(200, "OK", "application/json", reg.render_json());
-  }
-  return make_response(404, "Not Found", "text/plain; charset=utf-8",
-                       "try /metrics or /metrics.json\n");
+  return make_response(404, "Not Found", text, "try /metrics\n");
 }
 
 }  // namespace
 
 MetricsHttpServer::MetricsHttpServer(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listen_fd_, 16) < 0) {
-    const int saved = errno;
+  const detail::Listener l = detail::listen_loopback(port, /*backlog=*/16);
+  listen_fd_ = l.fd;
+  port_ = l.port;
+  try {
+    detail::open_wake_channel(wake_r_, wake_w_);
+  } catch (...) {
     ::close(listen_fd_);
-    errno = saved;
-    throw_errno("metrics bind/listen 127.0.0.1:" + std::to_string(port));
+    throw;
   }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
-
-  int pipefd[2];
-  if (::pipe(pipefd) < 0) {
-    const int saved = errno;
-    ::close(listen_fd_);
-    errno = saved;
-    throw_errno("metrics pipe");
-  }
-  wake_r_ = pipefd[0];
-  wake_w_ = pipefd[1];
-  set_nonblocking(wake_r_);
-  set_nonblocking(wake_w_);
-
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -129,104 +77,75 @@ MetricsHttpServer::~MetricsHttpServer() { stop(); }
 
 void MetricsHttpServer::stop() {
   stopping_.store(true);
-  if (wake_w_ >= 0) {
-    const std::uint8_t b = 0;
-    [[maybe_unused]] const ssize_t n = ::write(wake_w_, &b, 1);
-  }
+  if (wake_w_ >= 0) detail::ring(wake_r_, wake_w_);
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (wake_r_ >= 0) ::close(wake_r_);
-  if (wake_w_ >= 0) ::close(wake_w_);
-  wake_r_ = wake_w_ = -1;
+  detail::close_wake_channel(wake_r_, wake_w_);
 }
 
 void MetricsHttpServer::loop() {
-  auto poller = Poller::create();
-  poller->set(wake_r_, /*want_read=*/true, /*want_write=*/false);
-  poller->set(listen_fd_, /*want_read=*/true, /*want_write=*/false);
-  std::map<int, Client> clients;
-  std::vector<Poller::Event> events;
-
-  const auto drop = [&](int fd) {
-    poller->remove(fd);
+  while (!stopping_.load()) {
+    pollfd fds[2] = {{wake_r_, POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    if ((fds[1].revents & POLLIN) == 0) continue;  // the wake: stop() rang
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) continue;  // EAGAIN, ECONNABORTED, EINTR: poll again
+    serve(fd);
     ::close(fd);
-    clients.erase(fd);
+  }
+}
+
+/// One connection, start to finish: read the request head, write the
+/// response. The socket stays blocking; every read and write is
+/// MSG_DONTWAIT after a poll that also watches the wake channel, so the
+/// deadline and stop() both cut a slow or silent client off.
+void MetricsHttpServer::serve(int fd) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kConnectionDeadline;
+  const auto ready = [&](short events) {
+    for (;;) {
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
+      if (left.count() <= 0) return false;
+      pollfd fds[2] = {{fd, events, 0}, {wake_r_, POLLIN, 0}};
+      const int n = ::poll(fds, 2, static_cast<int>(left.count()));
+      if (n < 0 && errno == EINTR) continue;
+      return n > 0 && fds[1].revents == 0;
+    }
   };
 
-  while (!stopping_.load()) {
-    if (!poller->wait(events)) break;
-    for (const Poller::Event& ev : events) {
-      if (ev.fd == wake_r_) {
-        std::uint8_t buf[64];
-        while (::read(wake_r_, buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
-      if (ev.fd == listen_fd_) {
-        for (;;) {
-          const int fd = ::accept(listen_fd_, nullptr, nullptr);
-          if (fd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED) continue;
-            break;  // EAGAIN, or EMFILE-class: the backlog will re-fire
-          }
-          set_nonblocking(fd);
-          clients.emplace(fd, Client{});
-          poller->set(fd, /*want_read=*/true, /*want_write=*/false);
-        }
-        continue;
-      }
-      const auto it = clients.find(ev.fd);
-      if (it == clients.end()) continue;
-      Client& c = it->second;
-      if (!c.responding && (ev.readable || ev.hangup)) {
-        char buf[1024];
-        for (;;) {
-          const ssize_t n = ::read(ev.fd, buf, sizeof buf);
-          if (n > 0) {
-            c.in.append(buf, static_cast<std::size_t>(n));
-            if (c.in.size() > kMaxRequestBytes) {
-              c.out = make_response(400, "Bad Request", "text/plain; charset=utf-8",
-                                    "request too large\n");
-            }
-            continue;
-          }
-          if (n < 0 && errno == EINTR) continue;
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          // EOF or hard error before the blank line: nothing to answer.
-          if (c.out.empty() && c.in.find("\r\n\r\n") == std::string::npos) {
-            drop(ev.fd);
-          }
-          break;
-        }
-        if (clients.count(ev.fd) == 0) continue;
-        if (c.out.empty() && c.in.find("\r\n\r\n") != std::string::npos) {
-          c.out = respond(c.in);
-        }
-        if (!c.out.empty()) {
-          c.responding = true;
-          poller->set(ev.fd, /*want_read=*/false, /*want_write=*/true);
-        }
-      }
-      if (c.responding) {
-        while (c.out_off < c.out.size()) {
-          const ssize_t n = ::write(ev.fd, c.out.data() + c.out_off,
-                                    c.out.size() - c.out_off);
-          if (n > 0) {
-            c.out_off += static_cast<std::size_t>(n);
-            continue;
-          }
-          if (n < 0 && errno == EINTR) continue;
-          break;  // EAGAIN (poller re-fires) or peer reset (next pass drops)
-        }
-        if (c.out_off >= c.out.size() || ev.hangup) drop(ev.fd);
-      }
-    }
+  std::string in;
+  char buf[1024];
+  while (in.size() <= kMaxRequestBytes && in.find("\r\n\r\n") == std::string::npos) {
+    if (!ready(POLLIN)) return;
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n == 0) return;  // EOF before the blank line: nothing to answer
+    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) return;
+    if (n > 0) in.append(buf, static_cast<std::size_t>(n));
+  }
+  // Take what is already queued (up to one more request's worth), so that
+  // closing does not reset the connection under an oversized request's 400.
+  for (std::size_t more = 0; more <= kMaxRequestBytes;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n <= 0) break;
+    more += static_cast<std::size_t>(n);
   }
 
-  for (const auto& entry : clients) ::close(entry.first);
+  const std::string out = respond(in);
+  std::size_t off = 0;
+  while (off < out.size()) {
+    if (!ready(POLLOUT)) return;
+    const ssize_t n =
+        ::send(fd, out.data() + off, out.size() - off, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) return;
+    if (n > 0) off += static_cast<std::size_t>(n);
+  }
 }
 
 }  // namespace dubhe::net

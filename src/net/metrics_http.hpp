@@ -6,11 +6,16 @@
 
 namespace dubhe::net {
 
-/// Loopback-only admin endpoint for the process-wide telemetry registry: a
-/// single-threaded HTTP/1.0 GET server on the Poller infrastructure.
+/// Loopback-only admin endpoint for the process-wide telemetry registry: an
+/// HTTP/1.0 server on one thread that serves one scrape at a time.
 ///
-///   GET /metrics       -> Prometheus text exposition (version 0.0.4)
-///   GET /metrics.json  -> JSON dump of every counter/gauge/histogram
+///   GET /metrics  -> Prometheus text exposition (version 0.0.4)
+///
+/// Any other path is 404, any other method 405, and a malformed request or
+/// one over 4096 bytes 400; every response closes the connection. Each
+/// connection gets a fixed deadline to send its request and take its
+/// response, so a second scraper waits for the first at most that long and
+/// a silent client cannot hold the endpoint.
 ///
 /// Trust model: the socket binds 127.0.0.1 and the endpoint is deliberately
 /// unauthenticated — anyone who can open a loopback connection on this host
@@ -34,18 +39,20 @@ class MetricsHttpServer {
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Closes the listener and every in-flight connection, joins the serving
-  /// thread. Called by the destructor; safe to call twice.
+  /// Closes the listener and the connection in service, joins the serving
+  /// thread. Returns promptly even while a silent client holds a
+  /// connection. Called by the destructor; safe to call twice.
   void stop();
 
  private:
   void loop();
+  void serve(int fd);
 
   int listen_fd_ = -1;
-  int wake_r_ = -1, wake_w_ = -1;  // self-pipe: stop() wakes the poller
+  int wake_r_ = -1, wake_w_ = -1;  // stop() wakes the serving thread
   std::uint16_t port_ = 0;
-  std::thread thread_;
   std::atomic<bool> stopping_{false};
+  std::thread thread_;
 };
 
 }  // namespace dubhe::net

@@ -89,8 +89,36 @@ void send_iovs(int fd, iovec* iov, std::size_t iovcnt, const std::string& peer) 
   }
 }
 
-/// Wake channels: an eventfd where available (one descriptor, one word of
-/// kernel state), a nonblocking pipe elsewhere. r == w marks an eventfd.
+}  // namespace
+
+// --- shared socket setup -----------------------------------------------------
+
+namespace detail {
+
+Listener listen_loopback(std::uint16_t port, int backlog) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw_errno("socket");
+  try {
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
+        ::listen(fd, backlog) < 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+      throw_errno("bind/listen 127.0.0.1:" + std::to_string(port));
+    }
+    set_nonblocking(fd);
+    return {fd, ntohs(addr.sin_port)};
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+}
+
 void open_wake_channel(int& r, int& w) {
 #if defined(__linux__)
   const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -123,6 +151,14 @@ void ring(int r, int w) {
     [[maybe_unused]] const ssize_t n = ::write(w, &b, 1);
   }
 }
+
+}  // namespace detail
+
+using detail::close_wake_channel;
+using detail::open_wake_channel;
+using detail::ring;
+
+namespace {
 
 void drain_wake(int r) {
   std::uint8_t buf[64];  // eventfd reads need >= 8 bytes; pipes drain in gulps
@@ -396,25 +432,9 @@ class TcpServer::ConnTransport final : public Transport {
 };
 
 TcpServer::TcpServer(std::uint16_t port, std::size_t workers) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listen_fd_, kListenBacklog) < 0) {
-    const int saved = errno;
-    ::close(listen_fd_);
-    errno = saved;
-    throw_errno("bind/listen 127.0.0.1:" + std::to_string(port));
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
+  const detail::Listener l = detail::listen_loopback(port, kListenBacklog);
+  listen_fd_ = l.fd;
+  port_ = l.port;
 
   try {
     // Failure to arm the parachute is tolerated: shed_connection re-tries.

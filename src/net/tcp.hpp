@@ -17,6 +17,29 @@ namespace dubhe::net {
 
 class MetricsHttpServer;
 
+/// Socket setup shared by TcpServer and the admin endpoint
+/// (net/metrics_http.hpp).
+namespace detail {
+
+/// A listening socket and the port it bound.
+struct Listener {
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+/// Opens a nonblocking SO_REUSEADDR listener on 127.0.0.1:`port` (0 picks
+/// an ephemeral port). Throws TransportError, with no descriptor left
+/// open, on failure.
+Listener listen_loopback(std::uint16_t port, int backlog);
+
+/// Wake channels: an eventfd where available (one descriptor, one word of
+/// kernel state), a nonblocking pipe elsewhere. r == w marks an eventfd.
+void open_wake_channel(int& r, int& w);
+void close_wake_channel(int& r, int& w);
+/// Makes `r` readable; a wakeup already pending absorbs it.
+void ring(int r, int w);
+
+}  // namespace detail
+
 /// Client-side TCP endpoint: a blocking connected socket speaking the frame
 /// protocol. connect() resolves only dotted-quad / localhost addresses (the
 /// deployment story here is aggregator + clients on a LAN; no resolver

@@ -16,8 +16,9 @@
 # tsan_suites; both lists live in CMakeLists.txt) under the `tsan`
 # preset and runs them, so a racy edit to the pool, the compute kernels, the
 # TCP event loop, the quarantine/deadline machinery, the aggregation tree
-# (client and shard threads driving the shared pool at once), the sharded
-# telemetry counters or the pooled prime search fails loudly.
+# (client and shard threads driving the shared pool at once), the
+# telemetry counters, the admin endpoint's serving thread or the pooled
+# prime search fails loudly.
 # Usage: tools/ci.sh [--quick] [extra cmake args...]
 #   --quick: run only the fast suites (ctest label `tier1`) in each preset.
 set -eu

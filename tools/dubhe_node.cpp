@@ -96,8 +96,8 @@ Server options:
   --transcript F write the round transcript to F
   --workers W    event-loop worker shards (default 1; DUBHE_CPU=portable
                  forces the poll backend inside each shard)
-  --metrics-port P     serve GET /metrics (Prometheus text) and /metrics.json
-                       on 127.0.0.1:P; 0 = ephemeral. Turns telemetry
+  --metrics-port P     serve GET /metrics (Prometheus text) on 127.0.0.1:P,
+                       one scrape at a time; 0 = ephemeral. Turns telemetry
                        collection on. Unauthenticated, loopback-only — see
                        src/net/README.md "Admin endpoint".
   --metrics-port-file F  write the bound metrics port to F (atomically)
