@@ -150,11 +150,12 @@ int main() {
 
   const auto& enc_hist = telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
   const auto& dec_hist = telemetry::histogram("dubhe_paillier_decrypt_seconds");
-  // The decrypt histogram observes one pooled call per vector; its counter
-  // counts the ciphertexts.
+  // Each histogram observes one pooled call per vector; the counters count
+  // the ciphertexts.
+  const auto& enc_count = telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
   const auto& dec_count = telemetry::counter("dubhe_paillier_decrypt_total");
   std::cout << "\nCrypto time inside the session: encrypt "
-            << sim::fmt(enc_hist.sum(), 2) << " s over " << enc_hist.count()
+            << sim::fmt(enc_hist.sum(), 2) << " s over " << enc_count.value()
             << " ciphertexts, decrypt " << sim::fmt(dec_hist.sum(), 2) << " s over "
             << dec_count.value() << " ciphertexts.\n"
             << "Registries and p_l are KBs versus model weights in MBs "

@@ -13,7 +13,7 @@ EncryptedVector EncryptedVector::encrypt(const PublicKey& pk,
                                          std::span<const std::uint64_t> values,
                                          bigint::EntropySource& rng) {
   const std::vector<BigUint> ms(values.begin(), values.end());
-  return EncryptedVector(pk, detail::encrypt_each(pk, ms, rng));
+  return EncryptedVector(pk, pk.encrypt(ms, rng));
 }
 
 EncryptedVector EncryptedVector::zeros(const PublicKey& pk, std::size_t size) {

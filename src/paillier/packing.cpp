@@ -74,7 +74,7 @@ PackedEncryptedVector PackedEncryptedVector::encrypt(const PublicKey& pk,
                                                      std::span<const std::uint64_t> values,
                                                      bigint::EntropySource& rng) {
   return PackedEncryptedVector(pk, codec, values.size(),
-                               detail::encrypt_each(pk, codec.encode(values), rng));
+                               pk.encrypt(codec.encode(values), rng));
 }
 
 PackedEncryptedVector PackedEncryptedVector::encrypt(const PrivateKey& prv,
@@ -82,7 +82,7 @@ PackedEncryptedVector PackedEncryptedVector::encrypt(const PrivateKey& prv,
                                                      std::span<const std::uint64_t> values,
                                                      bigint::EntropySource& rng) {
   return PackedEncryptedVector(prv.public_key(), codec, values.size(),
-                               detail::encrypt_each(prv, codec.encode(values), rng));
+                               prv.encrypt(codec.encode(values), rng));
 }
 
 PackedEncryptedVector& PackedEncryptedVector::operator+=(const PackedEncryptedVector& o) {

@@ -5,6 +5,7 @@
 #include "bigint/prime.hpp"
 #include "core/parallel.hpp"
 #include "core/telemetry.hpp"
+#include "paillier/serial_util.hpp"
 
 namespace dubhe::he {
 
@@ -23,6 +24,22 @@ telemetry::Counter& encrypt_count() {
   static telemetry::Counter& count =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
   return count;
+}
+
+/// Both vector encrypts: one count per ciphertext and one observation for
+/// the whole vector, whose items run pooled (see PublicKey::encrypt(span)).
+template <class EncryptOne>
+std::vector<Ciphertext> encrypt_each(std::span<const BigUint> ms, bigint::EntropySource& rng,
+                                     std::size_t key_bits, const EncryptOne& encrypt_one) {
+  encrypt_count().inc(ms.size());
+  telemetry::ScopedTimer timer(encrypt_hist());
+  const std::vector<detail::StreamState> states = detail::draw_stream_states(rng, ms.size());
+  std::vector<Ciphertext> out(ms.size());
+  core::parallel_for(ms.size(), paillier_threads(key_bits), [&](std::size_t i) {
+    bigint::Xoshiro256ss stream(states[i]);
+    out[i] = encrypt_one(ms[i], stream);
+  });
+  return out;
 }
 
 /// The one r draw behind both encryption paths: r uniform in Z*_n by
@@ -65,8 +82,18 @@ Ciphertext PublicKey::encrypt_deterministic(const BigUint& m) const {
 Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
   encrypt_count().inc();
   telemetry::ScopedTimer timer(encrypt_hist());
-  Ciphertext gm = encrypt_deterministic(m);
-  return rerandomize(gm, rng);
+  return encrypt_one(m, rng);
+}
+
+std::vector<Ciphertext> PublicKey::encrypt(std::span<const BigUint> ms,
+                                           bigint::EntropySource& rng) const {
+  return encrypt_each(ms, rng, key_bits(), [this](const BigUint& m, bigint::EntropySource& r) {
+    return encrypt_one(m, r);
+  });
+}
+
+Ciphertext PublicKey::encrypt_one(const BigUint& m, bigint::EntropySource& rng) const {
+  return rerandomize(encrypt_deterministic(m), rng);
 }
 
 Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const {
@@ -139,6 +166,18 @@ PrivateKey::PrivateKey(const BigUint& p, const BigUint& q) : p_(p), q_(q) {
 Ciphertext PrivateKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
   encrypt_count().inc();
   telemetry::ScopedTimer timer(encrypt_hist());
+  return encrypt_one(m, rng);
+}
+
+std::vector<Ciphertext> PrivateKey::encrypt(std::span<const BigUint> ms,
+                                            bigint::EntropySource& rng) const {
+  return encrypt_each(ms, rng, pub_.key_bits(),
+                      [this](const BigUint& m, bigint::EntropySource& r) {
+                        return encrypt_one(m, r);
+                      });
+}
+
+Ciphertext PrivateKey::encrypt_one(const BigUint& m, bigint::EntropySource& rng) const {
   const Ciphertext gm = pub_.encrypt_deterministic(m);
   const BigUint& n = pub_.n();
   const BigUint r = draw_unit(rng, n);

@@ -42,6 +42,15 @@ class PublicKey {
   /// outsider's path (one exponentiation mod n^2); a holder of p and q gets
   /// the byte-identical ciphertext faster from PrivateKey::encrypt.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
+  /// Vector encrypt under the per-ciphertext stream contract: ciphertext i
+  /// is encrypt(ms[i], Xoshiro256ss(state_i)), where state_i is words
+  /// 4i..4i+3 of `rng`, which advances by exactly 4 * ms.size() words. The
+  /// states are drawn serially, then the items run as one parallel_for over
+  /// every worker (inline below kParallelKeyBitsCutoff). Both encrypt forms
+  /// add their ciphertext count to dubhe_paillier_encrypt_total and take
+  /// one observation per call in dubhe_paillier_encrypt_seconds.
+  [[nodiscard]] std::vector<Ciphertext> encrypt(std::span<const BigUint> ms,
+                                                bigint::EntropySource& rng) const;
   /// Deterministic "encryption" with r = 1 — NOT semantically secure; used
   /// only in tests and to build homomorphic constants cheaply.
   [[nodiscard]] Ciphertext encrypt_deterministic(const BigUint& m) const;
@@ -57,6 +66,9 @@ class PublicKey {
   bool operator==(const PublicKey& o) const { return n_ == o.n_; }
 
  private:
+  /// encrypt() without the telemetry: the item both encrypt forms run.
+  [[nodiscard]] Ciphertext encrypt_one(const BigUint& m, bigint::EntropySource& rng) const;
+
   BigUint n_;
   BigUint n_sq_;
   std::shared_ptr<const bigint::Montgomery> mont_n2_;
@@ -113,11 +125,16 @@ class PrivateKey {
   /// Keypair::generate makes them. The result is the same integer as the
   /// public path's, so ciphertexts are byte-identical for the same stream —
   /// but no exponentiation runs modulo n^2. Counted under the
-  /// dubhe_paillier_encrypt_*{mode="plain"} series.
+  /// dubhe_paillier_encrypt_*{mode="plain"} series, as PublicKey's are.
   /// The two halves run inline below kParallelKeyBitsCutoff and inside an
   /// enclosing parallel region (a vector encrypt pools its items instead).
   /// Throws std::out_of_range unless m < n.
   [[nodiscard]] Ciphertext encrypt(const BigUint& m, bigint::EntropySource& rng) const;
+  /// Vector key-holder encrypt: PublicKey::encrypt(span)'s stream contract,
+  /// byte-identical ciphertexts; an item's two halves run inline on
+  /// whichever thread took it.
+  [[nodiscard]] std::vector<Ciphertext> encrypt(std::span<const BigUint> ms,
+                                                bigint::EntropySource& rng) const;
   /// CRT decryption of every ciphertext in `cts`, in order. All are
   /// range-checked first (std::out_of_range if one is not below n^2, before
   /// any work starts); then the 2 * cts.size() CRT halves run as one
@@ -133,6 +150,7 @@ class PrivateKey {
 
  private:
   [[nodiscard]] static BigUint l_function(const BigUint& x, const BigUint& d);
+  [[nodiscard]] Ciphertext encrypt_one(const BigUint& m, bigint::EntropySource& rng) const;
 
   PublicKey pub_;
   BigUint p_, q_;

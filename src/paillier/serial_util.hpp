@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "paillier/paillier.hpp"
 
 namespace dubhe::he::detail {
@@ -22,30 +21,6 @@ inline std::vector<StreamState> draw_stream_states(bigint::EntropySource& rng,
   std::vector<StreamState> states(count);
   for (auto& s : states) s = {rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
   return states;
-}
-
-inline const PublicKey& public_key_of(const PublicKey& pk) { return pk; }
-inline const PublicKey& public_key_of(const PrivateKey& prv) { return prv.public_key(); }
-
-/// The per-ciphertext stream contract of both vector forms: ciphertext i is
-/// key.encrypt(ms[i], Xoshiro256ss(state_i)), where state_i is words
-/// 4i..4i+3 of `rng`, which advances by exactly 4 * ms.size() words. `key`
-/// is a PublicKey or a PrivateKey; the two consume identical words and
-/// produce byte-identical ciphertexts. The states are drawn serially, then
-/// the items run as one parallel_for over every worker (inline below
-/// kParallelKeyBitsCutoff); a key-holder item's own two halves then run
-/// inline on whichever thread took it.
-template <class Key>
-std::vector<Ciphertext> encrypt_each(const Key& key, std::span<const BigUint> ms,
-                                     bigint::EntropySource& rng) {
-  const std::vector<StreamState> states = draw_stream_states(rng, ms.size());
-  std::vector<Ciphertext> out(ms.size());
-  core::parallel_for(ms.size(), paillier_threads(public_key_of(key).key_bits()),
-                     [&](std::size_t i) {
-                       bigint::Xoshiro256ss stream(states[i]);
-                       out[i] = key.encrypt(ms[i], stream);
-                     });
-  return out;
 }
 
 /// Big-endian u32 field helpers shared by the paillier wire forms

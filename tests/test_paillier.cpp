@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "core/telemetry.hpp"
 #include "paillier/encrypted_vector.hpp"
 
 namespace dubhe::he {
@@ -141,6 +142,31 @@ TEST(Paillier, DeserializeRejectsTruncatedBuffers) {
   EXPECT_THROW(deserialize_ciphertext(tiny), std::invalid_argument);
   const std::vector<std::uint8_t> lying{0, 0, 1, 0, 42};  // claims 256 bytes
   EXPECT_THROW(deserialize_ciphertext(lying), std::invalid_argument);
+}
+
+TEST(Paillier, VectorEncryptTakesOneObservationPerCall) {
+  // Both vector forms count every ciphertext and time the whole vector
+  // once, as PrivateKey::decrypt(span) does; a one-ciphertext encrypt
+  // observes once.
+  bigint::Xoshiro256ss rng(33);
+  const Keypair kp = Keypair::generate(rng, 256);
+  telemetry::Counter& total =
+      telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
+  telemetry::Histogram& seconds =
+      telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
+  telemetry::reset_all();
+  telemetry::set_enabled(true);
+  const std::vector<BigUint> ms{BigUint{1}, BigUint{2}, BigUint{3}};
+  const std::vector<Ciphertext> by_pub = kp.pub.encrypt(ms, rng);
+  const std::vector<Ciphertext> by_prv = kp.prv.encrypt(ms, rng);
+  const Ciphertext one = kp.pub.encrypt(BigUint{4}, rng);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(total.value(), 7u);
+  EXPECT_EQ(seconds.count(), 3u);
+  telemetry::reset_all();
+  EXPECT_EQ(kp.prv.decrypt(by_pub), ms);
+  EXPECT_EQ(kp.prv.decrypt(by_prv), ms);
+  EXPECT_EQ(kp.prv.decrypt(one).to_u64(), 4u);
 }
 
 TEST(EncryptedVector, SlotwiseAggregation) {
