@@ -7,27 +7,20 @@
 
 namespace dubhe::core {
 
-namespace {
-
-/// Bits needed to hold `v` without overflow during homomorphic summation.
-std::size_t bits_for(std::uint64_t v) {
-  std::size_t bits = 0;
-  while (v != 0) {
-    ++bits;
-    v >>= 1;
+void require_slot_capacity(const SecureConfig& cfg, std::size_t num_clients,
+                           std::size_t cohort) {
+  const std::uint64_t slot_max = cfg.packing_slot_bits >= 64
+                                     ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << cfg.packing_slot_bits) - 1;
+  if (num_clients > slot_max) {
+    throw std::invalid_argument("packing_slot_bits too small for registry counts");
   }
-  return bits;
-}
-
-void require_slot_capacity(std::size_t slot_bits, std::uint64_t max_slot_sum,
-                           const char* what) {
-  if (slot_bits < bits_for(max_slot_sum)) {
+  // cohort * scale <= slot_max, without overflowing the product.
+  if (cfg.fixed_point_scale != 0 && cohort > slot_max / cfg.fixed_point_scale) {
     throw std::invalid_argument(
-        std::string("SecureSelectionSession: packing_slot_bits too small for ") + what);
+        "packing_slot_bits too small for fixed-point distribution sums");
   }
 }
-
-}  // namespace
 
 std::vector<std::uint64_t> quantize_distribution(const stats::Distribution& d,
                                                  std::uint64_t scale) {
@@ -118,7 +111,7 @@ SecureSelectionSession::RegistrationOutcome SecureSelectionSession::run_registra
   // transport-backed client receives in its request frame), so the
   // ciphertexts do not depend on where or in what order clients encrypt (in
   // deployment they are separate machines).
-  require_slot_capacity(cfg_.packing_slot_bits, num_clients_, "registry counts");
+  require_slot_capacity(cfg_, num_clients_, /*cohort=*/0);
   const he::PackedCodec packed = packed_codec();
   std::vector<he::PackedEncryptedVector> cts(N);
   for (std::size_t k = 0; k < N; ++k) {
@@ -138,9 +131,7 @@ stats::Distribution SecureSelectionSession::aggregate_population(
   // Clients quantize p_l to fixed point and encrypt; the server folds each
   // ciphertext into a running sum (one vector alive at a time, as before
   // the transport split); the agent decrypts the aggregate.
-  // Each slot accumulates up to scale per client across |selected| adds.
-  require_slot_capacity(cfg_.packing_slot_bits, cfg_.fixed_point_scale * selected.size(),
-                        "fixed-point distribution sums");
+  require_slot_capacity(cfg_, num_clients_, selected.size());
   const he::PackedCodec packed = packed_codec();
   he::PackedEncryptedVector sum;
   bool first = true;

@@ -36,6 +36,15 @@ struct SecureConfig {
   double update_he_rate = 0.0;
 };
 
+/// The packed-slot capacity rule of every secure session, in-process or on
+/// a wire: a registry slot sums up to `num_clients` one-hot counts, and a
+/// distribution slot up to `cohort` fixed-point shares of at most
+/// `fixed_point_scale` each. Throws std::invalid_argument when
+/// `packing_slot_bits` cannot hold either sum: the overflow would carry
+/// into the neighbouring slot and corrupt R_A or p_o without a trace.
+void require_slot_capacity(const SecureConfig& cfg, std::size_t num_clients,
+                           std::size_t cohort);
+
 /// Fixed-point quantization of a label distribution (§5.3): round each
 /// share to d[c] * scale. Shared by the in-process session and the net
 /// client endpoints so both sides of a wire encrypt identical integers.

@@ -404,6 +404,7 @@ void check_session_params(const SessionParams& params, std::size_t N) {
   if (params.K == 0) throw std::invalid_argument("session: K == 0");
   if (params.K > N) throw std::invalid_argument("session: K > N");
   if (params.rounds == 0) throw std::invalid_argument("session: rounds == 0");
+  core::require_slot_capacity(params.secure, N, params.K);
 }
 
 // --- CohortChild ------------------------------------------------------------

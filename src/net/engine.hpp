@@ -90,6 +90,9 @@ std::vector<std::size_t> resolve_try(const std::vector<std::vector<std::uint8_t>
                                      std::span<const std::size_t> ids, std::size_t h,
                                      std::size_t K, stats::Rng& rng);
 
+/// Rejects K == 0, K > N, zero rounds, and packed slots too narrow for the
+/// session's homomorphic sums (core::require_slot_capacity). Every session
+/// entry point calls it before its first frame.
 void check_session_params(const SessionParams& params, std::size_t N);
 
 /// The update phase as a child sees it: its recipients (global selection

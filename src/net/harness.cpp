@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "net/engine.hpp"
 #include "net/node.hpp"
 #include "net/shard.hpp"
 #include "net/tcp.hpp"
@@ -95,6 +96,7 @@ SessionTranscript run_harness(const char* name, const data::FederatedDataset& da
     throw std::invalid_argument(std::string(name) + ": one fault plan per client required");
   }
   const std::size_t A = shards.value_or(0);
+  detail::check_session_params(params, N);  // before any thread dials
 
   // Every listener exists before any thread dials one. The top aggregator
   // (flat server or root) has N clients or A shards as children; shard s

@@ -106,6 +106,25 @@ TEST(SecureSession, CohortSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(SecureSession, SlotCapacityRuleSitsAtTheSlotWidth) {
+  SecureConfig cfg;
+  cfg.packing_slot_bits = 20;
+  // A registry slot sums one count per client: 2^20 - 1 fits, 2^20 does not.
+  EXPECT_NO_THROW(require_slot_capacity(cfg, (1u << 20) - 1, 0));
+  EXPECT_THROW(require_slot_capacity(cfg, 1u << 20, 0), std::invalid_argument);
+  // A distribution slot sums cohort x 10^6: one share fits 20 bits, two do
+  // not; eight need 23 bits (8 x 10^6 < 2^23 = 8,388,608).
+  EXPECT_NO_THROW(require_slot_capacity(cfg, 8, 1));
+  EXPECT_THROW(require_slot_capacity(cfg, 8, 2), std::invalid_argument);
+  cfg.packing_slot_bits = 23;
+  EXPECT_NO_THROW(require_slot_capacity(cfg, 8, 8));
+  EXPECT_THROW(require_slot_capacity(cfg, 8, 9), std::invalid_argument);
+  // 64-bit slots: the product test cannot overflow.
+  cfg.packing_slot_bits = 64;
+  EXPECT_NO_THROW(require_slot_capacity(cfg, ~std::size_t{0}, 1000));
+  EXPECT_THROW(require_slot_capacity(cfg, 8, ~std::size_t{0}), std::invalid_argument);
+}
+
 TEST(SecureSession, SigmaArityValidated) {
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(50);
