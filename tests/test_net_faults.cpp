@@ -354,151 +354,52 @@ TEST(NetFaults, ClientRejectsPerSlotRegistryBroadcast) {
   }
 }
 
-TEST(NetFaults, ClientFrameSequenceSurvivesTheU16Wrap) {
-  // Frame::seq is a u16 per connection and direction, so a long session
-  // wraps both counters to 0. The exact-successor rule must hold across the
-  // wrap: the client accepts the server's wrapped numbers, stamps its own
-  // wrapped numbers, and still rejects a pre-wrap number as a replay. The
-  // scripted server spends seqs 0-3 on setup (hello, keys, registration
-  // request, broadcast), so its counter wraps at round 65,532; the client
-  // spends 0-1 (hello, registry upload), so its counter wraps at 65,534.
+TEST(NetFaults, ClientOutOfSequenceServerFrameIsFatal) {
+  // serve_client lets its Link's WireError propagate: a client does not
+  // outlive a server link it can no longer trust. The scripted server runs
+  // the setup and round 0 in sequence, then repeats round 0's number.
   const auto dataset = make_dataset(2);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   const auto params = make_params(1);
   bigint::Xoshiro256ss rng(12);
   const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
-
-  struct Server {
-    std::shared_ptr<net::Transport> link;
-    std::uint16_t seq = 0;
-    void send(net::Frame f) {
-      f.seq = seq++;
-      link->send(f);
-    }
-  };
-  // Registers one client endpoint (its own upload echoed back as the
-  // registry broadcast), hands the server end to `script`, and returns
-  // whatever serve_client threw (nullptr = it returned).
-  const auto run = [&](const std::function<void(Server&)>& script) {
-    auto [server_end, client] = net::LoopbackTransport::make_pair();
-    std::exception_ptr error;
-    std::thread endpoint([&, link = client] {
-      try {
-        net::serve_client(*link, 0, dataset, proto, params);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      link->close();
-    });
-    Server server{server_end};
-    std::exception_ptr script_error;
+  auto [server_end, client_end] = net::LoopbackTransport::make_pair();
+  std::exception_ptr error;
+  std::thread endpoint([&, end = client_end] {
     try {
-      (void)server.link->receive();  // kClientHello
-      server.send(net::encode<net::ServerHello>({1, 2, 0}));
-      server.send(net::encode<net::KeyMaterial>({kp.prv}));
-      server.send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
-      auto upload = server.link->receive();
-      if (!upload) throw net::TransportError("client left before its registry upload");
-      upload->type = MsgType::kRegistryBroadcast;
-      server.send(*upload);
-      script(server);
+      net::serve_client(*end, 0, dataset, proto, params);
     } catch (...) {
-      script_error = std::current_exception();
-      server.link->close();
+      error = std::current_exception();
     }
-    endpoint.join();
-    server.link->close();
-    if (script_error != nullptr) std::rethrow_exception(script_error);
-    return error;
-  };
-  // Pipelines kRoundBegin for rounds [0, rounds), then checks that every
-  // answer is round r's kParticipation stamped (2 + r) mod 2^16.
-  const auto play_rounds = [](Server& server, std::uint64_t rounds) {
-    for (std::uint64_t r = 0; r < rounds; ++r) server.send(net::encode<net::RoundBegin>({r}));
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      const auto f = server.link->receive();
-      ASSERT_TRUE(f.has_value()) << "client left at round " << r;
-      ASSERT_EQ(f->type, MsgType::kParticipation) << "round " << r;
-      ASSERT_EQ(f->seq, static_cast<std::uint16_t>(2 + r)) << "round " << r;
-      ASSERT_EQ(net::decode<net::Participation>(*f).round, r);
-    }
-  };
-
-  const std::exception_ptr clean = run([&](Server& server) {
-    play_rounds(server, 65540);
-    server.send(net::encode(net::Shutdown{}));
+    end->close();
   });
-  EXPECT_EQ(clean, nullptr) << "serve_client did not return after kShutdown";
-
-  const std::exception_ptr replayed = run([&](Server& server) {
-    play_rounds(server, 65534);  // the server's last two frames carry seqs 0 and 1
-    net::Frame stale = net::encode<net::RoundBegin>({65534});
-    stale.seq = 65535;  // round 65,531's number, from before the wrap
-    server.link->send(stale);
-    server.link->close();  // a client that accepted the replay fails on EOF, not hangs
-  });
-  ASSERT_NE(replayed, nullptr);
+  net::Link server(*server_end);
   try {
-    std::rethrow_exception(replayed);
+    (void)server.receive();  // kClientHello
+    server.send(net::encode<net::ServerHello>({1, 2, 0}));
+    server.send(net::encode<net::KeyMaterial>({kp.prv}));
+    server.send(net::encode<net::SeedRequest>(MsgType::kRegistrationRequest, {3, 0}));
+    net::Frame upload = server.receive().value();  // echoed back as the broadcast
+    upload.type = MsgType::kRegistryBroadcast;
+    server.send(upload);
+    server.send(net::encode<net::RoundBegin>({0}));  // seq 4
+    EXPECT_EQ(server.receive().value().type, MsgType::kParticipation);
+    net::Frame stale = net::encode<net::RoundBegin>({1});
+    stale.seq = 4;  // round 0's number again
+    server_end->send(stale);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "scripted server: " << e.what();
+  }
+  server_end->close();  // a client that took the replay fails on EOF instead of waiting
+  endpoint.join();
+  ASSERT_NE(error, nullptr);
+  try {
+    std::rethrow_exception(error);
   } catch (const net::WireError& e) {
     EXPECT_EQ(e.code(), net::WireErrc::kReplayed);
   } catch (const std::exception& e) {
     ADD_FAILURE() << "expected a WireError, got: " << e.what();
   }
-}
-
-TEST(NetFaults, CohortFrameSequenceSurvivesTheU16Wrap) {
-  // The aggregator end of the same rule, on the one implementation of the
-  // per-client sweeps (detail::CohortChild, which the flat server and every
-  // shard run). The cohort spends seq 0 on its kServerHello and the client
-  // spends 0 on its hello, so both counters wrap at round 65,535. A
-  // scripted client answers every kRoundBegin with its kParticipation: the
-  // cohort must stamp and accept the wrapped numbers with no quarantine,
-  // then quarantine a pre-wrap number as a replay.
-  constexpr std::uint64_t kRounds = 65540;
-  const auto params = make_params(1);
-  auto [agg, cli] = net::LoopbackTransport::make_pair();
-  std::atomic<bool> in_sequence{true};  // every cohort frame carried the next seq
-  std::thread client([&, link = cli] {
-    std::uint16_t send_seq = 0;
-    std::uint16_t recv_seq = 0;
-    try {
-      net::Frame hello = net::encode<net::ClientHello>({0, net::kWireVersion});
-      hello.seq = send_seq++;
-      link->send(hello);
-      while (auto f = link->receive()) {
-        if (f->seq != recv_seq++) in_sequence = false;
-        if (f->type != MsgType::kRoundBegin) continue;
-        const std::uint64_t round = net::decode<net::RoundBegin>(*f).round;
-        net::Frame part = net::encode<net::Participation>(
-            {0, round, std::vector<std::uint8_t>(params.H, 1)});
-        // The last round answers with round 65,534's number, from before the wrap.
-        part.seq = round == kRounds ? std::uint16_t{65535} : send_seq++;
-        link->send(part);
-      }
-    } catch (const net::TransportError&) {
-      in_sequence = false;  // the cohort closed the link mid-sweep
-    }
-  });
-  net::detail::CohortChild cohort(0, {0, 1}, 1, params);
-  const std::vector<std::shared_ptr<net::Transport>> links{agg};
-  cohort.hello(links, 7);
-  std::uint64_t clean = 0;
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    cohort.post(net::ShardRoundBegin{r});
-    const net::PartialParticipation p = cohort.take_participation();
-    if (p.quarantined.empty() && p.entries.size() == 1 && p.entries[0].round == r) ++clean;
-  }
-  cohort.post(net::ShardRoundBegin{kRounds});
-  const net::PartialParticipation replayed = cohort.take_participation();
-  agg->close();
-  client.join();
-  EXPECT_EQ(clean, kRounds);
-  EXPECT_TRUE(in_sequence);
-  EXPECT_TRUE(replayed.entries.empty());
-  EXPECT_EQ(replayed.quarantined,
-            (std::vector<net::QuarantineRecord>{
-                {0, kRounds, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
 }
 
 TEST(NetFaults, SkippedSequenceNumberIsReplay) {

@@ -580,14 +580,11 @@ TEST(ShardTree, ShardHelloOutOfSequenceIsFatal) {
   }
 }
 
-TEST(ShardTree, ShardFrameSequencesSurviveTheU16Wrap) {
-  // serve_shard numbers two planes of links: its uplink to the root and one
-  // link per client. A scripted root drives 65,540 participation sweeps
-  // through a shard of two scripted clients, so every counter on both
-  // planes wraps. No sweep may quarantine anyone; then a client's pre-wrap
-  // number is a kReplay record in the next partial, and a pre-wrap number
-  // from the root is fatal to the shard (kReplayed).
-  constexpr std::uint64_t kRounds = 65540;
+TEST(ShardTree, ShardUplinkOutOfSequenceIsFatal) {
+  // serve_shard lets its uplink's WireError propagate: a shard does not
+  // outlive a root link it can no longer trust. A scripted root runs the
+  // setup and round 0's sweep in sequence through a shard of two scripted
+  // clients, then repeats round 0's number.
   constexpr std::size_t N = 2;
   const auto params = make_params(1);
   bigint::Xoshiro256ss rng(5);
@@ -595,43 +592,29 @@ TEST(ShardTree, ShardFrameSequencesSurviveTheU16Wrap) {
   const std::vector<std::uint64_t> registry(
       core::RegistryCodec(params.num_classes, params.reference_set).length(), 0);
   const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
-  std::atomic<bool> in_sequence{true};  // every frame carried the next seq
 
-  // Client 1 answers round kRounds with round 65,533's number.
   std::vector<std::shared_ptr<net::Transport>> client_links;
   std::vector<std::thread> clients;
   for (std::uint64_t id = 0; id < N; ++id) {
     auto [shard_end, client_end] = net::LoopbackTransport::make_pair();
     client_links.push_back(shard_end);
-    clients.emplace_back([&, id, link = client_end] {
-      std::uint16_t send_seq = 0;
-      std::uint16_t recv_seq = 0;
-      const auto send = [&](Frame f) {
-        f.seq = send_seq++;
-        link->send(f);
-      };
+    clients.emplace_back([&, id, end = client_end] {
+      net::Link link(*end);
       try {
-        send(net::encode<net::ClientHello>({id, net::kWireVersion}));
+        link.send(net::encode<net::ClientHello>({id, net::kWireVersion}));
         bigint::Xoshiro256ss upload_rng(id);
-        while (auto f = link->receive()) {
-          if (f->seq != recv_seq++) in_sequence = false;
+        while (auto f = link.receive()) {
           if (f->type == MsgType::kRegistrationRequest) {
-            send(net::encode(MsgType::kRegistryUpload,
-                             he::PackedEncryptedVector::encrypt(kp.pub, codec, registry,
-                                                                upload_rng)));
+            link.send(net::encode(MsgType::kRegistryUpload,
+                                  he::PackedEncryptedVector::encrypt(kp.pub, codec, registry,
+                                                                     upload_rng)));
           } else if (f->type == MsgType::kRoundBegin) {
             const std::uint64_t round = net::decode<net::RoundBegin>(*f).round;
-            Frame part = net::encode<net::Participation>(
-                {id, round, std::vector<std::uint8_t>(params.H, 1)});
-            if (id == 1 && round == kRounds) {
-              part.seq = 65535;
-              link->send(part);
-            } else {
-              send(part);
-            }
+            link.send(net::encode<net::Participation>(
+                {id, round, std::vector<std::uint8_t>(params.H, 1)}));
           }
         }
-      } catch (const net::TransportError&) {
+      } catch (const std::exception&) {
         // the shard closed this link
       }
     });
@@ -647,53 +630,28 @@ TEST(ShardTree, ShardFrameSequencesSurviveTheU16Wrap) {
     link->close();
   });
 
-  std::uint16_t send_seq = 0;
-  std::uint16_t recv_seq = 0;
-  const auto send = [&](Frame f) {
-    f.seq = send_seq++;
-    root_end->send(f);
-  };
-  const auto recv = [&](MsgType want) {
-    std::optional<Frame> f = root_end->receive();
-    if (!f || f->seq != recv_seq++ || f->type != want) in_sequence = false;
-    return f.value_or(Frame{want, {}});
-  };
-  std::uint64_t clean = 0;
-  net::PartialParticipation replayed;
+  net::Link root(*root_end);
   try {
-    (void)recv(MsgType::kShardHello);
-    send(net::encode<net::ServerHello>({9, N, 0}));
-    send(net::encode<net::KeyMaterial>({kp.prv}));
-    const auto sum = net::decode<net::PartialRegistry>(recv(MsgType::kPartialRegistry), kp.pub);
-    EXPECT_EQ(sum.contributors, N);
-    send(net::encode(MsgType::kRegistryBroadcast, sum.ciphertext));
-    EXPECT_TRUE(
-        net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation))
-            .quarantined.empty());
-    // The sweeps are pipelined: the shard works through the queued begins.
-    for (std::uint64_t r = 0; r <= kRounds; ++r) send(net::encode(net::ShardRoundBegin{r}));
-    for (std::uint64_t r = 0; r < kRounds; ++r) {
-      const auto p = net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation));
-      if (p.round == r && p.quarantined.empty() && p.entries.size() == N) ++clean;
-    }
-    replayed = net::decode<net::PartialParticipation>(recv(MsgType::kPartialParticipation));
-    Frame stale = net::encode(net::ShardRoundBegin{kRounds + 1});
-    stale.seq = 65535;  // round 65,532's number, from before the wrap
+    (void)root.receive();  // kShardHello
+    root.send(net::encode<net::ServerHello>({9, N, 0}));
+    root.send(net::encode<net::KeyMaterial>({kp.prv}));
+    const auto sum = net::decode<net::PartialRegistry>(root.receive().value(), kp.pub);
+    root.send(net::encode(MsgType::kRegistryBroadcast, sum.ciphertext));
+    (void)root.receive();  // the setup round's kPartialParticipation
+    root.send(net::encode(net::ShardRoundBegin{0}));  // seq 3
+    const auto swept = net::decode<net::PartialParticipation>(root.receive().value());
+    EXPECT_EQ(swept.entries.size(), N);
+    Frame stale = net::encode(net::ShardRoundBegin{1});
+    stale.seq = 3;  // round 0's number again
     root_end->send(stale);
   } catch (const std::exception& e) {
     ADD_FAILURE() << "scripted root: " << e.what();
   }
+  root_end->close();  // a shard that took the replay fails on EOF instead of waiting
   shard.join();
-  root_end->close();
   for (const auto& link : client_links) link->close();
   for (auto& t : clients) t.join();
 
-  EXPECT_TRUE(in_sequence);
-  EXPECT_EQ(clean, kRounds);
-  EXPECT_EQ(replayed.entries.size(), 1u);
-  EXPECT_EQ(replayed.quarantined,
-            (std::vector<QuarantineRecord>{
-                {1, kRounds, SessionPhase::kParticipation, QuarantineReason::kReplay}}));
   ASSERT_NE(shard_error, nullptr);
   try {
     std::rethrow_exception(shard_error);
@@ -701,6 +659,78 @@ TEST(ShardTree, ShardFrameSequencesSurviveTheU16Wrap) {
     EXPECT_EQ(e.code(), WireErrc::kReplayed);
   } catch (const std::exception& e) {
     ADD_FAILURE() << "expected a WireError, got: " << e.what();
+  }
+}
+
+TEST(ShardTree, RootRejectsAnOutOfSequenceShardFrame) {
+  // The root's end of a shard link (RemoteShard) turns a broken sequence
+  // mid-session into a fatal TransportError. A scripted shard queues its
+  // setup and round 0 answers in sequence, then stamps round 1's
+  // participation partial with round 0's last number.
+  constexpr std::size_t N = 2;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  auto params = make_params(1, 2);
+  params.H = 1;
+  params.evaluate = false;
+  const std::size_t length =
+      core::RegistryCodec(params.num_classes, params.reference_set).length();
+  const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+
+  auto [root_side, shard_side] = net::LoopbackTransport::make_pair();
+  std::thread shard([&, end = shard_side] {
+    net::Link link(*end);
+    try {
+      link.send(net::encode<net::ShardHello>({0, 1, 0, N, N, net::kWireVersion}));
+      (void)link.receive();  // kServerHello
+      const he::PublicKey pk =
+          net::decode<net::KeyMaterial>(link.receive().value()).prv.public_key();
+      bigint::Xoshiro256ss rng(31);
+      net::PartialRegistry pr;
+      pr.contributors = N;
+      pr.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(length, 0), rng);
+      link.send(net::encode(pr));
+      link.send(net::encode(
+          net::PartialParticipation{0, net::QuarantineRecord::kSetupRound, {}, {}}));
+      const auto participation = [&](std::uint64_t r) {
+        net::PartialParticipation pp{0, r, {}, {}};
+        for (std::uint64_t id = 0; id < N; ++id) pp.entries.push_back({id, r, {1}});
+        return net::encode(pp);
+      };
+      link.send(participation(0));
+      net::PartialPopulation population;  // K = 1: one contributor per try
+      population.contributors = 1;
+      population.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(params.num_classes, 1), rng);
+      link.send(net::encode(population));
+      link.send(net::encode(net::PartialUpdate{}));  // seq 5
+      Frame stale = participation(1);
+      stale.seq = 5;  // round 0's last number again
+      end->send(stale);
+      while (link.receive()) {
+      }
+    } catch (const std::exception&) {
+      end->close();  // the root closed the link
+    }
+  });
+
+  const std::vector<std::shared_ptr<net::Transport>> links{root_side};
+  std::exception_ptr error;
+  try {
+    (void)net::run_root_session(links, dataset, proto, params);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  root_side->close();
+  shard.join();
+  ASSERT_NE(error, nullptr) << "the root accepted an out-of-sequence partial";
+  try {
+    std::rethrow_exception(error);
+  } catch (const net::TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of sequence"), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a TransportError, got: " << e.what();
   }
 }
 

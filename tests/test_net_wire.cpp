@@ -4,8 +4,9 @@
 // prefix) asserting *typed* failures, the incremental FrameReader, the
 // payload codecs (including bit-exact float transport, the
 // EncryptedVector / PackedEncryptedVector serialization round trips and the
-// packed decode's binding to the session key), and the LoopbackTransport
-// contract with exact byte accounting.
+// packed decode's binding to the session key), the LoopbackTransport
+// contract with exact byte accounting, and net::Link's frame numbering
+// across the u16 wrap.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "core/selective.hpp"
@@ -663,6 +665,44 @@ TEST(Loopback, OrderedDeliveryCloseAndAccounting) {
   EXPECT_EQ(ledger.bytes(fl::MessageKind::kModelWeights, fl::Direction::kClientToServer),
             net::frame_wire_size(2048));
   EXPECT_EQ(ledger.messages(fl::MessageKind::kControl, fl::Direction::kClientToServer), 1u);
+}
+
+TEST(Link, SequenceWrapsBothWaysAndStaysStrict) {
+  // net::Link alone numbers frames, so the u16 wrap is pinned here once for
+  // every endpoint. Each end sends 65,540 frames, so both counters wrap and
+  // every frame must arrive as the exact successor. After the wrap a
+  // pre-wrap number and a skipped number are both replays.
+  constexpr std::uint32_t kFrames = 65540;
+  auto [a_end, b_end] = net::LoopbackTransport::make_pair();
+  net::Link a(*a_end);
+  net::Link b(*b_end);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    a.send(Frame{MsgType::kShutdown, {}});
+    b.send(Frame{MsgType::kShutdown, {}});
+  }
+  std::uint32_t in_order = 0;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    const std::optional<Frame> at_b = b.receive();
+    const std::optional<Frame> at_a = a.receive();
+    if (at_a && at_b && at_a->seq == static_cast<std::uint16_t>(i) && at_b->seq == at_a->seq) {
+      ++in_order;
+    }
+  }
+  EXPECT_EQ(in_order, kFrames);
+
+  // Both links now expect 65,540 mod 2^16 = 4.
+  const auto expect_replay = [](net::Link& link) {
+    try {
+      (void)link.receive();
+      ADD_FAILURE() << "an out-of-sequence frame was accepted";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.code(), WireErrc::kReplayed);
+    }
+  };
+  a_end->send(Frame{MsgType::kShutdown, {}, 65535});  // frame 65,535, before the wrap
+  expect_replay(b);
+  b_end->send(Frame{MsgType::kShutdown, {}, 5});  // one past the successor
+  expect_replay(a);
 }
 
 /// c10k-path stress: 32 client connections sharded over 4 event-loop workers,
