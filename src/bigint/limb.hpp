@@ -90,7 +90,13 @@ inline Limb mac(Limb acc, Limb a, Limb b, Limb& carry) {
 /// ((hi << 64) | lo) / d, remainder in `rem`. Requires hi < d so the
 /// quotient fits in one limb.
 inline Limb div_2by1(Limb hi, Limb lo, Limb d, Limb& rem) {
-#if DUBHE_HAS_INT128
+#if DUBHE_HAS_INT128 && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // hi < d is exactly divq's no-overflow condition, so one instruction does
+  // it; compilers lower the __int128 expression below to a libgcc call.
+  Limb q;
+  __asm__("divq %[d]" : "=a"(q), "=d"(rem) : [d] "rm"(d), "a"(lo), "d"(hi) : "cc");
+  return q;
+#elif DUBHE_HAS_INT128
   const unsigned __int128 n = (static_cast<unsigned __int128>(hi) << 64) | lo;
   rem = static_cast<Limb>(n % d);
   return static_cast<Limb>(n / d);

@@ -36,17 +36,20 @@ MultiTimeOutcome multi_time_select(
   if (H == 0) throw std::invalid_argument("multi_time_select: H == 0");
   const stats::Distribution pu = stats::uniform(num_classes);
 
+  std::vector<std::vector<std::size_t>> tries;
+  tries.reserve(H);
+  for (std::size_t h = 0; h < H; ++h) tries.push_back(select(h));
+
   MultiTimeOutcome out;
   out.try_emds.reserve(H);
   for (std::size_t h = 0; h < H; ++h) {
-    std::vector<std::size_t> s = select(h);
-    stats::Distribution po = aggregate(h, s);
+    stats::Distribution po = aggregate(h, tries[h]);
     const double emd = stats::l1_distance(po, pu);
     out.try_emds.push_back(emd);
     if (h == 0 || emd < out.emd_star) {
       out.emd_star = emd;
       out.best_try = h;
-      out.selected = std::move(s);
+      out.selected = std::move(tries[h]);
       out.population = std::move(po);
     }
   }

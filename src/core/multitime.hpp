@@ -39,6 +39,12 @@ MultiTimeOutcome multi_time_select(SelectionStrategy& strategy,
 /// drift apart: `select(h)` returns try h's participant set (client-side
 /// Bernoulli draws resolved by the server's replenish stream), and
 /// `aggregate(h, sel)` returns p_{o,h} with `num_classes` entries.
+///
+/// Call order: every select runs before any aggregate — select(0) ..
+/// select(H-1), then aggregate(0, S_0) .. aggregate(H-1, S_{H-1}). No try's
+/// selection depends on an earlier try's population, so the engine can put
+/// all H tries in flight before it decrypts the first. An aggregate step
+/// must therefore not draw from the stream the selects draw from.
 MultiTimeOutcome multi_time_select(
     std::size_t num_classes, std::size_t H,
     const std::function<std::vector<std::size_t>(std::size_t)>& select,

@@ -15,13 +15,17 @@ namespace dubhe::net::detail {
 namespace {
 
 /// Thrown inside a round's determination when a selected client failed its
-/// distribution sweep: the sweep is always finished first (so every sent
-/// request has its response consumed and the per-connection queues stay
-/// balanced), the offenders are quarantined, and the whole determination
-/// re-runs over the survivors. The replenish stream (sel_rng) continues —
-/// the restart point is a deterministic function of the fault plan, which
-/// keeps churn transcripts identical across transports and tree shapes.
-struct RestartRound {};
+/// try: that try's sweep is finished first, the offenders are quarantined,
+/// and every later try — already in flight — is taken without a decrypt, so
+/// every sent request has its response consumed and the per-connection
+/// queues stay balanced. The whole determination then re-runs over the
+/// survivors, with the replenish stream (sel_rng) restored to where it
+/// stood just after the failed try's selection. That restart point is a
+/// deterministic function of the fault plan, which keeps churn transcripts
+/// identical across transports and tree shapes.
+struct RestartRound {
+  std::size_t try_index;
+};
 
 /// What a failed receive on a client link costs that client: the one map
 /// from the exception in flight (call only from a catch block) to a
@@ -166,12 +170,13 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
     }
 
     // --- §5.3: multi-time determination with per-try encrypted aggregation.
-    // A selected client that fails its sweep costs the whole determination:
-    // the sweep finishes first, the offender is already quarantined, and the
-    // determination re-runs over the survivors with K capped at the cohort
-    // that is left. Each try fans out to the children owning a selected
-    // client (members in global selection order), and their partial sums
-    // multiply back together in child order.
+    // All H tries go out before the first partial is taken, so the agent
+    // decrypts try h while clients still encrypt the later ones. Each try
+    // fans out to the children owning a selected client (members in global
+    // selection order), and their partial sums multiply back together in
+    // child order. A selected client that fails its try costs the whole
+    // determination (RestartRound): it re-runs over the survivors with K
+    // capped at the cohort that is left.
     {
       telemetry::Span dist_span("phase:distribution", &phase_hist(SessionPhase::kDistribution));
       for (;;) {
@@ -184,24 +189,34 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
                                std::to_string(r));
         }
         const std::size_t Keff = std::min(params.K, ids.size());
+        // Per posted try: the children it went to, and sel_rng just after
+        // its selection (the restart point should it fail).
+        std::vector<std::vector<std::size_t>> posted;
+        std::vector<stats::Rng> restart_at;
         try {
           fill_from_outcome(
               rec,
               core::multi_time_select(
                   params.num_classes, params.H,
-                  [&](std::size_t h) { return resolve_try(draws, ids, h, Keff, sel_rng); },
-                  [&](std::size_t h, std::span<const std::size_t> sel) {
+                  [&](std::size_t h) {
+                    std::vector<std::size_t> sel = resolve_try(draws, ids, h, Keff, sel_rng);
+                    restart_at.push_back(sel_rng);
                     std::vector<ShardTryBegin> tries(
                         kids.size(), ShardTryBegin{r, static_cast<std::uint32_t>(h), {}});
                     for (const std::size_t k : sel) tries[child_of(k)].selected.push_back(k);
+                    std::vector<std::size_t>& to = posted.emplace_back();
                     for (std::size_t c = 0; c < kids.size(); ++c) {
-                      if (!tries[c].selected.empty()) kids[c]->post(tries[c]);
+                      if (tries[c].selected.empty()) continue;
+                      kids[c]->post(tries[c]);
+                      to.push_back(c);
                     }
+                    return sel;
+                  },
+                  [&](std::size_t h, std::span<const std::size_t>) {
                     bool failed = false;
                     he::PackedEncryptedVector sum;
                     std::uint32_t terms = 0;
-                    for (std::size_t c = 0; c < kids.size(); ++c) {
-                      if (tries[c].selected.empty()) continue;
+                    for (const std::size_t c : posted[h]) {
                       PartialPopulation pp = kids[c]->take_population();
                       merge_and_kill(pp.quarantined);
                       failed = failed || pp.failed;
@@ -209,12 +224,18 @@ SessionTranscript engine_impl(const BindChildren& bind, const data::FederatedDat
                         fold_partial(sum, terms, pp.ciphertext, params.num_classes, packed);
                       }
                     }
-                    if (failed) throw RestartRound{};
+                    if (failed) throw RestartRound{h};
                     if (terms == 0) throw TransportError("session: a try without contributors");
                     return session.reduce_population({&sum, 1});
                   }));
           break;
-        } catch (const RestartRound&) {
+        } catch (const RestartRound& restart) {
+          for (std::size_t h = restart.try_index + 1; h < posted.size(); ++h) {
+            for (const std::size_t c : posted[h]) {
+              merge_and_kill(kids[c]->take_population().quarantined);
+            }
+          }
+          sel_rng = restart_at[restart.try_index];
           rec = RoundRecord{};
         }
       }
@@ -511,25 +532,34 @@ void CohortChild::post(const ShardTryBegin& begin) {
     throw TransportError("session: try begin for a round this cohort is not in");
   }
   const std::uint64_t try_slot = begin.round * params_.H + begin.try_index;
-  population_ = {id_, begin.round, begin.try_index, 0, false, {}, {}};
+  PendingTry& pending =
+      tries_.emplace_back(PendingTry{begin.round, begin.try_index, begin.selected, false});
   for (const std::uint64_t k : begin.selected) {
     const SeedRequest req{core::distribution_stream_seed(session_seed_, total_, try_slot, k),
                           begin.try_index};
     if (!send(local(k), encode(MsgType::kDistributionRequest, req), round_,
               SessionPhase::kDistribution)) {
-      population_.failed = true;
+      pending.send_failed = true;
     }
   }
-  for (const std::uint64_t k : begin.selected) {
+}
+
+PartialPopulation CohortChild::take_population() {
+  if (tries_.empty()) throw TransportError("session: population taken for a try never posted");
+  PendingTry pending = std::move(tries_.front());
+  tries_.pop_front();
+  PartialPopulation out{id_, pending.round, pending.try_index, 0, pending.send_failed, {}, {}};
+  for (const std::uint64_t k : pending.members) {
     auto v = recv_upload(local(k), MsgType::kDistributionUpload, params_.timeouts.upload,
-                         params_.num_classes, round_, SessionPhase::kDistribution);
+                         params_.num_classes, pending.round, SessionPhase::kDistribution);
     if (v) {
-      fold(population_.ciphertext, population_.contributors, std::move(*v));
+      fold(out.ciphertext, out.contributors, std::move(*v));
     } else {
-      population_.failed = true;
+      out.failed = true;
     }
   }
-  population_.quarantined = flush();
+  out.quarantined = flush();
+  return out;
 }
 
 void CohortChild::post(const UpdateRequest& update) {

@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -111,7 +112,10 @@ struct UpdateRequest {
 /// with a validated partial. Each phase is split in two so the engine can
 /// fan a request out to all of its children before it waits on any of
 /// them: post() hands the request down, the matching take_*() returns the
-/// partial that answers it.
+/// partial that answers it. Tries are the one request a child holds
+/// several of at once: the engine posts all H tries of a determination
+/// before it takes the first, and take_population() answers them oldest
+/// first. Every other phase has one request in flight per child.
 class Child {
  public:
   explicit Child(ShardRange range) : range_(range) {}
@@ -145,10 +149,13 @@ class Child {
 /// per-client sweep. Any per-client failure — timeout, disconnect,
 /// malformed frame, a replay its Link reports, an upload that does not
 /// match the session — drops that client (typed record in global client
-/// ids, link closed) instead of aborting the session. Each post runs the
-/// whole sweep and the matching take hands back its partial, so the frames
-/// every client sees (payload, per-link sequence number, send order) are
-/// the same whether the engine or a root drives the sweep.
+/// ids, link closed) instead of aborting the session. A try's post only
+/// sends its requests and queues the try; take_population() runs the
+/// receive sweep of the oldest queued try. Every other post runs the whole
+/// sweep and the matching take hands back its partial. Either way the
+/// frames every client sees (payload, per-link sequence number, send order)
+/// are the same whether the engine or a root drives the sweep, and however
+/// many tries are in flight.
 class CohortChild final : public Child {
  public:
   /// The clients `range` of `total_clients`; `id` is the shard id the
@@ -172,7 +179,7 @@ class CohortChild final : public Child {
 
   PartialRegistry take_registry() override { return std::move(registry_); }
   PartialParticipation take_participation() override { return std::move(participation_); }
-  PartialPopulation take_population() override { return std::move(population_); }
+  PartialPopulation take_population() override;
   PartialUpdate take_update() override { return std::move(update_); }
 
  private:
@@ -222,7 +229,14 @@ class CohortChild final : public Child {
   std::size_t flushed_ = 0;
   PartialRegistry registry_;
   PartialParticipation participation_;
-  PartialPopulation population_;
+  /// A try whose requests went out and whose uploads are not read yet.
+  struct PendingTry {
+    std::uint64_t round;
+    std::uint32_t try_index;
+    std::vector<std::uint64_t> members;
+    bool send_failed;  // a request could not be sent: the try fails
+  };
+  std::deque<PendingTry> tries_;
   PartialUpdate update_;
 };
 

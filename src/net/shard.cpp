@@ -1,6 +1,7 @@
 #include "net/shard.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <stdexcept>
 
@@ -40,7 +41,8 @@ Msg take(Link& link, std::chrono::milliseconds deadline, const Key&... key) {
 /// A shard aggregator one link away: the root's child. Each post encodes
 /// the request as its shard-plane frame; each take receives, parses (a
 /// partial sum under the session key the root dispatched) and checks the
-/// partial answering it.
+/// partial answering it. A shard answers its queued tries in order, so a
+/// partial population must answer the oldest try still posted.
 class RemoteShard final : public detail::Child {
  public:
   RemoteShard(Link link, std::uint32_t id, ShardRange range, const SessionParams& params)
@@ -63,7 +65,7 @@ class RemoteShard final : public detail::Child {
   }
   void post(const ShardTryBegin& begin) override {
     expect(begin.round, params_.timeouts.upload);
-    try_index_ = begin.try_index;
+    tries_.push_back(begin.try_index);
     send(encode(begin));
   }
   void post(const UpdateRequest& update) override {
@@ -92,8 +94,11 @@ class RemoteShard final : public detail::Child {
     return m;
   }
   PartialPopulation take_population() override {
+    check(!tries_.empty(), "partial population taken for a try never posted");
+    const std::uint32_t want = tries_.front();
+    tries_.pop_front();
     PartialPopulation m = take<PartialPopulation>(link_, deadline_, key_);
-    check(m.shard_id == id_ && m.round == round_ && m.try_index == try_index_,
+    check(m.shard_id == id_ && m.round == round_ && m.try_index == want,
           "partial population for the wrong try");
     return m;
   }
@@ -124,7 +129,7 @@ class RemoteShard final : public detail::Child {
   const SessionParams& params_;
   he::PublicKey key_;
   std::uint64_t round_ = kSetup;
-  std::uint32_t try_index_ = 0;
+  std::deque<std::uint32_t> tries_;  // posted try indices, oldest first
   std::chrono::milliseconds deadline_{0};
   bool draining_ = false;
 };
@@ -267,6 +272,9 @@ void serve_shard(Transport& uplink,
         break;
       }
       case MsgType::kShardTryBegin: {
+        // The root posts every try of a determination before it takes one,
+        // so the next try's frame is usually queued by the time this one's
+        // partial goes up.
         telemetry::Span span("phase:distribution",
                              &detail::phase_hist(SessionPhase::kDistribution));
         cohort.post(decode<ShardTryBegin>(f));

@@ -54,6 +54,40 @@ TEST(Limb64, PrimitivesMatchReference) {
   EXPECT_EQ(rem, 3u);
 }
 
+#ifdef __SIZEOF_INT128__
+// div_2by1 (one divq on x86-64, the Knuth steps in the portable build)
+// against the plain __int128 quotient and remainder.
+void expect_div_matches_int128(Limb hi, Limb lo, Limb d) {
+  const unsigned __int128 n = (static_cast<unsigned __int128>(hi) << 64) | lo;
+  Limb rem = 0;
+  const Limb q = div_2by1(hi, lo, d, rem);
+  EXPECT_EQ(q, static_cast<Limb>(n / d)) << hi << ":" << lo << " / " << d;
+  EXPECT_EQ(rem, static_cast<Limb>(n % d)) << hi << ":" << lo << " / " << d;
+}
+
+TEST(Limb64, Div2by1MatchesInt128) {
+  const Limb top = Limb{1} << 63;
+  for (const Limb d : {Limb{1}, Limb{3}, Limb{10000000000000000000ULL}, top, top + 1, kLimbMax}) {
+    expect_div_matches_int128(d - 1, kLimbMax, d);  // the largest quotient hi < d allows
+    expect_div_matches_int128(0, kLimbMax, d);
+    expect_div_matches_int128(0, 0, d);
+    expect_div_matches_int128(d / 2, d - 1, d);
+  }
+  // Random operands over every divisor width, with hi < d.
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&x] {  // splitmix64
+    std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const Limb d = (next() >> (i % 64)) | 1;
+    expect_div_matches_int128(next() % d, next(), d);
+  }
+}
+#endif
+
 TEST(Limb64, CarriesAcrossTheLimbBoundary) {
   const BigUint two63 = BigUint::pow2(63);  // top bit of limb 0
   const BigUint two64 = BigUint::pow2(64);  // lowest bit of limb 1

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "net/engine.hpp"
 #include "net/fault.hpp"
 #include "net/node.hpp"
+#include "net/shard.hpp"
 #include "nn/builders.hpp"
 #include "paillier/encrypted_vector.hpp"
 
@@ -67,9 +69,11 @@ std::vector<FaultPlan> plan_for(std::size_t n, std::size_t id, const FaultPlan& 
 /// Runs one fault-plan spec on both transports and checks the session
 /// survived with exactly the expected quarantine record. K == N so the
 /// faulty client is deterministically selected whenever it is still alive.
+/// With `tree_shards` > 0 the plan also runs through a tree of that many
+/// shards, whose transcript must equal the flat one.
 void expect_quarantine(const char* spec, std::uint64_t client, std::uint64_t round,
                        SessionPhase phase, QuarantineReason reason,
-                       const net::SessionParams& base_params) {
+                       const net::SessionParams& base_params, std::size_t tree_shards = 0) {
   SCOPED_TRACE(spec);
   const std::size_t N = 4;
   const std::size_t faulty = 1;
@@ -83,6 +87,10 @@ void expect_quarantine(const char* spec, std::uint64_t client, std::uint64_t rou
   // The whole point: churn transcripts are part of the deterministic
   // acceptance contract, quarantine records included.
   EXPECT_EQ(net::format_transcript(loop), net::format_transcript(tcp));
+  if (tree_shards > 0) {
+    const auto tree = net::run_tree_session(dataset, proto, base_params, tree_shards, plans);
+    EXPECT_EQ(net::format_transcript(loop), net::format_transcript(tree));
+  }
 
   // The session completed every round over the survivors.
   ASSERT_EQ(loop.rounds.size(), base_params.rounds);
@@ -167,6 +175,75 @@ TEST(NetFaults, ReplayedParticipationTripsSequenceCheck) {
   // over the survivors.
   expect_quarantine("replay@participation", 1, 0, SessionPhase::kDistribution,
                     QuarantineReason::kReplay, make_params(4));
+}
+
+// The distribution rows. The engine posts all H = 3 tries of a
+// determination before it takes the first, so the faulty client already
+// holds its later tries' requests when it faults. K == N selects it in
+// every try. Each row also runs through a two-shard tree.
+
+TEST(NetFaults, DisconnectAtDistributionWhileALaterTryIsInFlight) {
+  // nth:1 fires on the second upload: try 1 of round 0, with try 2's
+  // request already sent. Try 2 is taken without a decrypt, and the
+  // determination re-runs over the three survivors.
+  expect_quarantine("disconnect@distribution:1", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kDisconnect, make_params(4), 2);
+}
+
+TEST(NetFaults, CorruptDistributionUploadIsBadCiphertext) {
+  // The flipped tag no longer reads as a packed vector.
+  expect_quarantine("corrupt@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kBadCiphertext, make_params(4), 2);
+}
+
+TEST(NetFaults, TruncatedDistributionUploadIsBadFrame) {
+  expect_quarantine("truncate@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kBadFrame, make_params(4), 2);
+}
+
+TEST(NetFaults, DistributionStragglerPastDeadlineTimesOut) {
+  // As the participation straggler: a 2000 ms delay against a 250 ms
+  // upload deadline.
+  auto params = make_params(4);
+  params.timeouts.upload = std::chrono::milliseconds(250);
+  expect_quarantine("straggle@distribution+2000", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kTimeout, params, 2);
+}
+
+TEST(NetFaults, SecondFaultInOneDeterminationIsQuarantinedInIt) {
+  // N = 6, K = 3. In round 0's first determination client 1 is selected in
+  // tries 0 and 2 and corrupts its first upload (try 0); client 2 is
+  // selected in tries 0 and 1 and truncates its second upload (try 1). Try
+  // 1 is already in flight when try 0 fails, so client 2's fault is read
+  // before the restart: both are quarantined by the same determination,
+  // which re-runs once, from the replenish stream just after try 0's
+  // selection. (An engine that reads client 2's fault only in the re-run
+  // restarts twice, and round 0's try 1 scores 0x1.3bbbe2e157ffp+0.)
+  const std::size_t N = 6;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(3);
+  std::vector<FaultPlan> plans(N);
+  plans[1] = net::parse_fault_plan("corrupt@distribution");
+  plans[2] = net::parse_fault_plan("truncate@distribution:1");
+
+  const auto loop = net::run_loopback_session(dataset, proto, params, plans);
+  const auto tcp = net::run_tcp_session(dataset, proto, params, 1, plans);
+  const auto tree = net::run_tree_session(dataset, proto, params, 2, plans);
+  const std::string text = net::format_transcript(loop);
+  EXPECT_EQ(text, net::format_transcript(tcp));
+  EXPECT_EQ(text, net::format_transcript(tree));
+  ASSERT_EQ(loop.rounds.size(), params.rounds);
+  EXPECT_EQ(loop.quarantined,
+            (std::vector<net::QuarantineRecord>{
+                {1, 0, SessionPhase::kDistribution, QuarantineReason::kBadCiphertext},
+                {2, 0, SessionPhase::kDistribution, QuarantineReason::kBadFrame}}))
+      << text;
+  EXPECT_EQ(loop.rounds[0].dropped, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_NE(text.find("round=0\ntry_emds=0x1.d5557c7af1988p-1,0x1.d5557c7af1988p-1,"
+                      "0x1.1333508f6865ap+0\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(NetFaults, ClientHelloOutOfSequenceIsReplay) {

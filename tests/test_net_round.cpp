@@ -31,6 +31,8 @@
 #include "core/registry.hpp"
 #include "core/telemetry.hpp"
 #include "net/codec.hpp"
+#include "net/engine.hpp"
+#include "net/fault.hpp"
 #include "net/node.hpp"
 #include "net/shard.hpp"
 #include "net/tcp.hpp"
@@ -371,6 +373,97 @@ TEST(NetRound, EveryModeRefusesNarrowSlotsBeforeAnyFrame) {
   EXPECT_EQ(telemetry::counter("dubhe_frames_total{dir=\"out\"}").value(), 0u);
   EXPECT_EQ(telemetry::counter("dubhe_frames_total{dir=\"in\"}").value(), 0u);
   telemetry::reset_all();
+}
+
+/// A real CohortChild behind a Child that logs the determination's calls
+/// with its index: "P<c>" for each post(ShardTryBegin), "T<c>" for each
+/// take_population().
+class RecordingChild final : public net::detail::Child {
+ public:
+  RecordingChild(std::unique_ptr<net::detail::CohortChild> inner, char index, std::string& log)
+      : Child(inner->range()), inner_(std::move(inner)), index_(index), log_(log) {}
+
+  void post(const net::KeyMaterial& keys) override { inner_->post(keys); }
+  void post(const net::Frame& broadcast) override { inner_->post(broadcast); }
+  void post(const net::ShardRoundBegin& begin) override { inner_->post(begin); }
+  void post(const net::ShardTryBegin& begin) override {
+    (log_ += 'P') += index_;
+    inner_->post(begin);
+  }
+  void post(const net::detail::UpdateRequest& update) override { inner_->post(update); }
+  void post_shutdown() override { inner_->post_shutdown(); }
+
+  net::PartialRegistry take_registry() override { return inner_->take_registry(); }
+  net::PartialParticipation take_participation() override {
+    return inner_->take_participation();
+  }
+  net::PartialPopulation take_population() override {
+    (log_ += 'T') += index_;
+    return inner_->take_population();
+  }
+  net::PartialUpdate take_update() override { return inner_->take_update(); }
+
+ private:
+  std::unique_ptr<net::detail::CohortChild> inner_;
+  char index_;
+  std::string& log_;
+};
+
+TEST(NetRound, EngineHasEveryTryInFlightBeforeTakingOne) {
+  // The pipelined determination, observed through the Child interface
+  // rather than the clock. The engine runs over two cohort children of two
+  // clients each; K == N puts both in every try. Client 1 corrupts its
+  // first distribution upload, so round 0's first determination fails on
+  // try 0 and re-runs, and the tries it had in flight are still taken.
+  constexpr std::size_t N = 4;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  auto params = make_params(N, 2);
+  params.evaluate = false;
+  std::vector<net::FaultPlan> plans(N);
+  plans[1] = net::parse_fault_plan("corrupt@distribution");
+
+  std::vector<std::shared_ptr<net::Transport>> links;
+  std::vector<std::thread> clients;
+  for (std::size_t id = 0; id < N; ++id) {
+    auto [agg, cli] = net::LoopbackTransport::make_pair();
+    links.push_back(agg);
+    const auto end = std::make_shared<net::FaultyTransport>(cli, plans[id]);
+    clients.emplace_back([&, id, end] {
+      try {
+        net::serve_client(*end, id, dataset, proto, params);
+      } catch (const std::exception&) {
+        end->close();  // the quarantined client: its link was closed
+      }
+    });
+  }
+  std::string log;
+  const auto bind = [&](std::uint64_t session_seed) {
+    std::vector<std::unique_ptr<net::detail::Child>> kids;
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      const net::ShardRange range = net::shard_range(N, 2, c);
+      auto cohort = std::make_unique<net::detail::CohortChild>(c, range, N, params);
+      cohort->hello(std::span(links).subspan(range.first, range.count), session_seed);
+      kids.push_back(
+          std::make_unique<RecordingChild>(std::move(cohort), static_cast<char>('0' + c), log));
+    }
+    return kids;
+  };
+  const auto t = net::detail::run_engine(links, bind, dataset, proto, params, nullptr);
+  for (auto& c : clients) c.join();
+
+  ASSERT_EQ(t.quarantined.size(), 1u) << net::format_transcript(t);
+  EXPECT_EQ(t.quarantined[0].client_id, 1u);
+  EXPECT_EQ(t.quarantined[0].phase, net::SessionPhase::kDistribution);
+  // Three determinations — round 0's failed one, its re-run, round 1's —
+  // each posting all H = 3 tries to both children before the first take,
+  // and each taking every try it posted, oldest first.
+  const std::string determination = "P0P1P0P1P0P1T0T1T0T1T0T1";
+  EXPECT_EQ(log, determination + determination + determination);
+  // Two cohort children under one engine are a tree without the shard hop:
+  // the transcript is the flat harness's.
+  EXPECT_EQ(net::format_transcript(t),
+            net::format_transcript(net::run_loopback_session(dataset, proto, params, plans)));
 }
 
 TEST(TcpServerRobustness, BackendSelectionFollowsEnabledFeatures) {

@@ -734,6 +734,72 @@ TEST(ShardTree, RootRejectsAnOutOfSequenceShardFrame) {
   }
 }
 
+TEST(ShardTree, RootRejectsAPartialForTheWrongTry) {
+  // The root posts both tries of a determination (H = 2) before it takes
+  // either, and a shard answers them in order: a partial population that
+  // does not answer the oldest try still posted is a fatal TransportError.
+  // A scripted shard answers try 1 first.
+  constexpr std::size_t N = 2;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  auto params = make_params(1, 1);
+  params.H = 2;
+  params.evaluate = false;
+  const std::size_t length =
+      core::RegistryCodec(params.num_classes, params.reference_set).length();
+  const he::PackedCodec codec(params.secure.key_bits - 1, params.secure.packing_slot_bits);
+
+  auto [root_side, shard_side] = net::LoopbackTransport::make_pair();
+  std::thread shard([&, end = shard_side] {
+    net::Link link(*end);
+    try {
+      link.send(net::encode<net::ShardHello>({0, 1, 0, N, N, net::kWireVersion}));
+      (void)link.receive();  // kServerHello
+      const he::PublicKey pk =
+          net::decode<net::KeyMaterial>(link.receive().value()).prv.public_key();
+      bigint::Xoshiro256ss rng(37);
+      net::PartialRegistry pr;
+      pr.contributors = N;
+      pr.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(length, 0), rng);
+      link.send(net::encode(pr));
+      link.send(net::encode(
+          net::PartialParticipation{0, net::QuarantineRecord::kSetupRound, {}, {}}));
+      net::PartialParticipation pp{0, 0, {}, {}};
+      for (std::uint64_t id = 0; id < N; ++id) pp.entries.push_back({id, 0, {1, 1}});
+      link.send(net::encode(pp));
+      net::PartialPopulation population;  // K = 1: one contributor per try
+      population.try_index = 1;
+      population.contributors = 1;
+      population.ciphertext = he::PackedEncryptedVector::encrypt(
+          pk, codec, std::vector<std::uint64_t>(params.num_classes, 1), rng);
+      link.send(net::encode(population));
+      while (link.receive()) {
+      }
+    } catch (const std::exception&) {
+      end->close();  // the root closed the link
+    }
+  });
+
+  const std::vector<std::shared_ptr<net::Transport>> links{root_side};
+  std::exception_ptr error;
+  try {
+    (void)net::run_root_session(links, dataset, proto, params);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  root_side->close();
+  shard.join();
+  ASSERT_NE(error, nullptr) << "the root accepted a partial for the wrong try";
+  try {
+    std::rethrow_exception(error);
+  } catch (const net::TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("wrong try"), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a TransportError, got: " << e.what();
+  }
+}
+
 TEST(ShardTree, RejectsInvalidTopologies) {
   // Every harness checks its arguments before any thread or socket exists:
   // a tree needs 1..N shards, and a non-empty fault-plan list needs one

@@ -184,6 +184,50 @@ grep -q "quarantined=client:1 round:1 phase:participation reason:disconnect" \
   echo "error: expected quarantine record missing from churn transcript" >&2; exit 1; }
 echo "net smoke OK: churn session survived, quarantine records are byte-identical"
 
+# The churn leg again with a fault inside the §5.3 determination. The
+# server posts every tentative try of a determination before it takes the
+# first upload, so client 1 dies on its second distribution upload with
+# later requests already sent to it. The multi-process transcript must
+# still equal the in-process churn selftest under the same plan.
+PLAN="disconnect@distribution:1"
+echo "== dubhe_node determination churn smoke (client 1 dies mid-try: $PLAN) =="
+rm -f "$TMP/port"
+"$NODE" --server --clients 3 --rounds "$ROUNDS" --workers 2 --port 0 \
+        --port-file "$TMP/port" --transcript "$TMP/server_dist.txt" &
+SERVER_PID=$!
+PIDS="$SERVER_PID"
+
+CLIENT_PIDS=""
+for i in 0 1 2; do
+  if [ "$i" = 1 ]; then
+    "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
+            --fault-plan "$PLAN" --port-file "$TMP/port" &
+  else
+    "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
+            --port-file "$TMP/port" &
+  fi
+  CLIENT_PIDS="$CLIENT_PIDS $!"
+  PIDS="$PIDS $!"
+done
+
+for pid in $CLIENT_PIDS; do
+  wait "$pid" || { echo "error: a client process failed (determination churn leg)" >&2; exit 1; }
+done
+wait "$SERVER_PID" || {
+  echo "error: the server process failed (determination churn leg)" >&2; exit 1; }
+PIDS=""
+
+"$NODE" --selftest --clients 3 --rounds "$ROUNDS" --fault-plan "$PLAN" \
+        --fault-client 1 --transcript "$TMP/selftest_dist.txt" > /dev/null
+
+echo "== transcript check (determination churn, multi-process vs in-process) =="
+diff "$TMP/server_dist.txt" "$TMP/selftest_dist.txt"
+grep -q "quarantined=client:1 round:0 phase:distribution reason:disconnect" \
+  "$TMP/server_dist.txt" || {
+  echo "error: expected quarantine record missing from determination churn transcript" >&2
+  exit 1; }
+echo "net smoke OK: determination churn survived, quarantine records are byte-identical"
+
 # Fourth leg: live metrics. The server exposes the /metrics admin endpoint
 # (--metrics-port 0 = ephemeral, published via --metrics-port-file) and
 # client 1 runs zombie@shutdown — it swallows the shutdown ack, so the
